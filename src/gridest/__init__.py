@@ -44,6 +44,7 @@ from .distributions import (
     mixture_modulus,
     mixture_tightness_instance,
     sample,
+    sample_counts,
     tc_modulus,
     total_correlation,
 )
@@ -56,6 +57,7 @@ from .domain import (
     Trace,
     build_grid,
     enumerate_axis_lines,
+    grid_from_counts,
 )
 from .estimators import (
     DeviationReport,

@@ -191,6 +191,21 @@ def _sample_with(dist: Distribution, m: int, rng: np.random.Generator) -> np.nda
     raise TypeError(f"cannot sample from {type(dist).__name__}")
 
 
+def sample_counts(dist: Distribution, m: int, seed) -> np.ndarray:
+    """Cell counts of ``m`` i.i.d. points, as an integer array of the domain's shape.
+
+    One multinomial draw over the joint table: the law of the counts of
+    ``sample(dist, m, ...)`` without drawing the points.  ``seed`` may also be
+    a ``numpy.random.Generator``; it is then used as is, so consecutive calls
+    on one generator draw the counts of consecutive, independent subsamples.
+    Needs a tabulable domain (at most ``MAX_CELLS`` points).
+    """
+    if m < 1:
+        raise ValueError("need m >= 1")
+    rng = np.random.default_rng(seed)
+    return rng.multinomial(m, dist.table().probs).reshape(dist.domain.sizes)
+
+
 # -- box projection and total correlation -------------------------------------
 
 
@@ -320,15 +335,16 @@ class Modulus:
 
     @classmethod
     def from_table(cls, alphas, betas) -> "Modulus":
-        alphas = np.asarray(alphas, dtype=float)
-        betas = np.asarray(betas, dtype=float)
+        """A step modulus; the knots are kept as tuples so moduli compare and hash."""
+        alphas = np.asarray(alphas, dtype=float).ravel()
+        betas = np.asarray(betas, dtype=float).ravel()
+        if alphas.size != betas.size:
+            raise ValueError("need one beta per alpha knot")
         if np.any(np.diff(alphas) <= 0) or np.any(np.diff(betas) < 0):
             raise ValueError("table knots must be increasing, betas nondecreasing")
         if np.any((betas <= 0) | (betas > 1)):
             raise ValueError("betas must lie in (0, 1]")
-        alphas.flags.writeable = False
-        betas.flags.writeable = False
-        return cls("table", (alphas, betas))
+        return cls("table", (tuple(alphas.tolist()), tuple(betas.tolist())))
 
     def describe(self) -> str:
         if self.kind == "mixture":

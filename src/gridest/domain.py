@@ -223,6 +223,26 @@ def build_grid(sample: np.ndarray, domain: ProductDomain) -> Grid:
     return Grid(domain, tuple(np.unique(sample[:, i]) for i in range(domain.width)))
 
 
+def grid_from_counts(counts: np.ndarray, domain: ProductDomain) -> Grid:
+    """The grid of a sample given by its cell counts (see ``build_grid``).
+
+    Axis ``i`` holds the values whose count, summed over the other axes, is
+    positive: the projection of the sample on that axis.
+    """
+    counts = np.asarray(counts)
+    if counts.shape != domain.sizes:
+        raise ValueError(
+            f"count shape {counts.shape} != domain shape {domain.sizes}"
+        )
+    if not counts.any():
+        raise ValueError("empty sample")
+    axes = range(domain.width)
+    return Grid(domain, tuple(
+        np.flatnonzero(counts.sum(axis=tuple(j for j in axes if j != i)))
+        for i in axes
+    ))
+
+
 def enumerate_axis_lines(space: ProductDomain | Grid, axis: int) -> list[AxisLine]:
     """All axis-parallel lines of ``space`` in direction ``axis``.
 

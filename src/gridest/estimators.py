@@ -14,14 +14,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .domain import (
+    MAX_CELLS,
     CapExceededError,
     Grid,
     NotEnumerableError,
     ProductDomain,
-    Trace,
     build_grid,
 )
 from .distributions import (
@@ -95,6 +94,17 @@ def product_case_size(
 
 
 # -- basic estimators ----------------------------------------------------------
+#
+# Every estimator exposes ``estimate(event)`` and its batch form
+# ``estimate_many(members)`` over the rows of a dense member matrix.
+
+
+def _member_rows(members, domain: ProductDomain) -> np.ndarray:
+    """A dense ``(k, n_points)`` boolean member matrix, checked against the domain."""
+    members = np.asarray(members, dtype=bool)
+    if members.ndim != 2 or members.shape[1] != domain.n_points:
+        raise ValueError(f"need a (k, {domain.n_points}) member matrix")
+    return members
 
 
 def empirical_mean(sample: np.ndarray, event, domain: ProductDomain) -> float:
@@ -142,6 +152,12 @@ class EmpiricalMeanEstimator:
     def estimate(self, event) -> float:
         return empirical_mean(self.sample, event, self.domain)
 
+    def estimate_many(self, members: np.ndarray) -> np.ndarray:
+        counts = np.bincount(
+            self.domain.flat_index(self.sample), minlength=self.domain.n_points
+        )
+        return _member_rows(members, self.domain) @ counts / self.sample.shape[0]
+
     def cell_weights(self) -> np.ndarray | None:
         if self.domain.width != 2:
             return None
@@ -164,6 +180,9 @@ class EmpiricalProductEstimator:
     def estimate(self, event) -> float:
         return event_probability(self.dist, event)
 
+    def estimate_many(self, members: np.ndarray) -> np.ndarray:
+        return _member_rows(members, self.domain) @ self.dist.table().probs
+
     def cell_weights(self) -> np.ndarray | None:
         if self.domain.width != 2:
             return None
@@ -182,6 +201,9 @@ class ExactEstimator:
     def estimate(self, event) -> float:
         return event_probability(self.dist, event)
 
+    def estimate_many(self, members: np.ndarray) -> np.ndarray:
+        return _member_rows(members, self.domain) @ self.dist.table().probs
+
     def cell_weights(self) -> np.ndarray | None:
         if self.domain.width != 2:
             return None
@@ -194,11 +216,12 @@ class ExactEstimator:
 class ProductGridEstimator:
     """The trained two-phase estimator: grid, trace index, query extension.
 
-    In explicit mode the trace index maps each realized trace to the stored
-    estimate of its representative (the member with the lexicographically
-    smallest canonical encoding).  For permutation-graph families whose
-    phase-1 grid covers the full domain, every trace class is a singleton and
-    the index is held implicitly as the phase-2 cell-count matrix.
+    Built from the phase-1 grid and the phase-2 cell counts only (see
+    ``from_counts``).  In explicit mode the trace index maps each realized
+    trace to the estimate of its representative (the member with the
+    lexicographically smallest canonical encoding).  For permutation-graph
+    families whose phase-1 grid covers the full domain, every trace class is a
+    singleton and the index is held implicitly as the phase-2 cell counts.
     """
 
     name = "product-grid"
@@ -206,45 +229,132 @@ class ProductGridEstimator:
     def __init__(
         self,
         grid: Grid,
-        plan: SamplingPlan,
+        cell_counts: np.ndarray,
         class_count: int,
         split: tuple[int, int],
-        seed=None,
-        trace_index: dict | None = None,
-        representatives: dict | None = None,
-        cell_counts: np.ndarray | None = None,
+        class_of: dict[bytes, int] | None = None,
+        class_estimates: np.ndarray | None = None,
+        representatives: np.ndarray | None = None,
     ):
         self.grid = grid
         self.domain = grid.domain
-        self.plan = plan
+        self.cell_counts = cell_counts
         self.class_count = class_count
         self.split = split
-        self.seed = seed
-        self.trace_index = trace_index
+        self.class_of = class_of
+        self.class_estimates = class_estimates
         self.representatives = representatives
-        self.cell_counts = cell_counts
-        if cell_counts is not None:
-            cell_counts.flags.writeable = False
+        for arr in (cell_counts, class_estimates, representatives):
+            if arr is not None:
+                arr.flags.writeable = False
+
+    @classmethod
+    def from_counts(
+        cls,
+        grid: Grid,
+        cell_counts: np.ndarray,
+        family: SetFamily,
+        plan: SamplingPlan,
+    ) -> "ProductGridEstimator":
+        """The build core: phase-1 grid plus phase-2 cell counts.
+
+        ``cell_counts`` has the domain's shape and sums to m1.  With the
+        default split the builder refuses a phase 2 too small for the
+        realized class count.
+        """
+        domain = family.domain
+        if grid.domain != domain:
+            raise ValueError("grid and family live on different domains")
+        cell_counts = np.array(cell_counts)  # a copy: the estimator freezes it
+        if (
+            cell_counts.shape != domain.sizes
+            or cell_counts.dtype.kind not in "iu"
+            or np.any(cell_counts < 0)
+        ):
+            raise ValueError(
+                f"need nonnegative integer cell counts of shape {domain.sizes}"
+            )
+        m1 = int(cell_counts.sum())
+        if plan.split is not None:
+            m0 = plan.split[0]
+            if m1 != plan.split[1]:
+                raise ValueError(
+                    f"phase-2 counts sum to {m1}, plan splits {plan.split}"
+                )
+        else:
+            m0 = phase1_size(plan)
+            if m1 < 1:
+                raise ValueError("insufficient sample: empty phase 2")
+
+        if isinstance(family, PermutationGraphs) and grid.is_full:
+            estimator = cls(grid, cell_counts, family.member_count(), (m0, m1))
+        else:
+            try:
+                members = family.members_matrix()
+            except (NotEnumerableError, CapExceededError) as exc:
+                raise NotEnumerableError(
+                    "family not trace-enumerable within caps"
+                ) from exc
+            traces = np.packbits(members[:, grid.flat_domain_indices()], axis=1)
+            classes, labels = np.unique(traces, axis=0, return_inverse=True)
+            # visit members in lexicographic order of their encodings; the
+            # first member seen of each class is its representative
+            encodings = np.packbits(members, axis=1)
+            order = np.lexsort(encodings.T[::-1])
+            _, first = np.unique(labels.ravel()[order], return_index=True)
+            representatives = members[order[first]]
+            # float products of integer counts are exact: hits / m1 equals
+            # the representative's phase-2 mean bit for bit
+            hits = representatives @ cell_counts.ravel().astype(np.float64)
+            estimator = cls(
+                grid,
+                cell_counts,
+                len(classes),
+                (m0, m1),
+                class_of={row.tobytes(): k for k, row in enumerate(classes)},
+                class_estimates=hits / m1,
+                representatives=representatives,
+            )
+
+        if plan.split is None:
+            need = phase2_size(plan.epsilon, plan.delta, estimator.class_count)
+            if m1 < need:
+                raise ValueError(
+                    f"insufficient sample: phase 2 needs {need} points for "
+                    f"{estimator.class_count} classes, got {m1}"
+                )
+        return estimator
 
     @property
     def is_structured(self) -> bool:
-        return self.cell_counts is not None
+        return self.class_of is None
 
     def query(self, event) -> float:
         """The stored estimate of the representative with the event's trace."""
         if self.is_structured:
             perm = self._as_permutation(event)
-            m1 = self.split[1]
             n = self.domain.sizes[0]
-            return float(self.cell_counts[np.arange(n), perm].sum() / m1)
+            return float(self.cell_counts[np.arange(n), perm].sum() / self.split[1])
         trace = trace_of(event, self.grid)
-        try:
-            return self.trace_index[trace]
-        except KeyError:
-            raise ValueError("trace not represented") from None
+        return float(self.class_estimates[self._class_id(trace.bits)])
 
     # alias so all estimators expose .estimate
     estimate = query
+
+    def estimate_many(self, members: np.ndarray) -> np.ndarray:
+        """``query`` on every row of a dense ``(k, n_points)`` member matrix."""
+        members = _member_rows(members, self.domain)
+        if self.is_structured:
+            n = self.domain.sizes[0]
+            graphs = members.reshape(-1, n, n)
+            if not (
+                np.all(graphs.sum(axis=1) == 1) and np.all(graphs.sum(axis=2) == 1)
+            ):
+                raise ValueError("trace not represented")
+            return members @ self.cell_counts.ravel() / self.split[1]
+        traces = np.packbits(members[:, self.grid.flat_domain_indices()], axis=1)
+        ids = [self._class_id(row.tobytes()) for row in traces]
+        return self.class_estimates[ids]
 
     def representative(self, event) -> np.ndarray:
         """Dense bits of the representative of the event's trace class."""
@@ -252,8 +362,11 @@ class ProductGridEstimator:
             perm = self._as_permutation(event)
             return perm_graph_bits(perm, self.domain)
         trace = trace_of(event, self.grid)
+        return self.representatives[self._class_id(trace.bits)]
+
+    def _class_id(self, trace_bits: bytes) -> int:
         try:
-            return self.representatives[trace]
+            return self.class_of[trace_bits]
         except KeyError:
             raise ValueError("trace not represented") from None
 
@@ -285,13 +398,15 @@ class ProductGridEstimator:
 
 
 def build_product_grid_estimator(
-    sample: np.ndarray, family: SetFamily, plan: SamplingPlan, seed=None
+    sample: np.ndarray, family: SetFamily, plan: SamplingPlan
 ) -> ProductGridEstimator:
     """Train the two-phase estimator on a single i.i.d. sample.
 
     The first m0 points build the grid; the rest are reserved for estimation
     and never touch the grid.  With the default split the builder refuses
-    samples too small for phase 2 at the realized class count.
+    samples too small for phase 2 at the realized class count.  The points
+    are reduced to the grid and the phase-2 cell counts, and handed to
+    ``ProductGridEstimator.from_counts``.
     """
     domain = family.domain
     sample = domain.validate_points(np.asarray(sample, dtype=np.int64))
@@ -308,59 +423,15 @@ def build_product_grid_estimator(
             raise ValueError(
                 f"insufficient sample: phase 1 alone needs {m0} points"
             )
-    s0 = sample[:m0]
-    s1 = sample[m0 : m0 + m1]
-    grid = build_grid(s0, domain)
-
-    if isinstance(family, PermutationGraphs) and grid.is_full:
-        n = family.n
-        counts = np.zeros((n, n))
-        np.add.at(counts, (s1[:, 0], s1[:, 1]), 1.0)
-        class_count = family.member_count()
-        estimator = ProductGridEstimator(
-            grid, plan, class_count, (m0, m1), seed=seed, cell_counts=counts
+    if domain.n_points > MAX_CELLS:
+        raise CapExceededError(
+            f"domain has {domain.n_points} points, exceeds cap {MAX_CELLS}"
         )
-    else:
-        try:
-            members = family.members_matrix()
-        except (NotEnumerableError, CapExceededError) as exc:
-            raise NotEnumerableError(
-                "family not trace-enumerable within caps"
-            ) from exc
-        cell_idx = grid.flat_domain_indices()
-        encodings = np.packbits(members, axis=1)
-        rep_of: dict[Trace, int] = {}
-        for idx in range(members.shape[0]):
-            trace = Trace.from_bool_array(members[idx, cell_idx])
-            cur = rep_of.get(trace)
-            if cur is None or encodings[idx].tobytes() < encodings[cur].tobytes():
-                rep_of[trace] = idx
-        s1_flat = domain.flat_index(s1)
-        trace_index = {}
-        representatives = {}
-        for trace, idx in rep_of.items():
-            rep = members[idx]
-            trace_index[trace] = float(rep[s1_flat].mean())
-            representatives[trace] = rep
-        class_count = len(rep_of)
-        estimator = ProductGridEstimator(
-            grid,
-            plan,
-            class_count,
-            (m0, m1),
-            seed=seed,
-            trace_index=trace_index,
-            representatives=representatives,
-        )
-
-    if plan.split is None:
-        need = phase2_size(plan.epsilon, plan.delta, estimator.class_count)
-        if m1 < need:
-            raise ValueError(
-                f"insufficient sample: phase 2 needs {need} points for "
-                f"{estimator.class_count} classes, got {m1}"
-            )
-    return estimator
+    s1_flat = domain.flat_index(sample[m0 : m0 + m1])
+    counts = np.bincount(s1_flat, minlength=domain.n_points).reshape(domain.sizes)
+    return ProductGridEstimator.from_counts(
+        build_grid(sample[:m0], domain), counts, family, plan
+    )
 
 
 def query_estimate(estimator: ProductGridEstimator, event) -> float:
@@ -372,6 +443,9 @@ def query_estimate(estimator: ProductGridEstimator, event) -> float:
 
 def max_assignment_value(weights: np.ndarray) -> float:
     """Maximum total weight of a perfect matching (exact, via scipy)."""
+    # imported here: scipy.optimize dominates the package's import time
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(weights, maximize=True)
     return float(weights[rows, cols].sum())
 
@@ -408,13 +482,9 @@ def sup_deviation(
         return max(upper, lower)
     if method == "enumerate":
         members = family.members_matrix()
-        worst = 0.0
-        table = dist.table().probs
-        for row in members:
-            dev = abs(estimator.estimate(row) - float(table[row].sum()))
-            if dev > worst:
-                worst = dev
-        return worst
+        truth = members @ dist.table().probs
+        gaps = np.abs(estimator.estimate_many(members) - truth)
+        return float(np.max(gaps, initial=0.0))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -424,25 +494,28 @@ def check_grid_hitting(
     """All member pairs with ``P(F xor F') >= eps`` missed entirely by the grid.
 
     An empty list certifies the hitting property for this grid draw.  Pairs
-    are indices into the family's member matrix, i < j.
+    are indices into the family's member matrix, i < j, in sorted order.
+
+    The grid misses ``F xor F'`` exactly when the two members have the same
+    trace, so only pairs inside one trace class are weighed.
     """
     members = family.members_matrix()
-    m = members.astype(float)
+    traces = np.packbits(members[:, grid.point_mask()], axis=1)
+    _, labels, sizes = np.unique(
+        traces, axis=0, return_inverse=True, return_counts=True
+    )
+    labels = labels.ravel()
     probs = dist.table().probs
-    weighted = m * probs
-    single = weighted.sum(axis=1)
-    cross = weighted @ m.T
-    sym_prob = single[:, None] + single[None, :] - 2.0 * cross
-
-    gmask = grid.point_mask()
-    mg = members[:, gmask].astype(np.int64)
-    on_grid = mg.sum(axis=1)
-    cross_grid = mg @ mg.T
-    sym_cells = on_grid[:, None] + on_grid[None, :] - 2 * cross_grid
-
-    bad = (sym_prob >= eps) & (sym_cells == 0)
-    ii, jj = np.nonzero(np.triu(bad, k=1))
-    return list(zip(ii.tolist(), jj.tolist()))
+    pairs = []
+    for label in np.flatnonzero(sizes > 1):
+        group = np.flatnonzero(labels == label)
+        m = members[group].astype(float)
+        weighted = m * probs
+        single = weighted.sum(axis=1)
+        sym_prob = single[:, None] + single[None, :] - 2.0 * (weighted @ m.T)
+        ii, jj = np.nonzero(np.triu(sym_prob >= eps, k=1))
+        pairs.extend(zip(group[ii].tolist(), group[jj].tolist()))
+    return sorted(pairs)
 
 
 # -- deviation reports -------------------------------------------------------------

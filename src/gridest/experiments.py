@@ -45,14 +45,21 @@ from .distributions import (
     mixture_modulus,
     mixture_tightness_instance,
     sample,
+    sample_counts,
     tc_modulus,
     total_correlation,
 )
-from .domain import NotEnumerableError, ProductDomain, build_grid
+from .domain import (
+    NotEnumerableError,
+    ProductDomain,
+    build_grid,
+    grid_from_counts,
+)
 from .estimators import (
     DeviationReport,
     EmpiricalMeanEstimator,
     EmpiricalProductEstimator,
+    ProductGridEstimator,
     SamplingPlan,
     build_product_grid_estimator,
     check_grid_hitting,
@@ -206,22 +213,28 @@ def _trial_scaling(seed_seq, n: int, m: int) -> float:
     return sup_deviation(est, PermutationGraphs(n), dist, method="assignment")
 
 
+# The product-grid trials read their samples only through sufficient
+# statistics (the phase-1 grid, the phase-2 cell counts), so they draw cell
+# counts instead of points; ``dist`` is the distribution's joint table.
+
+
 def _trial_grid_hitting(
-    seed_seq, family: SetFamily, dist, m0: int, level: float
+    seed_seq, family: SetFamily, dist: JointTable, m0: int, level: float
 ) -> float:
-    s = sample(dist, m0, seed_seq)
-    grid = build_grid(s, dist.domain)
+    grid = grid_from_counts(sample_counts(dist, m0, seed_seq), dist.domain)
     return float(len(check_grid_hitting(family, grid, dist, level)))
 
 
-def _trial_pge(
-    seed_seq, n: int, plan: SamplingPlan, dist: MixtureDistribution
-) -> float:
+def _trial_pge(seed_seq, n: int, plan: SamplingPlan, dist: JointTable) -> float:
     m0, m1 = plan.split
-    s = sample(dist, m0 + m1, seed_seq)
+    rng = np.random.default_rng(seed_seq)
+    phase1 = sample_counts(dist, m0, rng)
+    phase2 = sample_counts(dist, m1, rng)
     family = PermutationGraphs(n)
     try:
-        est = build_product_grid_estimator(s, family, plan)
+        est = ProductGridEstimator.from_counts(
+            grid_from_counts(phase1, dist.domain), phase2, family, plan
+        )
     except NotEnumerableError:
         # phase-1 grid missed part of the domain; count the trial as a failure
         return 1.0
@@ -555,7 +568,11 @@ def _run_grid_hitting(params, trials, seed):
     )
     m0 = phase1_size(plan)
     fn = functools.partial(
-        _trial_grid_hitting, family=family, dist=dist, m0=m0, level=eps / 2
+        _trial_grid_hitting,
+        family=family,
+        dist=dist.table(),
+        m0=m0,
+        level=eps / 2,
     )
     counts = run_trials(fn, trials, trial_seed)
     fail_freq = float(np.mean(counts > 0))
@@ -590,7 +607,9 @@ def _run_pge_end_to_end(params, trials, seed):
     master = np.random.SeedSequence(seed)
     trial_seed, cross_seed = master.spawn(2)
     devs = run_trials(
-        functools.partial(_trial_pge, n=n, plan=plan, dist=dist), trials, trial_seed
+        functools.partial(_trial_pge, n=n, plan=plan, dist=dist.table()),
+        trials,
+        trial_seed,
     )
     success_freq = float(np.mean(devs <= eps))
     main_ok = success_freq >= 1.0 - delta - slack
@@ -620,9 +639,14 @@ def _run_pge_end_to_end(params, trials, seed):
 
 
 def _pge_cross_check(n: int, eps: float, delta: float, seed_seq) -> float:
-    """Assignment vs enumeration, and structured vs explicit build, at small n."""
+    """Assignment vs enumeration, and structured vs explicit build, at small n.
+
+    Point-based on purpose: both builds must agree on one point sample.
+    """
     dist = two_component_mixture(n)
     family = PermutationGraphs(n)
+    explicit_family = family.materialize()
+    members = explicit_family.members_matrix()
     m1 = phase2_size(eps, delta, math.factorial(n))
     plan = SamplingPlan(
         epsilon=eps, delta=delta, lvc=1, width=2,
@@ -639,9 +663,9 @@ def _pge_cross_check(n: int, eps: float, delta: float, seed_seq) -> float:
         dev_assign = sup_deviation(est, family, dist, method="assignment")
         dev_enum = sup_deviation(est, family, dist, method="enumerate")
         worst = max(worst, abs(dev_assign - dev_enum))
-        explicit = build_product_grid_estimator(s, family.materialize(), plan)
-        for row in family.materialize().members_matrix():
-            worst = max(worst, abs(est.query(row) - explicit.query(row)))
+        explicit = build_product_grid_estimator(s, explicit_family, plan)
+        gaps = np.abs(est.estimate_many(members) - explicit.estimate_many(members))
+        worst = max(worst, float(gaps.max()))
     if checked == 0:
         raise RuntimeError("cross-check never saw a full grid; increase m0")
     return worst

@@ -27,10 +27,12 @@ from gridest.distributions import (
     mixture_modulus,
     mixture_tightness_instance,
     sample,
+    sample_counts,
     tc_modulus,
     total_correlation,
 )
 from gridest.domain import ProductDomain
+from gridest.experiments import two_component_mixture
 from gridest.families import perm_graph_bits
 
 
@@ -100,6 +102,68 @@ class TestSampling:
     def test_m_must_be_positive(self):
         with pytest.raises(ValueError):
             sample(uniform_product(2), 0, seed=0)
+
+
+class TestSampleCounts:
+    def test_shape_total_and_determinism(self):
+        dist = two_component_mixture(3)
+        counts = sample_counts(dist, 50, seed=4)
+        assert counts.shape == (3, 3) and counts.dtype.kind == "i"
+        assert counts.sum() == 50
+        assert np.array_equal(counts, sample_counts(dist, 50, seed=4))
+
+    def test_one_generator_draws_consecutive_subsamples(self):
+        dist = two_component_mixture(3)
+        rng = np.random.default_rng(8)
+        first, second = sample_counts(dist, 40, rng), sample_counts(dist, 60, rng)
+        assert (first.sum(), second.sum()) == (40, 60)
+        again = np.random.default_rng(8)
+        assert np.array_equal(first, sample_counts(dist, 40, again))
+        assert np.array_equal(second, sample_counts(dist, 60, again))
+
+    def test_zero_probability_cells_stay_empty(self):
+        d = ProductDomain.of_sizes(2, 2)
+        joint = JointTable(d, [0.5, 0.0, 0.0, 0.5])
+        counts = sample_counts(joint, 100, seed=1)
+        assert counts[0, 1] == counts[1, 0] == 0
+
+    def test_m_must_be_positive(self):
+        with pytest.raises(ValueError):
+            sample_counts(uniform_product(2), 0, seed=0)
+
+    def test_first_moments_match_m_times_p(self):
+        # E[counts] = m p exactly; the mean of R draws sits within 5 sigma
+        dist = two_component_mixture(3)
+        p = dist.table().reshaped()
+        m, draws = 30, 4000
+        rng = np.random.default_rng(11)
+        mean = np.mean([sample_counts(dist, m, rng) for _ in range(draws)], axis=0)
+        sigma = np.sqrt(m * p * (1 - p) / draws)
+        assert np.all(np.abs(mean - m * p) <= 5 * sigma)
+
+    def test_agrees_in_distribution_with_point_sampling(self):
+        # chi-square homogeneity between the count draw and counted points:
+        # on the pooled cell totals, and on the number of occupied cells per
+        # draw (a statistic of the joint law, not only of the means)
+        from scipy.stats import chi2_contingency
+
+        dist = two_component_mixture(3)
+        m, draws = 8, 3000
+        master = np.random.SeedSequence(2024)
+        via_counts = [sample_counts(dist, m, s) for s in master.spawn(draws)]
+        via_points = [
+            np.bincount(dist.domain.flat_index(sample(dist, m, s)), minlength=9)
+            for s in master.spawn(draws)
+        ]
+        totals = np.array([np.sum(via_counts, axis=0).ravel(),
+                           np.sum(via_points, axis=0)])
+        assert chi2_contingency(totals).pvalue > 1e-3
+        occupied = np.array([
+            np.bincount([np.count_nonzero(c) for c in draws_], minlength=m + 1)
+            for draws_ in (via_counts, via_points)
+        ])
+        occupied = occupied[:, occupied.sum(axis=0) > 0]
+        assert chi2_contingency(occupied).pvalue > 1e-3
 
 
 class TestBoxProjection:
@@ -273,6 +337,17 @@ class TestModuli:
         assert mod(0.9) == 0.2
         with pytest.raises(ValueError):
             mod(0.05)
+
+    def test_table_modulus_equality_and_hash(self):
+        mod = Modulus.from_table([0.1, 0.5], [0.01, 0.2])
+        same = Modulus.from_table(np.array([0.1, 0.5]), (0.01, 0.2))
+        assert mod == same and hash(mod) == hash(same)
+        assert mod != Modulus.from_table([0.1, 0.5], [0.01, 0.3])
+        assert len({mod, same}) == 1
+
+    def test_table_modulus_needs_one_beta_per_knot(self):
+        with pytest.raises(ValueError, match="one beta per"):
+            Modulus.from_table([0.1, 0.5], [0.2])
 
     @given(
         st.floats(0.01, 1.0),

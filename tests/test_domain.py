@@ -12,6 +12,7 @@ from gridest.domain import (
     Trace,
     build_grid,
     enumerate_axis_lines,
+    grid_from_counts,
 )
 from gridest.families import trace_of
 
@@ -81,6 +82,32 @@ class TestBuildGrid:
         g1 = build_grid(pts, d)
         g2 = build_grid(pts[::-1], d)
         assert np.array_equal(g1.cells(), g2.cells())
+
+
+class TestGridFromCounts:
+    def _counts(self, pts, d):
+        return np.bincount(d.flat_index(pts), minlength=d.n_points).reshape(d.sizes)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_same_grid_as_build_grid(self, seed, width, m):
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 5, size=width)
+        d = ProductDomain.of_sizes(*sizes)
+        pts = rng.integers(0, sizes, size=(m, width))
+        got = grid_from_counts(self._counts(pts, d), d)
+        want = build_grid(pts, d)
+        assert all(np.array_equal(a, b) for a, b in zip(got.axes, want.axes))
+
+    def test_empty_counts_rejected(self):
+        d = ProductDomain.of_sizes(2, 2)
+        with pytest.raises(ValueError, match="empty sample"):
+            grid_from_counts(np.zeros((2, 2), dtype=int), d)
+
+    def test_shape_must_match_domain(self):
+        d = ProductDomain.of_sizes(2, 3)
+        with pytest.raises(ValueError, match="shape"):
+            grid_from_counts(np.ones((3, 2), dtype=int), d)
 
 
 class TestAxisLines:

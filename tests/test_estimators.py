@@ -5,19 +5,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridest.distributions import (
+    JointTable,
     Modulus,
     ProductDistribution,
     event_probability,
     sample,
 )
-from gridest.domain import ProductDomain, build_grid
+from gridest.domain import (
+    Grid,
+    NotEnumerableError,
+    ProductDomain,
+    build_grid,
+    grid_from_counts,
+)
 from gridest.estimators import (
     DeviationReport,
     EmpiricalMeanEstimator,
     EmpiricalProductEstimator,
     ExactEstimator,
+    ProductGridEstimator,
     SamplingPlan,
     build_product_grid_estimator,
     check_grid_hitting,
@@ -31,6 +41,7 @@ from gridest.estimators import (
     sup_deviation,
 )
 from gridest.families import (
+    AxisBoxes,
     ExplicitFamily,
     PermutationGraphs,
     perm_graph_bits,
@@ -80,6 +91,14 @@ class TestPlanners:
         plan = SamplingPlan(0.4, 0.1, 1, 2, table)
         with pytest.raises(ValueError, match="vanished"):
             phase1_size(plan)
+
+    def test_plans_holding_a_table_modulus_compare_and_hash(self):
+        def plan(betas):
+            return SamplingPlan(0.4, 0.1, 1, 2, Modulus.from_table([0.1, 0.5], betas))
+
+        assert plan([0.01, 0.2]) == plan([0.01, 0.2])
+        assert hash(plan([0.01, 0.2])) == hash(plan([0.01, 0.2]))
+        assert plan([0.01, 0.2]) != plan([0.01, 0.3])
 
     def test_phase2_reference_values(self):
         assert phase2_size(0.1, 0.05, 1000) == 2258
@@ -309,6 +328,155 @@ class TestProductGridEstimator:
         assert est.split == (m0, m1)
 
 
+def cell_counts(points, domain):
+    """Cell counts of a point sample, by a route independent of the builder."""
+    counts = np.zeros(domain.sizes, dtype=np.int64)
+    np.add.at(counts, tuple(np.asarray(points).T), 1)
+    return counts
+
+
+class TestCountCore:
+    """The point builder is an adapter onto ``ProductGridEstimator.from_counts``."""
+
+    @pytest.mark.parametrize("family", [
+        PermutationGraphs(3),                         # structured path
+        PermutationGraphs(3).materialize(),           # explicit, full grid
+        AxisBoxes(ProductDomain.of_sizes(3, 3)),      # explicit, shared traces
+        small_interval_family(),
+    ])
+    @pytest.mark.parametrize("m0", [2, 40])
+    def test_adapter_and_core_bit_identical(self, family, m0):
+        dist = uniform_product(3)
+        s = sample(dist, m0 + 50, seed=m0)
+        plan = identity_plan(split=(m0, 50))
+        via_points = build_product_grid_estimator(s, family, plan)
+        grid = grid_from_counts(cell_counts(s[:m0], dist.domain), dist.domain)
+        via_counts = ProductGridEstimator.from_counts(
+            grid, cell_counts(s[m0:], dist.domain), family, plan
+        )
+        assert via_points.is_structured == via_counts.is_structured
+        assert via_points.class_count == via_counts.class_count
+        assert via_points.split == via_counts.split == (m0, 50)
+        members = family.members_matrix()
+        assert np.array_equal(via_points.estimate_many(members),
+                              via_counts.estimate_many(members))
+        for row in members:
+            assert via_points.query(row) == via_counts.query(row)
+
+    def test_explicit_estimates_are_representative_means(self):
+        fam = small_interval_family()
+        s = np.array([[0, 0], [1, 1], [0, 1], [1, 0], [0, 0], [2, 2], [0, 1]])
+        est = build_product_grid_estimator(s, fam, identity_plan(split=(4, 3)))
+        for row in fam.members_matrix():
+            rep = est.representative(row)
+            assert est.query(row) == empirical_mean(s[4:], rep, fam.domain)
+
+    def test_counts_must_match_the_split(self):
+        d = ProductDomain.of_sizes(2, 2)
+        counts = np.array([[1, 0], [0, 1]])
+        with pytest.raises(ValueError, match="plan splits"):
+            ProductGridEstimator.from_counts(
+                d.full_grid(), counts, PermutationGraphs(2), identity_plan(split=(4, 3))
+            )
+
+    def test_counts_must_be_integer_and_domain_shaped(self):
+        d = ProductDomain.of_sizes(2, 2)
+        plan = identity_plan(split=(4, 2))
+        for bad in (np.ones((2, 2)), np.ones((4,), dtype=int),
+                    np.array([[3, 0], [0, -1]])):
+            with pytest.raises(ValueError, match="integer cell counts"):
+                ProductGridEstimator.from_counts(
+                    d.full_grid(), bad, PermutationGraphs(2), plan
+                )
+
+    def test_partial_grid_on_a_large_permutation_family_is_not_enumerable(self):
+        n = 30
+        d = ProductDomain.of_sizes(n, n)
+        grid = Grid(d, (np.arange(n - 1), np.arange(n)))
+        counts = np.zeros((n, n), dtype=np.int64)
+        counts[0, 0] = 5
+        with pytest.raises(NotEnumerableError):
+            ProductGridEstimator.from_counts(
+                grid, counts, PermutationGraphs(n), identity_plan(split=(9, 5))
+            )
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def _estimator_and_rows(draw):
+    """A product-grid estimator (either path) plus dense query rows.
+
+    The rows mix family members with arbitrary sets, so some traces are not
+    represented; the phase-1 sample is small, so many members share a trace.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 4))
+        fam = PermutationGraphs(n)
+        d = fam.domain
+        s0 = np.stack([np.arange(n), rng.permutation(n)], axis=1)  # full grid
+        if draw(st.booleans()):
+            fam = fam.materialize()
+            s0 = s0[: draw(st.integers(1, n))]
+    else:
+        sizes = draw(st.tuples(st.integers(1, 3), st.integers(1, 4)))
+        d = ProductDomain.of_sizes(*sizes)
+        k = draw(st.integers(1, 12))
+        fam = ExplicitFamily(d, rng.random((k, d.n_points)) < 0.5)
+        s0 = rng.integers(0, sizes, size=(draw(st.integers(1, 4)), 2))
+    m1 = draw(st.integers(1, 30))
+    s1 = rng.integers(0, d.sizes, size=(m1, 2))
+    est = build_product_grid_estimator(
+        np.vstack([s0, s1]), fam, identity_plan(split=(len(s0), m1))
+    )
+    strangers = rng.random((draw(st.integers(0, 3)), d.n_points)) < 0.5
+    rows = np.vstack([fam.members_matrix(), strangers])
+    return est, rows[rng.permutation(len(rows))]
+
+
+class TestEstimateMany:
+    @given(_estimator_and_rows())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_per_row_estimate_and_raises_where_it_raises(self, case):
+        est, rows = case
+        single = [_outcome(lambda row=row: est.estimate(row)) for row in rows]
+        ok = np.array([not isinstance(v, str) for v in single])
+        if ok.all():
+            assert np.array_equal(est.estimate_many(rows), np.array(single))
+        else:
+            with pytest.raises(ValueError, match="trace not represented"):
+                est.estimate_many(rows)
+            assert {v for v in single if isinstance(v, str)} == {
+                "trace not represented"
+            }
+        got = est.estimate_many(rows[ok])
+        assert np.array_equal(got, np.array(single, dtype=object)[ok].astype(float))
+
+    def test_basic_estimators_agree_with_estimate(self):
+        n = 4
+        dist = uniform_product(n)
+        s = sample(dist, 30, seed=3)
+        rows = PermutationGraphs(n).members_matrix()
+        for est in (EmpiricalMeanEstimator(s, dist.domain),
+                    EmpiricalProductEstimator(s, dist.domain),
+                    ExactEstimator(dist)):
+            want = [est.estimate(row) for row in rows]
+            assert np.allclose(est.estimate_many(rows), want, rtol=0, atol=1e-15)
+
+    def test_rejects_rows_of_the_wrong_width(self):
+        dist = uniform_product(3)
+        est = ExactEstimator(dist)
+        with pytest.raises(ValueError, match="member matrix"):
+            est.estimate_many(np.ones((2, 4), dtype=bool))
+
+
 class _CellWeightStub:
     """Estimator stub defined entirely by a per-cell weight matrix."""
 
@@ -423,6 +591,44 @@ class TestGridHitting:
                     event_probability(dist, row) - event_probability(dist, rep)
                 )
                 assert gap <= eps / 2 + 1e-12
+
+
+def _brute_force_missed_pairs(members, probs, grid_mask, eps, tol=1e-12):
+    """Pairs surely missed (P >= eps + tol) and possibly missed (P >= eps - tol)."""
+    sure, maybe = set(), set()
+    for i in range(len(members)):
+        for j in range(i + 1, len(members)):
+            xor = members[i] ^ members[j]
+            if np.any(xor & grid_mask):
+                continue
+            p = float(probs[xor].sum())
+            if p >= eps - tol:
+                maybe.add((i, j))
+            if p >= eps + tol:
+                sure.add((i, j))
+    return sure, maybe
+
+
+class TestGridHittingBruteForce:
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(2, 16),
+           st.integers(1, 6), st.floats(0.0, 0.6))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_brute_force_pair_loop(self, seed, n, k, m0, eps):
+        rng = np.random.default_rng(seed)
+        d = ProductDomain.of_sizes(n, n)
+        grid = build_grid(rng.integers(0, n, size=(m0, 2)), d)
+        base = rng.random((k, d.n_points)) < 0.5
+        # copies that differ from a base member only off the grid share its trace
+        flips = (rng.random((k, d.n_points)) < 0.3) & ~grid.point_mask()
+        fam = ExplicitFamily(d, np.vstack([base, base ^ flips]))
+        probs = rng.dirichlet(np.ones(d.n_points))
+        dist = JointTable(d, probs)
+        got = check_grid_hitting(fam, grid, dist, eps)
+        assert got == sorted(got) and all(i < j for i, j in got)
+        sure, maybe = _brute_force_missed_pairs(
+            fam.members_matrix(), probs, grid.point_mask(), eps
+        )
+        assert sure <= set(got) <= maybe
 
 
 class TestDeviationReport:

@@ -1,18 +1,27 @@
 """Scenario runner: determinism, reports, calibration, and the CLI."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import gridest
 from gridest.cli import main as cli_main
+from gridest.distributions import Modulus
+from gridest.estimators import SamplingPlan
 from gridest.experiments import (
     SCENARIOS,
     ExperimentConfig,
     ScenarioResult,
+    _trial_pge,
     calibrate_constants,
     emit_report,
     run_scenario,
+    two_component_mixture,
 )
 
 
@@ -43,11 +52,46 @@ class TestDeterminism:
         parallel = run_scenario(config)
         assert serial.report.deviations == parallel.report.deviations
 
+    def test_worker_count_does_not_change_count_based_trials(self, monkeypatch):
+        config = tiny("pge-end-to-end", trials=6,
+                      params={"n": 5, "c0": 0.01, "cross_n": 3})
+        monkeypatch.setenv("GRIDEST_WORKERS", "1")
+        serial = run_scenario(config)
+        monkeypatch.setenv("GRIDEST_WORKERS", "2")
+        parallel = run_scenario(config)
+        assert serial.report.deviations == parallel.report.deviations
+
     def test_bad_worker_count_rejected(self, monkeypatch):
         monkeypatch.setenv("GRIDEST_WORKERS", "many")
         with pytest.raises(ValueError, match="GRIDEST_WORKERS"):
             run_scenario(tiny("perm-empirical-failure", trials=2,
                               params={"n": 10, "m": 2}))
+
+
+class TestCountTrials:
+    def _plan(self, m0, m1):
+        return SamplingPlan(epsilon=0.2, delta=0.1, lvc=1, width=2,
+                            modulus=Modulus.for_mixture(2, 2), split=(m0, m1))
+
+    def test_partial_phase1_grid_counts_as_failure(self):
+        # one phase-1 point cannot cover [30]^2: the trial is a failure, 1.0
+        dist = two_component_mixture(30).table()
+        seed = np.random.SeedSequence(5)
+        assert _trial_pge(seed, 30, self._plan(1, 100), dist) == 1.0
+
+    def test_full_phase1_grid_gives_a_deviation(self):
+        dist = two_component_mixture(4).table()
+        value = _trial_pge(np.random.SeedSequence(5), 4, self._plan(2000, 500), dist)
+        assert 0.0 <= value < 1.0
+
+
+def test_import_does_not_load_scipy_optimize():
+    src = os.path.dirname(os.path.dirname(gridest.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, gridest; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "False"
 
 
 class TestValidation:
