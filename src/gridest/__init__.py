@@ -41,6 +41,7 @@ from .distributions import (
     gaussian_total_correlation,
     gilbert_varshamov_code,
     load_distribution,
+    marginal_counts,
     mixture_modulus,
     mixture_tightness_instance,
     sample,

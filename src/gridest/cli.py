@@ -23,14 +23,37 @@ from .experiments import (
 _CONFIG_FIELDS = {"scenario", "trials", "seed", "params", "out"}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_config_types(data) -> None:
+    """Reject a config document whose fields have the wrong JSON types."""
+    if not isinstance(data, dict):
+        raise ValueError("config must be a JSON object")
+    unknown = set(data) - _CONFIG_FIELDS
+    if unknown:
+        raise ValueError(f"unknown config fields: {sorted(unknown)}")
+    for name, ok, want in (
+        ("scenario", lambda v: isinstance(v, str), "a string"),
+        ("trials", lambda v: v is None or (_is_int(v) and v >= 1),
+         "null or an integer >= 1"),
+        ("seed", _is_int, "an integer"),
+        ("params", lambda v: isinstance(v, dict), "an object"),
+        ("out", lambda v: v is None or isinstance(v, str), "null or a string"),
+    ):
+        if name in data and not ok(data[name]):
+            raise ValueError(
+                f"config field {name!r} must be {want}, got {data[name]!r}"
+            )
+
+
 def _load_config(path, scenario: str | None) -> ExperimentConfig:
     data = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        unknown = set(data) - _CONFIG_FIELDS
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        _check_config_types(data)
     if scenario is not None:
         data["scenario"] = scenario
     if "scenario" not in data:
@@ -38,7 +61,7 @@ def _load_config(path, scenario: str | None) -> ExperimentConfig:
     return ExperimentConfig(
         scenario=data["scenario"],
         trials=data.get("trials"),
-        seed=int(data.get("seed", 0)),
+        seed=data.get("seed", 0),
         params=dict(data.get("params", {})),
         out=data.get("out"),
     )

@@ -206,6 +206,25 @@ def sample_counts(dist: Distribution, m: int, seed) -> np.ndarray:
     return rng.multinomial(m, dist.table().probs).reshape(dist.domain.sizes)
 
 
+def marginal_counts(dist: Distribution, m: int, seed) -> tuple[np.ndarray, ...]:
+    """Per-axis value counts of ``m`` i.i.d. points, one integer vector per axis.
+
+    Under a product distribution the axes of i.i.d. points are independent,
+    so each axis is one multinomial over its marginal, drawn in axis order
+    from one generator; any other distribution gives the axis sums of
+    ``sample_counts``.  ``seed`` may be a ``numpy.random.Generator``, used as
+    is.
+    """
+    if m < 1:
+        raise ValueError("need m >= 1")
+    rng = np.random.default_rng(seed)
+    if isinstance(dist, ProductDistribution):
+        return tuple(rng.multinomial(m, p) for p in dist.marginals)
+    counts = sample_counts(dist, m, rng)
+    axes = range(counts.ndim)
+    return tuple(counts.sum(axis=tuple(j for j in axes if j != i)) for i in axes)
+
+
 # -- box projection and total correlation -------------------------------------
 
 

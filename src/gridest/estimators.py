@@ -122,15 +122,7 @@ def empirical_product_distribution(
     sample: np.ndarray, domain: ProductDomain
 ) -> ProductDistribution:
     """The product of the empirical marginals of the sample."""
-    sample = np.asarray(sample, dtype=np.int64)
-    if sample.size == 0:
-        raise ValueError("empty sample")
-    m = sample.shape[0]
-    marginals = [
-        np.bincount(sample[:, i], minlength=n) / m
-        for i, n in enumerate(domain.sizes)
-    ]
-    return ProductDistribution(domain, marginals)
+    return EmpiricalProductEstimator(sample, domain).dist
 
 
 def empirical_product_estimate(
@@ -167,15 +159,48 @@ class EmpiricalMeanEstimator:
 
 
 class EmpiricalProductEstimator:
-    """Wrapper exposing the empirical product of marginals as an estimator."""
+    """The empirical product of marginals as an estimator.
+
+    It reads a sample only through its per-axis value counts.  ``from_counts``
+    is the one build core; the point constructor counts each axis of the
+    sample and builds through it.
+    """
 
     name = "empirical-product"
 
     def __init__(self, sample: np.ndarray, domain: ProductDomain):
+        sample = domain.validate_points(np.asarray(sample, dtype=np.int64))
+        self._fit([np.bincount(axis, minlength=n) for axis, n in
+                   zip(sample.T, domain.sizes)], domain)
+
+    @classmethod
+    def from_counts(
+        cls, marginal_counts, domain: ProductDomain
+    ) -> "EmpiricalProductEstimator":
+        """The build core: one nonnegative integer count vector per axis.
+
+        Every vector has its axis's length, and all share one total m >= 1.
+        """
+        estimator = cls.__new__(cls)
+        estimator._fit(marginal_counts, domain)
+        return estimator
+
+    def _fit(self, marginal_counts, domain: ProductDomain) -> None:
+        counts = [np.asarray(c) for c in marginal_counts]
+        if len(counts) != domain.width or any(
+            c.shape != (n,) or c.dtype.kind not in "iu" or np.any(c < 0)
+            for c, n in zip(counts, domain.sizes)
+        ):
+            raise ValueError(
+                f"need one nonnegative integer count vector per axis of {domain.sizes}"
+            )
+        m = int(counts[0].sum())
+        if m < 1:
+            raise ValueError("empty sample")
+        if any(int(c.sum()) != m for c in counts[1:]):
+            raise ValueError("marginal counts disagree on the sample size")
         self.domain = domain
-        self.dist = empirical_product_distribution(
-            domain.validate_points(np.asarray(sample, dtype=np.int64)), domain
-        )
+        self.dist = ProductDistribution(domain, [c / m for c in counts])
 
     def estimate(self, event) -> float:
         return event_probability(self.dist, event)

@@ -32,6 +32,7 @@ from .combinatorics import (
     vc_dimension,
 )
 from .distributions import (
+    Distribution,
     JointTable,
     MixtureDistribution,
     Modulus,
@@ -42,6 +43,7 @@ from .distributions import (
     box_projection,
     event_probability,
     gilbert_varshamov_code,
+    marginal_counts,
     mixture_modulus,
     mixture_tightness_instance,
     sample,
@@ -80,20 +82,21 @@ from .info import kl_divergence, tv_distance
 WORKERS_ENV = "GRIDEST_WORKERS"
 
 
-def worker_count() -> int:
+def worker_count(trials: int) -> int:
+    """``GRIDEST_WORKERS``, clamped to ``[1, min(cpu count, trials)]``."""
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
         value = int(raw)
     except ValueError:
         raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-    return max(1, value)
+    return max(1, min(value, os.cpu_count() or 1, trials))
 
 
 def run_trials(trial_fn, trials: int, seed_seq: np.random.SeedSequence) -> np.ndarray:
     """Run seeded trials, in order, optionally across processes."""
     children = seed_seq.spawn(trials)
-    workers = worker_count()
-    if workers > 1 and trials > 1:
+    workers = worker_count(trials)
+    if workers > 1:
         chunk = max(1, trials // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             values = list(pool.map(trial_fn, children, chunksize=chunk))
@@ -181,41 +184,28 @@ def two_component_mixture(n: int) -> MixtureDistribution:
     return MixtureDistribution([0.5, 0.5], [comp1, comp2])
 
 
-def _binary_entropy_vec(a: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(a)
-    inner = (a > 0) & (a < 1)
-    x = a[inner]
-    out[inner] = -(x * np.log(x) + (1 - x) * np.log1p(-x))
-    return out
-
-
 # -- trial functions (module level for pickling) ------------------------------------
 
 
-def _trial_perm_empirical(seed_seq, n: int, m: int) -> float:
-    dist = uniform_product(n)
-    s = sample(dist, m, seed_seq)
-    est = EmpiricalMeanEstimator(s, dist.domain)
-    return sup_deviation(est, PermutationGraphs(n), dist, method="assignment")
+# Trials draw only what their estimator reads: marginal counts for the
+# empirical product, the phase-1 grid and phase-2 cell counts for the product
+# grid, and points for the empirical mean (cheaper than counts at m << n^2).
 
 
-def _trial_perm_product(seed_seq, n: int, m: int) -> float:
-    dist = uniform_product(n)
-    s = sample(dist, m, seed_seq)
-    est = EmpiricalProductEstimator(s, dist.domain)
-    return sup_deviation(est, PermutationGraphs(n), dist, method="assignment")
+def _trial_empirical(
+    seed_seq, draw, build, dist: Distribution, m: int,
+    family: PermutationGraphs, truth: JointTable,
+) -> float:
+    est = build(draw(dist, m, seed_seq), dist.domain)
+    return sup_deviation(est, family, truth, method="assignment")
 
 
-def _trial_scaling(seed_seq, n: int, m: int) -> float:
-    dist = ramp_product(n)
-    s = sample(dist, m, seed_seq)
-    est = EmpiricalProductEstimator(s, dist.domain)
-    return sup_deviation(est, PermutationGraphs(n), dist, method="assignment")
-
-
-# The product-grid trials read their samples only through sufficient
-# statistics (the phase-1 grid, the phase-2 cell counts), so they draw cell
-# counts instead of points; ``dist`` is the distribution's joint table.
+def _empirical_trial_fn(draw, build, dist: Distribution) -> functools.partial:
+    """``_trial_empirical`` with a run's fixed inputs bound; ``m`` is left open."""
+    return functools.partial(
+        _trial_empirical, draw=draw, build=build, dist=dist,
+        family=PermutationGraphs(dist.domain.sizes[0]), truth=dist.table(),
+    )
 
 
 def _trial_grid_hitting(
@@ -244,16 +234,15 @@ def _trial_pge(seed_seq, n: int, plan: SamplingPlan, dist: JointTable) -> float:
 # -- scenario runners ----------------------------------------------------------------
 
 
-def _run_perm_empirical_failure(params, trials, seed):
+def _run_perm_empirical_failure(params, trials, seed, memo):
     n, m = params["n"], params["m"]
     threshold, target, slack = (
         params["dev_threshold"],
         params["target_freq"],
         params["slack"],
     )
-    master = np.random.SeedSequence(seed)
-    fn = functools.partial(_trial_perm_empirical, n=n, m=m)
-    devs = run_trials(fn, trials, master)
+    fn = _empirical_trial_fn(sample, EmpiricalMeanEstimator, uniform_product(n))
+    devs = run_trials(functools.partial(fn, m=m), trials, np.random.SeedSequence(seed))
     freq = float(np.mean(devs >= threshold))
     passed = freq >= target - slack
     report = DeviationReport.from_deviations(
@@ -267,15 +256,16 @@ def _run_perm_empirical_failure(params, trials, seed):
     return passed, assertion, slack, {"freq": freq, "m": m}, {}, report
 
 
-def _run_perm_product_success(params, trials, seed):
+def _run_perm_product_success(params, trials, seed, memo):
     n, eps, delta, constant = (
         params["n"], params["eps"], params["delta"], params["constant"],
     )
     slack = params["slack"]
     m = product_case_size(eps, delta, g=1, d=2, constant=constant)
-    master = np.random.SeedSequence(seed)
-    fn = functools.partial(_trial_perm_product, n=n, m=m)
-    devs = run_trials(fn, trials, master)
+    fn = _empirical_trial_fn(
+        marginal_counts, EmpiricalProductEstimator.from_counts, uniform_product(n)
+    )
+    devs = run_trials(functools.partial(fn, m=m), trials, np.random.SeedSequence(seed))
     fail_freq = float(np.mean(devs > eps))
     passed = fail_freq <= delta + slack
     report = DeviationReport.from_deviations(
@@ -289,24 +279,21 @@ def _run_perm_product_success(params, trials, seed):
     return passed, assertion, slack, metrics, {}, report
 
 
-def _run_deviation_scaling(params, trials, seed):
+def _run_deviation_scaling(params, trials, seed, memo):
     n = params["n"]
     m_list = list(params["m_list"])
     lo, hi, ratio_bound = params["slope_lo"], params["slope_hi"], params["ratio_bound"]
-    master = np.random.SeedSequence(seed)
-    per_m_seeds = master.spawn(len(m_list))
+    fn = _empirical_trial_fn(
+        marginal_counts, EmpiricalProductEstimator.from_counts, ramp_product(n)
+    )
+    per_m_seeds = np.random.SeedSequence(seed).spawn(len(m_list))
     rows = []
     means = []
     for m, sub in zip(m_list, per_m_seeds):
-        devs = run_trials(functools.partial(_trial_scaling, n=n, m=m), trials, sub)
+        devs = run_trials(functools.partial(fn, m=m), trials, sub)
         means.append(float(devs.mean()))
-        rows.append(
-            {
-                "m": m,
-                "mean_dev": float(devs.mean()),
-                "q90_dev": float(np.quantile(devs, 0.9)),
-            }
-        )
+        q90 = float(np.quantile(devs, 0.9))
+        rows.append({"m": m, "mean_dev": means[-1], "q90_dev": q90})
     slope = float(np.polyfit(np.log(m_list), np.log(means), 1)[0])
     ratio_ok = True
     ratio = None
@@ -324,7 +311,7 @@ def _run_deviation_scaling(params, trials, seed):
     return passed, assertion, 0.15, metrics, curves, None
 
 
-def _run_modulus_mixture(params, trials, seed):
+def _run_modulus_mixture(params, trials, seed, memo):
     instances = params["instances"]
     k_max, size_max, tol = params["k_max"], params["size_max"], params["tol"]
     alphas = np.asarray(params["alpha_grid"], dtype=float)
@@ -375,7 +362,7 @@ def _run_modulus_mixture(params, trials, seed):
     return passed, assertion, 0.0, metrics, {}, None
 
 
-def _run_modulus_tc(params, trials, seed):
+def _run_modulus_tc(params, trials, seed, memo):
     instances, tol = params["instances"], params["tol"]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     violations = 0
@@ -388,7 +375,7 @@ def _run_modulus_tc(params, trials, seed):
         p_box_events = exhaustive_event_probabilities(box_projection(joint))
         positive = p_events > 0
         a = p_events[positive]
-        bound = np.exp(-(_binary_entropy_vec(np.minimum(a, 1.0)) + tc) / a)
+        bound = np.array([tc_modulus(tc, min(x, 1.0)) for x in a.tolist()])
         slack = p_box_events[positive] - bound
         min_slack = min(min_slack, float(slack.min()))
         violations += int(np.sum(slack < -tol))
@@ -405,7 +392,7 @@ def _run_modulus_tc(params, trials, seed):
     return passed, assertion, 0.0, metrics, {}, None
 
 
-def _run_ssp_audit(params, trials, seed):
+def _run_ssp_audit(params, trials, seed, memo):
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     violations = 0
     entries = []
@@ -459,7 +446,7 @@ def _run_ssp_audit(params, trials, seed):
     return passed, assertion, 0.0, metrics, curves, None
 
 
-def _run_symdiff_vc(params, trials, seed):
+def _run_symdiff_vc(params, trials, seed, memo):
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     violations = 0
     for _ in range(params["vc_families"]):
@@ -483,7 +470,7 @@ def _run_symdiff_vc(params, trials, seed):
     return passed, assertion, 0.0, {"violations": violations}, {}, None
 
 
-def _run_fano_omega_d(params, trials, seed):
+def _run_fano_omega_d(params, trials, seed, memo):
     d, eps, tol = params["d"], params["eps"], params["tol"]
     nu = 4.0 * math.sqrt(eps / d)
     if nu >= 0.25:
@@ -552,7 +539,7 @@ def _hitting_family(n: int, base_perms: int, rng: np.random.Generator):
     return ExplicitFamily(domain, np.array(members))
 
 
-def _run_grid_hitting(params, trials, seed):
+def _run_grid_hitting(params, trials, seed, memo):
     n, eps, delta, g, c0 = (
         params["n"], params["eps"], params["delta"], params["g"], params["c0"],
     )
@@ -590,7 +577,7 @@ def _run_grid_hitting(params, trials, seed):
     return passed, assertion, slack, metrics, {}, None
 
 
-def _run_pge_end_to_end(params, trials, seed):
+def _run_pge_end_to_end(params, trials, seed, memo):
     n, eps, delta, c0 = params["n"], params["eps"], params["delta"], params["c0"]
     slack = params["slack"]
     dist = two_component_mixture(n)
@@ -614,7 +601,11 @@ def _run_pge_end_to_end(params, trials, seed):
     success_freq = float(np.mean(devs <= eps))
     main_ok = success_freq >= 1.0 - delta - slack
 
-    cross_gap = _pge_cross_check(params["cross_n"], eps, delta, cross_seed)
+    # independent of c0: a calibration computes it once for all its constants
+    cross_key = ("pge-cross-check", params["cross_n"], eps, delta, seed)
+    if cross_key not in memo:
+        memo[cross_key] = _pge_cross_check(params["cross_n"], eps, delta, cross_seed)
+    cross_gap = memo[cross_key]
     cross_ok = cross_gap <= params["cross_tol"]
 
     passed = main_ok and cross_ok
@@ -802,8 +793,11 @@ CALIBRATABLE = {
 }
 
 
-def run_scenario(config: ExperimentConfig) -> ScenarioResult:
-    """Execute one catalog scenario; deterministic given the config seed."""
+def run_scenario(config: ExperimentConfig, memo: dict | None = None) -> ScenarioResult:
+    """Execute one catalog scenario; deterministic given the config seed.
+
+    Runs sharing a ``memo`` dict reuse work keyed by all of its inputs.
+    """
     entry = SCENARIOS.get(config.scenario)
     if entry is None:
         raise ValueError(f"unknown scenario {config.scenario!r}")
@@ -816,7 +810,7 @@ def run_scenario(config: ExperimentConfig) -> ScenarioResult:
         raise ValueError("trials must be >= 1")
     start = time.perf_counter()
     passed, assertion, slack, metrics, curves, report = entry.runner(
-        params, trials, config.seed
+        params, trials, config.seed, {} if memo is None else memo
     )
     wall_ms = (time.perf_counter() - start) * 1000.0
     if report is not None:
@@ -861,12 +855,13 @@ def calibrate_constants(
     if target_delta is not None:
         base["delta"] = target_delta
     passes = []
+    memo: dict = {}
     for value in grid:
         config = ExperimentConfig(
             scenario=scenario, trials=trials, seed=seed,
             params={**base, knob: value},
         )
-        passes.append(bool(run_scenario(config).passed))
+        passes.append(bool(run_scenario(config, memo).passed))
     smallest = None
     for value, ok in zip(grid, passes):
         if ok:

@@ -24,6 +24,7 @@ from gridest.distributions import (
     gaussian_total_correlation,
     gilbert_varshamov_code,
     load_distribution,
+    marginal_counts,
     mixture_modulus,
     mixture_tightness_instance,
     sample,
@@ -32,7 +33,7 @@ from gridest.distributions import (
     total_correlation,
 )
 from gridest.domain import ProductDomain
-from gridest.experiments import two_component_mixture
+from gridest.experiments import ramp_product, two_component_mixture
 from gridest.families import perm_graph_bits
 
 
@@ -160,6 +161,90 @@ class TestSampleCounts:
         assert chi2_contingency(totals).pvalue > 1e-3
         occupied = np.array([
             np.bincount([np.count_nonzero(c) for c in draws_], minlength=m + 1)
+            for draws_ in (via_counts, via_points)
+        ])
+        occupied = occupied[:, occupied.sum(axis=0) > 0]
+        assert chi2_contingency(occupied).pvalue > 1e-3
+
+
+def _exact_marginals(dist):
+    return box_projection(dist).marginals
+
+
+# ramp_product and the mixture have equal marginals on both axes; the skewed
+# product tells the axes apart
+MARGINAL_CASES = [
+    ramp_product(5),
+    two_component_mixture(4),
+    ProductDistribution(ProductDomain.of_sizes(3, 4),
+                        [[0.6, 0.3, 0.1], [0.1, 0.2, 0.3, 0.4]]),
+]
+MARGINAL_IDS = ["ramp-product", "mixture", "skewed-product"]
+
+
+class TestMarginalCounts:
+    def test_shapes_totals_and_determinism(self):
+        for dist in (ramp_product(5), two_component_mixture(4)):
+            counts = marginal_counts(dist, 50, seed=4)
+            assert [c.shape for c in counts] == [(n,) for n in dist.domain.sizes]
+            assert all(c.dtype.kind == "i" and c.sum() == 50 for c in counts)
+            again = marginal_counts(dist, 50, seed=4)
+            assert all(np.array_equal(a, b) for a, b in zip(counts, again))
+
+    def test_mixture_counts_are_axis_sums_of_cell_counts(self):
+        dist = two_component_mixture(4)
+        for seed in range(5):
+            cells = sample_counts(dist, 37, seed=seed)
+            rows, cols = marginal_counts(dist, 37, seed=seed)
+            assert np.array_equal(rows, cells.sum(axis=1))
+            assert np.array_equal(cols, cells.sum(axis=0))
+
+    def test_a_generator_is_used_as_is(self):
+        dist = ramp_product(5)
+        rng = np.random.default_rng(8)
+        first, second = marginal_counts(dist, 40, rng), marginal_counts(dist, 60, rng)
+        again = np.random.default_rng(8)
+        for want in (first, second):
+            got = marginal_counts(dist, int(want[0].sum()), again)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_m_must_be_positive(self):
+        with pytest.raises(ValueError):
+            marginal_counts(ramp_product(3), 0, seed=0)
+
+    @pytest.mark.parametrize("dist", MARGINAL_CASES, ids=MARGINAL_IDS)
+    def test_first_moments_match_m_times_p(self, dist):
+        # E[counts_i] = m p_i exactly; the mean of R draws sits within 5 sigma
+        m, draws = 30, 3000
+        rng = np.random.default_rng(11)
+        drawn = [marginal_counts(dist, m, rng) for _ in range(draws)]
+        for axis, p in enumerate(_exact_marginals(dist)):
+            mean = np.mean([c[axis] for c in drawn], axis=0)
+            sigma = np.sqrt(m * p * (1 - p) / draws)
+            assert np.all(np.abs(mean - m * p) <= 5 * sigma)
+
+    @pytest.mark.parametrize("dist", MARGINAL_CASES, ids=MARGINAL_IDS)
+    def test_agrees_in_distribution_with_point_marginals(self, dist):
+        # chi-square homogeneity between the count draw and the counted axes
+        # of sampled points: pooled totals per axis, and the joint law of the
+        # number of occupied values on the two axes of one draw
+        from scipy.stats import chi2_contingency
+
+        m, draws = 6, 2000
+        master = np.random.SeedSequence(2024)
+        via_counts = [marginal_counts(dist, m, s) for s in master.spawn(draws)]
+        via_points = []
+        for s in master.spawn(draws):
+            pts = sample(dist, m, s)
+            via_points.append([np.bincount(pts[:, i], minlength=n)
+                               for i, n in enumerate(dist.domain.sizes)])
+        for axis in range(2):
+            totals = np.array([np.sum([c[axis] for c in draws_], axis=0)
+                               for draws_ in (via_counts, via_points)])
+            assert chi2_contingency(totals).pvalue > 1e-3
+        occupied = np.array([
+            np.bincount([8 * np.count_nonzero(c[0]) + np.count_nonzero(c[1])
+                         for c in draws_], minlength=64)
             for draws_ in (via_counts, via_points)
         ])
         occupied = occupied[:, occupied.sum(axis=0) > 0]

@@ -13,6 +13,7 @@ from gridest.distributions import (
     Modulus,
     ProductDistribution,
     event_probability,
+    marginal_counts,
     sample,
 )
 from gridest.domain import (
@@ -181,6 +182,31 @@ class TestEmpiricalProduct:
             fast = float(weights[np.arange(n), perm].sum())
             dense = est.estimate(perm_graph_bits(perm, d))
             assert fast == pytest.approx(dense, abs=1e-12)
+
+    def test_point_adapter_and_count_core_are_bit_identical(self):
+        rng = np.random.default_rng(5)
+        d = ProductDomain.of_sizes(4, 6)
+        rows = rng.random((30, d.n_points)) < 0.5
+        for m in (1, 7, 500):
+            s = np.stack([rng.integers(0, 4, m), rng.integers(0, 6, m)], axis=1)
+            counts = [np.bincount(s[:, i], minlength=n) for i, n in enumerate(d.sizes)]
+            adapter = EmpiricalProductEstimator(s, d)
+            core = EmpiricalProductEstimator.from_counts(counts, d)
+            assert np.array_equal(adapter.cell_weights(), core.cell_weights())
+            assert np.array_equal(adapter.estimate_many(rows), core.estimate_many(rows))
+
+    @pytest.mark.parametrize("counts, match", [
+        ([[1, 2, 0]], "count vector per axis"),
+        ([[1, 2, 0], [3, 0]], "count vector per axis"),
+        ([[1, -1, 3], [1, 1, 1]], "count vector per axis"),
+        ([[1.0, 2.0, 0.0], [3, 0, 0]], "count vector per axis"),
+        ([[0, 0, 0], [0, 0, 0]], "empty sample"),
+        ([[1, 2, 0], [3, 1, 0]], "disagree"),
+    ])
+    def test_from_counts_rejects_malformed_counts(self, counts, match):
+        d = ProductDomain.of_sizes(3, 3)
+        with pytest.raises(ValueError, match=match):
+            EmpiricalProductEstimator.from_counts([np.array(c) for c in counts], d)
 
     def test_uniform_sample_sanity(self):
         # estimates concentrate near 1/n for a fixed permutation
@@ -475,6 +501,20 @@ class TestEstimateMany:
         est = ExactEstimator(dist)
         with pytest.raises(ValueError, match="member matrix"):
             est.estimate_many(np.ones((2, 4), dtype=bool))
+
+
+class TestEmpiricalProductFromCounts:
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(1, 60))
+    @settings(max_examples=60, deadline=None)
+    def test_assignment_equals_enumeration(self, seed, n, m):
+        rng = np.random.default_rng(seed)
+        d = ProductDomain.of_sizes(n, n)
+        dist = ProductDistribution(d, [rng.dirichlet(np.ones(n)) for _ in range(2)])
+        est = EmpiricalProductEstimator.from_counts(marginal_counts(dist, m, rng), d)
+        fam = PermutationGraphs(n)
+        a = sup_deviation(est, fam, dist, method="assignment")
+        e = sup_deviation(est, fam, dist, method="enumerate")
+        assert abs(a - e) <= 1e-12
 
 
 class _CellWeightStub:

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import gridest
+from gridest import experiments
 from gridest.cli import main as cli_main
-from gridest.distributions import Modulus
-from gridest.estimators import SamplingPlan
+from gridest.distributions import Modulus, sample
+from gridest.estimators import EmpiricalMeanEstimator, SamplingPlan, sup_deviation
 from gridest.experiments import (
     SCENARIOS,
     ExperimentConfig,
@@ -21,8 +22,12 @@ from gridest.experiments import (
     calibrate_constants,
     emit_report,
     run_scenario,
+    run_trials,
     two_component_mixture,
+    uniform_product,
+    worker_count,
 )
+from gridest.families import PermutationGraphs
 
 
 def tiny(scenario, **overrides):
@@ -66,6 +71,64 @@ class TestDeterminism:
         with pytest.raises(ValueError, match="GRIDEST_WORKERS"):
             run_scenario(tiny("perm-empirical-failure", trials=2,
                               params={"n": 10, "m": 2}))
+
+    def test_worker_count_does_not_change_marginal_count_trials(self, monkeypatch):
+        config = tiny("perm-product-success", trials=6, params={"n": 8})
+        monkeypatch.setenv("GRIDEST_WORKERS", "1")
+        serial = run_scenario(config)
+        monkeypatch.setenv("GRIDEST_WORKERS", "2")
+        parallel = run_scenario(config)
+        assert serial.report.deviations == parallel.report.deviations
+
+    def test_empirical_failure_trials_keep_their_point_stream(self):
+        # the per-trial reference: points drawn from uniform_product(n), the
+        # empirical mean, assignment against the distribution itself
+        n, m, trials, seed = 100, 5, 30, 2024
+        got = run_scenario(tiny("perm-empirical-failure", trials=trials, seed=seed,
+                                params={"n": n, "m": m})).report.deviations
+        dist = uniform_product(n)
+        want = [
+            sup_deviation(EmpiricalMeanEstimator(sample(dist, m, child), dist.domain),
+                          PermutationGraphs(n), dist, method="assignment")
+            for child in np.random.SeedSequence(seed).spawn(trials)
+        ]
+        assert got == want
+
+
+class TestWorkerCount:
+    def test_clamped_to_cpus_and_trials(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("GRIDEST_WORKERS", "100000")
+        assert worker_count(10) == 2
+        assert worker_count(1) == 1
+        monkeypatch.setenv("GRIDEST_WORKERS", "-3")
+        assert worker_count(10) == 1
+
+    def test_pool_is_sized_by_the_clamped_count(self, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            """Records its size and runs the trials in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("GRIDEST_WORKERS", "100000")
+        values = run_trials(lambda child: 0.5, 3, np.random.SeedSequence(0))
+        assert sizes == [3] and values.tolist() == [0.5] * 3
+        run_trials(lambda child: 0.5, 1, np.random.SeedSequence(0))
+        assert sizes == [3]
 
 
 class TestCountTrials:
@@ -206,6 +269,25 @@ class TestCalibration:
         assert outcome["smallest_passing"] is not None
         assert outcome["monotone"] is True
 
+    def test_pge_cross_check_runs_once_per_calibration(self, monkeypatch):
+        calls = []
+        original = experiments._pge_cross_check
+
+        def counted(*args):
+            calls.append(args[:3])
+            return original(*args)
+
+        monkeypatch.setattr(experiments, "_pge_cross_check", counted)
+        kwargs = dict(grid=(0.25, 0.5, 1.0), trials=2, seed=4,
+                      params={"n": 5, "cross_n": 3})
+        first = calibrate_constants("pge-end-to-end", **kwargs)
+        assert calls == [(3, 0.2, 0.1)]
+        second = calibrate_constants("pge-end-to-end", **kwargs)
+        assert len(calls) == 2 and first == second
+        single = run_scenario(tiny("pge-end-to-end", trials=2, seed=4,
+                                params={"n": 5, "cross_n": 3, "c0": 0.5}))
+        assert len(calls) == 3 and single.passed == first["passes"][1]
+
 
 class TestCli:
     def test_run_writes_report_and_exits_zero(self, tmp_path, capsys):
@@ -258,3 +340,26 @@ class TestCli:
         ])
         assert code == 0
         assert '"smallest_passing"' in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fields, match", [
+        ({"params": [1, 2]}, "'params' must be an object"),
+        ({"trials": "x"}, "'trials' must be null or an integer"),
+        ({"trials": 0}, "'trials' must be null or an integer"),
+        ({"trials": True}, "'trials' must be null or an integer"),
+        ({"seed": "5"}, "'seed' must be an integer"),
+        ({"seed": 1.5}, "'seed' must be an integer"),
+        ({"scenario": ["modulus-tc"]}, "'scenario' must be a string"),
+        ({"out": 3}, "'out' must be null or a string"),
+    ])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, fields, match):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scenario": "modulus-tc", **fields}))
+        for command in ("run", "calibrate"):
+            assert cli_main([command, "--config", str(config)]) == 2
+            assert f"error: config field {match}" in capsys.readouterr().err
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(["modulus-tc"]))
+        assert cli_main(["run", "--config", str(config)]) == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
