@@ -75,7 +75,6 @@ from .estimators import (
     phase1_size,
     phase2_size,
     product_case_size,
-    query_estimate,
     sup_deviation,
 )
 from .experiments import (

@@ -27,6 +27,7 @@ from .families import (
     PowerSetFamily,
     SetFamily,
 )
+from .info import binary_entropy_bits
 
 VC_DOMAIN_CAP = 16
 SHATTER_CAP = 20
@@ -125,9 +126,8 @@ def count_traces(family: SetFamily, grid: Grid) -> int:
         return family.member_count()
     if hasattr(family, "trace_enumerator") and family.trace_enumerator is not None:
         return len(set(family.trace_enumerator(grid)))
-    members = family.members_matrix()
-    sub = members[:, grid.flat_domain_indices()]
-    return int(np.unique(np.packbits(sub, axis=1), axis=0).shape[0])
+    traces = grid.pack_traces(family.members_matrix())
+    return int(np.unique(traces, axis=0).shape[0])
 
 
 def binomle(n: int, g: int) -> int:
@@ -180,12 +180,6 @@ def grid_ssp_rate(n: int, d: int, g: int) -> float:
 # -- aggregation bound (base-2 entropy) ----------------------------------------
 
 
-def _binary_entropy_bits(x: float) -> float:
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x))
-
-
 def aggregation_eta(t_rules: int) -> float:
     """The unique eta in (0, 1/2) with H2(eta) = 1/(T+1), by bisection."""
     if t_rules < 1:
@@ -194,7 +188,7 @@ def aggregation_eta(t_rules: int) -> float:
     lo, hi = 1e-300, 0.5
     while hi - lo > 1e-15:
         mid = 0.5 * (lo + hi)
-        if _binary_entropy_bits(mid) < target:
+        if binary_entropy_bits(mid) < target:
             lo = mid
         else:
             hi = mid

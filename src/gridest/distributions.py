@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import CapExceededError, MAX_CELLS, ProductDomain
+from .domain import CapExceededError, MAX_CELLS, ProductDomain, code_bits
 from .info import as_pmf, binary_entropy
 
 PROB_ATOL = 1e-12
@@ -415,7 +415,7 @@ def gilbert_varshamov_code(d: int, min_distance: int, seed=None) -> np.ndarray:
     codes = np.arange(2**d, dtype=np.int64)
     if seed is not None:
         codes = np.random.default_rng(seed).permutation(codes)
-    vectors = ((codes[:, None] >> np.arange(d)) & 1).astype(np.int8)
+    vectors = code_bits(codes, d).astype(np.int8)
     kept: list[np.ndarray] = []
     kept_mat = np.empty((0, d), dtype=np.int8)
     for v in vectors:
@@ -444,8 +444,7 @@ def biased_cube_family(
         raise ValueError("nu must lie in (0, 1/4)")
     domain = ProductDomain.of_sizes(*([2] * d))
     if code is None:
-        grid = np.arange(2**d, dtype=np.int64)
-        code = (((grid[:, None] >> np.arange(d)) & 1) * 2 - 1).astype(np.int64)
+        code = code_bits(np.arange(2**d, dtype=np.int64), d) * 2 - 1
     else:
         code = np.asarray(code, dtype=np.int64)
         if code.ndim != 2 or code.shape[1] != d:
@@ -471,8 +470,7 @@ def exhaustive_event_probabilities(dist: Distribution) -> np.ndarray:
     if 2**n > MAX_CELLS:
         raise CapExceededError("too many events to enumerate")
     probs = dist.table().probs
-    events = np.arange(2**n, dtype=np.int64)
-    bits = ((events[:, None] >> np.arange(n)) & 1).astype(float)
+    bits = code_bits(np.arange(2**n, dtype=np.int64), n).astype(float)
     return bits @ probs
 
 

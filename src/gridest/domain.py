@@ -29,6 +29,11 @@ class NotEnumerableError(ValueError):
     """Raised when a family has no explicit members and no enumerable structure."""
 
 
+def code_bits(codes: np.ndarray, width: int) -> np.ndarray:
+    """``(len(codes), width)`` 0/1 integer matrix: column ``j`` holds bit ``j``."""
+    return (codes[:, None] >> np.arange(width)) & 1
+
+
 class ProductDomain:
     """A product of finite ordered alphabets ``W_1 x ... x W_d``.
 
@@ -194,6 +199,14 @@ class Grid:
     def flat_domain_indices(self) -> np.ndarray:
         """Canonical domain flat index of every cell, in cell order."""
         return self.domain.flat_index(self.cells())
+
+    def pack_traces(self, members: np.ndarray) -> np.ndarray:
+        """The trace of every row of a dense member matrix, packed row-wise.
+
+        Bit ``j`` of a row's trace is the member's bit on cell ``j``; rows
+        compare and hash by bytes, so equal traces give equal rows.
+        """
+        return np.packbits(members[:, self.flat_domain_indices()], axis=1)
 
     def point_mask(self) -> np.ndarray:
         """Boolean mask over the domain's canonical point order: cell or not."""

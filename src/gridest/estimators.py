@@ -30,7 +30,7 @@ from .distributions import (
     cell_probability_matrix,
     event_probability,
 )
-from .families import PermutationGraphs, SetFamily, perm_graph_bits, trace_of
+from .families import PermutationGraphs, SetFamily
 
 
 # -- sample-size planners ------------------------------------------------------
@@ -95,8 +95,8 @@ def product_case_size(
 
 # -- basic estimators ----------------------------------------------------------
 #
-# Every estimator exposes ``estimate(event)`` and its batch form
-# ``estimate_many(members)`` over the rows of a dense member matrix.
+# Every estimator answers ``estimate_many(members)`` over the rows of a dense
+# member matrix; ``estimate(event)`` is that answer on the event's one row.
 
 
 def _member_rows(members, domain: ProductDomain) -> np.ndarray:
@@ -105,6 +105,12 @@ def _member_rows(members, domain: ProductDomain) -> np.ndarray:
     if members.ndim != 2 or members.shape[1] != domain.n_points:
         raise ValueError(f"need a (k, {domain.n_points}) member matrix")
     return members
+
+
+def _event_row(event, domain: ProductDomain) -> np.ndarray:
+    """The event as a one-row member matrix; a predicate is evaluated on all points."""
+    bits = event(domain.all_points()) if callable(event) else event
+    return _member_rows(np.reshape(bits, (1, -1)), domain)
 
 
 def empirical_mean(sample: np.ndarray, event, domain: ProductDomain) -> float:
@@ -142,7 +148,7 @@ class EmpiricalMeanEstimator:
         self.sample = domain.validate_points(np.asarray(sample, dtype=np.int64))
 
     def estimate(self, event) -> float:
-        return empirical_mean(self.sample, event, self.domain)
+        return float(self.estimate_many(_event_row(event, self.domain))[0])
 
     def estimate_many(self, members: np.ndarray) -> np.ndarray:
         counts = np.bincount(
@@ -203,7 +209,7 @@ class EmpiricalProductEstimator:
         self.dist = ProductDistribution(domain, [c / m for c in counts])
 
     def estimate(self, event) -> float:
-        return event_probability(self.dist, event)
+        return float(self.estimate_many(_event_row(event, self.domain))[0])
 
     def estimate_many(self, members: np.ndarray) -> np.ndarray:
         return _member_rows(members, self.domain) @ self.dist.table().probs
@@ -224,7 +230,7 @@ class ExactEstimator:
         self.dist = dist
 
     def estimate(self, event) -> float:
-        return event_probability(self.dist, event)
+        return float(self.estimate_many(_event_row(event, self.domain))[0])
 
     def estimate_many(self, members: np.ndarray) -> np.ndarray:
         return _member_rows(members, self.domain) @ self.dist.table().probs
@@ -320,8 +326,9 @@ class ProductGridEstimator:
                 raise NotEnumerableError(
                     "family not trace-enumerable within caps"
                 ) from exc
-            traces = np.packbits(members[:, grid.flat_domain_indices()], axis=1)
-            classes, labels = np.unique(traces, axis=0, return_inverse=True)
+            classes, labels = np.unique(
+                grid.pack_traces(members), axis=0, return_inverse=True
+            )
             # visit members in lexicographic order of their encodings; the
             # first member seen of each class is its representative
             encodings = np.packbits(members, axis=1)
@@ -354,61 +361,39 @@ class ProductGridEstimator:
     def is_structured(self) -> bool:
         return self.class_of is None
 
-    def query(self, event) -> float:
+    def estimate(self, event) -> float:
         """The stored estimate of the representative with the event's trace."""
-        if self.is_structured:
-            perm = self._as_permutation(event)
-            n = self.domain.sizes[0]
-            return float(self.cell_counts[np.arange(n), perm].sum() / self.split[1])
-        trace = trace_of(event, self.grid)
-        return float(self.class_estimates[self._class_id(trace.bits)])
-
-    # alias so all estimators expose .estimate
-    estimate = query
+        return float(self.estimate_many(_event_row(event, self.domain))[0])
 
     def estimate_many(self, members: np.ndarray) -> np.ndarray:
-        """``query`` on every row of a dense ``(k, n_points)`` member matrix."""
+        """``estimate`` on every row of a dense ``(k, n_points)`` member matrix."""
         members = _member_rows(members, self.domain)
         if self.is_structured:
-            n = self.domain.sizes[0]
-            graphs = members.reshape(-1, n, n)
-            if not (
-                np.all(graphs.sum(axis=1) == 1) and np.all(graphs.sum(axis=2) == 1)
-            ):
-                raise ValueError("trace not represented")
-            return members @ self.cell_counts.ravel() / self.split[1]
-        traces = np.packbits(members[:, self.grid.flat_domain_indices()], axis=1)
-        ids = [self._class_id(row.tobytes()) for row in traces]
-        return self.class_estimates[ids]
+            return self._graphs(members) @ self.cell_counts.ravel() / self.split[1]
+        return self.class_estimates[self._class_ids(members)]
 
     def representative(self, event) -> np.ndarray:
         """Dense bits of the representative of the event's trace class."""
+        row = _event_row(event, self.domain)
         if self.is_structured:
-            perm = self._as_permutation(event)
-            return perm_graph_bits(perm, self.domain)
-        trace = trace_of(event, self.grid)
-        return self.representatives[self._class_id(trace.bits)]
+            # the full grid makes every trace class a singleton
+            return self._graphs(row)[0].copy()
+        return self.representatives[self._class_ids(row)[0]]
 
-    def _class_id(self, trace_bits: bytes) -> int:
+    def _graphs(self, members: np.ndarray) -> np.ndarray:
+        """The rows, checked to be permutation graphs: the traces the family has."""
+        n = self.domain.sizes[0]
+        graphs = members.reshape(-1, n, n)
+        if not (np.all(graphs.sum(axis=1) == 1) and np.all(graphs.sum(axis=2) == 1)):
+            raise ValueError("trace not represented")
+        return members
+
+    def _class_ids(self, members: np.ndarray) -> list[int]:
+        """The trace-class id of every row of a checked member matrix."""
         try:
-            return self.class_of[trace_bits]
+            return [self.class_of[t.tobytes()] for t in self.grid.pack_traces(members)]
         except KeyError:
             raise ValueError("trace not represented") from None
-
-    def _as_permutation(self, event) -> np.ndarray:
-        n = self.domain.sizes[0]
-        if isinstance(event, np.ndarray) and event.ndim == 1 and event.dtype.kind in "iu":
-            perm = event
-        else:
-            bits = trace_of(event, self.grid).to_array().reshape(self.domain.sizes)
-            if not (
-                np.all(bits.sum(axis=0) == 1) and np.all(bits.sum(axis=1) == 1)
-            ):
-                raise ValueError("trace not represented")
-            perm = np.argmax(bits, axis=1)
-        if sorted(perm.tolist()) != list(range(n)):
-            raise ValueError("trace not represented")
-        return np.asarray(perm, dtype=np.int64)
 
     def cell_weights(self) -> np.ndarray | None:
         if not self.is_structured:
@@ -457,10 +442,6 @@ def build_product_grid_estimator(
     return ProductGridEstimator.from_counts(
         build_grid(sample[:m0], domain), counts, family, plan
     )
-
-
-def query_estimate(estimator: ProductGridEstimator, event) -> float:
-    return estimator.query(event)
 
 
 # -- uniform deviations ----------------------------------------------------------
@@ -525,9 +506,8 @@ def check_grid_hitting(
     trace, so only pairs inside one trace class are weighed.
     """
     members = family.members_matrix()
-    traces = np.packbits(members[:, grid.point_mask()], axis=1)
     _, labels, sizes = np.unique(
-        traces, axis=0, return_inverse=True, return_counts=True
+        grid.pack_traces(members), axis=0, return_inverse=True, return_counts=True
     )
     labels = labels.ravel()
     probs = dist.table().probs

@@ -1,11 +1,10 @@
 """Set families over finite product domains.
 
 A family is a collection of events (subsets of the domain).  Events are
-handled in three currencies:
+handled in two currencies:
 
 * dense boolean vectors over the domain's canonical point order,
-* membership predicates ``points -> bool array``,
-* structured members of built-in families (for example a permutation array).
+* membership predicates ``points -> bool array``.
 
 Explicit families store a deduplicated dense member matrix.  Built-ins keep
 their defining structure and materialize to explicit form on demand, within
@@ -28,6 +27,7 @@ from .domain import (
     NotEnumerableError,
     ProductDomain,
     Trace,
+    code_bits,
 )
 
 
@@ -36,11 +36,9 @@ def trace_of(event, grid: Grid) -> Trace:
     if grid.cell_count == 0:
         raise ValueError("trace on empty grid")
     if callable(event):
-        values = np.asarray(event(grid.cells()), dtype=bool)
-    else:
-        dense = np.asarray(event, dtype=bool)
-        values = dense[grid.flat_domain_indices()]
-    return Trace.from_bool_array(values)
+        return Trace.from_bool_array(event(grid.cells()))
+    packed = grid.pack_traces(np.asarray(event, dtype=bool)[None, :])
+    return Trace(bits=packed.tobytes(), length=grid.cell_count)
 
 
 def perm_graph_bits(perm: Sequence[int], domain: ProductDomain) -> np.ndarray:
@@ -122,15 +120,9 @@ class ExplicitFamily(SetFamily):
 
 
 def _dedup_rows(members: np.ndarray) -> np.ndarray:
-    packed = np.packbits(members, axis=1)
-    seen: dict[bytes, int] = {}
-    keep = []
-    for i in range(members.shape[0]):
-        key = packed[i].tobytes()
-        if key not in seen:
-            seen[key] = i
-            keep.append(i)
-    return members[keep]
+    """Each distinct row once, at its first occurrence, in the original order."""
+    _, first = np.unique(np.packbits(members, axis=1), axis=0, return_index=True)
+    return members[np.sort(first)]
 
 
 class OracleFamily(SetFamily):
@@ -180,8 +172,6 @@ class PermutationGraphs(SetFamily):
     dimension is 1.
     """
 
-    line_intersection_bound = 1
-
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("n must be positive")
@@ -229,7 +219,6 @@ class UnionsOfPermutations(SetFamily):
         self.n = n
         self.g = g
         self.domain = ProductDomain.of_sizes(n, n)
-        self.line_intersection_bound = g
 
     def members_matrix(self) -> np.ndarray:
         base = PermutationGraphs(self.n)
@@ -322,18 +311,18 @@ class AxisBoxes(SetFamily):
     def members_matrix(self) -> np.ndarray:
         if self.member_count() > MAX_MEMBERS:
             raise CapExceededError("family too large")
-        pts = self.domain.all_points()
-        members = [np.zeros(self.domain.n_points, dtype=bool)]
-        intervals_per_axis = [
-            [(a, b) for a in range(n) for b in range(a, n)]
-            for n in self.domain.sizes
-        ]
-        for box in itertools.product(*intervals_per_axis):
-            inside = np.ones(self.domain.n_points, dtype=bool)
-            for i, (a, b) in enumerate(box):
-                inside &= (pts[:, i] >= a) & (pts[:, i] <= b)
-            members.append(inside)
-        return _dedup_rows(np.array(members, dtype=bool))
+        # boxes in lexicographic order of their per-axis intervals (a, b),
+        # a <= b, as outer products of the interval masks, one axis at a time;
+        # distinct intervals give distinct nonempty boxes, so no row repeats
+        boxes = np.ones((1, 1), dtype=bool)
+        for n in self.domain.sizes:
+            lo, hi = np.triu_indices(n)
+            idx = np.arange(n)
+            intervals = (idx >= lo[:, None]) & (idx <= hi[:, None])
+            boxes = (boxes[:, None, :, None] & intervals[None, :, None, :]).reshape(
+                boxes.shape[0] * lo.size, -1
+            )
+        return np.vstack([np.zeros((1, self.domain.n_points), dtype=bool), boxes])
 
     def restrict_to_line(self, line: AxisLine) -> ExplicitFamily:
         # a box meets a line in an interval (or misses it entirely)
@@ -359,8 +348,7 @@ class PowerSetFamily(SetFamily):
         n = self.domain.n_points
         if 2**n > MAX_MEMBERS:
             raise CapExceededError("family too large")
-        codes = np.arange(2**n, dtype=np.int64)
-        return ((codes[:, None] >> np.arange(n)) & 1).astype(bool)
+        return code_bits(np.arange(2**n, dtype=np.int64), n).astype(bool)
 
     def restrict_to_line(self, line: AxisLine) -> ExplicitFamily:
         n_line = self.domain.sizes[line.axis]
@@ -368,9 +356,6 @@ class PowerSetFamily(SetFamily):
             _line_domain(self.domain, line.axis),
             PowerSetFamily(ProductDomain.of_sizes(n_line)).members_matrix(),
         )
-
-    def shatters_all(self) -> bool:
-        return True
 
     def structural_lvc(self) -> int:
         return max(self.domain.sizes)
@@ -401,7 +386,7 @@ class CylinderSets(SetFamily):
         )
         n_codes = 2**self.prefix
         bases = np.arange(2**n_codes, dtype=np.int64)
-        base_sets = ((bases[:, None] >> np.arange(n_codes)) & 1).astype(bool)
+        base_sets = code_bits(bases, n_codes).astype(bool)
         return base_sets[:, prefix_code]
 
     def restrict_to_line(self, line: AxisLine) -> ExplicitFamily:

@@ -204,6 +204,22 @@ class TestTrace:
             subs = {trace_of(r, sub) for r in rows}
             assert len(subs) == 1
 
+    @given(st.integers(0, 2**32 - 1), st.tuples(st.integers(1, 4), st.integers(1, 5)),
+           st.integers(1, 6))
+    @settings(max_examples=50, deadline=None)
+    def test_pack_traces_packs_the_grid_cells_in_cell_order(self, seed, sizes, m0):
+        rng = np.random.default_rng(seed)
+        d = ProductDomain.of_sizes(*sizes)
+        grid = build_grid(rng.integers(0, sizes, size=(m0, 2)), d)
+        members = rng.random((12, d.n_points)) < 0.5
+        packed = grid.pack_traces(members)
+        by_mask = np.packbits(members[:, grid.point_mask()], axis=1)
+        assert np.array_equal(packed, by_mask)
+        for row, got in zip(members, packed):
+            # the predicate branch of trace_of reads the cells, not the columns
+            want = trace_of(lambda pts, row=row: row[d.flat_index(pts)], grid)
+            assert got.tobytes() == want.bits
+
     def test_empty_grid_trace_rejected(self):
         d = ProductDomain.of_sizes(2, 2)
         empty = Grid(d, [np.array([], dtype=np.int64), np.array([0])])

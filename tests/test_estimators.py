@@ -15,6 +15,7 @@ from gridest.distributions import (
     event_probability,
     marginal_counts,
     sample,
+    sample_counts,
 )
 from gridest.domain import (
     Grid,
@@ -38,7 +39,6 @@ from gridest.estimators import (
     phase1_size,
     phase2_size,
     product_case_size,
-    query_estimate,
     sup_deviation,
 )
 from gridest.families import (
@@ -46,6 +46,7 @@ from gridest.families import (
     ExplicitFamily,
     PermutationGraphs,
     perm_graph_bits,
+    trace_of,
 )
 
 
@@ -247,7 +248,7 @@ class TestProductGridEstimator:
         assert est.class_count == 1
         member = fam.members_matrix()[0]
         want = empirical_mean(s[2:6], member, d)
-        assert query_estimate(est, member) == pytest.approx(want, abs=1e-15)
+        assert est.estimate(member) == pytest.approx(want, abs=1e-15)
 
     def test_full_grid_separates_all_permutations(self):
         n = 3
@@ -268,7 +269,7 @@ class TestProductGridEstimator:
         explicit = build_product_grid_estimator(s, fam.materialize(), plan)
         assert structured.is_structured and not explicit.is_structured
         for row in fam.members_matrix():
-            assert structured.query(row) == explicit.query(row)
+            assert structured.estimate(row) == explicit.estimate(row)
 
     def test_equal_traces_share_one_estimate(self):
         d = ProductDomain.of_sizes(3, 3)
@@ -282,7 +283,7 @@ class TestProductGridEstimator:
         for a in range(len(members)):
             for b in range(len(members)):
                 if trace_of(members[a], est.grid) == trace_of(members[b], est.grid):
-                    assert est.query(members[a]) == est.query(members[b])
+                    assert est.estimate(members[a]) == est.estimate(members[b])
 
     def test_unseen_trace_rejected(self):
         d = ProductDomain.of_sizes(2, 2)
@@ -291,7 +292,7 @@ class TestProductGridEstimator:
         est = build_product_grid_estimator(s, fam, identity_plan(split=(2, 2)))
         stranger = np.array([0, 1, 1, 0], dtype=bool)
         with pytest.raises(ValueError, match="trace not represented"):
-            est.query(stranger)
+            est.estimate(stranger)
 
     def test_representative_is_lexicographically_smallest(self):
         d = ProductDomain.of_sizes(2, 2)
@@ -319,13 +320,13 @@ class TestProductGridEstimator:
         alt = build_product_grid_estimator(shuffled_s1, fam, plan)
         assert np.array_equal(base.grid.cells(), alt.grid.cells())
         for row in members:
-            assert base.query(row) == alt.query(row)
+            assert base.estimate(row) == alt.estimate(row)
 
         shuffled_s0 = s.copy()
         shuffled_s0[:30] = shuffled_s0[:30][rng.permutation(30)]
         alt0 = build_product_grid_estimator(shuffled_s0, fam, plan)
         for row in members:
-            assert base.query(row) == alt0.query(row)
+            assert base.estimate(row) == alt0.estimate(row)
 
     def test_insufficient_sample_with_split(self):
         fam = small_interval_family()
@@ -387,7 +388,7 @@ class TestCountCore:
         assert np.array_equal(via_points.estimate_many(members),
                               via_counts.estimate_many(members))
         for row in members:
-            assert via_points.query(row) == via_counts.query(row)
+            assert via_points.estimate(row) == via_counts.estimate(row)
 
     def test_explicit_estimates_are_representative_means(self):
         fam = small_interval_family()
@@ -395,7 +396,7 @@ class TestCountCore:
         est = build_product_grid_estimator(s, fam, identity_plan(split=(4, 3)))
         for row in fam.members_matrix():
             rep = est.representative(row)
-            assert est.query(row) == empirical_mean(s[4:], rep, fam.domain)
+            assert est.estimate(row) == empirical_mean(s[4:], rep, fam.domain)
 
     def test_counts_must_match_the_split(self):
         d = ProductDomain.of_sizes(2, 2)
@@ -501,6 +502,97 @@ class TestEstimateMany:
         est = ExactEstimator(dist)
         with pytest.raises(ValueError, match="member matrix"):
             est.estimate_many(np.ones((2, 4), dtype=bool))
+
+
+class TestTraceIndexOracle:
+    """The explicit trace index against a brute-force search over the members."""
+
+    @given(st.integers(0, 2**32 - 1), st.tuples(st.integers(1, 3), st.integers(1, 4)),
+           st.integers(1, 12), st.integers(1, 4), st.integers(1, 30))
+    @settings(max_examples=80, deadline=None)
+    def test_estimates_are_the_smallest_same_trace_members_means(
+        self, seed, sizes, k, m0, m1
+    ):
+        rng = np.random.default_rng(seed)
+        d = ProductDomain.of_sizes(*sizes)
+        fam = ExplicitFamily(d, rng.random((k, d.n_points)) < 0.5)
+        s = rng.integers(0, sizes, size=(m0 + m1, 2))
+        est = build_product_grid_estimator(s, fam, identity_plan(split=(m0, m1)))
+        members = fam.members_matrix()
+        strangers = rng.random((4, d.n_points)) < 0.5
+        for row in np.vstack([members, strangers]):
+            same = [r for r in members
+                    if trace_of(r, est.grid) == trace_of(row, est.grid)]
+            if not same:
+                with pytest.raises(ValueError, match="trace not represented"):
+                    est.estimate_many(row[None, :])
+                with pytest.raises(ValueError, match="trace not represented"):
+                    est.representative(row)
+                continue
+            rep = min(same, key=lambda r: r.tolist())
+            assert np.array_equal(est.representative(row), rep)
+            assert est.estimate_many(row[None, :])[0] == empirical_mean(s[m0:], rep, d)
+
+
+def _empirical_mean_of(dist, m, rng):
+    return EmpiricalMeanEstimator(sample(dist, m, rng), dist.domain)
+
+
+def _structured_product_grid_of(dist, m, rng):
+    plan = identity_plan(split=(1, m))
+    return ProductGridEstimator.from_counts(
+        dist.domain.full_grid(), sample_counts(dist, m, rng),
+        PermutationGraphs(dist.domain.sizes[0]), plan,
+    )
+
+
+class TestAssignmentEqualsEnumeration:
+    @pytest.mark.parametrize("build", [_empirical_mean_of, _structured_product_grid_of])
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), m=st.integers(1, 60))
+    @settings(max_examples=40, deadline=None)
+    def test_at_small_n(self, build, seed, n, m):
+        rng = np.random.default_rng(seed)
+        d = ProductDomain.of_sizes(n, n)
+        dist = JointTable(d, rng.dirichlet(np.ones(d.n_points)))
+        est = build(dist, m, rng)
+        fam = PermutationGraphs(n)
+        a = sup_deviation(est, fam, dist, method="assignment")
+        e = sup_deviation(est, fam, dist, method="enumerate")
+        assert abs(a - e) <= 1e-12
+
+
+class TestEstimateOnPredicates:
+    @pytest.mark.parametrize("kind", [
+        "empirical-mean", "empirical-product", "exact",
+        "product-grid-structured", "product-grid-explicit",
+    ])
+    def test_predicate_equals_its_dense_bits(self, kind):
+        n = 4
+        dist = uniform_product(n)
+        d = dist.domain
+        s = sample(dist, 40, seed=8)
+        fam = PermutationGraphs(n)
+        est = {
+            "empirical-mean": lambda: EmpiricalMeanEstimator(s, d),
+            "empirical-product": lambda: EmpiricalProductEstimator(s, d),
+            "exact": lambda: ExactEstimator(dist),
+            "product-grid-structured": lambda: build_product_grid_estimator(
+                s, fam, identity_plan(split=(20, 20))),
+            "product-grid-explicit": lambda: build_product_grid_estimator(
+                s, fam.materialize(), identity_plan(split=(20, 20))),
+        }[kind]()
+        if kind.startswith("product-grid"):
+            assert est.is_structured == kind.endswith("structured")
+        for perm in itertools.permutations(range(n)):
+            perm = np.array(perm)
+            bits = perm_graph_bits(perm, d)
+
+            def graph(pts, perm=perm):
+                return pts[:, 1] == perm[pts[:, 0]]
+
+            assert est.estimate(graph) == est.estimate(bits)
+            if kind == "product-grid-structured":
+                assert np.array_equal(est.representative(graph), bits)
 
 
 class TestEmpiricalProductFromCounts:

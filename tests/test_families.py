@@ -1,7 +1,11 @@
 """Set-family representations, built-ins, restrictions, and the text format."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridest.domain import CapExceededError, NotEnumerableError, ProductDomain
 from gridest.families import (
@@ -41,6 +45,21 @@ class TestExplicitFamily:
         with pytest.raises(ValueError, match="member length"):
             ExplicitFamily(d, [[1, 0]])
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_dedup_keeps_first_occurrences_in_order(self, seed, k, n):
+        rng = np.random.default_rng(seed)
+        rows = rng.random((k, n)) < rng.uniform(0.05, 0.95)
+        rows = np.vstack([rows, rows[rng.integers(0, k, size=k // 2)]])
+        rows = rows[rng.permutation(len(rows))]
+        seen, keep = set(), []
+        for i, row in enumerate(rows):
+            if row.tobytes() not in seen:
+                seen.add(row.tobytes())
+                keep.append(i)
+        fam = ExplicitFamily(ProductDomain.of_sizes(n), rows)
+        assert np.array_equal(fam.members_matrix(), rows[keep])
+
     def test_empty_and_full_are_valid_members(self):
         d = ProductDomain.of_sizes(2, 2)
         fam = ExplicitFamily(d, [np.zeros(4, bool), np.ones(4, bool)])
@@ -73,6 +92,22 @@ class TestBuiltinStructure:
     def test_permutation_count(self):
         assert PermutationGraphs(4).member_count() == 24
         assert PermutationGraphs(4).members_matrix().shape == (24, 16)
+
+    @pytest.mark.parametrize("sizes", [(1,), (4,), (3, 4), (2, 3, 2), (1, 3, 1)])
+    def test_axis_boxes_match_direct_construction(self, sizes):
+        d = ProductDomain.of_sizes(*sizes)
+        pts = d.all_points()
+        rows = [np.zeros(d.n_points, dtype=bool)]
+        intervals = [[(a, b) for a in range(n) for b in range(a, n)] for n in sizes]
+        for box in itertools.product(*intervals):
+            inside = np.ones(d.n_points, dtype=bool)
+            for i, (a, b) in enumerate(box):
+                inside &= (pts[:, i] >= a) & (pts[:, i] <= b)
+            rows.append(inside)
+        fam = AxisBoxes(d)
+        members = fam.members_matrix()
+        assert np.array_equal(members, np.array(rows))
+        assert members.shape[0] == fam.member_count()
 
     def test_oversized_builtin_raises(self):
         with pytest.raises(CapExceededError, match="family too large"):
