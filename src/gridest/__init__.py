@@ -3,8 +3,8 @@
 The library provides finite product domains with empirical grids, set
 families with exact dimension machinery (VC and linear VC), finite
 distributions with box projections and moduli of box-continuity,
-information-theoretic primitives for lower bounds, three estimators
-including the two-phase product-grid estimator, and a seeded scenario
+information-theoretic primitives for lower bounds, four estimators on one
+cell-weight core including the two-phase product-grid estimator, and a seeded scenario
 runner that validates the theory at desk scale.
 """
 
@@ -33,7 +33,6 @@ from .distributions import (
     ProductDistribution,
     biased_cube_family,
     box_projection,
-    cell_probability_matrix,
     code_rate,
     dump_distribution,
     event_probability,
@@ -70,8 +69,6 @@ from .estimators import (
     build_product_grid_estimator,
     check_grid_hitting,
     empirical_mean,
-    empirical_product_distribution,
-    empirical_product_estimate,
     phase1_size,
     phase2_size,
     product_case_size,
@@ -98,7 +95,6 @@ from .families import (
     dump_family,
     load_family,
     perm_graph_bits,
-    restrict_to_line,
     symdiff_family,
     trace_of,
 )

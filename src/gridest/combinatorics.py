@@ -26,6 +26,7 @@ from .families import (
     PermutationGraphs,
     PowerSetFamily,
     SetFamily,
+    perm_graph_bits,
 )
 from .info import binary_entropy_bits
 
@@ -222,10 +223,7 @@ def enumerate_hd_permutations(n: int, d: int) -> ExplicitFamily:
     members = []
     if d == 2:
         for perm in itertools.permutations(range(n)):
-            bits = np.zeros(domain.n_points, dtype=bool)
-            pts = np.array([[i, perm[i]] for i in range(n)], dtype=np.int64)
-            bits[domain.flat_index(pts)] = True
-            members.append(bits)
+            members.append(perm_graph_bits(perm, domain))
     else:
         for square in _latin_squares(n):
             bits = np.zeros(domain.n_points, dtype=bool)

@@ -8,6 +8,7 @@ sample-size planners.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -50,9 +51,7 @@ class ProductDistribution:
     def table(self) -> "JointTable":
         if self.domain.n_points > MAX_CELLS:
             raise CapExceededError("domain too large to tabulate")
-        probs = self.marginals[0]
-        for p in self.marginals[1:]:
-            probs = np.multiply.outer(probs, p)
+        probs = functools.reduce(np.multiply.outer, self.marginals)
         return JointTable(self.domain, probs.ravel())
 
     def describe(self) -> str:
@@ -242,7 +241,11 @@ def box_projection(dist: Distribution) -> ProductDistribution:
 
 
 def event_probability(dist: Distribution, event) -> float:
-    """Exact probability of an event (dense bits or a point predicate)."""
+    """Exact probability of an event (dense bits or a point predicate).
+
+    The sum ``bits @ probs`` is the one used by ``ExactEstimator``, so both
+    give the same number bit for bit.
+    """
     if callable(event):
         pts = dist.domain.all_points()
         bits = np.asarray(event(pts), dtype=bool)
@@ -250,12 +253,7 @@ def event_probability(dist: Distribution, event) -> float:
         bits = np.asarray(event, dtype=bool)
         if bits.size != dist.domain.n_points:
             raise ValueError("dense event length != number of domain points")
-    return float(dist.table().probs[bits].sum())
-
-
-def cell_probability_matrix(dist: Distribution) -> np.ndarray:
-    """Point probabilities reshaped to the domain's shape (fast-path input)."""
-    return dist.table().reshaped()
+    return float(bits @ dist.table().probs)
 
 
 def total_correlation(joint: JointTable) -> float:

@@ -218,14 +218,6 @@ class Grid:
     def is_full(self) -> bool:
         return self.sizes == self.domain.sizes
 
-    def contains_points(self, points: np.ndarray) -> np.ndarray:
-        """Per-point boolean: does the grid contain the point."""
-        points = np.asarray(points, dtype=np.int64)
-        ok = np.ones(len(points), dtype=bool)
-        for i, vals in enumerate(self.axes):
-            ok &= np.isin(points[:, i], vals)
-        return ok
-
 
 def build_grid(sample: np.ndarray, domain: ProductDomain) -> Grid:
     """Project a sample on each axis and take the product of the projections."""

@@ -1,17 +1,20 @@
 """Estimators for event probabilities and their uniform deviations.
 
-Three estimators are provided: the empirical mean, the empirical product of
-marginals, and the two-phase product-grid estimator (grid from the first
-subsample, per-representative empirical means from the second, extension by
-trace lookup).  Sup-deviations over permutation-graph families are computed
-exactly by max-weight assignment; explicit families are checked by full
-enumeration.
+Four estimators share one core, a weight per domain point: the empirical
+mean (point counts), the empirical product of marginals, the exact
+distribution (the zero-deviation reference), and the two-phase product-grid
+estimator (grid from the first subsample, phase-2 cell counts from the
+second).  The product-grid estimator departs from the core in one place: off
+the full grid it answers by trace lookup.  Sup-deviations over
+permutation-graph families are computed exactly by max-weight assignment;
+explicit families are checked by full enumeration.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -23,13 +26,7 @@ from .domain import (
     ProductDomain,
     build_grid,
 )
-from .distributions import (
-    Distribution,
-    Modulus,
-    ProductDistribution,
-    cell_probability_matrix,
-    event_probability,
-)
+from .distributions import Distribution, Modulus, ProductDistribution
 from .families import PermutationGraphs, SetFamily
 
 
@@ -95,8 +92,10 @@ def product_case_size(
 
 # -- basic estimators ----------------------------------------------------------
 #
-# Every estimator answers ``estimate_many(members)`` over the rows of a dense
-# member matrix; ``estimate(event)`` is that answer on the event's one row.
+# Every estimator but the explicit product-grid one is a weight per domain
+# point: ``estimate_many(members)`` is ``members @ weights``, divided by the
+# sample size when the weights are counts.  ``estimate(event)`` is that answer
+# on the event's one row.
 
 
 def _member_rows(members, domain: ProductDomain) -> np.ndarray:
@@ -113,6 +112,13 @@ def _event_row(event, domain: ProductDomain) -> np.ndarray:
     return _member_rows(np.reshape(bits, (1, -1)), domain)
 
 
+def _check_tabulable(domain: ProductDomain) -> None:
+    if domain.n_points > MAX_CELLS:
+        raise CapExceededError(
+            f"domain has {domain.n_points} points, exceeds cap {MAX_CELLS}"
+        )
+
+
 def empirical_mean(sample: np.ndarray, event, domain: ProductDomain) -> float:
     """Fraction of sample points inside the event."""
     sample = np.asarray(sample, dtype=np.int64)
@@ -124,47 +130,53 @@ def empirical_mean(sample: np.ndarray, event, domain: ProductDomain) -> float:
     return float(np.mean(bits[domain.flat_index(sample)]))
 
 
-def empirical_product_distribution(
-    sample: np.ndarray, domain: ProductDomain
-) -> ProductDistribution:
-    """The product of the empirical marginals of the sample."""
-    return EmpiricalProductEstimator(sample, domain).dist
+class _CellWeightEstimator:
+    """An estimator given by one weight per domain point, in canonical order.
 
+    With a ``total`` the weights are integer counts: the counts in the event
+    are summed first and then divided, so a count mean is exact.
+    Probability weights have no total.
+    """
 
-def empirical_product_estimate(
-    sample: np.ndarray, event, domain: ProductDomain
-) -> float:
-    """Probability of the event under the empirical product of marginals."""
-    return event_probability(empirical_product_distribution(sample, domain), event)
-
-
-class EmpiricalMeanEstimator:
-    """Wrapper exposing the empirical mean as an estimator object."""
-
-    name = "empirical-mean"
-
-    def __init__(self, sample: np.ndarray, domain: ProductDomain):
+    def __init__(
+        self, domain: ProductDomain, weights: np.ndarray, total: int | None = None
+    ):
+        weights.flags.writeable = False
         self.domain = domain
-        self.sample = domain.validate_points(np.asarray(sample, dtype=np.int64))
+        self.weights = weights
+        self.total = total
 
     def estimate(self, event) -> float:
         return float(self.estimate_many(_event_row(event, self.domain))[0])
 
     def estimate_many(self, members: np.ndarray) -> np.ndarray:
-        counts = np.bincount(
-            self.domain.flat_index(self.sample), minlength=self.domain.n_points
-        )
-        return _member_rows(members, self.domain) @ counts / self.sample.shape[0]
+        """``estimate`` on every row of a dense ``(k, n_points)`` member matrix."""
+        values = _member_rows(members, self.domain) @ self.weights
+        return values if self.total is None else values / self.total
 
     def cell_weights(self) -> np.ndarray | None:
+        """The weights as an ``n x n`` matrix on width-2 domains, else None."""
         if self.domain.width != 2:
             return None
-        counts = np.zeros(self.domain.sizes)
-        np.add.at(counts, (self.sample[:, 0], self.sample[:, 1]), 1.0)
-        return counts / self.sample.shape[0]
+        weights = self.weights.reshape(self.domain.sizes)
+        return weights if self.total is None else weights / self.total
 
 
-class EmpiricalProductEstimator:
+class EmpiricalMeanEstimator(_CellWeightEstimator):
+    """The empirical mean: the sample's point counts over its size."""
+
+    name = "empirical-mean"
+
+    def __init__(self, sample: np.ndarray, domain: ProductDomain):
+        sample = domain.validate_points(np.asarray(sample, dtype=np.int64))
+        if sample.shape[0] == 0:
+            raise ValueError("empty sample")
+        _check_tabulable(domain)
+        counts = np.bincount(domain.flat_index(sample), minlength=domain.n_points)
+        super().__init__(domain, counts, sample.shape[0])
+
+
+class EmpiricalProductEstimator(_CellWeightEstimator):
     """The empirical product of marginals as an estimator.
 
     It reads a sample only through its per-axis value counts.  ``from_counts``
@@ -205,54 +217,36 @@ class EmpiricalProductEstimator:
             raise ValueError("empty sample")
         if any(int(c.sum()) != m for c in counts[1:]):
             raise ValueError("marginal counts disagree on the sample size")
-        self.domain = domain
+        _check_tabulable(domain)
         self.dist = ProductDistribution(domain, [c / m for c in counts])
-
-    def estimate(self, event) -> float:
-        return float(self.estimate_many(_event_row(event, self.domain))[0])
-
-    def estimate_many(self, members: np.ndarray) -> np.ndarray:
-        return _member_rows(members, self.domain) @ self.dist.table().probs
-
-    def cell_weights(self) -> np.ndarray | None:
-        if self.domain.width != 2:
-            return None
-        return np.outer(self.dist.marginals[0], self.dist.marginals[1])
+        super().__init__(
+            domain, functools.reduce(np.multiply.outer, self.dist.marginals).ravel()
+        )
 
 
-class ExactEstimator:
+class ExactEstimator(_CellWeightEstimator):
     """The true distribution viewed as an estimator (zero-deviation reference)."""
 
     name = "exact"
 
     def __init__(self, dist: Distribution):
-        self.domain = dist.domain
         self.dist = dist
-
-    def estimate(self, event) -> float:
-        return float(self.estimate_many(_event_row(event, self.domain))[0])
-
-    def estimate_many(self, members: np.ndarray) -> np.ndarray:
-        return _member_rows(members, self.domain) @ self.dist.table().probs
-
-    def cell_weights(self) -> np.ndarray | None:
-        if self.domain.width != 2:
-            return None
-        return cell_probability_matrix(self.dist)
+        super().__init__(dist.domain, dist.table().probs)
 
 
 # -- the product-grid estimator --------------------------------------------------
 
 
-class ProductGridEstimator:
+class ProductGridEstimator(_CellWeightEstimator):
     """The trained two-phase estimator: grid, trace index, query extension.
 
     Built from the phase-1 grid and the phase-2 cell counts only (see
-    ``from_counts``).  In explicit mode the trace index maps each realized
-    trace to the estimate of its representative (the member with the
-    lexicographically smallest canonical encoding).  For permutation-graph
-    families whose phase-1 grid covers the full domain, every trace class is a
-    singleton and the index is held implicitly as the phase-2 cell counts.
+    ``from_counts``); its weights are those counts, with total m1.  In
+    explicit mode the trace index maps each realized trace to the estimate of
+    its representative (the member with the lexicographically smallest
+    canonical encoding).  For permutation-graph families whose phase-1 grid
+    covers the full domain, every trace class is a singleton and the estimate
+    is the phase-2 mean itself: the structured mode.
     """
 
     name = "product-grid"
@@ -267,8 +261,8 @@ class ProductGridEstimator:
         class_estimates: np.ndarray | None = None,
         representatives: np.ndarray | None = None,
     ):
+        super().__init__(grid.domain, cell_counts.ravel(), split[1])
         self.grid = grid
-        self.domain = grid.domain
         self.cell_counts = cell_counts
         self.class_count = class_count
         self.split = split
@@ -361,15 +355,11 @@ class ProductGridEstimator:
     def is_structured(self) -> bool:
         return self.class_of is None
 
-    def estimate(self, event) -> float:
-        """The stored estimate of the representative with the event's trace."""
-        return float(self.estimate_many(_event_row(event, self.domain))[0])
-
     def estimate_many(self, members: np.ndarray) -> np.ndarray:
-        """``estimate`` on every row of a dense ``(k, n_points)`` member matrix."""
+        """The estimate of the representative with each row's trace."""
         members = _member_rows(members, self.domain)
         if self.is_structured:
-            return self._graphs(members) @ self.cell_counts.ravel() / self.split[1]
+            return super().estimate_many(self._graphs(members))
         return self.class_estimates[self._class_ids(members)]
 
     def representative(self, event) -> np.ndarray:
@@ -396,9 +386,7 @@ class ProductGridEstimator:
             raise ValueError("trace not represented") from None
 
     def cell_weights(self) -> np.ndarray | None:
-        if not self.is_structured:
-            return None
-        return self.cell_counts / self.split[1]
+        return super().cell_weights() if self.is_structured else None
 
     def describe(self) -> str:
         return (
@@ -433,10 +421,7 @@ def build_product_grid_estimator(
             raise ValueError(
                 f"insufficient sample: phase 1 alone needs {m0} points"
             )
-    if domain.n_points > MAX_CELLS:
-        raise CapExceededError(
-            f"domain has {domain.n_points} points, exceeds cap {MAX_CELLS}"
-        )
+    _check_tabulable(domain)
     s1_flat = domain.flat_index(sample[m0 : m0 + m1])
     counts = np.bincount(s1_flat, minlength=domain.n_points).reshape(domain.sizes)
     return ProductGridEstimator.from_counts(
@@ -481,14 +466,13 @@ def sup_deviation(
         weights = estimator.cell_weights()
         if weights is None:
             raise ValueError("method inapplicable: estimator has no cell weights")
-        truth = cell_probability_matrix(dist)
-        diff = weights - truth
+        diff = weights - ExactEstimator(dist).cell_weights()
         upper = max_assignment_value(diff)
         lower = max_assignment_value(-diff)
         return max(upper, lower)
     if method == "enumerate":
         members = family.members_matrix()
-        truth = members @ dist.table().probs
+        truth = ExactEstimator(dist).estimate_many(members)
         gaps = np.abs(estimator.estimate_many(members) - truth)
         return float(np.max(gaps, initial=0.0))
     raise ValueError(f"unknown method {method!r}")
@@ -553,7 +537,7 @@ class DeviationReport:
         wall_ms: float = 0.0,
     ) -> "DeviationReport":
         deviations = np.asarray(deviations, dtype=float)
-        if np.any((deviations < 0) | (deviations > 1)):
+        if not np.all((deviations >= 0) & (deviations <= 1)):
             raise ValueError("deviations must lie in [0, 1]")
         q50, q90, q99 = np.quantile(deviations, [0.5, 0.9, 0.99])
         return cls(
@@ -571,16 +555,4 @@ class DeviationReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "estimator": self.estimator,
-            "family": self.family,
-            "distribution": self.distribution,
-            "trials": self.trials,
-            "seed": self.seed,
-            "deviations": self.deviations,
-            "mean": self.mean,
-            "q50": self.q50,
-            "q90": self.q90,
-            "q99": self.q99,
-            "wall_ms": self.wall_ms,
-        }
+        return asdict(self)

@@ -17,7 +17,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -75,6 +75,7 @@ from .families import (
     PermutationGraphs,
     SetFamily,
     UnionsOfPermutations,
+    perm_graph_bits,
     symdiff_family,
 )
 from .info import kl_divergence, tv_distance
@@ -134,21 +135,7 @@ class ScenarioResult:
     wall_ms: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "claim": self.claim,
-            "check_id": self.check_id,
-            "params": self.params,
-            "trials": self.trials,
-            "seed": self.seed,
-            "passed": self.passed,
-            "assertion": self.assertion,
-            "slack": self.slack,
-            "metrics": self.metrics,
-            "curves": self.curves,
-            "report": None if self.report is None else self.report.to_dict(),
-            "wall_ms": self.wall_ms,
-        }
+        return asdict(self)
 
 
 # -- shared constructions ----------------------------------------------------------
@@ -531,9 +518,7 @@ def _hitting_family(n: int, base_perms: int, rng: np.random.Generator):
     members = [np.zeros(domain.n_points, dtype=bool),
                np.ones(domain.n_points, dtype=bool)]
     for _ in range(base_perms):
-        perm = rng.permutation(n)
-        bits = np.zeros(domain.n_points, dtype=bool)
-        bits[np.arange(n) * n + perm] = True
+        bits = perm_graph_bits(rng.permutation(n), domain)
         members.append(bits)
         members.append(~bits)
     return ExplicitFamily(domain, np.array(members))

@@ -160,9 +160,6 @@ class OracleFamily(SetFamily):
         ]
         return _dedup_rows(np.array(rows, dtype=bool))
 
-    def event_for(self, key) -> Callable[[np.ndarray], np.ndarray]:
-        return lambda pts: np.asarray(self.membership(key, pts), dtype=bool)
-
 
 class PermutationGraphs(SetFamily):
     """All sets ``{(i, pi(i)) : i in [n]}`` on ``[n] x [n]``.
@@ -409,11 +406,6 @@ class CylinderSets(SetFamily):
         return f"cylinder-sets(d={self.d}, prefix={self.prefix})"
 
 
-def restrict_to_line(family: SetFamily, line: AxisLine) -> ExplicitFamily:
-    """The deduplicated family ``{F intersect L : F in family}`` on the line."""
-    return family.restrict_to_line(line)
-
-
 def symdiff_family(family: SetFamily) -> ExplicitFamily:
     """All pairwise symmetric differences ``A xor B``, deduplicated.
 
@@ -421,16 +413,13 @@ def symdiff_family(family: SetFamily) -> ExplicitFamily:
     representation within the member cap.
     """
     members = family.members_matrix()
-    m = members.shape[0]
+    m, n = members.shape
     if m * m > MAX_MEMBERS:
         raise CapExceededError("family too large")
-    out = {}
-    for i in range(m):
-        diffs = members ^ members[i]
-        packed = np.packbits(diffs, axis=1)
-        for j in range(m):
-            out.setdefault(packed[j].tobytes(), diffs[j])
-    rows = np.array([out[k] for k in sorted(out)], dtype=bool)
+    # packing commutes with xor; unique rows come out in byte order
+    packed = np.packbits(members, axis=1)
+    xors = (packed[:, None, :] ^ packed[None, :, :]).reshape(m * m, -1)
+    rows = np.unpackbits(np.unique(xors, axis=0), axis=1, count=n).astype(bool)
     return ExplicitFamily(family.domain, rows, _dedup=False)
 
 

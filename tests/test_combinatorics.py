@@ -261,6 +261,14 @@ class TestHdPermutations:
     def test_two_dimensional_counts(self):
         assert enumerate_hd_permutations(3, 2).member_count() == 6
 
+    def test_two_dimensional_rows_are_the_permutation_matrices_in_order(self):
+        fam = enumerate_hd_permutations(4, 2)
+        want = np.zeros((24, 16), dtype=bool)
+        for k, perm in enumerate(itertools.permutations(range(4))):
+            for i in range(4):
+                want[k, 4 * i + perm[i]] = True
+        assert np.array_equal(fam.members_matrix(), want)
+
     def test_order_two_latin_squares(self):
         assert enumerate_hd_permutations(2, 3).member_count() == 2
 

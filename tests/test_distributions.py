@@ -15,7 +15,6 @@ from gridest.distributions import (
     ProductDistribution,
     biased_cube_family,
     box_projection,
-    cell_probability_matrix,
     code_rate,
     distribution_from_dict,
     dump_distribution,
@@ -299,7 +298,7 @@ class TestEventProbability:
             ],
         )
         perm = np.array([3, 1, 0, 2])
-        cells = cell_probability_matrix(mix)
+        cells = mix.table().reshaped()
         fast = cells[np.arange(4), perm].sum()
         generic = event_probability(mix, perm_graph_bits(perm, d))
         assert fast == pytest.approx(generic, abs=1e-12)

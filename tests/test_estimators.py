@@ -18,6 +18,7 @@ from gridest.distributions import (
     sample_counts,
 )
 from gridest.domain import (
+    CapExceededError,
     Grid,
     NotEnumerableError,
     ProductDomain,
@@ -34,8 +35,6 @@ from gridest.estimators import (
     build_product_grid_estimator,
     check_grid_hitting,
     empirical_mean,
-    empirical_product_distribution,
-    empirical_product_estimate,
     phase1_size,
     phase2_size,
     product_case_size,
@@ -151,21 +150,32 @@ class TestEmpiricalMean:
         with pytest.raises(ValueError, match="empty sample"):
             empirical_mean(np.empty((0, 2)), np.ones(4, bool), d)
 
+    def test_estimator_rejects_an_empty_sample(self):
+        d = ProductDomain.of_sizes(2, 2)
+        with pytest.raises(ValueError, match="empty sample"):
+            EmpiricalMeanEstimator(np.empty((0, 2)), d)
+
+    @pytest.mark.parametrize("cls", [EmpiricalMeanEstimator, EmpiricalProductEstimator])
+    def test_estimators_reject_an_untabulable_domain(self, cls):
+        d = ProductDomain.of_sizes(1025, 1025)
+        with pytest.raises(CapExceededError):
+            cls(np.zeros((1, 2), dtype=np.int64), d)
+
 
 class TestEmpiricalProduct:
     def test_antidiagonal_sample_decouples(self):
         d = ProductDomain.of_sizes(2, 2)
         s = np.array([[0, 0], [1, 1]])
-        dist = empirical_product_distribution(s, d)
+        dist = EmpiricalProductEstimator(s, d).dist
         assert np.allclose(dist.table().probs, 0.25, atol=1e-15)
         # decoupling: the product estimate halves while the mean saturates
         f_id = perm_graph_bits([0, 1], d)
-        assert empirical_product_estimate(s, f_id, d) == pytest.approx(0.5)
+        assert EmpiricalProductEstimator(s, d).estimate(f_id) == pytest.approx(0.5)
         assert empirical_mean(s, f_id, d) == 1.0
 
     def test_single_point_gives_point_mass(self):
         d = ProductDomain.of_sizes(3, 3)
-        dist = empirical_product_distribution(np.array([[2, 1]]), d)
+        dist = EmpiricalProductEstimator(np.array([[2, 1]]), d).dist
         assert event_probability(dist, perm_graph_bits([1, 2, 0], d)) == 0.0
         bits = np.zeros(9, bool)
         bits[d.flat_index(np.array([[2, 1]]))[0]] = True
@@ -219,7 +229,8 @@ class TestEmpiricalProduct:
         hits = 0
         for child in master.spawn(trials):
             s = sample(dist, m, child)
-            if abs(empirical_product_estimate(s, bits, dist.domain) - 0.1) <= 0.02:
+            est = EmpiricalProductEstimator(s, dist.domain)
+            if abs(est.estimate(bits) - 0.1) <= 0.02:
                 hits += 1
         assert hits / trials >= 0.95
 
@@ -534,6 +545,71 @@ class TestTraceIndexOracle:
             assert est.estimate_many(row[None, :])[0] == empirical_mean(s[m0:], rep, d)
 
 
+class TestOneCellWeightCore:
+    """Each number has one route, and each estimator's weights are its formula."""
+
+    @given(st.integers(0, 2**32 - 1), st.tuples(st.integers(1, 6), st.integers(1, 6)))
+    @settings(max_examples=60, deadline=None)
+    def test_event_probability_is_the_exact_estimate(self, seed, sizes):
+        rng = np.random.default_rng(seed)
+        d = ProductDomain.of_sizes(*sizes)
+        dist = JointTable(d, rng.dirichlet(np.ones(d.n_points)))
+        exact = ExactEstimator(dist)
+        for event in rng.random((10, d.n_points)) < rng.random():
+            assert event_probability(dist, event) == exact.estimate(event)
+
+    @given(st.integers(0, 2**32 - 1), st.tuples(st.integers(1, 6), st.integers(1, 6)),
+           st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_empirical_mean_is_the_estimator(self, seed, sizes, m):
+        rng = np.random.default_rng(seed)
+        d = ProductDomain.of_sizes(*sizes)
+        s = rng.integers(0, sizes, size=(m, 2))
+        est = EmpiricalMeanEstimator(s, d)
+        for event in rng.random((10, d.n_points)) < rng.random():
+            assert empirical_mean(s, event, d) == est.estimate(event)
+
+    @given(st.integers(0, 2**32 - 1), st.tuples(st.integers(1, 6), st.integers(1, 6)),
+           st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_basic_weights_are_the_direct_formulas(self, seed, sizes, m):
+        rng = np.random.default_rng(seed)
+        d = ProductDomain.of_sizes(*sizes)
+        s = rng.integers(0, sizes, size=(m, 2))
+        rows = rng.random((8, d.n_points)) < 0.5
+        counts = np.bincount(d.flat_index(s), minlength=d.n_points)
+        product = np.outer(*(np.bincount(s[:, i], minlength=n) / m
+                             for i, n in enumerate(sizes)))
+        dist = JointTable(d, rng.dirichlet(np.ones(d.n_points)))
+        for est, many, weights in [
+            (EmpiricalMeanEstimator(s, d), rows @ counts / m, counts.reshape(sizes) / m),
+            (EmpiricalProductEstimator(s, d), rows @ product.ravel(), product),
+            (ExactEstimator(dist), rows @ dist.probs, dist.reshaped()),
+        ]:
+            assert np.array_equal(est.estimate_many(rows), many)
+            assert np.array_equal(est.cell_weights(), weights)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_structured_product_grid_weights_are_phase2_means(self, seed, n, m1):
+        rng = np.random.default_rng(seed)
+        d = ProductDomain.of_sizes(n, n)
+        counts = rng.multinomial(m1, np.full(d.n_points, 1.0 / d.n_points))
+        family = PermutationGraphs(n)
+        est = ProductGridEstimator.from_counts(
+            d.full_grid(), counts.reshape(n, n), family, identity_plan(split=(1, m1))
+        )
+        graphs = family.members_matrix()
+        assert est.is_structured
+        assert np.array_equal(est.estimate_many(graphs), graphs @ counts / m1)
+        assert np.array_equal(est.cell_weights(), counts.reshape(n, n) / m1)
+
+    def test_explicit_product_grid_has_no_cell_weights(self):
+        fam, s = small_interval_family(), np.array([[0, 0], [2, 2], [1, 1]])
+        est = build_product_grid_estimator(s, fam, identity_plan(split=(2, 1)))
+        assert not est.is_structured and est.cell_weights() is None
+
+
 def _empirical_mean_of(dist, m, rng):
     return EmpiricalMeanEstimator(sample(dist, m, rng), dist.domain)
 
@@ -777,6 +853,10 @@ class TestDeviationReport:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             DeviationReport.from_deviations("e", "f", "d", 0, np.array([1.5]))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="must lie in"):
+            DeviationReport.from_deviations("e", "f", "d", 0, np.array([0.1, np.nan]))
 
     def test_dict_field_order(self):
         report = DeviationReport.from_deviations(

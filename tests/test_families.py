@@ -19,7 +19,6 @@ from gridest.families import (
     UnionsOfPermutations,
     dump_family,
     load_family,
-    restrict_to_line,
     symdiff_family,
 )
 from gridest.domain import enumerate_axis_lines
@@ -118,7 +117,7 @@ class TestRestrictions:
     def test_permutation_graphs_restrict_to_singletons(self):
         fam = PermutationGraphs(3)
         line = enumerate_axis_lines(fam.domain, 1)[0]
-        restriction = restrict_to_line(fam, line)
+        restriction = fam.restrict_to_line(line)
         assert family_as_set(restriction) == family_as_set(
             ExplicitFamily(ProductDomain.of_sizes(3), np.eye(3, dtype=bool))
         )
@@ -144,18 +143,18 @@ class TestRestrictions:
     def test_power_set_on_cube_line_is_full_power_set(self):
         fam = PowerSetFamily(ProductDomain.of_sizes(2, 2, 2))
         line = enumerate_axis_lines(fam.domain, 1)[0]
-        assert restrict_to_line(fam, line).member_count() == 4
+        assert fam.restrict_to_line(line).member_count() == 4
 
     def test_intervals_on_four_point_line(self):
         # 10 nonempty sub-intervals plus the empty set
         fam = IntervalsOnAxis(ProductDomain.of_sizes(4))
         line = enumerate_axis_lines(fam.domain, 0)[0]
-        assert restrict_to_line(fam, line).member_count() == 11
+        assert fam.restrict_to_line(line).member_count() == 11
 
     def test_intervals_off_axis_restriction(self):
         fam = IntervalsOnAxis(ProductDomain.of_sizes(3, 3), axis=0)
         line = enumerate_axis_lines(fam.domain, 1)[0]
-        assert restrict_to_line(fam, line).member_count() == 2
+        assert fam.restrict_to_line(line).member_count() == 2
 
     def test_axis_boxes_restriction_matches_enumeration(self):
         fam = AxisBoxes(ProductDomain.of_sizes(3, 3))
@@ -180,7 +179,7 @@ class TestRestrictions:
         fam = OracleFamily(d, membership=lambda key, pts: pts[:, 0] == key)
         line = enumerate_axis_lines(d, 0)[0]
         with pytest.raises(NotEnumerableError, match="not enumerable"):
-            restrict_to_line(fam, line)
+            fam.restrict_to_line(line)
 
     def test_oracle_with_members_enumerates(self):
         d = ProductDomain.of_sizes(2, 2)
@@ -218,6 +217,21 @@ class TestSymdiff:
             assert np.packbits(np.zeros(9, bool)).tobytes() in family_as_set(
                 symdiff_family(fam)
             )
+
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 10))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_and_order_match_the_pairwise_loop(self, seed, n_points, k):
+        rng = np.random.default_rng(seed)
+        fam = ExplicitFamily(ProductDomain.of_sizes(n_points),
+                             rng.random((k, n_points)) < rng.random())
+        members = fam.members_matrix()
+        seen = {}
+        for a in members:
+            for b in members:
+                seen.setdefault(np.packbits(a ^ b).tobytes(), a ^ b)
+        want = np.array([seen[key] for key in sorted(seen)])
+        assert np.array_equal(symdiff_family(fam).members_matrix(), want)
 
 
 class TestTextFormat:
