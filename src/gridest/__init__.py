@@ -54,7 +54,6 @@ from .domain import (
     Grid,
     NotEnumerableError,
     ProductDomain,
-    Trace,
     build_grid,
     enumerate_axis_lines,
     grid_from_counts,

@@ -127,8 +127,7 @@ def count_traces(family: SetFamily, grid: Grid) -> int:
         return family.member_count()
     if hasattr(family, "trace_enumerator") and family.trace_enumerator is not None:
         return len(set(family.trace_enumerator(grid)))
-    traces = grid.pack_traces(family.members_matrix())
-    return int(np.unique(traces, axis=0).shape[0])
+    return int(np.unique(grid.pack_traces(family.members_matrix())).size)
 
 
 def binomle(n: int, g: int) -> int:

@@ -20,8 +20,6 @@ import numpy as np
 from .domain import CapExceededError, MAX_CELLS, ProductDomain, code_bits
 from .info import as_pmf, binary_entropy
 
-PROB_ATOL = 1e-12
-
 
 class ProductDistribution:
     """A product of per-axis probability vectors over a domain's alphabets."""
@@ -64,13 +62,11 @@ class MixtureDistribution:
     kind = "mixture"
 
     def __init__(self, weights, components: Sequence[ProductDistribution]):
-        weights = np.asarray(weights, dtype=float)
         if len(components) == 0:
             raise ValueError("mixture needs at least one component")
+        weights = as_pmf(weights)
         if weights.size != len(components):
             raise ValueError("weight count != component count")
-        if np.any(weights < 0) or abs(weights.sum() - 1.0) > PROB_ATOL:
-            raise ValueError("weights must be nonnegative and sum to 1")
         domain = components[0].domain
         if any(c.domain != domain for c in components):
             raise ValueError("components live on different domains")
@@ -105,11 +101,9 @@ class JointTable:
     kind = "joint"
 
     def __init__(self, domain: ProductDomain, probs):
-        probs = np.asarray(probs, dtype=float).ravel()
+        probs = as_pmf(np.ravel(probs))
         if probs.size != domain.n_points:
             raise ValueError("table size != number of domain points")
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > PROB_ATOL:
-            raise ValueError("table must be nonnegative and sum to 1")
         probs.flags.writeable = False
         self.domain = domain
         self.probs = probs

@@ -34,6 +34,19 @@ def code_bits(codes: np.ndarray, width: int) -> np.ndarray:
     return (codes[:, None] >> np.arange(width)) & 1
 
 
+def row_keys(bits: np.ndarray) -> np.ndarray:
+    """One ``np.void`` key per row of a 0/1 matrix: the row's packed bytes.
+
+    Keys compare bytewise: they sort like the rows (column 0 first) and are
+    equal exactly when the rows are.  A zero-size void view drops every row,
+    so rows of width 0 get one zero byte.
+    """
+    packed = np.packbits(bits, axis=1)
+    if packed.shape[1] == 0:
+        packed = np.zeros((packed.shape[0], 1), dtype=np.uint8)
+    return np.ascontiguousarray(packed).view(f"V{packed.shape[1]}").ravel()
+
+
 class ProductDomain:
     """A product of finite ordered alphabets ``W_1 x ... x W_d``.
 
@@ -180,6 +193,7 @@ class Grid:
                 f"grid has {self.cell_count} cells, exceeds cap {MAX_CELLS}"
             )
         self._cells: np.ndarray | None = None
+        self._flat: np.ndarray | None = None
 
     def __repr__(self) -> str:
         return f"Grid(sizes={self.sizes}, cells={self.cell_count})"
@@ -198,15 +212,19 @@ class Grid:
 
     def flat_domain_indices(self) -> np.ndarray:
         """Canonical domain flat index of every cell, in cell order."""
-        return self.domain.flat_index(self.cells())
+        if self._flat is None:
+            flat = self.domain.flat_index(self.cells())
+            flat.flags.writeable = False
+            self._flat = flat
+        return self._flat
 
     def pack_traces(self, members: np.ndarray) -> np.ndarray:
-        """The trace of every row of a dense member matrix, packed row-wise.
+        """The trace of every row of a dense member matrix, as a ``row_keys`` key.
 
-        Bit ``j`` of a row's trace is the member's bit on cell ``j``; rows
-        compare and hash by bytes, so equal traces give equal rows.
+        Bit ``j`` of a row's trace is the member's bit on cell ``j``, so
+        equal traces give equal keys, and keys sort like the traces.
         """
-        return np.packbits(members[:, self.flat_domain_indices()], axis=1)
+        return row_keys(members[:, self.flat_domain_indices()])
 
     def point_mask(self) -> np.ndarray:
         """Boolean mask over the domain's canonical point order: cell or not."""
@@ -268,28 +286,3 @@ def enumerate_axis_lines(space: ProductDomain | Grid, axis: int) -> list[AxisLin
         fixed = tuple(None if j == axis else int(combo[j]) for j in range(width))
         lines.append(AxisLine(axis=axis, fixed=fixed))
     return lines
-
-
-@dataclass(frozen=True)
-class Trace:
-    """The intersection pattern of a set with a grid, as a packed bit-vector.
-
-    Equality and hashing are bitwise over the canonical cell order, so traces
-    serve directly as equivalence-class keys.
-    """
-
-    bits: bytes
-    length: int
-
-    @classmethod
-    def from_bool_array(cls, values: np.ndarray) -> "Trace":
-        values = np.asarray(values, dtype=bool)
-        return cls(bits=np.packbits(values).tobytes(), length=int(values.size))
-
-    def to_array(self) -> np.ndarray:
-        return np.unpackbits(
-            np.frombuffer(self.bits, dtype=np.uint8), count=self.length
-        ).astype(bool)
-
-    def __len__(self) -> int:
-        return self.length

@@ -25,6 +25,7 @@ from .domain import (
     NotEnumerableError,
     ProductDomain,
     build_grid,
+    row_keys,
 )
 from .distributions import Distribution, Modulus, ProductDistribution
 from .families import PermutationGraphs, SetFamily
@@ -141,6 +142,10 @@ class _CellWeightEstimator:
     def __init__(
         self, domain: ProductDomain, weights: np.ndarray, total: int | None = None
     ):
+        if total is not None:
+            # float64 sums of integer counts below 2**53 are exact, and a
+            # float product runs on BLAS where an integer one does not
+            weights = weights.astype(np.float64)
         weights.flags.writeable = False
         self.domain = domain
         self.weights = weights
@@ -242,11 +247,12 @@ class ProductGridEstimator(_CellWeightEstimator):
 
     Built from the phase-1 grid and the phase-2 cell counts only (see
     ``from_counts``); its weights are those counts, with total m1.  In
-    explicit mode the trace index maps each realized trace to the estimate of
-    its representative (the member with the lexicographically smallest
-    canonical encoding).  For permutation-graph families whose phase-1 grid
-    covers the full domain, every trace class is a singleton and the estimate
-    is the phase-2 mean itself: the structured mode.
+    explicit mode the trace index is the sorted array of realized trace keys,
+    ``class_keys``; each class answers with the phase-2 mean of its
+    representative (the member with the lexicographically smallest canonical
+    encoding).  For permutation-graph families whose phase-1 grid covers the
+    full domain, every trace class is a singleton and the estimate is the
+    phase-2 mean itself: the structured mode.
     """
 
     name = "product-grid"
@@ -257,19 +263,20 @@ class ProductGridEstimator(_CellWeightEstimator):
         cell_counts: np.ndarray,
         class_count: int,
         split: tuple[int, int],
-        class_of: dict[bytes, int] | None = None,
-        class_estimates: np.ndarray | None = None,
+        class_keys: np.ndarray | None = None,
         representatives: np.ndarray | None = None,
     ):
         super().__init__(grid.domain, cell_counts.ravel(), split[1])
         self.grid = grid
-        self.cell_counts = cell_counts
         self.class_count = class_count
         self.split = split
-        self.class_of = class_of
-        self.class_estimates = class_estimates
+        self.class_keys = class_keys
         self.representatives = representatives
-        for arr in (cell_counts, class_estimates, representatives):
+        self.class_estimates = (
+            None if representatives is None
+            else super().estimate_many(representatives)
+        )
+        for arr in (class_keys, self.class_estimates, representatives):
             if arr is not None:
                 arr.flags.writeable = False
 
@@ -290,7 +297,7 @@ class ProductGridEstimator(_CellWeightEstimator):
         domain = family.domain
         if grid.domain != domain:
             raise ValueError("grid and family live on different domains")
-        cell_counts = np.array(cell_counts)  # a copy: the estimator freezes it
+        cell_counts = np.asarray(cell_counts)
         if (
             cell_counts.shape != domain.sizes
             or cell_counts.dtype.kind not in "iu"
@@ -320,26 +327,19 @@ class ProductGridEstimator(_CellWeightEstimator):
                 raise NotEnumerableError(
                     "family not trace-enumerable within caps"
                 ) from exc
-            classes, labels = np.unique(
-                grid.pack_traces(members), axis=0, return_inverse=True
+            # visit members in the sorted order of their own keys; the first
+            # member seen of each trace class is its representative
+            order = np.argsort(row_keys(members))
+            class_keys, first = np.unique(
+                grid.pack_traces(members)[order], return_index=True
             )
-            # visit members in lexicographic order of their encodings; the
-            # first member seen of each class is its representative
-            encodings = np.packbits(members, axis=1)
-            order = np.lexsort(encodings.T[::-1])
-            _, first = np.unique(labels.ravel()[order], return_index=True)
-            representatives = members[order[first]]
-            # float products of integer counts are exact: hits / m1 equals
-            # the representative's phase-2 mean bit for bit
-            hits = representatives @ cell_counts.ravel().astype(np.float64)
             estimator = cls(
                 grid,
                 cell_counts,
-                len(classes),
+                class_keys.size,
                 (m0, m1),
-                class_of={row.tobytes(): k for k, row in enumerate(classes)},
-                class_estimates=hits / m1,
-                representatives=representatives,
+                class_keys=class_keys,
+                representatives=members[order[first]],
             )
 
         if plan.split is None:
@@ -353,7 +353,7 @@ class ProductGridEstimator(_CellWeightEstimator):
 
     @property
     def is_structured(self) -> bool:
-        return self.class_of is None
+        return self.class_keys is None
 
     def estimate_many(self, members: np.ndarray) -> np.ndarray:
         """The estimate of the representative with each row's trace."""
@@ -378,12 +378,14 @@ class ProductGridEstimator(_CellWeightEstimator):
             raise ValueError("trace not represented")
         return members
 
-    def _class_ids(self, members: np.ndarray) -> list[int]:
+    def _class_ids(self, members: np.ndarray) -> np.ndarray:
         """The trace-class id of every row of a checked member matrix."""
-        try:
-            return [self.class_of[t.tobytes()] for t in self.grid.pack_traces(members)]
-        except KeyError:
-            raise ValueError("trace not represented") from None
+        keys = self.grid.pack_traces(members)
+        # every id is in range: a key past all but the last class can only be the last
+        ids = self.class_keys[:-1].searchsorted(keys)
+        if self.class_keys[ids].tobytes() != keys.tobytes():
+            raise ValueError("trace not represented")
+        return ids
 
     def cell_weights(self) -> np.ndarray | None:
         return super().cell_weights() if self.is_structured else None
@@ -491,9 +493,8 @@ def check_grid_hitting(
     """
     members = family.members_matrix()
     _, labels, sizes = np.unique(
-        grid.pack_traces(members), axis=0, return_inverse=True, return_counts=True
+        grid.pack_traces(members), return_inverse=True, return_counts=True
     )
-    labels = labels.ravel()
     probs = dist.table().probs
     pairs = []
     for label in np.flatnonzero(sizes > 1):

@@ -793,6 +793,8 @@ def run_scenario(config: ExperimentConfig, memo: dict | None = None) -> Scenario
     trials = config.trials if config.trials is not None else entry.default_trials
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if entry.default_trials == 1 and trials != 1:
+        raise ValueError(f"{entry.name} is single-pass: trials must be 1, got {trials}")
     start = time.perf_counter()
     passed, assertion, slack, metrics, curves, report = entry.runner(
         params, trials, config.seed, {} if memo is None else memo

@@ -26,19 +26,18 @@ from .domain import (
     Grid,
     NotEnumerableError,
     ProductDomain,
-    Trace,
     code_bits,
+    row_keys,
 )
 
 
-def trace_of(event, grid: Grid) -> Trace:
-    """The trace of an event on a grid: bit ``j`` is 1 iff cell ``j`` is in it."""
+def trace_of(event, grid: Grid) -> bytes:
+    """The trace as ``np.packbits`` bytes: bit ``j`` is 1 iff cell ``j`` is in it."""
     if grid.cell_count == 0:
         raise ValueError("trace on empty grid")
     if callable(event):
-        return Trace.from_bool_array(event(grid.cells()))
-    packed = grid.pack_traces(np.asarray(event, dtype=bool)[None, :])
-    return Trace(bits=packed.tobytes(), length=grid.cell_count)
+        return np.packbits(np.asarray(event(grid.cells()), dtype=bool)).tobytes()
+    return grid.pack_traces(np.asarray(event, dtype=bool)[None, :])[0].tobytes()
 
 
 def perm_graph_bits(perm: Sequence[int], domain: ProductDomain) -> np.ndarray:
@@ -121,7 +120,7 @@ class ExplicitFamily(SetFamily):
 
 def _dedup_rows(members: np.ndarray) -> np.ndarray:
     """Each distinct row once, at its first occurrence, in the original order."""
-    _, first = np.unique(np.packbits(members, axis=1), axis=0, return_index=True)
+    _, first = np.unique(row_keys(members), return_index=True)
     return members[np.sort(first)]
 
 
@@ -130,7 +129,7 @@ class OracleFamily(SetFamily):
 
     ``membership(member_key, points)`` evaluates one member on a point array.
     ``members`` optionally enumerates member keys; ``trace_enumerator(grid)``
-    optionally yields the distinct traces directly.
+    optionally yields the distinct traces directly, as ``trace_of`` bytes.
     """
 
     def __init__(
@@ -138,7 +137,7 @@ class OracleFamily(SetFamily):
         domain: ProductDomain,
         membership: Callable[[object, np.ndarray], np.ndarray],
         members: Iterable[object] | None = None,
-        trace_enumerator: Callable[[Grid], Iterable[Trace]] | None = None,
+        trace_enumerator: Callable[[Grid], Iterable[bytes]] | None = None,
     ):
         self.domain = domain
         self.membership = membership
@@ -416,10 +415,11 @@ def symdiff_family(family: SetFamily) -> ExplicitFamily:
     m, n = members.shape
     if m * m > MAX_MEMBERS:
         raise CapExceededError("family too large")
-    # packing commutes with xor; unique rows come out in byte order
-    packed = np.packbits(members, axis=1)
-    xors = (packed[:, None, :] ^ packed[None, :, :]).reshape(m * m, -1)
-    rows = np.unpackbits(np.unique(xors, axis=0), axis=1, count=n).astype(bool)
+    # packing commutes with xor: xored member keys are the differences' keys
+    keys = row_keys(members)
+    packed = keys.view(np.uint8).reshape(m, -1)
+    xors = np.unique((packed[:, None, :] ^ packed[None, :, :]).view(keys.dtype))
+    rows = np.unpackbits(xors.view(np.uint8).reshape(xors.size, -1), axis=1, count=n)
     return ExplicitFamily(family.domain, rows, _dedup=False)
 
 
@@ -450,10 +450,9 @@ def load_family(path) -> ExplicitFamily:
                 continue
             if domain is None:
                 parts = line.split()
-                if parts[0] != "domain":
-                    raise ValueError(f"line {lineno}: expected 'domain' header")
-                d = int(parts[1])
-                sizes = [int(x) for x in parts[2:]]
+                if parts[0] != "domain" or not "".join(parts[1:]).isdigit():
+                    raise ValueError(f"line {lineno}: expected 'domain d n_1 ... n_d'")
+                d, *sizes = map(int, parts[1:])
                 if len(sizes) != d:
                     raise ValueError(f"line {lineno}: expected {d} axis sizes")
                 domain = ProductDomain.of_sizes(*sizes)
@@ -467,4 +466,6 @@ def load_family(path) -> ExplicitFamily:
             members.append([c == "1" for c in line])
     if domain is None:
         raise ValueError("missing 'domain' header")
+    if not members:
+        raise ValueError("no members after the 'domain' header")
     return ExplicitFamily(domain, np.array(members, dtype=bool))

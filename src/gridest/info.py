@@ -16,10 +16,12 @@ PMF_ATOL = 1e-12
 
 
 def as_pmf(p) -> np.ndarray:
-    """Validate a probability vector: nonnegative, sums to 1 within 1e-12."""
+    """Validate a probability vector: finite, nonnegative, sums to 1 within 1e-12."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 1:
         raise ValueError("pmf must be one-dimensional")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("pmf has non-finite entries")
     if np.any(p < 0):
         raise ValueError("pmf has negative entries")
     if abs(p.sum() - 1.0) > PMF_ATOL:

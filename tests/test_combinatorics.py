@@ -24,12 +24,15 @@ from gridest.combinatorics import (
 )
 from gridest.domain import CapExceededError, Grid, ProductDomain, enumerate_axis_lines
 from gridest.families import (
+    AxisBoxes,
     ExplicitFamily,
     IntervalsOnAxis,
+    OracleFamily,
     PermutationGraphs,
     PowerSetFamily,
     UnionsOfPermutations,
     symdiff_family,
+    trace_of,
 )
 
 
@@ -145,6 +148,23 @@ class TestCountTraces:
         fam = PermutationGraphs(2)
         empty = Grid(d, [np.array([], dtype=np.int64), np.array([0])])
         assert count_traces(fam, empty) == 1
+
+    def test_empty_grid_single_box_trace(self):
+        d = ProductDomain.of_sizes(3, 3)
+        empty = Grid(d, [np.array([], dtype=np.int64), np.array([0])])
+        assert count_traces(AxisBoxes(d), empty) == 1
+
+    def test_trace_enumerator_yields_trace_bytes(self):
+        d = ProductDomain.of_sizes(3, 3)
+        boxes = AxisBoxes(d)
+        grid = Grid(d, [np.array([0, 2]), np.array([1])])
+        fam = OracleFamily(
+            d, membership=lambda key, pts: pts[:, 0] == key,
+            trace_enumerator=lambda g: (
+                trace_of(row, g) for row in boxes.members_matrix()
+            ),
+        )
+        assert count_traces(fam, grid) == count_traces(boxes, grid) == 4
 
     def test_six_permutations_all_distinct(self):
         fam = PermutationGraphs(3)

@@ -62,6 +62,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             JointTable(d, [0.5, 0.5, 0.5, 0.5])
 
+    @pytest.mark.parametrize("build", [
+        lambda p: ProductDistribution(ProductDomain.of_sizes(2), [p]),
+        lambda p: MixtureDistribution(p, [uniform_product(2)] * 2),
+        lambda p: JointTable(ProductDomain.of_sizes(2), p),
+    ], ids=["product", "mixture", "joint"])
+    @pytest.mark.parametrize("probs", [
+        [np.nan, np.nan], [np.nan, 1.0], [np.inf, -np.inf],
+    ], ids=["all-nan", "one-nan", "inf"])
+    def test_non_finite_probabilities_rejected(self, build, probs):
+        with pytest.raises(ValueError, match="non-finite"):
+            build(probs)
+
 
 class TestSampling:
     def test_point_mass_yields_the_atom(self):

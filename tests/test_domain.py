@@ -9,10 +9,10 @@ from gridest.domain import (
     AxisLine,
     Grid,
     ProductDomain,
-    Trace,
     build_grid,
     enumerate_axis_lines,
     grid_from_counts,
+    row_keys,
 )
 from gridest.families import trace_of
 
@@ -161,16 +161,37 @@ class TestAxisLines:
         assert covered == {tuple(c) for c in grid.cells()}
 
 
+class TestRowKeys:
+    @given(st.integers(0, 20), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_keys_sort_and_compare_like_rows(self, width, seed, fortran):
+        rng = np.random.default_rng(seed)
+        bits = rng.random((30, width)) < 0.5
+        bits[:10] = bits[rng.integers(0, 30, size=10)]  # repeated rows
+        if fortran:
+            bits = np.asfortranarray(bits)
+        keys = row_keys(bits)
+        assert keys.shape == (30,)
+        want = np.lexsort(bits.T[::-1]) if width else np.arange(30)
+        assert np.array_equal(np.argsort(keys, kind="stable"), want)
+        same_row = (bits[:, None, :] == bits[None, :, :]).all(axis=2)
+        assert np.array_equal(keys[:, None] == keys[None, :], same_row)
+
+
+def unpack(trace: bytes, length: int) -> np.ndarray:
+    return np.unpackbits(np.frombuffer(trace, dtype=np.uint8), count=length).astype(bool)
+
+
 class TestTrace:
     def test_empty_set_all_zero(self):
         d = ProductDomain.of_sizes(2, 2)
         t = trace_of(np.zeros(4, dtype=bool), d.full_grid())
-        assert not t.to_array().any()
+        assert not unpack(t, 4).any()
 
     def test_full_domain_all_one(self):
         d = ProductDomain.of_sizes(2, 2)
         t = trace_of(np.ones(4, dtype=bool), d.full_grid())
-        assert t.length == 4 and t.to_array().all()
+        assert len(t) == 1 and unpack(t, 4).all()
 
     def test_diagonal_on_inner_grid(self):
         # F = {(1,1),(2,2)} traced on the grid {1,2} x {1,2}: pattern 1001
@@ -178,17 +199,18 @@ class TestTrace:
         bits = np.zeros(9, dtype=bool)
         bits[d.flat_index(np.array([[1, 1], [2, 2]]))] = True
         grid = Grid(d, [np.array([1, 2]), np.array([1, 2])])
-        assert trace_of(bits, grid).to_array().tolist() == [True, False, False, True]
+        assert unpack(trace_of(bits, grid), 4).tolist() == [True, False, False, True]
 
     def test_predicate_events_accepted(self):
         d = ProductDomain.of_sizes(3, 3)
         t = trace_of(lambda pts: pts[:, 0] == pts[:, 1], d.full_grid())
-        assert int(t.to_array().sum()) == 3
+        assert int(unpack(t, 9).sum()) == 3
 
     def test_equality_is_bitwise(self):
-        a = Trace.from_bool_array(np.array([1, 0, 1], dtype=bool))
-        b = Trace.from_bool_array(np.array([1, 0, 1], dtype=bool))
-        c = Trace.from_bool_array(np.array([1, 0, 0], dtype=bool))
+        grid = ProductDomain.of_sizes(3).full_grid()
+        a = trace_of(np.array([1, 0, 1], dtype=bool), grid)
+        b = trace_of(lambda pts: pts[:, 0] != 1, grid)
+        c = trace_of(np.array([1, 0, 0], dtype=bool), grid)
         assert a == b and hash(a) == hash(b) and a != c
 
     def test_equal_traces_stay_equal_on_subgrids(self):
@@ -212,13 +234,13 @@ class TestTrace:
         d = ProductDomain.of_sizes(*sizes)
         grid = build_grid(rng.integers(0, sizes, size=(m0, 2)), d)
         members = rng.random((12, d.n_points)) < 0.5
-        packed = grid.pack_traces(members)
-        by_mask = np.packbits(members[:, grid.point_mask()], axis=1)
-        assert np.array_equal(packed, by_mask)
-        for row, got in zip(members, packed):
+        keys = grid.pack_traces(members)
+        by_mask = row_keys(members[:, grid.point_mask()])
+        assert keys.dtype == by_mask.dtype and np.all(keys == by_mask)
+        for row, got in zip(members, keys):
             # the predicate branch of trace_of reads the cells, not the columns
             want = trace_of(lambda pts, row=row: row[d.flat_index(pts)], grid)
-            assert got.tobytes() == want.bits
+            assert got.tobytes() == want
 
     def test_empty_grid_trace_rejected(self):
         d = ProductDomain.of_sizes(2, 2)

@@ -801,6 +801,27 @@ class TestGridHitting:
                 assert gap <= eps / 2 + 1e-12
 
 
+class TestZeroCellGrid:
+    """A grid with an empty axis: every member has the one empty trace."""
+
+    domain = ProductDomain.of_sizes(3, 3)
+    grid = Grid(domain, [np.array([], dtype=np.int64), np.array([0])])
+    family = AxisBoxes(domain)
+
+    def test_hitting_weighs_every_pair(self):
+        pairs = check_grid_hitting(self.family, self.grid, uniform_product(3), 0.3)
+        assert len(pairs) == 509
+
+    def test_from_counts_has_one_class(self):
+        counts = np.full((3, 3), 2)
+        est = ProductGridEstimator.from_counts(
+            self.grid, counts, self.family, identity_plan(split=(1, 18))
+        )
+        assert est.class_count == 1
+        # the representative of the one class is the smallest member: empty
+        assert np.all(est.estimate_many(self.family.members_matrix()) == 0.0)
+
+
 def _brute_force_missed_pairs(members, probs, grid_mask, eps, tol=1e-12):
     """Pairs surely missed (P >= eps + tol) and possibly missed (P >= eps - tol)."""
     sure, maybe = set(), set()

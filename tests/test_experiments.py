@@ -358,6 +358,13 @@ class TestCli:
             assert cli_main([command, "--config", str(config)]) == 2
             assert f"error: config field {match}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario", [
+        name for name, entry in SCENARIOS.items() if entry.default_trials == 1
+    ])
+    def test_single_pass_scenario_rejects_trials(self, scenario, capsys):
+        assert cli_main(["run", scenario, "--trials", "50"]) == 2
+        assert "trials must be 1, got 50" in capsys.readouterr().err
+
     def test_config_must_be_an_object(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(["modulus-tc"]))

@@ -1,6 +1,7 @@
 """Set-family representations, built-ins, restrictions, and the text format."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -260,6 +261,17 @@ class TestTextFormat:
         path = tmp_path / "family.txt"
         path.write_text("domain 1 3\n1x0\n")
         with pytest.raises(ValueError, match="0/1"):
+            load_family(path)
+
+    @pytest.mark.parametrize("text, match", [
+        ("domain\n", "line 1: expected 'domain d n_1 ... n_d'"),
+        ("domain 2 2 x\n1001\n", "line 1: expected 'domain d n_1 ... n_d'"),
+        ("domain 2 2 2\n", "no members"),
+    ], ids=["no-sizes", "bad-size", "no-members"])
+    def test_truncated_file_rejected(self, tmp_path, text, match):
+        path = tmp_path / "family.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(match)):
             load_family(path)
 
     def test_missing_header_rejected(self, tmp_path):
