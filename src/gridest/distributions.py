@@ -74,6 +74,7 @@ class MixtureDistribution:
         self.domain = domain
         self.weights = weights
         self.components = tuple(components)
+        self._table: JointTable | None = None
 
     @property
     def k(self) -> int:
@@ -86,10 +87,13 @@ class MixtureDistribution:
         return out
 
     def table(self) -> "JointTable":
-        probs = np.zeros(self.domain.n_points)
-        for w, comp in zip(self.weights, self.components):
-            probs += w * comp.table().probs
-        return JointTable(self.domain, probs)
+        """The joint table, computed on the first call and kept."""
+        if self._table is None:
+            probs = np.zeros(self.domain.n_points)
+            for w, comp in zip(self.weights, self.components):
+                probs += w * comp.table().probs
+            self._table = JointTable(self.domain, probs)
+        return self._table
 
     def describe(self) -> str:
         return f"mixture(k={self.k}, {self.domain.describe()})"
@@ -204,15 +208,25 @@ def marginal_counts(dist: Distribution, m: int, seed) -> tuple[np.ndarray, ...]:
 
     Under a product distribution the axes of i.i.d. points are independent,
     so each axis is one multinomial over its marginal, drawn in axis order
-    from one generator; any other distribution gives the axis sums of
-    ``sample_counts``.  ``seed`` may be a ``numpy.random.Generator``, used as
-    is.
+    from one generator.  A mixture of products first draws how many points
+    each component gets; given those, each component is a product, so axis
+    ``i`` is the sum over components of one multinomial over the component's
+    marginal ``i``.  Neither needs the joint table.  A joint table gives the
+    axis sums of ``sample_counts``.  ``seed`` may be a
+    ``numpy.random.Generator``, used as is.
     """
     if m < 1:
         raise ValueError("need m >= 1")
     rng = np.random.default_rng(seed)
     if isinstance(dist, ProductDistribution):
         return tuple(rng.multinomial(m, p) for p in dist.marginals)
+    if isinstance(dist, MixtureDistribution):
+        sizes = rng.multinomial(m, dist.weights)
+        return tuple(
+            sum(rng.multinomial(size, comp.marginals[i])
+                for size, comp in zip(sizes, dist.components))
+            for i in range(dist.domain.width)
+        )
     counts = sample_counts(dist, m, rng)
     axes = range(counts.ndim)
     return tuple(counts.sum(axis=tuple(j for j in axes if j != i)) for i in axes)

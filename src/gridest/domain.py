@@ -246,24 +246,36 @@ def build_grid(sample: np.ndarray, domain: ProductDomain) -> Grid:
     return Grid(domain, tuple(np.unique(sample[:, i]) for i in range(domain.width)))
 
 
-def grid_from_counts(counts: np.ndarray, domain: ProductDomain) -> Grid:
-    """The grid of a sample given by its cell counts (see ``build_grid``).
+def check_marginal_counts(marginal_counts, domain: ProductDomain) -> tuple[list, int]:
+    """A sample's per-axis value counts, checked; returns them and their total m.
 
-    Axis ``i`` holds the values whose count, summed over the other axes, is
-    positive: the projection of the sample on that axis.
+    Needs one nonnegative integer vector per axis, of the axis's length, all
+    summing to the same m >= 1.
     """
-    counts = np.asarray(counts)
-    if counts.shape != domain.sizes:
+    counts = [np.asarray(c) for c in marginal_counts]
+    if len(counts) != domain.width or any(
+        c.shape != (n,) or c.dtype.kind not in "iu" or np.any(c < 0)
+        for c, n in zip(counts, domain.sizes)
+    ):
         raise ValueError(
-            f"count shape {counts.shape} != domain shape {domain.sizes}"
+            f"need one nonnegative integer count vector per axis of {domain.sizes}"
         )
-    if not counts.any():
+    m = int(counts[0].sum())
+    if m < 1:
         raise ValueError("empty sample")
-    axes = range(domain.width)
-    return Grid(domain, tuple(
-        np.flatnonzero(counts.sum(axis=tuple(j for j in axes if j != i)))
-        for i in axes
-    ))
+    if any(int(c.sum()) != m for c in counts[1:]):
+        raise ValueError("marginal counts disagree on the sample size")
+    return counts, m
+
+
+def grid_from_counts(marginal_counts, domain: ProductDomain) -> Grid:
+    """The grid of a sample given by its per-axis value counts (see ``build_grid``).
+
+    Axis ``i`` holds the values with a positive count on that axis: the
+    projection of the sample on it.
+    """
+    counts, _ = check_marginal_counts(marginal_counts, domain)
+    return Grid(domain, tuple(np.flatnonzero(c) for c in counts))
 
 
 def enumerate_axis_lines(space: ProductDomain | Grid, axis: int) -> list[AxisLine]:

@@ -25,6 +25,7 @@ from .domain import (
     NotEnumerableError,
     ProductDomain,
     build_grid,
+    check_marginal_counts,
     row_keys,
 )
 from .distributions import Distribution, Modulus, ProductDistribution
@@ -74,6 +75,8 @@ def phase1_size(plan: SamplingPlan) -> int:
         / beta_sq
         * (plan.lvc + math.log(1.0 / plan.delta))
     )
+    if not math.isfinite(value):
+        raise ValueError(f"phase-1 size is not finite: {value!r}")
     return math.ceil(value)
 
 
@@ -81,7 +84,10 @@ def phase2_size(epsilon: float, delta: float, class_count: int) -> int:
     """Estimation-phase size: ``(2/eps^2) ln(4 * class_count / delta)``."""
     if class_count < 1:
         raise ValueError("need at least one trace class")
-    return math.ceil(2.0 / epsilon**2 * math.log(4.0 * class_count / delta))
+    # math.log takes an int of any size, where the float 4 * count overflows
+    return math.ceil(
+        2.0 / epsilon**2 * (math.log(class_count) + math.log(4.0 / delta))
+    )
 
 
 def product_case_size(
@@ -209,19 +215,7 @@ class EmpiricalProductEstimator(_CellWeightEstimator):
         return estimator
 
     def _fit(self, marginal_counts, domain: ProductDomain) -> None:
-        counts = [np.asarray(c) for c in marginal_counts]
-        if len(counts) != domain.width or any(
-            c.shape != (n,) or c.dtype.kind not in "iu" or np.any(c < 0)
-            for c, n in zip(counts, domain.sizes)
-        ):
-            raise ValueError(
-                f"need one nonnegative integer count vector per axis of {domain.sizes}"
-            )
-        m = int(counts[0].sum())
-        if m < 1:
-            raise ValueError("empty sample")
-        if any(int(c.sum()) != m for c in counts[1:]):
-            raise ValueError("marginal counts disagree on the sample size")
+        counts, m = check_marginal_counts(marginal_counts, domain)
         _check_tabulable(domain)
         self.dist = ProductDistribution(domain, [c / m for c in counts])
         super().__init__(

@@ -175,8 +175,9 @@ def two_component_mixture(n: int) -> MixtureDistribution:
 
 
 # Trials draw only what their estimator reads: marginal counts for the
-# empirical product, the phase-1 grid and phase-2 cell counts for the product
-# grid, and points for the empirical mean (cheaper than counts at m << n^2).
+# empirical product, marginal counts for the product grid's phase-1 grid and
+# cell counts for its phase 2, and points for the empirical mean (cheaper than
+# counts at m << n^2).
 
 
 def _trial_empirical(
@@ -196,18 +197,19 @@ def _empirical_trial_fn(draw, build, dist: Distribution) -> functools.partial:
 
 
 def _trial_grid_hitting(
-    seed_seq, family: SetFamily, dist: JointTable, m0: int, level: float
+    seed_seq, family: SetFamily, dist: Distribution, m0: int, level: float
 ) -> float:
-    grid = grid_from_counts(sample_counts(dist, m0, seed_seq), dist.domain)
+    grid = grid_from_counts(marginal_counts(dist, m0, seed_seq), dist.domain)
     return float(len(check_grid_hitting(family, grid, dist, level)))
 
 
-def _trial_pge(seed_seq, n: int, plan: SamplingPlan, dist: JointTable) -> float:
+def _trial_pge(
+    seed_seq, family: PermutationGraphs, plan: SamplingPlan, dist: Distribution
+) -> float:
     m0, m1 = plan.split
     rng = np.random.default_rng(seed_seq)
-    phase1 = sample_counts(dist, m0, rng)
+    phase1 = marginal_counts(dist, m0, rng)
     phase2 = sample_counts(dist, m1, rng)
-    family = PermutationGraphs(n)
     try:
         est = ProductGridEstimator.from_counts(
             grid_from_counts(phase1, dist.domain), phase2, family, plan
@@ -539,12 +541,9 @@ def _run_grid_hitting(params, trials, seed, memo):
         modulus=Modulus.for_mixture(2, 2), c0=c0,
     )
     m0 = phase1_size(plan)
+    dist.table()  # kept by the mixture, so trials and worker processes reuse it
     fn = functools.partial(
-        _trial_grid_hitting,
-        family=family,
-        dist=dist.table(),
-        m0=m0,
-        level=eps / 2,
+        _trial_grid_hitting, family=family, dist=dist, m0=m0, level=eps / 2
     )
     counts = run_trials(fn, trials, trial_seed)
     fail_freq = float(np.mean(counts > 0))
@@ -578,8 +577,11 @@ def _run_pge_end_to_end(params, trials, seed, memo):
     )
     master = np.random.SeedSequence(seed)
     trial_seed, cross_seed = master.spawn(2)
+    dist.table()  # kept by the mixture, so trials and worker processes reuse it
     devs = run_trials(
-        functools.partial(_trial_pge, n=n, plan=plan, dist=dist.table()),
+        functools.partial(
+            _trial_pge, family=PermutationGraphs(n), plan=plan, dist=dist
+        ),
         trials,
         trial_seed,
     )
@@ -637,7 +639,7 @@ def _pge_cross_check(n: int, eps: float, delta: float, seed_seq) -> float:
             continue
         checked += 1
         dev_assign = sup_deviation(est, family, dist, method="assignment")
-        dev_enum = sup_deviation(est, family, dist, method="enumerate")
+        dev_enum = sup_deviation(est, explicit_family, dist, method="enumerate")
         worst = max(worst, abs(dev_assign - dev_enum))
         explicit = build_product_grid_estimator(s, explicit_family, plan)
         gaps = np.abs(est.estimate_many(members) - explicit.estimate_many(members))

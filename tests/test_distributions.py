@@ -182,6 +182,68 @@ def _exact_marginals(dist):
     return box_projection(dist).marginals
 
 
+def _small_mixture():
+    """Two products on a 2 x 3 domain, with different marginals on both axes."""
+    d = ProductDomain.of_sizes(2, 3)
+    return MixtureDistribution([0.3, 0.7], [
+        ProductDistribution(d, [[0.2, 0.8], [0.5, 0.3, 0.2]]),
+        ProductDistribution(d, [[0.6, 0.4], [0.1, 0.1, 0.8]]),
+    ])
+
+
+def _compositions(m, parts):
+    """Every tuple of ``parts`` nonnegative integers summing to ``m``."""
+    if parts == 1:
+        yield (m,)
+        return
+    for first in range(m + 1):
+        for rest in _compositions(m - first, parts - 1):
+            yield (first, *rest)
+
+
+def _multinomial_pmf(counts, probs):
+    value = float(math.factorial(sum(counts)))
+    for c, p in zip(counts, probs):
+        value *= p**c / math.factorial(c)
+    return value
+
+
+def _axis_law_from_cells(dist, m):
+    """P(row counts, column counts): the cell multinomial summed over tables."""
+    probs = dist.table().probs
+    law = {}
+    for cells in _compositions(m, probs.size):
+        table = np.reshape(cells, dist.domain.sizes)
+        key = (tuple(table.sum(axis=1).tolist()), tuple(table.sum(axis=0).tolist()))
+        law[key] = law.get(key, 0.0) + _multinomial_pmf(cells, probs)
+    return law
+
+
+def _axis_law_from_components(dist, m):
+    """The same law by the decomposition: component sizes, then per-axis sums
+    of one multinomial per component, the axes independent given the sizes."""
+    law = {}
+    for sizes in _compositions(m, dist.k):
+        p_sizes = _multinomial_pmf(sizes, dist.weights)
+        axis_laws = []
+        for i, n in enumerate(dist.domain.sizes):
+            axis_law = {(0,) * n: 1.0}
+            for size, comp in zip(sizes, dist.components):
+                summed = {}
+                for base, p_base in axis_law.items():
+                    for part in _compositions(size, n):
+                        key = tuple(a + b for a, b in zip(base, part))
+                        p = p_base * _multinomial_pmf(part, comp.marginals[i])
+                        summed[key] = summed.get(key, 0.0) + p
+                axis_law = summed
+            axis_laws.append(axis_law)
+        rows, cols = axis_laws
+        for r, p_r in rows.items():
+            for c, p_c in cols.items():
+                law[(r, c)] = law.get((r, c), 0.0) + p_sizes * p_r * p_c
+    return law
+
+
 # ramp_product and the mixture have equal marginals on both axes; the skewed
 # product tells the axes apart
 MARGINAL_CASES = [
@@ -203,7 +265,9 @@ class TestMarginalCounts:
             assert all(np.array_equal(a, b) for a, b in zip(counts, again))
 
     def test_mixture_counts_are_axis_sums_of_cell_counts(self):
-        dist = two_component_mixture(4)
+        # a joint table has no axis structure: its marginal counts are the
+        # axis sums of its cell counts, on the same random stream
+        dist = two_component_mixture(4).table()
         for seed in range(5):
             cells = sample_counts(dist, 37, seed=seed)
             rows, cols = marginal_counts(dist, 37, seed=seed)
@@ -222,6 +286,38 @@ class TestMarginalCounts:
     def test_m_must_be_positive(self):
         with pytest.raises(ValueError):
             marginal_counts(ramp_product(3), 0, seed=0)
+
+    def test_mixture_axis_law_equals_the_cell_law_exactly(self):
+        # the law of (row counts, column counts) by the component draw, and by
+        # summing the cell multinomial over every count table, agree to 1e-12
+        dist = _small_mixture()
+        for m in range(1, 5):
+            via_cells = _axis_law_from_cells(dist, m)
+            via_components = _axis_law_from_components(dist, m)
+            assert sum(via_cells.values()) == pytest.approx(1.0, abs=1e-12)
+            for key in via_cells.keys() | via_components.keys():
+                gap = abs(via_cells.get(key, 0.0) - via_components.get(key, 0.0))
+                assert gap <= 1e-12, key
+
+    def test_mixture_draws_follow_the_exact_axis_law(self):
+        # goodness of fit of the drawn (row, column) counts to the exact law,
+        # outcomes with fewer than 5 expected draws pooled into one
+        from scipy.stats import chisquare
+
+        dist, m, draws = _small_mixture(), 3, 4000
+        law = _axis_law_from_cells(dist, m)
+        rng = np.random.default_rng(2024)
+        seen = {}
+        for _ in range(draws):
+            key = tuple(tuple(c.tolist()) for c in marginal_counts(dist, m, rng))
+            seen[key] = seen.get(key, 0) + 1
+        assert set(seen) <= set(law)
+        big = [k for k, p in law.items() if p * draws >= 5]
+        observed = [seen.get(k, 0) for k in big]
+        expected = [law[k] * draws for k in big]
+        observed.append(draws - sum(observed))
+        expected.append(draws - sum(expected))
+        assert chisquare(observed, expected).pvalue > 1e-3
 
     @pytest.mark.parametrize("dist", MARGINAL_CASES, ids=MARGINAL_IDS)
     def test_first_moments_match_m_times_p(self, dist):

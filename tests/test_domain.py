@@ -86,7 +86,7 @@ class TestBuildGrid:
 
 class TestGridFromCounts:
     def _counts(self, pts, d):
-        return np.bincount(d.flat_index(pts), minlength=d.n_points).reshape(d.sizes)
+        return [np.bincount(pts[:, i], minlength=n) for i, n in enumerate(d.sizes)]
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 12))
     @settings(max_examples=60, deadline=None)
@@ -102,12 +102,15 @@ class TestGridFromCounts:
     def test_empty_counts_rejected(self):
         d = ProductDomain.of_sizes(2, 2)
         with pytest.raises(ValueError, match="empty sample"):
-            grid_from_counts(np.zeros((2, 2), dtype=int), d)
+            grid_from_counts([np.zeros(2, dtype=int)] * 2, d)
 
     def test_shape_must_match_domain(self):
         d = ProductDomain.of_sizes(2, 3)
-        with pytest.raises(ValueError, match="shape"):
-            grid_from_counts(np.ones((3, 2), dtype=int), d)
+        for counts in ([np.ones(3, dtype=int), np.ones(2, dtype=int)],
+                       [np.ones(2, dtype=int)],
+                       np.ones((2, 3), dtype=int)):
+            with pytest.raises(ValueError, match="count vector per axis"):
+                grid_from_counts(counts, d)
 
 
 class TestAxisLines:

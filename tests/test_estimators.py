@@ -105,6 +105,23 @@ class TestPlanners:
         assert phase2_size(0.1, 0.05, 1000) == 2258
         assert phase2_size(1 - 1e-12, 0.5, 1) == 5
 
+    def test_phase2_matches_the_direct_formula_where_it_is_finite(self):
+        # the sum of logs against the log of 4 * count / delta, on planner-like
+        # inputs up to 169!, the last factorial a float holds
+        counts = [1, 2, 5, 17, 1000, 10**6, 2**53 + 1]
+        counts += [math.factorial(n) for n in (3, 6, 10, 20, 30, 50, 100, 150, 169)]
+        for eps in np.linspace(0.01, 0.99, 45):
+            for delta in np.linspace(0.001, 0.999, 37):
+                for count in counts:
+                    direct = math.ceil(2.0 / eps**2 * math.log(4.0 * count / delta))
+                    assert phase2_size(eps, delta, count) == direct
+
+    def test_phase2_finite_beyond_float_range(self):
+        # 4 * 200! overflows a float; the size is (2/eps^2)(ln 200! + ln(4/delta))
+        size = phase2_size(0.2, 0.1, math.factorial(200))
+        expect = 50.0 * (math.lgamma(201) + math.log(40.0))
+        assert size == math.ceil(expect)
+
     def test_phase2_monotone_in_class_count(self):
         values = [phase2_size(0.1, 0.1, c) for c in (1, 10, 100, 10_000)]
         assert values == sorted(values)
@@ -373,6 +390,12 @@ def cell_counts(points, domain):
     return counts
 
 
+def axis_counts(points, domain):
+    """Per-axis value counts of a point sample, one vector per axis."""
+    return [np.bincount(np.asarray(points)[:, i], minlength=n)
+            for i, n in enumerate(domain.sizes)]
+
+
 class TestCountCore:
     """The point builder is an adapter onto ``ProductGridEstimator.from_counts``."""
 
@@ -388,7 +411,7 @@ class TestCountCore:
         s = sample(dist, m0 + 50, seed=m0)
         plan = identity_plan(split=(m0, 50))
         via_points = build_product_grid_estimator(s, family, plan)
-        grid = grid_from_counts(cell_counts(s[:m0], dist.domain), dist.domain)
+        grid = grid_from_counts(axis_counts(s[:m0], dist.domain), dist.domain)
         via_counts = ProductGridEstimator.from_counts(
             grid, cell_counts(s[m0:], dist.domain), family, plan
         )

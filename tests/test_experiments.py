@@ -58,13 +58,34 @@ class TestDeterminism:
         assert serial.report.deviations == parallel.report.deviations
 
     def test_worker_count_does_not_change_count_based_trials(self, monkeypatch):
-        config = tiny("pge-end-to-end", trials=6,
-                      params={"n": 5, "c0": 0.01, "cross_n": 3})
-        monkeypatch.setenv("GRIDEST_WORKERS", "1")
-        serial = run_scenario(config)
-        monkeypatch.setenv("GRIDEST_WORKERS", "2")
-        parallel = run_scenario(config)
-        assert serial.report.deviations == parallel.report.deviations
+        # the trial values, as run_trials returns them in this process
+        values = []
+        original = experiments.run_trials
+
+        def recorded(trial_fn, trials, seed_seq):
+            values.append(original(trial_fn, trials, seed_seq).tolist())
+            return np.asarray(values[-1])
+
+        monkeypatch.setattr(experiments, "run_trials", recorded)
+        for config in (
+            tiny("pge-end-to-end", trials=6,
+                 params={"n": 5, "c0": 0.01, "cross_n": 3}),
+            # two-point phase-1 grids on [8]^2: the miss counts vary from
+            # trial to trial, and every trial pickles the mixture with its
+            # kept table
+            tiny("grid-hitting", trials=8,
+                 params={"n": 8, "base_perms": 6, "c0": 4e-5}),
+        ):
+            values.clear()
+            monkeypatch.setenv("GRIDEST_WORKERS", "1")
+            serial = run_scenario(config)
+            monkeypatch.setenv("GRIDEST_WORKERS", "2")
+            parallel = run_scenario(config)
+            assert len(values) == 2 and values[0] == values[1], config.scenario
+            assert len(set(values[0])) > 1
+            assert serial.metrics == parallel.metrics
+            if serial.report is not None:
+                assert serial.report.deviations == parallel.report.deviations
 
     def test_bad_worker_count_rejected(self, monkeypatch):
         monkeypatch.setenv("GRIDEST_WORKERS", "many")
@@ -138,13 +159,15 @@ class TestCountTrials:
 
     def test_partial_phase1_grid_counts_as_failure(self):
         # one phase-1 point cannot cover [30]^2: the trial is a failure, 1.0
-        dist = two_component_mixture(30).table()
+        dist = two_component_mixture(30)
         seed = np.random.SeedSequence(5)
-        assert _trial_pge(seed, 30, self._plan(1, 100), dist) == 1.0
+        family = PermutationGraphs(30)
+        assert _trial_pge(seed, family, self._plan(1, 100), dist) == 1.0
 
     def test_full_phase1_grid_gives_a_deviation(self):
-        dist = two_component_mixture(4).table()
-        value = _trial_pge(np.random.SeedSequence(5), 4, self._plan(2000, 500), dist)
+        dist = two_component_mixture(4)
+        value = _trial_pge(np.random.SeedSequence(5), PermutationGraphs(4),
+                           self._plan(2000, 500), dist)
         assert 0.0 <= value < 1.0
 
 
@@ -364,6 +387,26 @@ class TestCli:
     def test_single_pass_scenario_rejects_trials(self, scenario, capsys):
         assert cli_main(["run", scenario, "--trials", "50"]) == 2
         assert "trials must be 1, got 50" in capsys.readouterr().err
+
+    def test_infinite_calibration_constant_exits_2(self, capsys):
+        assert cli_main(["calibrate", "grid-hitting", "--grid", "inf"]) == 2
+        assert "phase-1 size is not finite" in capsys.readouterr().err
+
+    def test_overflowing_phase1_constant_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scenario": "grid-hitting",
+                                      "params": {"c0": 1e308}}))
+        assert cli_main(["run", "--config", str(config)]) == 2
+        assert "phase-1 size is not finite" in capsys.readouterr().err
+
+    def test_untabulable_end_to_end_domain_exits_2(self, tmp_path, capsys):
+        # phase 2 is planned for 2000! classes; the 2000 x 2000 table is over
+        # the cell cap
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scenario": "pge-end-to-end",
+                                      "params": {"n": 2000}}))
+        assert cli_main(["run", "--config", str(config)]) == 2
+        assert "too large to tabulate" in capsys.readouterr().err
 
     def test_config_must_be_an_object(self, tmp_path, capsys):
         config = tmp_path / "config.json"
