@@ -496,22 +496,35 @@ def _load_vector(raw, where: str) -> np.ndarray:
     return p
 
 
+def _field(data: dict, name: str):
+    if name not in data:
+        raise ValueError(f"{data['kind']} distribution: missing field {name!r}")
+    return data[name]
+
+
 def distribution_from_dict(data: dict) -> Distribution:
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"distribution must be a JSON object with a 'kind' field, "
+            f"not {type(data).__name__}"
+        )
     kind = data.get("kind")
     if kind == "product":
-        axes = [_load_vector(v, f"axis {i}") for i, v in enumerate(data["axes"])]
+        axes = [
+            _load_vector(v, f"axis {i}") for i, v in enumerate(_field(data, "axes"))
+        ]
         domain = ProductDomain.of_sizes(*(len(v) for v in axes))
         return ProductDistribution(domain, axes)
     if kind == "mixture":
-        weights = _load_vector(data["weights"], "weights")
+        weights = _load_vector(_field(data, "weights"), "weights")
         components = [
             distribution_from_dict({"kind": "product", "axes": c})
-            for c in data["components"]
+            for c in _field(data, "components")
         ]
         return MixtureDistribution(weights, components)
     if kind == "joint":
-        sizes = [int(n) for n in data["sizes"]]
-        table = _load_vector(data["table"], "table")
+        sizes = [int(n) for n in _field(data, "sizes")]
+        table = _load_vector(_field(data, "table"), "table")
         return JointTable(ProductDomain.of_sizes(*sizes), table)
     raise ValueError(f"unknown distribution kind {kind!r}")
 

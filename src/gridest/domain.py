@@ -73,6 +73,7 @@ class ProductDomain:
         for i in range(self.width - 2, -1, -1):
             strides[i] = strides[i + 1] * self.sizes[i + 1]
         self._strides = np.array(strides, dtype=np.int64)
+        self._full_grid: Grid | None = None
 
     @classmethod
     def of_sizes(cls, *sizes: int) -> "ProductDomain":
@@ -129,8 +130,10 @@ class ProductDomain:
         )
 
     def full_grid(self) -> "Grid":
-        """The grid consisting of every point of the domain."""
-        return Grid(self, tuple(np.arange(n) for n in self.sizes))
+        """The grid consisting of every point of the domain, built once and kept."""
+        if self._full_grid is None:
+            self._full_grid = Grid(self, tuple(np.arange(n) for n in self.sizes))
+        return self._full_grid
 
 
 @dataclass(frozen=True)
@@ -179,7 +182,12 @@ class Grid:
             raise ValueError("grid axis count != domain width")
         clean = []
         for i, vals in enumerate(axes):
-            vals = np.unique(np.asarray(vals, dtype=np.int64))
+            vals = np.asarray(vals, dtype=np.int64).ravel()
+            # a strictly increasing axis is already sorted and duplicate-free
+            if vals.size > 1 and not (vals[1:] > vals[:-1]).all():
+                vals = np.unique(vals)
+            else:
+                vals = vals.copy()
             if vals.size and (vals[0] < 0 or vals[-1] >= domain.sizes[i]):
                 raise ValueError(f"grid axis {i} values outside alphabet")
             vals.flags.writeable = False
@@ -246,35 +254,49 @@ def build_grid(sample: np.ndarray, domain: ProductDomain) -> Grid:
     return Grid(domain, tuple(np.unique(sample[:, i]) for i in range(domain.width)))
 
 
-def check_marginal_counts(marginal_counts, domain: ProductDomain) -> tuple[list, int]:
-    """A sample's per-axis value counts, checked; returns them and their total m.
+def check_marginal_counts(
+    marginal_counts, domain: ProductDomain
+) -> tuple[list, int, bool]:
+    """A sample's per-axis value counts, checked.
 
     Needs one nonnegative integer vector per axis, of the axis's length, all
-    summing to the same m >= 1.
+    summing to the same m >= 1.  Returns the vectors, m, and whether every
+    count is positive (the sample's grid is the full one).
     """
     counts = [np.asarray(c) for c in marginal_counts]
     if len(counts) != domain.width or any(
-        c.shape != (n,) or c.dtype.kind not in "iu" or np.any(c < 0)
+        c.shape != (n,) or c.dtype.kind not in "iu"
         for c, n in zip(counts, domain.sizes)
     ):
         raise ValueError(
             f"need one nonnegative integer count vector per axis of {domain.sizes}"
         )
-    m = int(counts[0].sum())
+    # all axes in one vector; a uint64 count past the int64 range turns negative
+    flat = np.concatenate(counts, dtype=np.int64, casting="same_kind")
+    smallest = flat.min()
+    if smallest < 0:
+        raise ValueError(
+            f"need one nonnegative integer count vector per axis of {domain.sizes}"
+        )
+    starts = list(itertools.accumulate(domain.sizes[:-1], initial=0))
+    m, *others = np.add.reduceat(flat, starts).tolist()
     if m < 1:
         raise ValueError("empty sample")
-    if any(int(c.sum()) != m for c in counts[1:]):
+    if any(total != m for total in others):
         raise ValueError("marginal counts disagree on the sample size")
-    return counts, m
+    return counts, m, bool(smallest > 0)
 
 
 def grid_from_counts(marginal_counts, domain: ProductDomain) -> Grid:
     """The grid of a sample given by its per-axis value counts (see ``build_grid``).
 
     Axis ``i`` holds the values with a positive count on that axis: the
-    projection of the sample on it.
+    projection of the sample on it.  A sample that sees every value of every
+    axis gets the domain's kept full grid.
     """
-    counts, _ = check_marginal_counts(marginal_counts, domain)
+    counts, _, full = check_marginal_counts(marginal_counts, domain)
+    if full:
+        return domain.full_grid()
     return Grid(domain, tuple(np.flatnonzero(c) for c in counts))
 
 

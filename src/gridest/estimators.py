@@ -215,7 +215,7 @@ class EmpiricalProductEstimator(_CellWeightEstimator):
         return estimator
 
     def _fit(self, marginal_counts, domain: ProductDomain) -> None:
-        counts, m = check_marginal_counts(marginal_counts, domain)
+        counts, m, _ = check_marginal_counts(marginal_counts, domain)
         _check_tabulable(domain)
         self.dist = ProductDistribution(domain, [c / m for c in counts])
         super().__init__(
@@ -368,7 +368,13 @@ class ProductGridEstimator(_CellWeightEstimator):
         """The rows, checked to be permutation graphs: the traces the family has."""
         n = self.domain.sizes[0]
         graphs = members.reshape(-1, n, n)
-        if not (np.all(graphs.sum(axis=1) == 1) and np.all(graphs.sum(axis=2) == 1)):
+        # a graph that meets every row has at least n ones, so k graphs with
+        # k n ones in all, meeting every row and column, have one in each
+        if not (
+            np.count_nonzero(members) == graphs.shape[0] * n
+            and graphs.any(axis=1).all()
+            and graphs.any(axis=2).all()
+        ):
             raise ValueError("trace not represented")
         return members
 
@@ -463,9 +469,19 @@ def sup_deviation(
         if weights is None:
             raise ValueError("method inapplicable: estimator has no cell weights")
         diff = weights - ExactEstimator(dist).cell_weights()
-        upper = max_assignment_value(diff)
-        lower = max_assignment_value(-diff)
-        return max(upper, lower)
+        sides = [diff, -diff]
+        # by assignment LP duality a side's value is at most the sum of its
+        # row maxima, and of its column maxima: solve the side with the larger
+        # bound first, and the other only if its bound lets it win (1e-12
+        # covers the rounding of the bound's and the matching's sums)
+        bounds = [min(w.max(axis=1).sum(), w.max(axis=0).sum()) for w in sides]
+        first = int(bounds[1] > bounds[0])
+        values = [None, None]
+        values[first] = max_assignment_value(sides[first])
+        if bounds[1 - first] < values[first] - 1e-12:
+            return values[first]
+        values[1 - first] = max_assignment_value(sides[1 - first])
+        return max(values[0], values[1])
     if method == "enumerate":
         members = family.members_matrix()
         truth = ExactEstimator(dist).estimate_many(members)

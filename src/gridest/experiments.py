@@ -16,7 +16,6 @@ import functools
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -98,6 +97,9 @@ def run_trials(trial_fn, trials: int, seed_seq: np.random.SeedSequence) -> np.nd
     children = seed_seq.spawn(trials)
     workers = worker_count(trials)
     if workers > 1:
+        # imported here: a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, trials // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             values = list(pool.map(trial_fn, children, chunksize=chunk))

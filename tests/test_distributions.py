@@ -651,3 +651,21 @@ class TestJsonFormat:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             distribution_from_dict({"kind": "copula"})
+
+    def test_document_must_be_an_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[0.5, 0.5]\n")
+        with pytest.raises(ValueError, match="JSON object with a 'kind' field"):
+            load_distribution(path)
+
+    @pytest.mark.parametrize("data, field", [
+        ({"kind": "product"}, "axes"),
+        ({"kind": "mixture", "components": [[[1.0]]]}, "weights"),
+        ({"kind": "mixture", "weights": [1.0]}, "components"),
+        ({"kind": "joint", "table": [1.0]}, "sizes"),
+        ({"kind": "joint", "sizes": [1]}, "table"),
+    ])
+    def test_missing_field_is_named(self, data, field):
+        with pytest.raises(ValueError, match=f"{data['kind']} distribution: "
+                                             f"missing field '{field}'"):
+            distribution_from_dict(data)

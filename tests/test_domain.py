@@ -10,6 +10,7 @@ from gridest.domain import (
     Grid,
     ProductDomain,
     build_grid,
+    check_marginal_counts,
     enumerate_axis_lines,
     grid_from_counts,
     row_keys,
@@ -104,6 +105,18 @@ class TestGridFromCounts:
         with pytest.raises(ValueError, match="empty sample"):
             grid_from_counts([np.zeros(2, dtype=int)] * 2, d)
 
+    def test_mixed_integer_dtypes_are_counted_exactly(self):
+        d = ProductDomain.of_sizes(2, 3)
+        counts = [np.array([1, 2], dtype=np.uint64), np.array([0, 3, 0], dtype=np.int8)]
+        assert check_marginal_counts(counts, d)[1:] == (3, False)
+        assert check_marginal_counts(
+            [np.array([2, 2**62], dtype=np.uint64), np.array([1, 1, 2**62])], d
+        )[1:] == (2**62 + 2, True)
+        with pytest.raises(ValueError, match="count vector per axis"):
+            check_marginal_counts(
+                [np.array([1, 2**63], dtype=np.uint64), np.array([1, 1, 2**63 - 1])], d
+            )
+
     def test_shape_must_match_domain(self):
         d = ProductDomain.of_sizes(2, 3)
         for counts in ([np.ones(3, dtype=int), np.ones(2, dtype=int)],
@@ -111,6 +124,65 @@ class TestGridFromCounts:
                        np.ones((2, 3), dtype=int)):
             with pytest.raises(ValueError, match="count vector per axis"):
                 grid_from_counts(counts, d)
+
+
+class TestGridAxes:
+    def test_sorted_input_is_copied_not_aliased_or_frozen(self):
+        d = ProductDomain.of_sizes(4, 4)
+        rows, cols = np.array([0, 2, 3]), np.arange(4)
+        g = Grid(d, (rows, cols))
+        for given_axis, kept in zip((rows, cols), g.axes):
+            assert not np.shares_memory(given_axis, kept)
+            assert given_axis.flags.writeable and not kept.flags.writeable
+        rows[0] = 1
+        assert g.axes[0].tolist() == [0, 2, 3]
+
+    def test_read_only_input_view_is_copied(self):
+        full = ProductDomain.of_sizes(5, 5).full_grid()
+        g = Grid(full.domain, tuple(axis[:1] for axis in full.axes))
+        assert g.sizes == (1, 1)
+        assert not np.shares_memory(g.axes[0], full.axes[0])
+
+    @given(st.lists(st.integers(0, 5), max_size=8), st.lists(st.integers(0, 2), max_size=5))
+    @settings(max_examples=80, deadline=None)
+    def test_unsorted_and_duplicated_axes_come_out_canonical(self, rows, cols):
+        g = Grid(ProductDomain.of_sizes(6, 3), (rows, cols))
+        assert g.axes[0].tolist() == sorted(set(rows))
+        assert g.axes[1].tolist() == sorted(set(cols))
+        assert all(axis.dtype == np.int64 for axis in g.axes)
+
+    @pytest.mark.parametrize("axis", [[0, 4], [-1, 0], [4, 0], [0, 0, 4], [-1]])
+    def test_out_of_range_values_raise(self, axis):
+        with pytest.raises(ValueError, match="grid axis 0 values outside alphabet"):
+            Grid(ProductDomain.of_sizes(4, 4), (np.array(axis), [0]))
+
+
+class TestFullGrid:
+    def test_built_once_per_domain(self):
+        d = ProductDomain.of_sizes(3, 4)
+        assert d.full_grid() is d.full_grid()
+        assert d.full_grid().is_full and d.full_grid().cell_count == 12
+        # an equal domain is another object and keeps its own grid
+        assert ProductDomain.of_sizes(3, 4).full_grid() is not d.full_grid()
+
+    def test_all_positive_counts_give_the_kept_grid(self):
+        d = ProductDomain.of_sizes(3, 4)
+        pts = np.array([[0, 0], [1, 1], [2, 2], [2, 3], [0, 3]])
+        counts = [np.bincount(pts[:, i], minlength=n) for i, n in enumerate(d.sizes)]
+        got = grid_from_counts(counts, d)
+        assert got is d.full_grid()
+        want = build_grid(pts, d)
+        assert all(np.array_equal(a, b) for a, b in zip(got.axes, want.axes))
+        assert np.array_equal(got.cells(), want.cells())
+        assert np.array_equal(got.flat_domain_indices(), np.arange(12))
+
+    def test_partial_counts_give_a_new_grid_of_the_seen_values(self):
+        d = ProductDomain.of_sizes(3, 4)
+        counts = [np.array([2, 0, 1]), np.array([1, 1, 0, 1])]
+        got = grid_from_counts(counts, d)
+        assert got is not d.full_grid() and not got.is_full
+        assert [axis.tolist() for axis in got.axes] == [[0, 2], [0, 1, 3]]
+        assert grid_from_counts(counts, d) is not got
 
 
 class TestAxisLines:

@@ -25,6 +25,7 @@ from gridest.domain import (
     build_grid,
     grid_from_counts,
 )
+from gridest import estimators
 from gridest.estimators import (
     DeviationReport,
     EmpiricalMeanEstimator,
@@ -35,11 +36,13 @@ from gridest.estimators import (
     build_product_grid_estimator,
     check_grid_hitting,
     empirical_mean,
+    max_assignment_value,
     phase1_size,
     phase2_size,
     product_case_size,
     sup_deviation,
 )
+from gridest.experiments import ramp_product, two_component_mixture
 from gridest.families import (
     AxisBoxes,
     ExplicitFamily,
@@ -227,6 +230,7 @@ class TestEmpiricalProduct:
         ([[1, 2, 0]], "count vector per axis"),
         ([[1, 2, 0], [3, 0]], "count vector per axis"),
         ([[1, -1, 3], [1, 1, 1]], "count vector per axis"),
+        ([[1, 2, 0], [3, 0, -1]], "count vector per axis"),
         ([[1.0, 2.0, 0.0], [3, 0, 0]], "count vector per axis"),
         ([[0, 0, 0], [0, 0, 0]], "empty sample"),
         ([[1, 2, 0], [3, 1, 0]], "disagree"),
@@ -778,6 +782,180 @@ class TestSupDeviation:
         est = ExactEstimator(dist)
         with pytest.raises(ValueError, match="method inapplicable"):
             sup_deviation(est, small_interval_family(), dist, "assignment")
+
+
+def _two_solve_deviation(est, dist):
+    """The assignment sup-deviation with both signed sides solved."""
+    diff = est.cell_weights() - ExactEstimator(dist).cell_weights()
+    return max(max_assignment_value(diff), max_assignment_value(-diff))
+
+
+def _same_float(a, b):
+    """Equal as float64 bits: ``==`` and the same sign on a zero."""
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Counts the assignment solves ``sup_deviation`` makes."""
+    calls = []
+
+    def counting(weights):
+        calls.append(weights.shape)
+        return max_assignment_value(weights)
+
+    monkeypatch.setattr(estimators, "max_assignment_value", counting)
+    return calls
+
+
+class TestBoundFirstAssignment:
+    """Solving the side that a bound says can win equals solving both sides."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_two_solve_value(self, seed, n, as_counts):
+        rng = np.random.default_rng(seed)
+        dist = JointTable(ProductDomain.of_sizes(n, n), rng.dirichlet(np.ones(n * n)))
+        if as_counts:
+            # counts / m, as phase-2 means are: many ties between cells
+            m = int(rng.integers(1, 3 * n * n))
+            weights = rng.multinomial(m, np.full(n * n, 1.0 / (n * n))) / m
+        else:
+            weights = rng.dirichlet(np.ones(n * n))
+        est = _CellWeightStub(weights.reshape(n, n), dist.domain)
+        got = sup_deviation(est, PermutationGraphs(n), dist, "assignment")
+        assert _same_float(got, _two_solve_deviation(est, dist))
+
+    def test_zero_difference_solves_both_sides(self, solves):
+        dist = uniform_product(4)
+        est = ExactEstimator(dist)
+        got = sup_deviation(est, PermutationGraphs(4), dist, "assignment")
+        assert len(solves) == 2
+        assert got == 0.0 and _same_float(got, _two_solve_deviation(est, dist))
+
+    def test_equal_sides_solve_both(self, solves):
+        # diff is +-1/8 on a checkerboard: both sides are worth 4/8
+        dist = uniform_product(4)
+        board = np.indices((4, 4)).sum(axis=0) % 2
+        est = _CellWeightStub(1 / 16 + (1 - 2 * board) / 8, dist.domain)
+        diff = est.cell_weights() - ExactEstimator(dist).cell_weights()
+        assert max_assignment_value(diff) == max_assignment_value(-diff) == 0.5
+        solves.clear()
+        got = sup_deviation(est, PermutationGraphs(4), dist, "assignment")
+        assert len(solves) == 2 and got == 0.5
+        assert _same_float(got, _two_solve_deviation(est, dist))
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_tight_diagonal_bound(self, solves, n):
+        # the identity attains the upper side's row-maxima bound exactly
+        dist = uniform_product(n)
+        extra = 2.0 ** -np.arange(3, 3 + n)
+        est = _CellWeightStub(1 / n**2 + np.diag(extra), dist.domain)
+        got = sup_deviation(est, PermutationGraphs(n), dist, "assignment")
+        assert got == extra.sum() and len(solves) == 1
+        assert _same_float(got, _two_solve_deviation(est, dist))
+
+    def test_phase2_means_take_one_solve(self, solves):
+        n, m1 = 30, 3918
+        dist = two_component_mixture(n)
+        family = PermutationGraphs(n)
+        plan = identity_plan(split=(1, m1))
+        for seed in range(5):
+            est = ProductGridEstimator.from_counts(
+                dist.domain.full_grid(), sample_counts(dist, m1, seed), family, plan
+            )
+            solves.clear()
+            got = sup_deviation(est, family, dist, "assignment")
+            assert len(solves) == 1
+            assert _same_float(got, _two_solve_deviation(est, dist))
+
+    def test_empirical_products_take_two_solves(self, solves):
+        n, m = 20, 256
+        dist = ramp_product(n)
+        for seed in range(5):
+            est = EmpiricalProductEstimator.from_counts(
+                marginal_counts(dist, m, seed), dist.domain
+            )
+            solves.clear()
+            got = sup_deviation(est, PermutationGraphs(n), dist, "assignment")
+            assert len(solves) == 2
+            assert _same_float(got, _two_solve_deviation(est, dist))
+
+
+def _is_permutation_batch(members, n):
+    """The sum-based predicate: every row and column of every graph sums to 1."""
+    graphs = members.reshape(-1, n, n)
+    return bool(np.all(graphs.sum(axis=1) == 1) and np.all(graphs.sum(axis=2) == 1))
+
+
+class TestGraphCheck:
+    """``_graphs`` accepts exactly the batches of permutation graphs."""
+
+    @staticmethod
+    def _structured(n):
+        d = ProductDomain.of_sizes(n, n)
+        counts = np.ones((n, n), dtype=np.int64)
+        return ProductGridEstimator.from_counts(
+            d.full_grid(), counts, PermutationGraphs(n), identity_plan(split=(1, n * n))
+        )
+
+    def _agrees(self, est, members, n):
+        want = _is_permutation_batch(members, n)
+        try:
+            est._graphs(members)
+        except ValueError:
+            assert not want
+        else:
+            assert want
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(0, 4),
+           st.floats(0.0, 1.0))
+    @settings(max_examples=150, deadline=None)
+    def test_random_rows(self, seed, n, k, density):
+        rng = np.random.default_rng(seed)
+        members = rng.random((k, n * n)) < density
+        self._agrees(self._structured(n), members, n)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_near_miss_graphs(self, seed, n, k):
+        rng = np.random.default_rng(seed)
+        graphs = np.zeros((k, n, n), dtype=bool)
+        for g in graphs:
+            g[np.arange(n), rng.permutation(n)] = True
+        for g in graphs[rng.random(k) < 0.5]:
+            i, j = rng.integers(0, n, size=2)
+            kind = rng.integers(0, 4)
+            if kind == 0:
+                # move row i's one to row j: two ones next to an empty row
+                col = np.flatnonzero(g[i])[0]
+                g[i, col] = False
+                g[j, col] = True
+            elif kind == 1:
+                g[i, j] = not g[i, j]  # one cell flipped
+            elif kind == 2:
+                g[:, [i, j]] = g[:, [j, i]]  # a column swap keeps a graph
+            else:
+                # row i emptied and a one added to the first graph, so the
+                # batch can keep k n ones in all
+                g[i] = False
+                graphs[0, j, rng.integers(0, n)] = True
+        self._agrees(self._structured(n), graphs.reshape(k, n * n), n)
+
+    def test_named_near_misses(self):
+        n = 3
+        est = self._structured(n)
+        identity = np.eye(n, dtype=bool)
+        doubled = identity.copy()
+        doubled[0, 1], doubled[1, 1] = True, False  # two ones above an empty row
+        extra = identity.copy()
+        extra[0, 1] = True  # n + 1 ones, every row and column met
+        short = identity.copy()
+        short[2, 2] = False  # n - 1 ones
+        for graphs in ([identity], [doubled], [extra], [short], [extra, short],
+                       [identity, doubled], []):
+            members = np.array(graphs, dtype=bool).reshape(-1, n * n)
+            self._agrees(est, members, n)
 
 
 class TestGridHitting:

@@ -1,5 +1,6 @@
 """Scenario runner: determinism, reports, calibration, and the CLI."""
 
+import concurrent.futures
 import json
 import os
 import re
@@ -143,7 +144,7 @@ class TestWorkerCount:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setenv("GRIDEST_WORKERS", "100000")
         values = run_trials(lambda child: 0.5, 3, np.random.SeedSequence(0))
@@ -171,10 +172,44 @@ class TestCountTrials:
         assert 0.0 <= value < 1.0
 
 
+class TestPartialGridPins:
+    """Seed-2024 values with partial phase-1 grids, where the full-grid
+    shortcut must not apply; the catalog constants give full grids only."""
+
+    @pytest.mark.parametrize("c0, m0, fail_freq", [(1e-5, 1, 0.85), (3e-5, 2, 0.05)])
+    def test_grid_hitting(self, c0, m0, fail_freq):
+        result = run_scenario(ExperimentConfig(
+            scenario="grid-hitting", trials=40, seed=2024, params={"c0": c0}))
+        assert result.metrics["m0"] == m0
+        assert result.metrics["fail_freq"] == fail_freq
+
+    def test_pge_end_to_end(self):
+        result = run_scenario(ExperimentConfig(
+            scenario="pge-end-to-end", trials=20, seed=2024, params={"c0": 0.001}))
+        assert result.metrics["m0"] == 160
+        assert result.metrics["success_freq"] == 0.8
+        # every failure is a phase-1 miss
+        assert result.report.deviations.count(1.0) == 4
+
+
 def test_import_does_not_load_scipy_optimize():
     src = os.path.dirname(os.path.dirname(gridest.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     code = "import sys, gridest; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "False"
+
+
+def test_serial_trials_do_not_load_multiprocessing():
+    src = os.path.dirname(os.path.dirname(gridest.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "GRIDEST_WORKERS": "1"}
+    code = (
+        "import sys, numpy as np; from gridest.experiments import run_trials; "
+        "run_trials(lambda c: np.random.default_rng(c).random(), 3, "
+        "np.random.SeedSequence(0)); "
+        "print('multiprocessing' in sys.modules)"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == "False"
