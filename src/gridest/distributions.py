@@ -484,15 +484,22 @@ def exhaustive_event_probabilities(dist: Distribution) -> np.ndarray:
 
 
 def _load_vector(raw, where: str) -> np.ndarray:
-    p = np.asarray(raw, dtype=float)
+    try:
+        p = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        p = None
+    if p is None or p.ndim != 1:
+        raise ValueError(f"{where}: must be a list of probabilities")
     if np.any(p < 0):
         raise ValueError(f"{where}: negative probabilities")
-    gap = abs(p.sum() - 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum past 1e308 is inf
+        total = float(p.sum())
+    gap = abs(total - 1.0)
     if gap > 1e-6:
-        raise ValueError(f"{where}: probabilities sum to {p.sum()!r}")
+        raise ValueError(f"{where}: probabilities sum to {total!r}")
     if gap > 1e-9:
         warnings.warn(f"{where}: renormalizing (discrepancy {gap:.3g})")
-        p = p / p.sum()
+        p = p / total
     return p
 
 
@@ -502,7 +509,20 @@ def _field(data: dict, name: str):
     return data[name]
 
 
+def _list_field(data: dict, name: str) -> list:
+    value = _field(data, name)
+    if not isinstance(value, list):
+        raise ValueError(f"{data['kind']} distribution: field {name!r} must be a list")
+    return value
+
+
+def _product(raw_axes: list) -> ProductDistribution:
+    axes = [_load_vector(v, f"axis {i}") for i, v in enumerate(raw_axes)]
+    return ProductDistribution(ProductDomain.of_sizes(*(len(v) for v in axes)), axes)
+
+
 def distribution_from_dict(data: dict) -> Distribution:
+    """A distribution from its JSON document; ``ValueError`` naming a bad field."""
     if not isinstance(data, dict):
         raise ValueError(
             f"distribution must be a JSON object with a 'kind' field, "
@@ -510,21 +530,31 @@ def distribution_from_dict(data: dict) -> Distribution:
         )
     kind = data.get("kind")
     if kind == "product":
-        axes = [
-            _load_vector(v, f"axis {i}") for i, v in enumerate(_field(data, "axes"))
-        ]
-        domain = ProductDomain.of_sizes(*(len(v) for v in axes))
-        return ProductDistribution(domain, axes)
+        return _product(_list_field(data, "axes"))
     if kind == "mixture":
         weights = _load_vector(_field(data, "weights"), "weights")
-        components = [
-            distribution_from_dict({"kind": "product", "axes": c})
-            for c in _field(data, "components")
-        ]
-        return MixtureDistribution(weights, components)
+        components = _list_field(data, "components")
+        if not all(isinstance(c, list) for c in components):
+            raise ValueError(
+                "mixture distribution: field 'components' must be a list of axis lists"
+            )
+        return MixtureDistribution(weights, [_product(c) for c in components])
     if kind == "joint":
-        sizes = [int(n) for n in _field(data, "sizes")]
+        sizes = _list_field(data, "sizes")
+        if not sizes or not all(
+            isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in sizes
+        ):
+            raise ValueError(
+                "joint distribution: field 'sizes' must be a non-empty list of "
+                "positive integers"
+            )
         table = _load_vector(_field(data, "table"), "table")
+        # checked before the domain is built: it materializes every alphabet
+        if table.size != math.prod(sizes):
+            raise ValueError(
+                f"joint distribution: table has {table.size} entries, "
+                f"sizes {sizes} need {math.prod(sizes)}"
+            )
         return JointTable(ProductDomain.of_sizes(*sizes), table)
     raise ValueError(f"unknown distribution kind {kind!r}")
 

@@ -251,7 +251,10 @@ def build_grid(sample: np.ndarray, domain: ProductDomain) -> Grid:
     if sample.size == 0:
         raise ValueError("empty sample")
     sample = domain.validate_points(sample)
-    return Grid(domain, tuple(np.unique(sample[:, i]) for i in range(domain.width)))
+    return grid_from_counts(
+        [np.bincount(sample[:, i], minlength=n) for i, n in enumerate(domain.sizes)],
+        domain,
+    )
 
 
 def check_marginal_counts(

@@ -94,7 +94,12 @@ def product_case_size(
     epsilon: float, delta: float, g: int, d: int, constant: float = 1.0
 ) -> int:
     """Product-distribution sample size: ``C d^2 / eps^2 (g + ln(1/delta))``."""
-    return math.ceil(constant * d**2 / epsilon**2 * (g + math.log(1.0 / delta)))
+    if not 0.0 < epsilon < 1.0 or not 0.0 < delta < 1.0:
+        raise ValueError("epsilon and delta must lie in (0, 1)")
+    value = constant * d**2 / epsilon**2 * (g + math.log(1.0 / delta))
+    if not math.isfinite(value):
+        raise ValueError(f"product-case size is not finite: {value!r}")
+    return math.ceil(value)
 
 
 # -- basic estimators ----------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -51,6 +52,8 @@ from .distributions import (
     total_correlation,
 )
 from .domain import (
+    MAX_MEMBERS,
+    CapExceededError,
     NotEnumerableError,
     ProductDomain,
     build_grid,
@@ -274,6 +277,8 @@ def _run_deviation_scaling(params, trials, seed, memo):
     n = params["n"]
     m_list = list(params["m_list"])
     lo, hi, ratio_bound = params["slope_lo"], params["slope_hi"], params["ratio_bound"]
+    if len(set(m_list)) < 2:
+        raise ValueError("m_list needs at least two distinct m to fit a slope")
     fn = _empirical_trial_fn(
         marginal_counts, EmpiricalProductEstimator.from_counts, ramp_product(n)
     )
@@ -285,6 +290,9 @@ def _run_deviation_scaling(params, trials, seed, memo):
         means.append(float(devs.mean()))
         q90 = float(np.quantile(devs, 0.9))
         rows.append({"m": m, "mean_dev": means[-1], "q90_dev": q90})
+    if min(means) == 0.0:
+        # a point mass (n = 1) is estimated exactly: no log-log slope exists
+        raise ValueError(f"mean sup-deviation is 0 at n={n}: no slope to fit")
     slope = float(np.polyfit(np.log(m_list), np.log(means), 1)[0])
     ratio_ok = True
     ratio = None
@@ -463,7 +471,7 @@ def _run_symdiff_vc(params, trials, seed, memo):
 
 def _run_fano_omega_d(params, trials, seed, memo):
     d, eps, tol = params["d"], params["eps"], params["tol"]
-    nu = 4.0 * math.sqrt(eps / d)
+    nu = 4.0 * math.sqrt(eps / d) if d > 0 else math.inf
     if nu >= 0.25:
         raise ValueError("d too small: the bias must stay below 1/4")
     min_dist = max(1, d // 4)
@@ -518,6 +526,8 @@ def _run_fano_omega_d(params, trials, seed, memo):
 
 def _hitting_family(n: int, base_perms: int, rng: np.random.Generator):
     """A capped subfamily of single permutation graphs plus their complements."""
+    if 2 + 2 * base_perms > MAX_MEMBERS:
+        raise CapExceededError(f"family too large: {2 + 2 * base_perms} members")
     domain = ProductDomain.of_sizes(n, n)
     members = [np.zeros(domain.n_points, dtype=bool),
                np.ones(domain.n_points, dtype=bool)]
@@ -535,15 +545,17 @@ def _run_grid_hitting(params, trials, seed, memo):
     slack = params["slack"]
     master = np.random.SeedSequence(seed)
     family_seed, trial_seed = master.spawn(2)
+    dist = two_component_mixture(n)
+    # kept by the mixture, so trials and worker processes reuse it; tabulated
+    # before the family so the cell cap is checked before any member row
+    dist.table()
     rng = np.random.default_rng(family_seed)
     family = _hitting_family(n, params["base_perms"], rng)
-    dist = two_component_mixture(n)
     plan = SamplingPlan(
         epsilon=eps, delta=delta, lvc=g, width=2,
         modulus=Modulus.for_mixture(2, 2), c0=c0,
     )
     m0 = phase1_size(plan)
-    dist.table()  # kept by the mixture, so trials and worker processes reuse it
     fn = functools.partial(
         _trial_grid_hitting, family=family, dist=dist, m0=m0, level=eps / 2
     )
@@ -782,23 +794,68 @@ CALIBRATABLE = {
 }
 
 
-def run_scenario(config: ExperimentConfig, memo: dict | None = None) -> ScenarioResult:
-    """Execute one catalog scenario; deterministic given the config seed.
+def _is_a(value, kind) -> bool:
+    return isinstance(value, kind) and not isinstance(value, (bool, np.bool_))
 
-    Runs sharing a ``memo`` dict reuse work keyed by all of its inputs.
-    """
+
+_CONFIG_FIELDS = (
+    ("scenario", lambda v: isinstance(v, str), "a string"),
+    ("trials", lambda v: v is None or (_is_a(v, numbers.Integral) and v >= 1),
+     "null or an integer >= 1"),
+    ("seed", lambda v: _is_a(v, numbers.Integral), "an integer"),
+    ("params", lambda v: isinstance(v, dict), "an object"),
+    ("out", lambda v: v is None or isinstance(v, str), "null or a string"),
+)
+
+
+def _follows(value, default) -> bool:
+    """Whether a param has its default's type, and sign if that is >= 0 (nan passes)."""
+    if isinstance(default, list):
+        return (isinstance(value, list) and len(value) > 0
+                and all(_follows(v, default[0]) for v in value))
+    kind = numbers.Integral if isinstance(default, int) else numbers.Real
+    return _is_a(value, kind) and not (default >= 0 and value < 0)
+
+
+def _wanted(default) -> str:
+    if isinstance(default, list):
+        return f"a non-empty list, each item {_wanted(default[0])}"
+    kind = "an integer" if isinstance(default, int) else "a real number"
+    return kind + (" >= 0" if default >= 0 else "")
+
+
+def check_config(config: ExperimentConfig) -> CatalogEntry:
+    """The entry of a valid config: checks its fields, names, params (against
+    their catalog defaults) and the single-pass rule; ``ValueError`` if bad."""
+    for name, ok, want in _CONFIG_FIELDS:
+        value = getattr(config, name)
+        if not ok(value):
+            raise ValueError(f"config field {name!r} must be {want}, got {value!r}")
     entry = SCENARIOS.get(config.scenario)
     if entry is None:
         raise ValueError(f"unknown scenario {config.scenario!r}")
     unknown = set(config.params) - set(entry.defaults)
     if unknown:
         raise ValueError(f"unknown parameters for {entry.name}: {sorted(unknown)}")
+    for name, value in config.params.items():
+        if not _follows(value, entry.defaults[name]):
+            fault = f"{entry.name} param {name!r} must be {_wanted(entry.defaults[name])}"
+            raise ValueError(f"{fault}, got {value!r}")
+    if entry.default_trials == 1 and config.trials not in (None, 1):
+        raise ValueError(
+            f"{entry.name} is single-pass: trials must be 1, got {config.trials}"
+        )
+    return entry
+
+
+def run_scenario(config: ExperimentConfig, memo: dict | None = None) -> ScenarioResult:
+    """Execute one catalog scenario; deterministic given the config seed.
+
+    Runs sharing a ``memo`` dict reuse work keyed by all of its inputs.
+    """
+    entry = check_config(config)
     params = {**entry.defaults, **config.params}
     trials = config.trials if config.trials is not None else entry.default_trials
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if entry.default_trials == 1 and trials != 1:
-        raise ValueError(f"{entry.name} is single-pass: trials must be 1, got {trials}")
     start = time.perf_counter()
     passed, assertion, slack, metrics, curves, report = entry.runner(
         params, trials, config.seed, {} if memo is None else memo
@@ -825,8 +882,6 @@ def run_scenario(config: ExperimentConfig, memo: dict | None = None) -> Scenario
 
 def calibrate_constants(
     scenario: str,
-    target_epsilon: float | None = None,
-    target_delta: float | None = None,
     grid=(0.25, 0.5, 1.0, 2.0, 4.0),
     trials: int | None = None,
     seed: int = 0,
@@ -840,24 +895,15 @@ def calibrate_constants(
     if scenario not in CALIBRATABLE:
         raise ValueError(f"scenario {scenario!r} does not support calibration")
     knob = CALIBRATABLE[scenario]
-    base = dict(params or {})
-    if target_epsilon is not None:
-        base["eps"] = target_epsilon
-    if target_delta is not None:
-        base["delta"] = target_delta
     passes = []
     memo: dict = {}
     for value in grid:
         config = ExperimentConfig(
             scenario=scenario, trials=trials, seed=seed,
-            params={**base, knob: value},
+            params={**(params or {}), knob: value},
         )
         passes.append(bool(run_scenario(config, memo).passed))
-    smallest = None
-    for value, ok in zip(grid, passes):
-        if ok:
-            smallest = value
-            break
+    smallest = next((value for value, ok in zip(grid, passes) if ok), None)
     return {
         "scenario": scenario,
         "constant": knob,

@@ -441,31 +441,33 @@ def dump_family(family: SetFamily, path) -> None:
 
 
 def load_family(path) -> ExplicitFamily:
-    domain = None
+    sizes = None
     members = []
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if domain is None:
+            if sizes is None:
                 parts = line.split()
                 if parts[0] != "domain" or not "".join(parts[1:]).isdigit():
                     raise ValueError(f"line {lineno}: expected 'domain d n_1 ... n_d'")
                 d, *sizes = map(int, parts[1:])
                 if len(sizes) != d:
                     raise ValueError(f"line {lineno}: expected {d} axis sizes")
-                domain = ProductDomain.of_sizes(*sizes)
+                # the domain is built after the members are checked against
+                # its size: building it materializes every alphabet
+                n_points = math.prod(sizes)
                 continue
             if set(line) - {"0", "1"}:
                 raise ValueError(f"line {lineno}: member is not a 0/1 string")
-            if len(line) != domain.n_points:
+            if len(line) != n_points:
                 raise ValueError(
-                    f"line {lineno}: member length {len(line)} != {domain.n_points}"
+                    f"line {lineno}: member length {len(line)} != {n_points}"
                 )
             members.append([c == "1" for c in line])
-    if domain is None:
+    if sizes is None:
         raise ValueError("missing 'domain' header")
     if not members:
         raise ValueError("no members after the 'domain' header")
-    return ExplicitFamily(domain, np.array(members, dtype=bool))
+    return ExplicitFamily(ProductDomain.of_sizes(*sizes), np.array(members, dtype=bool))

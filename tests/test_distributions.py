@@ -614,6 +614,37 @@ class TestExhaustiveEvents:
         assert probs.tolist() == [0.0, 0.25, 0.75, 1.0]
 
 
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-10**6, 10**6), st.floats(),
+              st.text(max_size=5)),
+    lambda inner: st.one_of(st.lists(inner, max_size=8),
+                            st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+def _distribution_documents():
+    """Documents shaped like the three kinds, with arbitrary JSON in the fields."""
+    vector = st.one_of(
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+        st.lists(st.sampled_from([0.5, 1.0, 1e308, -0.5, math.inf, math.nan]),
+                 max_size=8),
+        _JSON,
+    )
+    axes = st.one_of(st.lists(vector, max_size=4), _JSON)
+    return st.one_of(
+        st.fixed_dictionaries({"kind": st.just("product"), "axes": axes}),
+        st.fixed_dictionaries({"kind": st.just("mixture"), "weights": vector,
+                               "components": st.one_of(st.lists(axes, max_size=3),
+                                                       _JSON)}),
+        st.fixed_dictionaries({
+            "kind": st.just("joint"),
+            "sizes": st.one_of(st.lists(st.integers(-2, 10**6), max_size=8), _JSON),
+            "table": vector,
+        }),
+    )
+
+
 class TestJsonFormat:
     def test_round_trip(self, tmp_path):
         d = ProductDomain.of_sizes(2, 2)
@@ -669,3 +700,39 @@ class TestJsonFormat:
         with pytest.raises(ValueError, match=f"{data['kind']} distribution: "
                                              f"missing field '{field}'"):
             distribution_from_dict(data)
+
+    @pytest.mark.parametrize("data, field", [
+        ({"kind": "product", "axes": 5}, "field 'axes' must be a list"),
+        ({"kind": "mixture", "weights": [1.0], "components": 5},
+         "field 'components' must be a list"),
+        ({"kind": "joint", "sizes": 5, "table": [1.0]}, "field 'sizes' must be"),
+        ({"kind": "product", "axes": [{"a": 1}]}, "axis 0: must be a list"),
+        ({"kind": "joint", "sizes": [1], "table": {"a": 1}}, "table: must be a list"),
+    ])
+    def test_wrong_field_type_is_named(self, data, field):
+        with pytest.raises(ValueError, match=field):
+            distribution_from_dict(data)
+
+    def test_overflowing_sum_rejected_without_warning(self):
+        # Tier-1 turns RuntimeWarning into an error
+        with pytest.raises(ValueError, match="axis 0: probabilities sum to inf"):
+            distribution_from_dict({"kind": "product", "axes": [[1e308, 1e308]]})
+
+    def test_joint_table_size_checked_before_the_domain(self, monkeypatch):
+        def never(*sizes):
+            raise AssertionError("built a domain for a table of the wrong size")
+
+        monkeypatch.setattr(ProductDomain, "of_sizes", never)
+        with pytest.raises(ValueError, match="table has 1 entries"):
+            distribution_from_dict(
+                {"kind": "joint", "sizes": [2_000_000], "table": [1.0]}
+            )
+
+    @given(st.one_of(_JSON, _distribution_documents()))
+    @settings(max_examples=200, deadline=None)
+    def test_any_document_loads_or_raises_value_error(self, data):
+        try:
+            dist = distribution_from_dict(data)
+        except ValueError:
+            return
+        assert dist.table().probs.sum() == pytest.approx(1.0)

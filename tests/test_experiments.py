@@ -1,7 +1,9 @@
 """Scenario runner: determinism, reports, calibration, and the CLI."""
 
 import concurrent.futures
+import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -9,11 +11,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gridest
 from gridest import experiments
 from gridest.cli import main as cli_main
 from gridest.distributions import Modulus, sample
+from gridest.domain import CapExceededError
 from gridest.estimators import EmpiricalMeanEstimator, SamplingPlan, sup_deviation
 from gridest.experiments import (
     SCENARIOS,
@@ -21,6 +26,7 @@ from gridest.experiments import (
     ScenarioResult,
     _trial_pge,
     calibrate_constants,
+    check_config,
     emit_report,
     run_scenario,
     run_trials,
@@ -215,6 +221,47 @@ def test_serial_trials_do_not_load_multiprocessing():
     assert out.strip() == "False"
 
 
+def _never_run(*args, **kwargs):
+    raise AssertionError("reached work that the checks must come before")
+
+
+#: Every (scenario, param) pair of the catalog.
+_PARAMS = [(name, key) for name, entry in SCENARIOS.items() for key in entry.defaults]
+
+
+def _good_value(default):
+    """Values that follow ``default``: its type, and its sign if that is >= 0."""
+    if isinstance(default, list):
+        return st.lists(_good_value(default[0]), min_size=1, max_size=8)
+    low = 0 if default >= 0 else -10**6
+    ints = st.integers(low, 10**6)
+    if isinstance(default, int):
+        return ints
+    return st.one_of(ints, st.floats(min_value=float(low), max_value=1e6))
+
+
+def _bad_value(default):
+    """Values that do not follow ``default``: another JSON type, or a negative
+    number where the default is nonnegative."""
+    other = [st.none(), st.booleans(), st.text(max_size=5),
+             st.dictionaries(st.text(max_size=3), st.integers(), max_size=3)]
+    negative = [st.integers(max_value=-1),
+                st.floats(max_value=0.0, exclude_max=True).filter(lambda x: x < 0)]
+    if isinstance(default, list):
+        # a non-list, an empty list, or a list with one bad item among good ones
+        mixed = st.tuples(
+            st.lists(_good_value(default[0]), max_size=7), _bad_value(default[0]),
+            st.integers(0, 7),
+        ).map(lambda t: t[0][: t[2]] + [t[1]] + t[0][t[2]:])
+        return st.one_of(*other, st.integers(), st.floats(), st.just([]), mixed)
+    if isinstance(default, int):
+        other.append(st.floats())
+        other.append(st.lists(st.integers(), max_size=8))
+    else:
+        other.append(st.lists(st.floats(), max_size=8))
+    return st.one_of(*other, *(negative if default >= 0 else []))
+
+
 class TestValidation:
     def test_unknown_scenario(self):
         with pytest.raises(ValueError, match="unknown scenario"):
@@ -224,10 +271,53 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown parameters"):
             run_scenario(tiny("perm-empirical-failure", params={"bogus": 1}))
 
+    @pytest.mark.parametrize("name", list(SCENARIOS))
+    def test_catalog_defaults_pass(self, name):
+        entry = SCENARIOS[name]
+        config = ExperimentConfig(name, params=dict(entry.defaults))
+        assert check_config(config) is entry
+
+    def test_python_config_fields_are_checked(self):
+        with pytest.raises(ValueError, match="config field 'seed' must be an integer"):
+            run_scenario(ExperimentConfig("modulus-tc", seed="5"))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_bad_param_rejected_before_the_runner(self, data):
+        name, key = data.draw(st.sampled_from(_PARAMS))
+        value = data.draw(_bad_value(SCENARIOS[name].defaults[key]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(SCENARIOS, name,
+                       dataclasses.replace(SCENARIOS[name], runner=_never_run))
+            with pytest.raises(ValueError, match=f"{name} param '{key}' must be"):
+                run_scenario(ExperimentConfig(name, trials=1, params={key: value}))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_good_param_passes(self, data):
+        name, key = data.draw(st.sampled_from(_PARAMS))
+        value = data.draw(_good_value(SCENARIOS[name].defaults[key]))
+        assert check_config(ExperimentConfig(name, params={key: value})).name == name
+
     def test_every_scenario_declares_claim_and_check(self):
         for entry in SCENARIOS.values():
             assert entry.claim
             assert re.fullmatch(r"A\d+", entry.check_id)
+
+
+class TestGridHittingCaps:
+    """The caps are checked before the family is built or a member drawn."""
+
+    def test_cell_cap_before_the_family(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_hitting_family", _never_run)
+        # 1025^2 = 1,050,625 points, over the MAX_CELLS cap
+        with pytest.raises(CapExceededError):
+            run_scenario(tiny("grid-hitting", trials=1, params={"n": 1025}))
+
+    def test_member_cap_before_any_member(self, monkeypatch):
+        monkeypatch.setattr(experiments, "perm_graph_bits", _never_run)
+        with pytest.raises(CapExceededError):
+            run_scenario(tiny("grid-hitting", trials=1, params={"base_perms": 2**19}))
 
 
 class TestReports:
@@ -299,8 +389,8 @@ class TestReports:
 class TestCalibration:
     def test_easy_target_passes_at_smallest_constant(self):
         outcome = calibrate_constants(
-            "perm-product-success", target_epsilon=0.9, target_delta=0.9,
-            grid=(0.25, 0.5), trials=5, seed=1, params={"n": 10},
+            "perm-product-success", grid=(0.25, 0.5), trials=5, seed=1,
+            params={"n": 10, "eps": 0.9, "delta": 0.9},
         )
         assert outcome["smallest_passing"] == 0.25
         assert outcome["monotone"] is True
@@ -312,17 +402,16 @@ class TestCalibration:
     def test_reports_unbounded_when_nothing_passes(self):
         # an impossible accuracy target at tiny sample sizes
         outcome = calibrate_constants(
-            "perm-product-success", target_epsilon=0.001, target_delta=0.01,
-            grid=(1e-9,), trials=5, seed=1, params={"n": 10, "slack": 0.0},
+            "perm-product-success", grid=(1e-9,), trials=5, seed=1,
+            params={"n": 10, "slack": 0.0, "eps": 0.001, "delta": 0.01},
         )
         assert outcome["unbounded"] is True
         assert outcome["grid_maximum"] == 1e-9
 
     def test_product_success_calibrates_at_tight_target(self):
         outcome = calibrate_constants(
-            "perm-product-success", target_epsilon=0.1, target_delta=0.1,
-            grid=(0.25, 0.5, 1.0, 2.0, 4.0), trials=25, seed=3,
-            params={"n": 100},
+            "perm-product-success", grid=(0.25, 0.5, 1.0, 2.0, 4.0), trials=25,
+            seed=3, params={"n": 100, "eps": 0.1, "delta": 0.1},
         )
         assert outcome["smallest_passing"] is not None
         assert outcome["monotone"] is True
@@ -422,6 +511,51 @@ class TestCli:
     def test_single_pass_scenario_rejects_trials(self, scenario, capsys):
         assert cli_main(["run", scenario, "--trials", "50"]) == 2
         assert "trials must be 1, got 50" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, scenario, params", [
+        ("run", "deviation-scaling", {"n": "x"}),
+        ("run", "deviation-scaling", {"m_list": []}),
+        ("run", "pge-end-to-end", {"slack": "a"}),
+        ("run", "pge-end-to-end", {"delta": "x"}),
+        ("calibrate", "grid-hitting", {"n": "x"}),
+        ("run", "modulus-mixture", {"instances": -1}),
+        ("run", "grid-hitting", {"base_perms": -3}),
+        ("run", "ssp-audit", {"report_rows": -1}),
+    ])
+    def test_bad_param_exits_2(self, tmp_path, capsys, command, scenario, params):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scenario": scenario, "params": params}))
+        assert cli_main([command, "--config", str(config)]) == 2
+        (name,) = params
+        assert f"error: {scenario} param {name!r} must be" in capsys.readouterr().err
+
+    def test_point_mass_deviation_scaling_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scenario": "deviation-scaling", "trials": 5,
+                                      "params": {"n": 1}}))
+        assert cli_main(["run", "--config", str(config)]) == 2
+        assert "error: mean sup-deviation is 0 at n=1" in capsys.readouterr().err
+
+    def test_single_m_deviation_scaling_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scenario": "deviation-scaling",
+                                      "params": {"m_list": [256]}}))
+        assert cli_main(["run", "--config", str(config)]) == 2
+        assert "error: m_list needs at least two distinct m" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario, params, match", [
+        ("perm-product-success", {"eps": 0}, "epsilon and delta must lie in (0, 1)"),
+        ("perm-product-success", {"constant": math.inf},
+         "product-case size is not finite"),
+        ("fano-omega-d", {"d": 0}, "d too small"),
+    ])
+    def test_degenerate_planner_input_exits_2(self, tmp_path, capsys, scenario,
+                                              params, match):
+        # these pass the param check and are rejected by the scenario itself
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scenario": scenario, "params": params}))
+        assert cli_main(["run", "--config", str(config), "--trials", "1"]) == 2
+        assert f"error: {match}" in capsys.readouterr().err
 
     def test_infinite_calibration_constant_exits_2(self, capsys):
         assert cli_main(["calibrate", "grid-hitting", "--grid", "inf"]) == 2

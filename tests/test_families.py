@@ -279,3 +279,35 @@ class TestTextFormat:
         path.write_text("# nothing\n")
         with pytest.raises(ValueError, match="header"):
             load_family(path)
+
+    def test_member_length_checked_before_the_domain(self, tmp_path, monkeypatch):
+        def never(*sizes):
+            raise AssertionError("built a domain for members of the wrong length")
+
+        monkeypatch.setattr(ProductDomain, "of_sizes", never)
+        path = tmp_path / "family.txt"
+        path.write_text("domain 1 2000000\n101\n")
+        with pytest.raises(ValueError, match="member length 3 != 2000000"):
+            load_family(path)
+
+    @given(
+        header=st.one_of(
+            st.lists(st.integers(0, 10**6), max_size=8).map(
+                lambda sizes: f"domain {len(sizes)} {' '.join(map(str, sizes))}"),
+            st.lists(st.integers(0, 4), min_size=1, max_size=3).map(
+                lambda sizes: f"domain {len(sizes)} {' '.join(map(str, sizes))}"),
+            st.text(alphabet="domain 0123456789x#-", max_size=20),
+        ),
+        members=st.lists(st.text(alphabet="01", max_size=70), max_size=8),
+        junk=st.text(alphabet="01 #x\n\t", max_size=8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_text_loads_or_raises_value_error(self, tmp_path_factory, header,
+                                                  members, junk):
+        path = tmp_path_factory.mktemp("fuzz") / "family.txt"
+        path.write_text("\n".join([header, *members, junk]) + "\n")
+        try:
+            fam = load_family(path)
+        except ValueError:
+            return
+        assert fam.members.shape[1] == fam.domain.n_points
