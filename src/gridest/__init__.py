@@ -11,9 +11,7 @@ runner that validates the theory at desk scale.
 from .combinatorics import (
     DimensionCert,
     aggregation_eta,
-    aggregation_vc_bound,
     binomle,
-    binomle_upper,
     count_traces,
     enumerate_hd_permutations,
     grid_ssp_bound,
@@ -26,7 +24,6 @@ from .combinatorics import (
     vc_dimension,
 )
 from .distributions import (
-    GaussianSpec,
     JointTable,
     MixtureDistribution,
     Modulus,
@@ -37,7 +34,6 @@ from .distributions import (
     dump_distribution,
     event_probability,
     exhaustive_event_probabilities,
-    gaussian_total_correlation,
     gilbert_varshamov_code,
     load_distribution,
     marginal_counts,
@@ -67,7 +63,6 @@ from .estimators import (
     SamplingPlan,
     build_product_grid_estimator,
     check_grid_hitting,
-    empirical_mean,
     phase1_size,
     phase2_size,
     product_case_size,
@@ -83,10 +78,8 @@ from .experiments import (
 )
 from .families import (
     AxisBoxes,
-    CylinderSets,
     ExplicitFamily,
     IntervalsOnAxis,
-    OracleFamily,
     PermutationGraphs,
     PowerSetFamily,
     SetFamily,
@@ -95,19 +88,15 @@ from .families import (
     load_family,
     perm_graph_bits,
     symdiff_family,
-    trace_of,
 )
 from .info import (
     bernoulli_bias_kl,
     binary_entropy,
     binary_entropy_bits,
-    binary_kl,
-    fano_error_lower_bound,
     hellinger_sq,
     hellinger_sq_biased_product,
     kl_additivity_check,
     kl_divergence,
-    to_bits,
     tv_distance,
 )
 

@@ -3,8 +3,8 @@
 VC and linear VC dimensions are computed by brute force with verifiable
 witnesses.  The counting bounds (binomial-sum tail, per-axis grid bound, and
 its rate form) use exact big-integer arithmetic; floating point appears only
-in the rate forms.  The aggregation bound intentionally uses base-2 entropy,
-unlike the nats used everywhere else.
+in the rate forms.  The aggregation constant intentionally uses base-2
+entropy, unlike the nats used everywhere else.
 """
 
 from __future__ import annotations
@@ -125,8 +125,6 @@ def count_traces(family: SetFamily, grid: Grid) -> int:
     if isinstance(family, PermutationGraphs) and grid.is_full:
         # the full grid determines the permutation, so all traces are distinct
         return family.member_count()
-    if hasattr(family, "trace_enumerator") and family.trace_enumerator is not None:
-        return len(set(family.trace_enumerator(grid)))
     return int(np.unique(grid.pack_traces(family.members_matrix())).size)
 
 
@@ -139,13 +137,6 @@ def binomle(n: int, g: int) -> int:
     if g >= n:
         return 2**n
     return sum(math.comb(n, j) for j in range(g + 1))
-
-
-def binomle_upper(n: int, g: int) -> float:
-    """The bound ``(e n / g)^g`` valid for 1 <= g <= n."""
-    if not 1 <= g <= n:
-        raise ValueError("bound requires 1 <= g <= n")
-    return (math.e * n / g) ** g
 
 
 def grid_ssp_bound(sizes, g: int, axis: int) -> int:
@@ -177,7 +168,7 @@ def grid_ssp_rate(n: int, d: int, g: int) -> float:
     return g * n ** (d - 1) * math.log2(math.e * n / g)
 
 
-# -- aggregation bound (base-2 entropy) ----------------------------------------
+# -- aggregation constant (base-2 entropy) -------------------------------------
 
 
 def aggregation_eta(t_rules: int) -> float:
@@ -193,14 +184,6 @@ def aggregation_eta(t_rules: int) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def aggregation_vc_bound(t_rules: int, vc_base: float, vc_agg: float) -> float:
-    """VC bound for T-fold aggregations: ``(T * vc_base + vc_agg) / (T * eta)``."""
-    if vc_base == 0 and vc_agg == 0:
-        return 0.0
-    eta = aggregation_eta(t_rules)
-    return (t_rules * vc_base + vc_agg) / (t_rules * eta)
 
 
 # -- exactly-one-per-line sets and union families -------------------------------

@@ -128,26 +128,6 @@ class JointTable:
 Distribution = ProductDistribution | MixtureDistribution | JointTable
 
 
-@dataclass(frozen=True)
-class GaussianSpec:
-    """Covariance data for the Gaussian total-correlation closed form."""
-
-    sigma: np.ndarray | None = None
-    rho: float | None = None
-
-    def covariance(self) -> np.ndarray:
-        if self.sigma is not None:
-            sigma = np.asarray(self.sigma, dtype=float)
-            if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-                raise ValueError("covariance must be square")
-            if np.max(np.abs(sigma - sigma.T)) > 1e-12:
-                raise ValueError("covariance not symmetric")
-            return sigma
-        if self.rho is None:
-            raise ValueError("need a covariance matrix or a correlation")
-        return np.array([[1.0, self.rho], [self.rho, 1.0]])
-
-
 # -- sampling -----------------------------------------------------------------
 
 
@@ -274,25 +254,6 @@ def total_correlation(joint: JointTable) -> float:
         raise AssertionError("box projection fails to dominate the joint table")
     value = float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
     return max(value, 0.0)
-
-
-def gaussian_total_correlation(spec: GaussianSpec) -> float:
-    """(1/2) ln(det(diag Sigma) / det Sigma) for a Gaussian covariance."""
-    sigma = spec.covariance()
-    try:
-        np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
-        raise ValueError("covariance not positive definite") from None
-    sign, logdet = np.linalg.slogdet(sigma)
-    if sign <= 0:
-        raise ValueError("covariance not positive definite")
-    logdiag = float(np.sum(np.log(np.diag(sigma))))
-    value = 0.5 * (logdiag - logdet)
-    if spec.rho is not None and sigma.shape == (2, 2):
-        direct = 0.5 * math.log(1.0 / (1.0 - spec.rho**2))
-        if abs(direct - value) > 1e-10:
-            raise AssertionError("bivariate and determinant paths disagree")
-    return value
 
 
 # -- moduli of box-continuity --------------------------------------------------
@@ -484,11 +445,15 @@ def exhaustive_event_probabilities(dist: Distribution) -> np.ndarray:
 
 
 def _load_vector(raw, where: str) -> np.ndarray:
+    # JSON numbers only: numpy would convert "0.5" and true to probabilities
+    numeric = isinstance(raw, list) and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw
+    )
     try:
-        p = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError, OverflowError):
+        p = np.asarray(raw, dtype=float) if numeric else None
+    except OverflowError:  # an integer past the float range
         p = None
-    if p is None or p.ndim != 1:
+    if p is None:
         raise ValueError(f"{where}: must be a list of probabilities")
     if np.any(p < 0):
         raise ValueError(f"{where}: negative probabilities")

@@ -131,17 +131,6 @@ def _check_tabulable(domain: ProductDomain) -> None:
         )
 
 
-def empirical_mean(sample: np.ndarray, event, domain: ProductDomain) -> float:
-    """Fraction of sample points inside the event."""
-    sample = np.asarray(sample, dtype=np.int64)
-    if sample.size == 0:
-        raise ValueError("empty sample")
-    if callable(event):
-        return float(np.mean(np.asarray(event(sample), dtype=bool)))
-    bits = np.asarray(event, dtype=bool)
-    return float(np.mean(bits[domain.flat_index(sample)]))
-
-
 class _CellWeightEstimator:
     """An estimator given by one weight per domain point, in canonical order.
 

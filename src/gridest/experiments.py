@@ -808,6 +808,11 @@ _CONFIG_FIELDS = (
 )
 
 
+#: Params that are the side n of an [n]^2 domain.  At n = 1 the domain is one
+#: point, every estimate is exact, and a claim would pass over nothing.
+_DOMAIN_SIDES = ("n", "cross_n")
+
+
 def _follows(value, default) -> bool:
     """Whether a param has its default's type, and sign if that is >= 0 (nan passes)."""
     if isinstance(default, list):
@@ -826,7 +831,8 @@ def _wanted(default) -> str:
 
 def check_config(config: ExperimentConfig) -> CatalogEntry:
     """The entry of a valid config: checks its fields, names, params (against
-    their catalog defaults) and the single-pass rule; ``ValueError`` if bad."""
+    their catalog defaults; domain sides >= 2) and the single-pass rule;
+    ``ValueError`` if bad."""
     for name, ok, want in _CONFIG_FIELDS:
         value = getattr(config, name)
         if not ok(value):
@@ -838,9 +844,10 @@ def check_config(config: ExperimentConfig) -> CatalogEntry:
     if unknown:
         raise ValueError(f"unknown parameters for {entry.name}: {sorted(unknown)}")
     for name, value in config.params.items():
-        if not _follows(value, entry.defaults[name]):
-            fault = f"{entry.name} param {name!r} must be {_wanted(entry.defaults[name])}"
-            raise ValueError(f"{fault}, got {value!r}")
+        side = name in _DOMAIN_SIDES
+        if not _follows(value, entry.defaults[name]) or (side and value < 2):
+            want = "an integer >= 2" if side else _wanted(entry.defaults[name])
+            raise ValueError(f"{entry.name} param {name!r} must be {want}, got {value!r}")
     if entry.default_trials == 1 and config.trials not in (None, 1):
         raise ValueError(
             f"{entry.name} is single-pass: trials must be 1, got {config.trials}"

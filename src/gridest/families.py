@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,21 +23,11 @@ from .domain import (
     MAX_MEMBERS,
     AxisLine,
     CapExceededError,
-    Grid,
     NotEnumerableError,
     ProductDomain,
     code_bits,
     row_keys,
 )
-
-
-def trace_of(event, grid: Grid) -> bytes:
-    """The trace as ``np.packbits`` bytes: bit ``j`` is 1 iff cell ``j`` is in it."""
-    if grid.cell_count == 0:
-        raise ValueError("trace on empty grid")
-    if callable(event):
-        return np.packbits(np.asarray(event(grid.cells()), dtype=bool)).tobytes()
-    return grid.pack_traces(np.asarray(event, dtype=bool)[None, :])[0].tobytes()
 
 
 def perm_graph_bits(perm: Sequence[int], domain: ProductDomain) -> np.ndarray:
@@ -122,42 +112,6 @@ def _dedup_rows(members: np.ndarray) -> np.ndarray:
     """Each distinct row once, at its first occurrence, in the original order."""
     _, first = np.unique(row_keys(members), return_index=True)
     return members[np.sort(first)]
-
-
-class OracleFamily(SetFamily):
-    """A family given by a membership oracle.
-
-    ``membership(member_key, points)`` evaluates one member on a point array.
-    ``members`` optionally enumerates member keys; ``trace_enumerator(grid)``
-    optionally yields the distinct traces directly, as ``trace_of`` bytes.
-    """
-
-    def __init__(
-        self,
-        domain: ProductDomain,
-        membership: Callable[[object, np.ndarray], np.ndarray],
-        members: Iterable[object] | None = None,
-        trace_enumerator: Callable[[Grid], Iterable[bytes]] | None = None,
-    ):
-        self.domain = domain
-        self.membership = membership
-        self._members = list(members) if members is not None else None
-        self.trace_enumerator = trace_enumerator
-
-    def member_count(self):
-        return None if self._members is None else len(self._members)
-
-    def members_matrix(self) -> np.ndarray:
-        if self._members is None:
-            raise NotEnumerableError("not enumerable")
-        if len(self._members) > MAX_MEMBERS:
-            raise CapExceededError("family too large")
-        pts = self.domain.all_points()
-        rows = [
-            np.asarray(self.membership(key, pts), dtype=bool)
-            for key in self._members
-        ]
-        return _dedup_rows(np.array(rows, dtype=bool))
 
 
 class PermutationGraphs(SetFamily):
@@ -358,51 +312,6 @@ class PowerSetFamily(SetFamily):
 
     def describe(self) -> str:
         return f"power-set({self.domain.describe()})"
-
-
-class CylinderSets(SetFamily):
-    """Events on ``{0,1}^d`` determined by the first ``prefix`` coordinates."""
-
-    def __init__(self, d: int, prefix: int):
-        if not 1 <= prefix <= d:
-            raise ValueError("need 1 <= prefix <= d")
-        self.d = d
-        self.prefix = prefix
-        self.domain = ProductDomain.of_sizes(*([2] * d))
-
-    def member_count(self) -> int:
-        return 2 ** (2**self.prefix)
-
-    def members_matrix(self) -> np.ndarray:
-        if self.member_count() > MAX_MEMBERS:
-            raise CapExceededError("family too large")
-        pts = self.domain.all_points()
-        prefix_code = pts[:, : self.prefix] @ (
-            1 << np.arange(self.prefix - 1, -1, -1, dtype=np.int64)
-        )
-        n_codes = 2**self.prefix
-        bases = np.arange(2**n_codes, dtype=np.int64)
-        base_sets = code_bits(bases, n_codes).astype(bool)
-        return base_sets[:, prefix_code]
-
-    def restrict_to_line(self, line: AxisLine) -> ExplicitFamily:
-        n_line = 2
-        dom = _line_domain(self.domain, line.axis)
-        if line.axis < self.prefix:
-            # the prefix pattern varies along the line: full power set of it
-            return ExplicitFamily(
-                dom, PowerSetFamily(ProductDomain.of_sizes(n_line)).members_matrix()
-            )
-        members = np.array(
-            [np.zeros(n_line, dtype=bool), np.ones(n_line, dtype=bool)]
-        )
-        return ExplicitFamily(dom, members)
-
-    def structural_lvc(self) -> int:
-        return 2
-
-    def describe(self) -> str:
-        return f"cylinder-sets(d={self.d}, prefix={self.prefix})"
 
 
 def symdiff_family(family: SetFamily) -> ExplicitFamily:

@@ -1,6 +1,6 @@
 """Exact information-theoretic primitives on finite distributions.
 
-All divergences and entropies are in nats; ``to_bits`` converts for display.
+All divergences and entropies are in nats, except ``binary_entropy_bits``.
 ``+inf`` is a legitimate KL value, not an error.
 """
 
@@ -29,10 +29,6 @@ def as_pmf(p) -> np.ndarray:
     return p
 
 
-def to_bits(nats: float) -> float:
-    return nats / LN2
-
-
 def binary_entropy(a: float) -> float:
     """H(a) = -a ln a - (1-a) ln(1-a), with H(0) = H(1) = 0."""
     if not 0.0 <= a <= 1.0:
@@ -59,15 +55,6 @@ def kl_divergence(p, q) -> float:
     if np.any(q[mask] == 0):
         return math.inf
     return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
-
-
-def binary_kl(a: float, b: float) -> float:
-    """d(a || b) = a ln(a/b) + (1-a) ln((1-a)/(1-b))."""
-    if not 0.0 <= a <= 1.0:
-        raise ValueError("a must lie in [0, 1]")
-    if not 0.0 <= b <= 1.0:
-        raise ValueError("b must lie in [0, 1]")
-    return kl_divergence([a, 1.0 - a], [b, 1.0 - b])
 
 
 def bernoulli_bias_kl(nu: float) -> float:
@@ -101,19 +88,6 @@ def tv_distance(p, q) -> float:
     p, q = as_pmf(p), as_pmf(q)
     _check_same_support(p, q)
     return float(0.5 * np.sum(np.abs(p - q)))
-
-
-def fano_error_lower_bound(m_hypotheses: int, avg_kl_to_mean: float) -> float:
-    """Lower bound on the error of any M-ary test: 1 - (avg KL + ln 2)/ln M.
-
-    ``avg_kl_to_mean`` is the average KL from each hypothesis to the mean
-    distribution.  The bound is clamped at 0 when vacuous.
-    """
-    if m_hypotheses < 2:
-        raise ValueError("need at least 2 hypotheses")
-    if avg_kl_to_mean < 0:
-        raise ValueError("average KL must be nonnegative")
-    return max(0.0, 1.0 - (avg_kl_to_mean + LN2) / math.log(m_hypotheses))
 
 
 def kl_additivity_check(theta, theta_prime, nu: float) -> float:

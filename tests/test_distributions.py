@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridest.distributions import (
-    GaussianSpec,
     JointTable,
     MixtureDistribution,
     Modulus,
@@ -20,7 +19,6 @@ from gridest.distributions import (
     dump_distribution,
     event_probability,
     exhaustive_event_probabilities,
-    gaussian_total_correlation,
     gilbert_varshamov_code,
     load_distribution,
     marginal_counts,
@@ -448,31 +446,6 @@ class TestTotalCorrelation:
                 assert tc < 1e-12
 
 
-class TestGaussianTotalCorrelation:
-    def test_diagonal_covariance_gives_zero(self):
-        spec = GaussianSpec(sigma=np.diag([2.0, 3.0, 1.5]))
-        assert gaussian_total_correlation(spec) == pytest.approx(0.0, abs=1e-12)
-
-    def test_bivariate_closed_form(self):
-        assert gaussian_total_correlation(GaussianSpec(rho=0.6)) == pytest.approx(
-            0.22314355131420976, abs=1e-10
-        )
-
-    def test_paths_agree(self):
-        rho = 0.35
-        spec = GaussianSpec(sigma=np.array([[1, rho], [rho, 1]]), rho=rho)
-        direct = 0.5 * math.log(1 / (1 - rho**2))
-        assert gaussian_total_correlation(spec) == pytest.approx(direct, abs=1e-10)
-
-    def test_diverges_toward_perfect_correlation(self):
-        tc = gaussian_total_correlation
-        assert tc(GaussianSpec(rho=0.99)) > tc(GaussianSpec(rho=0.9))
-
-    def test_non_positive_definite_rejected(self):
-        with pytest.raises(ValueError, match="positive definite"):
-            gaussian_total_correlation(GaussianSpec(sigma=np.array([[1, 2], [2, 1]])))
-
-
 class TestModuli:
     def test_single_component_is_identity(self):
         for alpha in (0.1, 0.5, 1.0):
@@ -623,12 +596,23 @@ _JSON = st.recursive(
 )
 
 
+def _leaves(value):
+    if isinstance(value, (list, dict)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
 def _distribution_documents():
     """Documents shaped like the three kinds, with arbitrary JSON in the fields."""
     vector = st.one_of(
         st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
         st.lists(st.sampled_from([0.5, 1.0, 1e308, -0.5, math.inf, math.nan]),
                  max_size=8),
+        # numbers in disguise: a probability that loads from them is a bug
+        st.lists(st.sampled_from([0.5, 1, "0.5", "1", True, False]),
+                 min_size=1, max_size=4),
         _JSON,
     )
     axes = st.one_of(st.lists(vector, max_size=4), _JSON)
@@ -708,6 +692,8 @@ class TestJsonFormat:
         ({"kind": "joint", "sizes": 5, "table": [1.0]}, "field 'sizes' must be"),
         ({"kind": "product", "axes": [{"a": 1}]}, "axis 0: must be a list"),
         ({"kind": "joint", "sizes": [1], "table": {"a": 1}}, "table: must be a list"),
+        ({"kind": "product", "axes": [["0.5", "0.5"]]}, "axis 0: must be a list"),
+        ({"kind": "product", "axes": [[True, False]]}, "axis 0: must be a list"),
     ])
     def test_wrong_field_type_is_named(self, data, field):
         with pytest.raises(ValueError, match=field):
@@ -736,3 +722,7 @@ class TestJsonFormat:
         except ValueError:
             return
         assert dist.table().probs.sum() == pytest.approx(1.0)
+        # only JSON numbers load: no string or boolean in a field the kind reads
+        fields = [data[k] for k in ("axes", "weights", "components", "sizes", "table")
+                  if k in data]
+        assert all(type(x) in (int, float) for x in _leaves(fields))

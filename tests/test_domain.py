@@ -15,7 +15,8 @@ from gridest.domain import (
     grid_from_counts,
     row_keys,
 )
-from gridest.families import trace_of
+
+from _oracles import brute_trace
 
 
 class TestProductDomain:
@@ -257,15 +258,20 @@ def unpack(trace: bytes, length: int) -> np.ndarray:
     return np.unpackbits(np.frombuffer(trace, dtype=np.uint8), count=length).astype(bool)
 
 
+def trace_key(bits, grid):
+    """One dense event's packed trace through the library's batch path."""
+    return grid.pack_traces(np.asarray(bits, dtype=bool)[None, :])[0].tobytes()
+
+
 class TestTrace:
     def test_empty_set_all_zero(self):
         d = ProductDomain.of_sizes(2, 2)
-        t = trace_of(np.zeros(4, dtype=bool), d.full_grid())
+        t = trace_key(np.zeros(4, dtype=bool), d.full_grid())
         assert not unpack(t, 4).any()
 
     def test_full_domain_all_one(self):
         d = ProductDomain.of_sizes(2, 2)
-        t = trace_of(np.ones(4, dtype=bool), d.full_grid())
+        t = trace_key(np.ones(4, dtype=bool), d.full_grid())
         assert len(t) == 1 and unpack(t, 4).all()
 
     def test_diagonal_on_inner_grid(self):
@@ -274,19 +280,8 @@ class TestTrace:
         bits = np.zeros(9, dtype=bool)
         bits[d.flat_index(np.array([[1, 1], [2, 2]]))] = True
         grid = Grid(d, [np.array([1, 2]), np.array([1, 2])])
-        assert unpack(trace_of(bits, grid), 4).tolist() == [True, False, False, True]
-
-    def test_predicate_events_accepted(self):
-        d = ProductDomain.of_sizes(3, 3)
-        t = trace_of(lambda pts: pts[:, 0] == pts[:, 1], d.full_grid())
-        assert int(unpack(t, 9).sum()) == 3
-
-    def test_equality_is_bitwise(self):
-        grid = ProductDomain.of_sizes(3).full_grid()
-        a = trace_of(np.array([1, 0, 1], dtype=bool), grid)
-        b = trace_of(lambda pts: pts[:, 0] != 1, grid)
-        c = trace_of(np.array([1, 0, 0], dtype=bool), grid)
-        assert a == b and hash(a) == hash(b) and a != c
+        assert unpack(trace_key(bits, grid), 4).tolist() == [True, False, False, True]
+        assert trace_key(bits, grid) == brute_trace(bits, grid)
 
     def test_equal_traces_stay_equal_on_subgrids(self):
         d = ProductDomain.of_sizes(3, 3)
@@ -296,9 +291,9 @@ class TestTrace:
         members = rng.random((40, 9)) < 0.5
         by_trace = {}
         for row in members:
-            by_trace.setdefault(trace_of(row, grid), []).append(row)
+            by_trace.setdefault(trace_key(row, grid), []).append(row)
         for rows in by_trace.values():
-            subs = {trace_of(r, sub) for r in rows}
+            subs = {trace_key(r, sub) for r in rows}
             assert len(subs) == 1
 
     @given(st.integers(0, 2**32 - 1), st.tuples(st.integers(1, 4), st.integers(1, 5)),
@@ -313,12 +308,5 @@ class TestTrace:
         by_mask = row_keys(members[:, grid.point_mask()])
         assert keys.dtype == by_mask.dtype and np.all(keys == by_mask)
         for row, got in zip(members, keys):
-            # the predicate branch of trace_of reads the cells, not the columns
-            want = trace_of(lambda pts, row=row: row[d.flat_index(pts)], grid)
-            assert got.tobytes() == want
-
-    def test_empty_grid_trace_rejected(self):
-        d = ProductDomain.of_sizes(2, 2)
-        empty = Grid(d, [np.array([], dtype=np.int64), np.array([0])])
-        with pytest.raises(ValueError, match="empty grid"):
-            trace_of(np.zeros(4, dtype=bool), empty)
+            # the oracle reads the cells, not the columns
+            assert got.tobytes() == brute_trace(row, grid)

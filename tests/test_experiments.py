@@ -229,29 +229,40 @@ def _never_run(*args, **kwargs):
 _PARAMS = [(name, key) for name, entry in SCENARIOS.items() for key in entry.defaults]
 
 
-def _good_value(default):
-    """Values that follow ``default``: its type, and its sign if that is >= 0."""
+def _least(key, default):
+    """The smallest value a param takes (None: any): 2 for a domain side, else
+    0 where the default is >= 0."""
+    if key in experiments._DOMAIN_SIDES:
+        return 2
+    first = default[0] if isinstance(default, list) else default
+    return 0 if first >= 0 else None
+
+
+def _good_value(default, least):
+    """Values that follow ``default``: its type, and at least ``least``."""
     if isinstance(default, list):
-        return st.lists(_good_value(default[0]), min_size=1, max_size=8)
-    low = 0 if default >= 0 else -10**6
+        return st.lists(_good_value(default[0], least), min_size=1, max_size=8)
+    low = -10**6 if least is None else least
     ints = st.integers(low, 10**6)
     if isinstance(default, int):
         return ints
     return st.one_of(ints, st.floats(min_value=float(low), max_value=1e6))
 
 
-def _bad_value(default):
-    """Values that do not follow ``default``: another JSON type, or a negative
-    number where the default is nonnegative."""
+def _bad_value(default, least):
+    """Values that do not follow ``default``: another JSON type, or a number
+    below ``least``."""
     other = [st.none(), st.booleans(), st.text(max_size=5),
              st.dictionaries(st.text(max_size=3), st.integers(), max_size=3)]
-    negative = [st.integers(max_value=-1),
-                st.floats(max_value=0.0, exclude_max=True).filter(lambda x: x < 0)]
+    below = [] if least is None else [
+        st.integers(max_value=least - 1),
+        st.floats(max_value=least, exclude_max=True).filter(lambda x: x < least),
+    ]
     if isinstance(default, list):
         # a non-list, an empty list, or a list with one bad item among good ones
         mixed = st.tuples(
-            st.lists(_good_value(default[0]), max_size=7), _bad_value(default[0]),
-            st.integers(0, 7),
+            st.lists(_good_value(default[0], least), max_size=7),
+            _bad_value(default[0], least), st.integers(0, 7),
         ).map(lambda t: t[0][: t[2]] + [t[1]] + t[0][t[2]:])
         return st.one_of(*other, st.integers(), st.floats(), st.just([]), mixed)
     if isinstance(default, int):
@@ -259,7 +270,7 @@ def _bad_value(default):
         other.append(st.lists(st.integers(), max_size=8))
     else:
         other.append(st.lists(st.floats(), max_size=8))
-    return st.one_of(*other, *(negative if default >= 0 else []))
+    return st.one_of(*other, *below)
 
 
 class TestValidation:
@@ -285,7 +296,8 @@ class TestValidation:
     @settings(max_examples=300, deadline=None)
     def test_bad_param_rejected_before_the_runner(self, data):
         name, key = data.draw(st.sampled_from(_PARAMS))
-        value = data.draw(_bad_value(SCENARIOS[name].defaults[key]))
+        default = SCENARIOS[name].defaults[key]
+        value = data.draw(_bad_value(default, _least(key, default)))
         with pytest.MonkeyPatch.context() as mp:
             mp.setitem(SCENARIOS, name,
                        dataclasses.replace(SCENARIOS[name], runner=_never_run))
@@ -296,7 +308,8 @@ class TestValidation:
     @settings(max_examples=300, deadline=None)
     def test_good_param_passes(self, data):
         name, key = data.draw(st.sampled_from(_PARAMS))
-        value = data.draw(_good_value(SCENARIOS[name].defaults[key]))
+        default = SCENARIOS[name].defaults[key]
+        value = data.draw(_good_value(default, _least(key, default)))
         assert check_config(ExperimentConfig(name, params={key: value})).name == name
 
     def test_every_scenario_declares_claim_and_check(self):
@@ -521,6 +534,11 @@ class TestCli:
         ("run", "modulus-mixture", {"instances": -1}),
         ("run", "grid-hitting", {"base_perms": -3}),
         ("run", "ssp-audit", {"report_rows": -1}),
+        ("run", "perm-product-success", {"n": 1}),
+        ("run", "pge-end-to-end", {"n": 1}),
+        ("run", "grid-hitting", {"n": 1}),
+        ("run", "pge-end-to-end", {"cross_n": 1}),
+        ("calibrate", "pge-end-to-end", {"cross_n": 1}),
     ])
     def test_bad_param_exits_2(self, tmp_path, capsys, command, scenario, params):
         config = tmp_path / "config.json"
@@ -534,7 +552,8 @@ class TestCli:
         config.write_text(json.dumps({"scenario": "deviation-scaling", "trials": 5,
                                       "params": {"n": 1}}))
         assert cli_main(["run", "--config", str(config)]) == 2
-        assert "error: mean sup-deviation is 0 at n=1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: deviation-scaling param 'n' must be an integer >= 2, got 1" in err
 
     def test_single_m_deviation_scaling_exits_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"

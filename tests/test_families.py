@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 from gridest.domain import CapExceededError, NotEnumerableError, ProductDomain
 from gridest.families import (
     AxisBoxes,
-    CylinderSets,
     ExplicitFamily,
     IntervalsOnAxis,
-    OracleFamily,
     PermutationGraphs,
     PowerSetFamily,
+    SetFamily,
     UnionsOfPermutations,
     dump_family,
     load_family,
@@ -166,28 +165,13 @@ class TestRestrictions:
                 explicit.restrict_to_line(line)
             )
 
-    def test_cylinder_restriction_matches_enumeration(self):
-        fam = CylinderSets(3, 2)
-        explicit = fam.materialize()
-        for axis in range(3):
-            line = enumerate_axis_lines(fam.domain, axis)[0]
-            assert family_as_set(fam.restrict_to_line(line)) == family_as_set(
-                explicit.restrict_to_line(line)
-            )
+    def test_family_without_members_not_enumerable(self):
+        class Unlisted(SetFamily):
+            domain = ProductDomain.of_sizes(2, 2)
 
-    def test_oracle_without_enumerator_not_enumerable(self):
-        d = ProductDomain.of_sizes(2, 2)
-        fam = OracleFamily(d, membership=lambda key, pts: pts[:, 0] == key)
-        line = enumerate_axis_lines(d, 0)[0]
+        line = enumerate_axis_lines(Unlisted.domain, 0)[0]
         with pytest.raises(NotEnumerableError, match="not enumerable"):
-            fam.restrict_to_line(line)
-
-    def test_oracle_with_members_enumerates(self):
-        d = ProductDomain.of_sizes(2, 2)
-        fam = OracleFamily(
-            d, membership=lambda key, pts: pts[:, 0] == key, members=[0, 1]
-        )
-        assert fam.members_matrix().shape == (2, 4)
+            Unlisted().restrict_to_line(line)
 
 
 class TestSymdiff:

