@@ -315,19 +315,26 @@ class ProductGridEstimator(_CellWeightEstimator):
                 raise NotEnumerableError(
                     "family not trace-enumerable within caps"
                 ) from exc
-            # visit members in the sorted order of their own keys; the first
-            # member seen of each trace class is its representative
-            order = np.argsort(row_keys(members))
-            class_keys, first = np.unique(
-                grid.pack_traces(members)[order], return_index=True
-            )
+            keys = row_keys(members)
+            if grid.is_full:
+                # a member's trace is all of its bits: its own key is its
+                # trace key, and the members of a class are equal rows
+                class_keys, first = np.unique(keys, return_index=True)
+            else:
+                # visit members in the sorted order of their own keys; the
+                # first member seen of each trace class is its representative
+                order = np.argsort(keys)
+                class_keys, first = np.unique(
+                    grid.pack_traces(members)[order], return_index=True
+                )
+                first = order[first]
             estimator = cls(
                 grid,
                 cell_counts,
                 class_keys.size,
                 (m0, m1),
                 class_keys=class_keys,
-                representatives=members[order[first]],
+                representatives=members[first],
             )
 
         if plan.split is None:
@@ -361,20 +368,27 @@ class ProductGridEstimator(_CellWeightEstimator):
     def _graphs(self, members: np.ndarray) -> np.ndarray:
         """The rows, checked to be permutation graphs: the traces the family has."""
         n = self.domain.sizes[0]
-        graphs = members.reshape(-1, n, n)
-        # a graph that meets every row has at least n ones, so k graphs with
-        # k n ones in all, meeting every row and column, have one in each
+        rows = members.shape[0] * n
+        # with the graphs' rows stacked, the i-th one must lie on stacked row
+        # i, so each row holds exactly one; then k n ones that fill all k n
+        # (graph, column) bins put exactly one in each column.  A one at flat
+        # index g n^2 + i n + c is on stacked row g n + i, and its bin g n + c
+        # is the index minus (stacked row - g) n, without a slow modulo.
+        ones = np.flatnonzero(members)
+        row = ones // n
         if not (
-            np.count_nonzero(members) == graphs.shape[0] * n
-            and graphs.any(axis=1).all()
-            and graphs.any(axis=2).all()
+            ones.size == rows
+            and (row == np.arange(rows)).all()
+            and np.bincount(ones - (row - row // n) * n, minlength=rows).all()
         ):
             raise ValueError("trace not represented")
         return members
 
     def _class_ids(self, members: np.ndarray) -> np.ndarray:
         """The trace-class id of every row of a checked member matrix."""
-        keys = self.grid.pack_traces(members)
+        # on the full grid a row's trace is all of its bits
+        grid = self.grid
+        keys = row_keys(members) if grid.is_full else grid.pack_traces(members)
         # every id is in range: a key past all but the last class can only be the last
         ids = self.class_keys[:-1].searchsorted(keys)
         if self.class_keys[ids].tobytes() != keys.tobytes():
@@ -462,19 +476,29 @@ def sup_deviation(
         weights = estimator.cell_weights()
         if weights is None:
             raise ValueError("method inapplicable: estimator has no cell weights")
-        diff = weights - ExactEstimator(dist).cell_weights()
-        sides = [diff, -diff]
+        diff = weights - dist.table().reshaped()
+
         # by assignment LP duality a side's value is at most the sum of its
-        # row maxima, and of its column maxima: solve the side with the larger
-        # bound first, and the other only if its bound lets it win (1e-12
-        # covers the rounding of the bound's and the matching's sums)
-        bounds = [min(w.max(axis=1).sum(), w.max(axis=0).sum()) for w in sides]
-        first = int(bounds[1] > bounds[0])
+        # row maxima, and of its column maxima; the -diff side's maxima are
+        # diff's minima, negated, so a side is negated only to be solved
+        def bound(side, axis):
+            return -diff.min(axis=axis).sum() if side else diff.max(axis=axis).sum()
+
+        def solve(side):
+            return max_assignment_value(-diff if side else diff)
+
+        # solve the side with the larger row bound first, and the other only
+        # if neither its row bound nor then its column bound rules it out
+        # (1e-12 covers the rounding of the bound's and the matching's sums)
+        row_bounds = (bound(0, 1), bound(1, 1))
+        first = int(row_bounds[1] > row_bounds[0])
+        other = 1 - first
         values = [None, None]
-        values[first] = max_assignment_value(sides[first])
-        if bounds[1 - first] < values[first] - 1e-12:
+        values[first] = solve(first)
+        cutoff = values[first] - 1e-12
+        if row_bounds[other] < cutoff or bound(other, 0) < cutoff:
             return values[first]
-        values[1 - first] = max_assignment_value(sides[1 - first])
+        values[other] = solve(other)
         return max(values[0], values[1])
     if method == "enumerate":
         members = family.members_matrix()

@@ -812,6 +812,14 @@ _CONFIG_FIELDS = (
 #: point, every estimate is exact, and a claim would pass over nothing.
 _DOMAIN_SIDES = ("n", "cross_n")
 
+#: Params that count the instances or families a claim is checked over.  At 0
+#: the claim would pass over nothing.
+_POPULATION_COUNTS = ("base_perms", "instances", "random_families",
+                      "fano_instances", "vc_families", "lvc_families")
+
+#: The smallest value each of those params takes.
+_LEAST = {**dict.fromkeys(_DOMAIN_SIDES, 2), **dict.fromkeys(_POPULATION_COUNTS, 1)}
+
 
 def _follows(value, default) -> bool:
     """Whether a param has its default's type, and sign if that is >= 0 (nan passes)."""
@@ -831,8 +839,8 @@ def _wanted(default) -> str:
 
 def check_config(config: ExperimentConfig) -> CatalogEntry:
     """The entry of a valid config: checks its fields, names, params (against
-    their catalog defaults; domain sides >= 2) and the single-pass rule;
-    ``ValueError`` if bad."""
+    their catalog defaults; domain sides >= 2, population counts >= 1) and the
+    single-pass rule; ``ValueError`` if bad."""
     for name, ok, want in _CONFIG_FIELDS:
         value = getattr(config, name)
         if not ok(value):
@@ -844,9 +852,12 @@ def check_config(config: ExperimentConfig) -> CatalogEntry:
     if unknown:
         raise ValueError(f"unknown parameters for {entry.name}: {sorted(unknown)}")
     for name, value in config.params.items():
-        side = name in _DOMAIN_SIDES
-        if not _follows(value, entry.defaults[name]) or (side and value < 2):
-            want = "an integer >= 2" if side else _wanted(entry.defaults[name])
+        least = _LEAST.get(name)
+        if not _follows(value, entry.defaults[name]) or (
+            least is not None and value < least
+        ):
+            want = (_wanted(entry.defaults[name]) if least is None
+                    else f"an integer >= {least}")
             raise ValueError(f"{entry.name} param {name!r} must be {want}, got {value!r}")
     if entry.default_trials == 1 and config.trials not in (None, 1):
         raise ValueError(

@@ -548,6 +548,25 @@ class TestTraceIndexOracle:
         d = ProductDomain.of_sizes(*sizes)
         fam = ExplicitFamily(d, rng.random((k, d.n_points)) < 0.5)
         s = rng.integers(0, sizes, size=(m0 + m1, 2))
+        self._check(rng, fam, s, m0, m1)
+
+    @given(st.integers(0, 2**32 - 1), st.tuples(st.integers(1, 3), st.integers(1, 4)),
+           st.integers(1, 12), st.integers(1, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_full_grid_reuses_the_member_keys(self, seed, sizes, k, m1):
+        # phase 1 sees every point, so the build takes each member's own key
+        # as its trace key
+        rng = np.random.default_rng(seed)
+        d = ProductDomain.of_sizes(*sizes)
+        fam = ExplicitFamily(d, rng.random((k, d.n_points)) < rng.random())
+        s0 = d.all_points()[rng.permutation(d.n_points)]
+        s = np.vstack([s0, rng.integers(0, sizes, size=(m1, 2))])
+        est = self._check(rng, fam, s, len(s0), m1)
+        assert est.grid.is_full and est.class_count == fam.member_count()
+
+    @staticmethod
+    def _check(rng, fam, s, m0, m1):
+        d = fam.domain
         est = build_product_grid_estimator(s, fam, identity_plan(split=(m0, m1)))
         members = fam.members_matrix()
         strangers = rng.random((4, d.n_points)) < 0.5
@@ -563,6 +582,7 @@ class TestTraceIndexOracle:
             rep = min(same, key=lambda r: r.tolist())
             assert np.array_equal(est.representative(row), rep)
             assert est.estimate_many(row[None, :])[0] == brute_mean(s[m0:], rep, d)
+        return est
 
 
 class TestOneCellWeightCore:
@@ -804,20 +824,33 @@ def solves(monkeypatch):
 class TestBoundFirstAssignment:
     """Solving the side that a bound says can win equals solving both sides."""
 
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.booleans())
-    @settings(max_examples=150, deadline=None)
-    def test_equals_the_two_solve_value(self, seed, n, as_counts):
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6),
+           st.sampled_from(["random", "counts", "upper", "lower", "zero"]))
+    @settings(max_examples=250, deadline=None)
+    def test_equals_the_two_solve_value(self, seed, n, kind):
         rng = np.random.default_rng(seed)
         dist = JointTable(ProductDomain.of_sizes(n, n), rng.dirichlet(np.ones(n * n)))
-        if as_counts:
+        truth = dist.reshaped()
+        if kind == "random":
+            weights = rng.dirichlet(np.ones(n * n)).reshape(n, n)
+        elif kind == "counts":
             # counts / m, as phase-2 means are: many ties between cells
             m = int(rng.integers(1, 3 * n * n))
-            weights = rng.multinomial(m, np.full(n * n, 1.0 / (n * n))) / m
+            counts = rng.multinomial(m, np.full(n * n, 1.0 / (n * n)))
+            weights = counts.reshape(n, n) / m
+        elif kind == "zero":
+            weights = truth.copy()
         else:
-            weights = rng.dirichlet(np.ones(n * n))
-        est = _CellWeightStub(weights.reshape(n, n), dist.domain)
+            # one side dominates; a few cells lean the other way
+            lean = rng.random((n, n)) - 0.1
+            weights = truth + (lean if kind == "upper" else -lean)
+        est = _CellWeightStub(weights, dist.domain)
         got = sup_deviation(est, PermutationGraphs(n), dist, "assignment")
+        d = weights - truth
+        assert got == max(max_assignment_value(d), max_assignment_value(-d))
         assert _same_float(got, _two_solve_deviation(est, dist))
+        if kind == "zero":
+            assert got == 0.0
 
     def test_zero_difference_solves_both_sides(self, solves):
         dist = uniform_product(4)
@@ -846,6 +879,17 @@ class TestBoundFirstAssignment:
         est = _CellWeightStub(1 / n**2 + np.diag(extra), dist.domain)
         got = sup_deviation(est, PermutationGraphs(n), dist, "assignment")
         assert got == extra.sum() and len(solves) == 1
+        assert _same_float(got, _two_solve_deviation(est, dist))
+
+    def test_column_bound_rules_out_what_the_row_bound_cannot(self, solves):
+        # diff has -1/8 down column 0 and 3/8 down column 1: diff's side is
+        # worth 1/4; -diff's row bound is 3/8, but its column bound is -1/4
+        dist = uniform_product(3)
+        diff = np.zeros((3, 3))
+        diff[:, 0], diff[:, 1] = -1 / 8, 3 / 8
+        est = _CellWeightStub(1 / 9 + diff, dist.domain)
+        got = sup_deviation(est, PermutationGraphs(3), dist, "assignment")
+        assert got == pytest.approx(1 / 4, abs=1e-15) and len(solves) == 1
         assert _same_float(got, _two_solve_deviation(est, dist))
 
     def test_phase2_means_take_one_solve(self, solves):
@@ -949,6 +993,84 @@ class TestGraphCheck:
                        [identity, doubled], []):
             members = np.array(graphs, dtype=bool).reshape(-1, n * n)
             self._agrees(est, members, n)
+
+
+def _brute_is_permutation_batch(blocks):
+    """Every row and every column of each block holds exactly one 1, cell by cell."""
+    return all(
+        sum(block[r][c] for c in range(len(block))) == 1
+        and sum(block[c][r] for c in range(len(block))) == 1
+        for block in blocks.tolist()
+        for r in range(len(block))
+    )
+
+
+@st.composite
+def _stacked_blocks(draw):
+    """k <= 5 stacked n x n blocks, n <= 4: permutation graphs, graphs with one
+    1 moved inside a block or between blocks, or random bits."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["graphs", "moved-within", "moved-between", "random"]))
+    if kind == "random":
+        return rng.random((k, n, n)) < rng.random()
+    blocks = np.zeros((k, n, n), dtype=bool)
+    for block in blocks:
+        block[np.arange(n), rng.permutation(n)] = True
+    if kind != "graphs":
+        src = rng.integers(k)
+        dst = src if kind == "moved-within" else rng.integers(k)
+        row = rng.integers(n)
+        blocks[src, row] = False
+        blocks[dst, rng.integers(n), rng.integers(n)] = True
+    return blocks
+
+
+class TestGraphCheckOracle:
+    """The structured estimates succeed exactly on batches of permutation graphs."""
+
+    @staticmethod
+    def _structured(blocks):
+        k, n, _ = blocks.shape
+        counts = np.arange(1, n * n + 1).reshape(n, n)
+        est = ProductGridEstimator.from_counts(
+            ProductDomain.of_sizes(n, n).full_grid(), counts, PermutationGraphs(n),
+            identity_plan(split=(1, int(counts.sum()))),
+        )
+        return est, blocks.reshape(k, n * n)
+
+    @given(_stacked_blocks())
+    @settings(max_examples=300, deadline=None)
+    def test_succeeds_exactly_on_permutation_graphs(self, blocks):
+        est, members = self._structured(blocks)
+        if _brute_is_permutation_batch(blocks):
+            assert np.array_equal(est.estimate_many(members),
+                                  members @ est.weights / est.total)
+        else:
+            with pytest.raises(ValueError, match="trace not represented"):
+                est.estimate_many(members)
+
+    def test_doubled_row_beside_an_empty_row(self):
+        # k n ones in all: block 0's row 0 holds two, block 1's row 2 none
+        n = 3
+        blocks = np.array([np.eye(n), np.eye(n)], dtype=bool)
+        blocks[0, 0, 1] = True
+        blocks[1, 2, 2] = False
+        assert blocks.sum() == 2 * n and not _brute_is_permutation_batch(blocks)
+        est, members = self._structured(blocks)
+        with pytest.raises(ValueError, match="trace not represented"):
+            est.estimate_many(members)
+
+    def test_block_with_every_one_in_one_column(self):
+        # every row holds one 1, and with the identity beside it every column
+        # of the batch is met; only block 1's own columns are not
+        n = 3
+        blocks = np.zeros((2, n, n), dtype=bool)
+        blocks[0] = np.eye(n, dtype=bool)
+        blocks[1, :, 0] = True
+        est, members = self._structured(blocks)
+        with pytest.raises(ValueError, match="trace not represented"):
+            est.estimate_many(members)
 
 
 class TestGridHitting:

@@ -230,10 +230,12 @@ _PARAMS = [(name, key) for name, entry in SCENARIOS.items() for key in entry.def
 
 
 def _least(key, default):
-    """The smallest value a param takes (None: any): 2 for a domain side, else
-    0 where the default is >= 0."""
+    """The smallest value a param takes (None: any): 2 for a domain side, 1 for
+    a population count, else 0 where the default is >= 0."""
     if key in experiments._DOMAIN_SIDES:
         return 2
+    if key in experiments._POPULATION_COUNTS:
+        return 1
     first = default[0] if isinstance(default, list) else default
     return 0 if first >= 0 else None
 
@@ -539,6 +541,14 @@ class TestCli:
         ("run", "grid-hitting", {"n": 1}),
         ("run", "pge-end-to-end", {"cross_n": 1}),
         ("calibrate", "pge-end-to-end", {"cross_n": 1}),
+        ("run", "grid-hitting", {"base_perms": 0}),
+        ("calibrate", "grid-hitting", {"base_perms": 0}),
+        ("run", "modulus-mixture", {"instances": 0}),
+        ("run", "modulus-tc", {"instances": 0}),
+        ("run", "ssp-audit", {"random_families": 0}),
+        ("run", "fano-omega-d", {"fano_instances": 0}),
+        ("run", "symdiff-vc", {"vc_families": 0}),
+        ("run", "symdiff-vc", {"lvc_families": 0}),
     ])
     def test_bad_param_exits_2(self, tmp_path, capsys, command, scenario, params):
         config = tmp_path / "config.json"
