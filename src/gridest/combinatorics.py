@@ -26,7 +26,7 @@ from .families import (
     PermutationGraphs,
     PowerSetFamily,
     SetFamily,
-    perm_graph_bits,
+    unions_of_rows,
 )
 from .info import binary_entropy_bits
 
@@ -120,8 +120,6 @@ def linear_vc_dimension(family: SetFamily) -> DimensionCert:
 
 def count_traces(family: SetFamily, grid: Grid) -> int:
     """Exact number of distinct traces the family induces on the grid."""
-    if grid.cell_count == 0:
-        return 1
     if isinstance(family, PermutationGraphs) and grid.is_full:
         # the full grid determines the permutation, so all traces are distinct
         return family.member_count()
@@ -201,20 +199,18 @@ def enumerate_hd_permutations(n: int, d: int) -> ExplicitFamily:
         raise CapExceededError(f"only d in {sorted(_HD_CAPS)} supported")
     if n > _HD_CAPS[d]:
         raise CapExceededError(f"n={n} exceeds cap {_HD_CAPS[d]} for d={d}")
-    domain = ProductDomain.of_sizes(*([n] * d))
-    members = []
     if d == 2:
-        for perm in itertools.permutations(range(n)):
-            members.append(perm_graph_bits(perm, domain))
-    else:
-        for square in _latin_squares(n):
-            bits = np.zeros(domain.n_points, dtype=bool)
-            pts = np.array(
-                [[i, j, square[i][j]] for i in range(n) for j in range(n)],
-                dtype=np.int64,
-            )
-            bits[domain.flat_index(pts)] = True
-            members.append(bits)
+        return PermutationGraphs(n).materialize()
+    domain = ProductDomain.of_sizes(n, n, n)
+    members = []
+    for square in _latin_squares(n):
+        bits = np.zeros(domain.n_points, dtype=bool)
+        pts = np.array(
+            [[i, j, square[i][j]] for i in range(n) for j in range(n)],
+            dtype=np.int64,
+        )
+        bits[domain.flat_index(pts)] = True
+        members.append(bits)
     return ExplicitFamily(domain, np.array(members, dtype=bool))
 
 
@@ -247,19 +243,11 @@ def union_family_lower_check(n: int, d: int, g: int) -> tuple[int, float]:
     """
     if g < 1:
         raise ValueError("need g >= 1")
-    base = enumerate_hd_permutations(n, d)
-    members = base.members_matrix()
+    members = enumerate_hd_permutations(n, d).members_matrix()
     n_tuples = sum(math.comb(len(members), r) for r in range(g + 1))
     if n_tuples > 1 << 22:
         raise CapExceededError("too many unions to enumerate")
-    seen = set()
-    empty = np.zeros(members.shape[1], dtype=bool)
-    seen.add(np.packbits(empty).tobytes())
-    for r in range(1, g + 1):
-        for combo in itertools.combinations(range(len(members)), r):
-            union = np.logical_or.reduce(members[list(combo)])
-            seen.add(np.packbits(union).tobytes())
-    exact = len(seen)
+    exact = len(unions_of_rows(members, g))
     bound = len(members) ** g / g ** (g * n ** (d - 1))
     if exact < bound:
         raise AssertionError(

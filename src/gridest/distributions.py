@@ -22,9 +22,7 @@ from .info import as_pmf, binary_entropy
 
 
 class ProductDistribution:
-    """A product of per-axis probability vectors over a domain's alphabets."""
-
-    kind = "product"
+    """A product of per-axis probability vectors over a domain's axes."""
 
     def __init__(self, domain: ProductDomain, marginals: Sequence):
         if len(marginals) != domain.width:
@@ -33,7 +31,7 @@ class ProductDistribution:
         for i, p in enumerate(marginals):
             p = as_pmf(p)
             if p.size != domain.sizes[i]:
-                raise ValueError(f"marginal {i} length != alphabet size")
+                raise ValueError(f"marginal {i} length != axis size")
             p.flags.writeable = False
             cleaned.append(p)
         self.domain = domain
@@ -58,8 +56,6 @@ class ProductDistribution:
 
 class MixtureDistribution:
     """A finite mixture of product distributions on a common domain."""
-
-    kind = "mixture"
 
     def __init__(self, weights, components: Sequence[ProductDistribution]):
         if len(components) == 0:
@@ -101,8 +97,6 @@ class MixtureDistribution:
 
 class JointTable:
     """A full probability table in the domain's canonical point order."""
-
-    kind = "joint"
 
     def __init__(self, domain: ProductDomain, probs):
         probs = as_pmf(np.ravel(probs))
@@ -332,13 +326,6 @@ class Modulus:
             raise ValueError("betas must lie in (0, 1]")
         return cls("table", (tuple(alphas.tolist()), tuple(betas.tolist())))
 
-    def describe(self) -> str:
-        if self.kind == "mixture":
-            return f"mixture(k={self.params[0]}, d={self.params[1]})"
-        if self.kind == "tc":
-            return f"tc(C={self.params[0]})"
-        return self.kind
-
 
 # -- constructions -------------------------------------------------------------
 
@@ -368,21 +355,18 @@ def mixture_tightness_instance(k: int, d: int, alpha: float):
     return mixture, event
 
 
-def gilbert_varshamov_code(d: int, min_distance: int, seed=None) -> np.ndarray:
+def gilbert_varshamov_code(d: int, min_distance: int) -> np.ndarray:
     """A greedy sign-vector code with pairwise Hamming distance >= min_distance.
 
-    Greedy over a seeded-random (or lexicographic, when seed is None) order of
-    all 2^d sign vectors; the achieved rate log2(size)/d is whatever the greedy
-    construction attains, verified by the caller.
+    Greedy over the lexicographic order of all 2^d sign vectors; the achieved
+    rate log2(size)/d is whatever the greedy construction attains, verified
+    by the caller.
     """
     if d < 1 or min_distance < 1:
         raise ValueError("need d >= 1 and min_distance >= 1")
     if 2**d > MAX_CELLS:
         raise CapExceededError("sign-vector space too large to enumerate")
-    codes = np.arange(2**d, dtype=np.int64)
-    if seed is not None:
-        codes = np.random.default_rng(seed).permutation(codes)
-    vectors = code_bits(codes, d).astype(np.int8)
+    vectors = code_bits(np.arange(2**d, dtype=np.int64), d).astype(np.int8)
     kept: list[np.ndarray] = []
     kept_mat = np.empty((0, d), dtype=np.int8)
     for v in vectors:
@@ -514,7 +498,7 @@ def distribution_from_dict(data: dict) -> Distribution:
                 "positive integers"
             )
         table = _load_vector(_field(data, "table"), "table")
-        # checked before the domain is built: it materializes every alphabet
+        # checked here, so the error names the table and its sizes
         if table.size != math.prod(sizes):
             raise ValueError(
                 f"joint distribution: table has {table.size} entries, "

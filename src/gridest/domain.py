@@ -1,8 +1,8 @@
 """Finite product domains, points, axis-parallel lines, and empirical grids.
 
-A domain is a cartesian product of finite ordered alphabets.  Points are
-stored as integer index vectors into the per-axis alphabets, and samples are
-``(m, d)`` integer arrays.  The canonical point order is row-major over axis
+A domain is a product ``[n_1] x ... x [n_d]`` of finite index ranges, given
+by its sizes.  Points are integer index vectors, and samples are ``(m, d)``
+integer arrays.  The canonical point order is row-major over axis
 indices; every dense set representation and every trace uses this order.
 """
 
@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,25 +49,29 @@ def row_keys(bits: np.ndarray) -> np.ndarray:
 
 
 class ProductDomain:
-    """A product of finite ordered alphabets ``W_1 x ... x W_d``.
+    """A product of finite index ranges ``[n_1] x ... x [n_d]``, one per axis.
 
-    Each alphabet is a list of distinct values; the list order is the axis
-    order used for sorting grid values and for the canonical row-major cell
-    enumeration.
+    Axis ``i`` takes the values ``0 .. n_i - 1`` in that order, the order of
+    grid values and of the canonical row-major point enumeration.  Two
+    domains are equal exactly when their sizes are.
     """
 
-    def __init__(self, axes: Sequence[Sequence[Any]]):
-        axes = tuple(tuple(a) for a in axes)
-        if len(axes) < 1:
+    def __init__(self, sizes: Sequence[int]):
+        checked = []
+        for i, n in enumerate(sizes):
+            try:
+                n = operator.index(n)
+            except TypeError:
+                raise ValueError(
+                    f"axis {i} size must be an integer, got {n!r}"
+                ) from None
+            if n < 1:
+                raise ValueError(f"axis {i} size must be at least 1, got {n}")
+            checked.append(n)
+        if not checked:
             raise ValueError("domain width must be at least 1")
-        for i, alphabet in enumerate(axes):
-            if len(alphabet) == 0:
-                raise ValueError(f"axis {i} alphabet is empty")
-            if len(set(alphabet)) != len(alphabet):
-                raise ValueError(f"axis {i} alphabet has duplicate values")
-        self.axes = axes
-        self.sizes = tuple(len(a) for a in axes)
-        self.width = len(axes)
+        self.sizes = tuple(checked)
+        self.width = len(checked)
         self.n_points = math.prod(self.sizes)
         # row-major strides for flat indexing
         strides = [1] * self.width
@@ -77,14 +82,14 @@ class ProductDomain:
 
     @classmethod
     def of_sizes(cls, *sizes: int) -> "ProductDomain":
-        """Domain with integer alphabets ``0..n_i-1`` (values equal indices)."""
-        return cls([range(n) for n in sizes])
+        """The domain ``[n_1] x ... x [n_d]``."""
+        return cls(sizes)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, ProductDomain) and self.axes == other.axes
+        return isinstance(other, ProductDomain) and self.sizes == other.sizes
 
     def __hash__(self) -> int:
-        return hash(self.axes)
+        return hash(self.sizes)
 
     def __repr__(self) -> str:
         return f"ProductDomain(sizes={self.sizes})"
@@ -115,18 +120,15 @@ class ProductDomain:
         points = np.asarray(points, dtype=np.int64)
         return points @ self._strides
 
-    def iter_points(self) -> Iterator[tuple[int, ...]]:
-        """All points as index tuples in canonical order (guarded by cap)."""
+    def all_points(self) -> np.ndarray:
+        """``(n_points, d)`` array of all points in canonical order (guarded by cap)."""
         if self.n_points > MAX_CELLS:
             raise CapExceededError(
                 f"domain has {self.n_points} points, exceeds cap {MAX_CELLS}"
             )
-        return itertools.product(*(range(n) for n in self.sizes))
-
-    def all_points(self) -> np.ndarray:
-        """``(n_points, d)`` array of all points in canonical order."""
-        return np.array(list(self.iter_points()), dtype=np.int64).reshape(
-            self.n_points, self.width
+        return np.stack(
+            np.unravel_index(np.arange(self.n_points), self.sizes),
+            axis=1, dtype=np.int64,
         )
 
     def full_grid(self) -> "Grid":
@@ -153,20 +155,12 @@ class AxisLine:
         if any(v is None for i, v in enumerate(self.fixed) if i != self.axis):
             raise ValueError("missing fixed coordinate on a non-free axis")
 
-    def points(self, space: "ProductDomain | Grid") -> np.ndarray:
-        """The line's points within ``space``, ordered along the free axis."""
-        if isinstance(space, Grid):
-            values = space.axes[self.axis]
-            width = space.domain.width
-        else:
-            values = np.arange(space.sizes[self.axis])
-            width = space.width
-        pts = np.empty((len(values), width), dtype=np.int64)
+    def points(self, domain: "ProductDomain") -> np.ndarray:
+        """The line's points, ordered along the free axis."""
+        values = np.arange(domain.sizes[self.axis])
+        pts = np.empty((len(values), domain.width), dtype=np.int64)
         for j, v in enumerate(self.fixed):
-            if j == self.axis:
-                pts[:, j] = values
-            else:
-                pts[:, j] = v
+            pts[:, j] = values if j == self.axis else v
         return pts
 
 
@@ -303,23 +297,13 @@ def grid_from_counts(marginal_counts, domain: ProductDomain) -> Grid:
     return Grid(domain, tuple(np.flatnonzero(c) for c in counts))
 
 
-def enumerate_axis_lines(space: ProductDomain | Grid, axis: int) -> list[AxisLine]:
-    """All axis-parallel lines of ``space`` in direction ``axis``.
+def enumerate_axis_lines(domain: ProductDomain, axis: int) -> list[AxisLine]:
+    """All axis-parallel lines of ``domain`` in direction ``axis``.
 
-    The lines are pairwise disjoint and partition the space; their count is
+    The lines are pairwise disjoint and partition the domain; their count is
     the product of the other axis sizes.
     """
-    if isinstance(space, Grid):
-        width = space.domain.width
-        other_values = [space.axes[j] for j in range(width)]
-    else:
-        width = space.width
-        other_values = [np.arange(n) for n in space.sizes]
-    if not 0 <= axis < width:
-        raise ValueError(f"axis {axis} out of range for width {width}")
-    pools = [other_values[j] if j != axis else [None] for j in range(width)]
-    lines = []
-    for combo in itertools.product(*pools):
-        fixed = tuple(None if j == axis else int(combo[j]) for j in range(width))
-        lines.append(AxisLine(axis=axis, fixed=fixed))
-    return lines
+    if not 0 <= axis < domain.width:
+        raise ValueError(f"axis {axis} out of range for width {domain.width}")
+    pools = [[None] if j == axis else range(n) for j, n in enumerate(domain.sizes)]
+    return [AxisLine(axis=axis, fixed=fixed) for fixed in itertools.product(*pools)]

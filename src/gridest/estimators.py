@@ -24,8 +24,8 @@ from .domain import (
     Grid,
     NotEnumerableError,
     ProductDomain,
-    build_grid,
     check_marginal_counts,
+    grid_from_counts,
     row_keys,
 )
 from .distributions import Distribution, Modulus, ProductDistribution
@@ -124,6 +124,11 @@ def _event_row(event, domain: ProductDomain) -> np.ndarray:
     return _member_rows(np.reshape(bits, (1, -1)), domain)
 
 
+def _axis_counts(points: np.ndarray, domain: ProductDomain) -> list[np.ndarray]:
+    """The per-axis value counts of checked ``(m, d)`` points."""
+    return [np.bincount(axis, minlength=n) for axis, n in zip(points.T, domain.sizes)]
+
+
 def _check_tabulable(domain: ProductDomain) -> None:
     if domain.n_points > MAX_CELLS:
         raise CapExceededError(
@@ -170,8 +175,6 @@ class _CellWeightEstimator:
 class EmpiricalMeanEstimator(_CellWeightEstimator):
     """The empirical mean: the sample's point counts over its size."""
 
-    name = "empirical-mean"
-
     def __init__(self, sample: np.ndarray, domain: ProductDomain):
         sample = domain.validate_points(np.asarray(sample, dtype=np.int64))
         if sample.shape[0] == 0:
@@ -189,12 +192,9 @@ class EmpiricalProductEstimator(_CellWeightEstimator):
     sample and builds through it.
     """
 
-    name = "empirical-product"
-
     def __init__(self, sample: np.ndarray, domain: ProductDomain):
         sample = domain.validate_points(np.asarray(sample, dtype=np.int64))
-        self._fit([np.bincount(axis, minlength=n) for axis, n in
-                   zip(sample.T, domain.sizes)], domain)
+        self._fit(_axis_counts(sample, domain), domain)
 
     @classmethod
     def from_counts(
@@ -220,8 +220,6 @@ class EmpiricalProductEstimator(_CellWeightEstimator):
 class ExactEstimator(_CellWeightEstimator):
     """The true distribution viewed as an estimator (zero-deviation reference)."""
 
-    name = "exact"
-
     def __init__(self, dist: Distribution):
         self.dist = dist
         super().__init__(dist.domain, dist.table().probs)
@@ -242,8 +240,6 @@ class ProductGridEstimator(_CellWeightEstimator):
     full domain, every trace class is a singleton and the estimate is the
     phase-2 mean itself: the structured mode.
     """
-
-    name = "product-grid"
 
     def __init__(
         self,
@@ -398,12 +394,6 @@ class ProductGridEstimator(_CellWeightEstimator):
     def cell_weights(self) -> np.ndarray | None:
         return super().cell_weights() if self.is_structured else None
 
-    def describe(self) -> str:
-        return (
-            f"product-grid(grid={self.grid.sizes}, classes={self.class_count}, "
-            f"split={self.split})"
-        )
-
 
 def build_product_grid_estimator(
     sample: np.ndarray, family: SetFamily, plan: SamplingPlan
@@ -434,8 +424,10 @@ def build_product_grid_estimator(
     _check_tabulable(domain)
     s1_flat = domain.flat_index(sample[m0 : m0 + m1])
     counts = np.bincount(s1_flat, minlength=domain.n_points).reshape(domain.sizes)
+    # the points are checked above: the grid comes from their counts
     return ProductGridEstimator.from_counts(
-        build_grid(sample[:m0], domain), counts, family, plan
+        grid_from_counts(_axis_counts(sample[:m0], domain), domain),
+        counts, family, plan,
     )
 
 
@@ -452,24 +444,16 @@ def max_assignment_value(weights: np.ndarray) -> float:
 
 
 def sup_deviation(
-    estimator, family: SetFamily, dist: Distribution, method: str = "auto"
+    estimator, family: SetFamily, dist: Distribution, method: str
 ) -> float:
     """Exact ``sup_F |estimate(F) - P(F)|`` over the family.
 
+    ``method`` is required, ``"assignment"`` or ``"enumerate"``.
     ``assignment`` requires a permutation-graph family and an estimator whose
     value on a graph decomposes into per-cell weights; the two signed sides
     are solved as max-weight matchings.  ``enumerate`` evaluates every member
     of an explicitly enumerable family.
     """
-    if method == "auto":
-        if (
-            isinstance(family, PermutationGraphs)
-            and getattr(estimator, "cell_weights", None) is not None
-            and estimator.cell_weights() is not None
-        ):
-            method = "assignment"
-        else:
-            method = "enumerate"
     if method == "assignment":
         if not isinstance(family, PermutationGraphs):
             raise ValueError("method inapplicable: family is not permutation graphs")
@@ -479,24 +463,21 @@ def sup_deviation(
         diff = weights - dist.table().reshaped()
 
         # by assignment LP duality a side's value is at most the sum of its
-        # row maxima, and of its column maxima; the -diff side's maxima are
-        # diff's minima, negated, so a side is negated only to be solved
-        def bound(side, axis):
-            return -diff.min(axis=axis).sum() if side else diff.max(axis=axis).sum()
+        # row maxima; the -diff side's maxima are diff's minima, negated, so
+        # a side is negated only to be solved
+        bounds = (diff.max(axis=1).sum(), -diff.min(axis=1).sum())
 
         def solve(side):
             return max_assignment_value(-diff if side else diff)
 
-        # solve the side with the larger row bound first, and the other only
-        # if neither its row bound nor then its column bound rules it out
-        # (1e-12 covers the rounding of the bound's and the matching's sums)
-        row_bounds = (bound(0, 1), bound(1, 1))
-        first = int(row_bounds[1] > row_bounds[0])
+        # solve the side with the larger bound first, and the other only if
+        # its bound does not rule it out (1e-12 covers the rounding of the
+        # bound's and the matching's sums)
+        first = int(bounds[1] > bounds[0])
         other = 1 - first
         values = [None, None]
         values[first] = solve(first)
-        cutoff = values[first] - 1e-12
-        if row_bounds[other] < cutoff or bound(other, 0) < cutoff:
+        if bounds[other] < values[first] - 1e-12:
             return values[first]
         values[other] = solve(other)
         return max(values[0], values[1])

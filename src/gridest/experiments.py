@@ -17,7 +17,7 @@ import math
 import numbers
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -579,16 +579,13 @@ def _run_pge_end_to_end(params, trials, seed, memo):
     n, eps, delta, c0 = params["n"], params["eps"], params["delta"], params["c0"]
     slack = params["slack"]
     dist = two_component_mixture(n)
-    plan_sizes = SamplingPlan(
+    plan = SamplingPlan(
         epsilon=eps, delta=delta, lvc=1, width=2,
         modulus=Modulus.for_mixture(2, 2), c0=c0,
     )
-    m0 = phase1_size(plan_sizes)
+    m0 = phase1_size(plan)
     m1 = phase2_size(eps, delta, math.factorial(n))
-    plan = SamplingPlan(
-        epsilon=eps, delta=delta, lvc=1, width=2,
-        modulus=Modulus.for_mixture(2, 2), c0=c0, split=(m0, m1),
-    )
+    plan = replace(plan, split=(m0, m1))
     master = np.random.SeedSequence(seed)
     trial_seed, cross_seed = master.spawn(2)
     dist.table()  # kept by the mixture, so trials and worker processes reuse it

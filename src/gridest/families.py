@@ -71,7 +71,7 @@ class SetFamily:
 
 
 def _line_domain(domain: ProductDomain, axis: int) -> ProductDomain:
-    return ProductDomain([domain.axes[axis]])
+    return ProductDomain.of_sizes(domain.sizes[axis])
 
 
 class ExplicitFamily(SetFamily):
@@ -112,6 +112,29 @@ def _dedup_rows(members: np.ndarray) -> np.ndarray:
     """Each distinct row once, at its first occurrence, in the original order."""
     _, first = np.unique(row_keys(members), return_index=True)
     return members[np.sort(first)]
+
+
+def unions_of_rows(rows: np.ndarray, g: int) -> np.ndarray:
+    """Every union of at most ``g`` rows of a boolean matrix, each once.
+
+    The empty union comes first, then the unions of r = 1 .. g rows in
+    ``itertools.combinations`` order; a repeated union keeps its first place.
+    """
+    unions = [np.zeros(rows.shape[1], dtype=bool)]
+    for r in range(1, g + 1):
+        for combo in itertools.combinations(range(len(rows)), r):
+            unions.append(np.logical_or.reduce(rows[list(combo)]))
+    return _dedup_rows(np.array(unions, dtype=bool))
+
+
+def _intervals(n: int) -> np.ndarray:
+    """The empty set, then every interval ``[a, b]`` of ``[n]`` in lexicographic
+    ``(a, b)`` order, as the rows of a boolean matrix."""
+    lo, hi = np.triu_indices(n)
+    idx = np.arange(n)
+    return np.vstack(
+        [np.zeros((1, n), dtype=bool), (idx >= lo[:, None]) & (idx <= hi[:, None])]
+    )
 
 
 class PermutationGraphs(SetFamily):
@@ -177,25 +200,13 @@ class UnionsOfPermutations(SetFamily):
         )
         if n_tuples > MAX_MEMBERS:
             raise CapExceededError("family too large")
-        graphs = base.members_matrix()
-        members = [np.zeros(self.domain.n_points, dtype=bool)]
-        for r in range(1, self.g + 1):
-            for combo in itertools.combinations(range(len(graphs)), r):
-                members.append(np.logical_or.reduce(graphs[list(combo)]))
-        return _dedup_rows(np.array(members, dtype=bool))
+        return unions_of_rows(base.members_matrix(), self.g)
 
     def restrict_to_line(self, line: AxisLine) -> ExplicitFamily:
-        # restrictions are exactly the subsets of the line of size <= g
-        n = self.n
-        members = [np.zeros(n, dtype=bool)]
-        for r in range(1, min(self.g, n) + 1):
-            for combo in itertools.combinations(range(n), r):
-                row = np.zeros(n, dtype=bool)
-                row[list(combo)] = True
-                members.append(row)
-        return ExplicitFamily(
-            _line_domain(self.domain, line.axis), np.array(members, dtype=bool)
-        )
+        # restrictions are exactly the subsets of the line of size <= g: the
+        # unions of at most g singletons
+        members = unions_of_rows(np.eye(self.n, dtype=bool), min(self.g, self.n))
+        return ExplicitFamily(_line_domain(self.domain, line.axis), members)
 
     def structural_lvc(self) -> int:
         return min(self.g, self.n)
@@ -218,29 +229,18 @@ class IntervalsOnAxis(SetFamily):
         return 1 + n * (n + 1) // 2
 
     def members_matrix(self) -> np.ndarray:
-        pts = self.domain.all_points()
-        x = pts[:, self.axis]
-        n = self.domain.sizes[self.axis]
-        members = [np.zeros(self.domain.n_points, dtype=bool)]
-        for a in range(n):
-            for b in range(a, n):
-                members.append((x >= a) & (x <= b))
-        return _dedup_rows(np.array(members, dtype=bool))
+        # distinct intervals of the axis are distinct slabs, so no row repeats
+        x = self.domain.all_points()[:, self.axis]
+        return _intervals(self.domain.sizes[self.axis])[:, x]
 
     def restrict_to_line(self, line: AxisLine) -> ExplicitFamily:
         n_line = self.domain.sizes[line.axis]
         if line.axis == self.axis:
-            members = [np.zeros(n_line, dtype=bool)]
-            idx = np.arange(n_line)
-            for a in range(n_line):
-                for b in range(a, n_line):
-                    members.append((idx >= a) & (idx <= b))
+            members = _intervals(n_line)
         else:
             # off-axis: each member restricts to the empty set or the full line
-            members = [np.zeros(n_line, dtype=bool), np.ones(n_line, dtype=bool)]
-        return ExplicitFamily(
-            _line_domain(self.domain, line.axis), np.array(members, dtype=bool)
-        )
+            members = np.array([[False] * n_line, [True] * n_line])
+        return ExplicitFamily(_line_domain(self.domain, line.axis), members)
 
     def structural_lvc(self) -> int:
         return min(2, self.domain.sizes[self.axis])
@@ -266,11 +266,9 @@ class AxisBoxes(SetFamily):
         # distinct intervals give distinct nonempty boxes, so no row repeats
         boxes = np.ones((1, 1), dtype=bool)
         for n in self.domain.sizes:
-            lo, hi = np.triu_indices(n)
-            idx = np.arange(n)
-            intervals = (idx >= lo[:, None]) & (idx <= hi[:, None])
+            intervals = _intervals(n)[1:]
             boxes = (boxes[:, None, :, None] & intervals[None, :, None, :]).reshape(
-                boxes.shape[0] * lo.size, -1
+                boxes.shape[0] * len(intervals), -1
             )
         return np.vstack([np.zeros((1, self.domain.n_points), dtype=bool), boxes])
 
@@ -364,8 +362,8 @@ def load_family(path) -> ExplicitFamily:
                 d, *sizes = map(int, parts[1:])
                 if len(sizes) != d:
                     raise ValueError(f"line {lineno}: expected {d} axis sizes")
-                # the domain is built after the members are checked against
-                # its size: building it materializes every alphabet
+                # members are checked against the header's point count before
+                # any domain is built, so an error names the file's line
                 n_points = math.prod(sizes)
                 continue
             if set(line) - {"0", "1"}:

@@ -270,6 +270,11 @@ class TestHdPermutations:
                 want[k, 4 * i + perm[i]] = True
         assert np.array_equal(fam.members_matrix(), want)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_two_dimensional_family_is_the_permutation_graphs(self, n):
+        assert np.array_equal(enumerate_hd_permutations(n, 2).members_matrix(),
+                              PermutationGraphs(n).members_matrix())
+
     def test_order_two_latin_squares(self):
         assert enumerate_hd_permutations(2, 3).member_count() == 2
 

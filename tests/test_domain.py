@@ -1,5 +1,7 @@
 """Domains, grids, axis-parallel lines, and traces."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,16 +27,47 @@ class TestProductDomain:
         assert d.width == 1 and d.n_points == 5
 
     def test_empty_axis_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            ProductDomain([[1, 2], []])
+        with pytest.raises(ValueError, match="axis 1 size must be at least 1"):
+            ProductDomain.of_sizes(2, 0)
 
-    def test_duplicate_values_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            ProductDomain([[1, 1, 2]])
+    def test_non_integer_size_rejected_not_truncated(self):
+        with pytest.raises(ValueError, match="axis 0 size must be an integer"):
+            ProductDomain.of_sizes(2.5)
+        with pytest.raises(ValueError, match="axis 1 size must be an integer"):
+            ProductDomain.of_sizes(3, np.float64(2.0))
 
     def test_zero_axes_rejected(self):
         with pytest.raises(ValueError):
             ProductDomain([])
+
+    def test_numpy_integer_sizes_are_python_ints(self):
+        d = ProductDomain.of_sizes(*np.array([2, 3]))
+        assert d.sizes == (2, 3) and all(type(n) is int for n in d.sizes)
+
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=3),
+           st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_equal_and_hash_equal_exactly_when_sizes_are(self, a, b):
+        da, db = ProductDomain.of_sizes(*a), ProductDomain.of_sizes(*b)
+        assert (da == db) == (a == b)
+        assert (hash(da) == hash(db)) == (a == b)
+        assert len({da, db}) == (1 if a == b else 2)
+        assert da != tuple(a)
+
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_all_points_matches_the_product_order(self, sizes):
+        got = ProductDomain.of_sizes(*sizes).all_points()
+        want = np.array(
+            list(itertools.product(*(range(n) for n in sizes))), dtype=np.int64
+        ).reshape(-1, len(sizes))
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+    def test_all_points_with_size_one_axes(self):
+        got = ProductDomain.of_sizes(1, 3, 1).all_points()
+        assert got.tolist() == [[0, 0, 0], [0, 1, 0], [0, 2, 0]]
+        assert ProductDomain.of_sizes(1).all_points().tolist() == [[0]]
 
     def test_flat_index_row_major(self):
         d = ProductDomain.of_sizes(2, 3)
@@ -225,16 +258,6 @@ class TestAxisLines:
             assert not (seen & pts)
             seen |= pts
         assert len(seen) == d.n_points
-
-    def test_grid_lines_partition_the_grid(self):
-        d = ProductDomain.of_sizes(5, 5)
-        grid = build_grid(np.array([[0, 1], [2, 3], [4, 1]]), d)
-        lines = enumerate_axis_lines(grid, 0)
-        assert len(lines) == grid.sizes[1]
-        covered = set()
-        for line in lines:
-            covered |= {tuple(p) for p in line.points(grid)}
-        assert covered == {tuple(c) for c in grid.cells()}
 
 
 class TestRowKeys:

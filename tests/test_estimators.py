@@ -403,11 +403,20 @@ class TestCountCore:
         small_interval_family(),
     ])
     @pytest.mark.parametrize("m0", [2, 40])
-    def test_adapter_and_core_bit_identical(self, family, m0):
+    def test_adapter_and_core_bit_identical(self, monkeypatch, family, m0):
         dist = uniform_product(3)
         s = sample(dist, m0 + 50, seed=m0)
         plan = identity_plan(split=(m0, 50))
+        calls = []
+        validate = ProductDomain.validate_points
+
+        def spy(domain, points):
+            calls.append(len(points))
+            return validate(domain, points)
+
+        monkeypatch.setattr(ProductDomain, "validate_points", spy)
         via_points = build_product_grid_estimator(s, family, plan)
+        assert calls == [m0 + 50]  # the sample is checked once per build
         grid = grid_from_counts(axis_counts(s[:m0], dist.domain), dist.domain)
         via_counts = ProductGridEstimator.from_counts(
             grid, cell_counts(s[m0:], dist.domain), family, plan
@@ -728,8 +737,6 @@ class TestEmpiricalProductFromCounts:
 class _CellWeightStub:
     """Estimator stub defined entirely by a per-cell weight matrix."""
 
-    name = "stub"
-
     def __init__(self, weights, domain):
         self.weights = weights
         self.domain = domain
@@ -746,9 +753,8 @@ class TestSupDeviation:
     def test_exact_estimator_has_zero_deviation(self):
         dist = uniform_product(4)
         est = ExactEstimator(dist)
-        assert sup_deviation(est, PermutationGraphs(4), dist) == pytest.approx(
-            0.0, abs=1e-12
-        )
+        got = sup_deviation(est, PermutationGraphs(4), dist, "assignment")
+        assert got == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_assignment_matches_brute_force(self, n):
@@ -881,16 +887,43 @@ class TestBoundFirstAssignment:
         assert got == extra.sum() and len(solves) == 1
         assert _same_float(got, _two_solve_deviation(est, dist))
 
-    def test_column_bound_rules_out_what_the_row_bound_cannot(self, solves):
+    def test_side_the_row_bound_keeps_is_solved(self, solves):
         # diff has -1/8 down column 0 and 3/8 down column 1: diff's side is
-        # worth 1/4; -diff's row bound is 3/8, but its column bound is -1/4
+        # worth 1/4; -diff's row bound is 3/8, so that side is solved too
         dist = uniform_product(3)
         diff = np.zeros((3, 3))
         diff[:, 0], diff[:, 1] = -1 / 8, 3 / 8
         est = _CellWeightStub(1 / 9 + diff, dist.domain)
         got = sup_deviation(est, PermutationGraphs(3), dist, "assignment")
-        assert got == pytest.approx(1 / 4, abs=1e-15) and len(solves) == 1
+        assert got == pytest.approx(1 / 4, abs=1e-15) and len(solves) == 2
         assert _same_float(got, _two_solve_deviation(est, dist))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_second_solve_exactly_when_its_row_bound_allows(self, seed, n, counts):
+        rng = np.random.default_rng(seed)
+        dist = JointTable(ProductDomain.of_sizes(n, n), rng.dirichlet(np.ones(n * n)))
+        if counts:
+            m = int(rng.integers(1, 3 * n * n))
+            weights = rng.multinomial(m, dist.probs).reshape(n, n) / m
+        else:
+            weights = rng.dirichlet(np.ones(n * n)).reshape(n, n)
+        diff = weights - dist.reshaped()
+        bounds = (diff.max(axis=1).sum(), -diff.min(axis=1).sum())
+        first = int(bounds[1] > bounds[0])
+        first_value = max_assignment_value(-diff if first else diff)
+        calls = []
+
+        def counting(w):
+            calls.append(w.shape)
+            return max_assignment_value(w)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimators, "max_assignment_value", counting)
+            got = sup_deviation(_CellWeightStub(weights, dist.domain),
+                                PermutationGraphs(n), dist, "assignment")
+        assert len(calls) == 1 + (bounds[1 - first] >= first_value - 1e-12)
+        assert got == max(max_assignment_value(diff), max_assignment_value(-diff))
 
     def test_phase2_means_take_one_solve(self, solves):
         n, m1 = 30, 3918

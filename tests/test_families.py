@@ -20,6 +20,7 @@ from gridest.families import (
     dump_family,
     load_family,
     symdiff_family,
+    unions_of_rows,
 )
 from gridest.domain import enumerate_axis_lines
 
@@ -107,6 +108,37 @@ class TestBuiltinStructure:
         members = fam.members_matrix()
         assert np.array_equal(members, np.array(rows))
         assert members.shape[0] == fam.member_count()
+
+    @pytest.mark.parametrize("sizes", [(1,), (4,), (3, 4), (2, 1, 3), (1, 3, 1)])
+    def test_intervals_match_a_double_loop(self, sizes):
+        d = ProductDomain.of_sizes(*sizes)
+        x = d.all_points()
+        for axis, n in enumerate(sizes):
+            rows = [np.zeros(d.n_points, dtype=bool)]
+            for a in range(n):
+                for b in range(a, n):
+                    rows.append((x[:, axis] >= a) & (x[:, axis] <= b))
+            fam = IntervalsOnAxis(d, axis)
+            members = fam.members_matrix()
+            assert np.array_equal(members, np.array(rows))
+            assert members.shape[0] == fam.member_count()
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(1, 5),
+           st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_unions_of_rows_match_a_first_seen_loop(self, seed, k, width, g):
+        rng = np.random.default_rng(seed)
+        rows = rng.random((k, width)) < 0.4
+        want, seen = [], set()
+        for r in range(g + 1):
+            for combo in itertools.combinations(range(k), r):
+                union = np.zeros(width, dtype=bool)
+                for i in combo:
+                    union |= rows[i]
+                if union.tobytes() not in seen:
+                    seen.add(union.tobytes())
+                    want.append(union)
+        assert np.array_equal(unions_of_rows(rows, g), np.array(want))
 
     def test_oversized_builtin_raises(self):
         with pytest.raises(CapExceededError, match="family too large"):
