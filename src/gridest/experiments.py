@@ -86,12 +86,15 @@ WORKERS_ENV = "GRIDEST_WORKERS"
 
 
 def worker_count(trials: int) -> int:
-    """``GRIDEST_WORKERS``, clamped to ``[1, min(cpu count, trials)]``."""
+    """``GRIDEST_WORKERS`` (an integer >= 1), capped at the cpu and trial counts."""
     raw = os.environ.get(WORKERS_ENV, "1")
+    message = f"{WORKERS_ENV} must be an integer >= 1, got {raw!r}"
     try:
         value = int(raw)
     except ValueError:
-        raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
+        raise ValueError(message) from None
+    if value < 1:
+        raise ValueError(message)
     return max(1, min(value, os.cpu_count() or 1, trials))
 
 

@@ -229,6 +229,8 @@ class IntervalsOnAxis(SetFamily):
         return 1 + n * (n + 1) // 2
 
     def members_matrix(self) -> np.ndarray:
+        if self.member_count() > MAX_MEMBERS:
+            raise CapExceededError("family too large")
         # distinct intervals of the axis are distinct slabs, so no row repeats
         x = self.domain.all_points()[:, self.axis]
         return _intervals(self.domain.sizes[self.axis])[:, x]

@@ -1,7 +1,11 @@
 """Estimators, sample-size planners, deviations, and the grid-hitting check."""
 
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -801,6 +805,96 @@ class TestSupDeviation:
         est = ExactEstimator(dist)
         with pytest.raises(ValueError, match="method inapplicable"):
             sup_deviation(est, small_interval_family(), dist, "assignment")
+
+
+def _solver_cases():
+    """Square and rectangular weights: floats, ties, a constant, negatives."""
+    rng = np.random.default_rng(7)
+    return [
+        rng.random((7, 7)),
+        rng.integers(0, 3, (6, 6)).astype(float),
+        np.full((5, 5), 0.25),
+        rng.normal(size=(6, 6)) - 3.0,
+        rng.integers(-2, 2, (4, 6)).astype(float),
+        np.array([[1.0]]),
+    ]
+
+
+def _solve_all(solver, matrices):
+    return [[np.asarray(part).tolist() for part in solver(m, maximize=maximize)]
+            for m in matrices for maximize in (True, False)]
+
+
+def _run_with_cases(code):
+    """Runs ``code`` in a fresh interpreter with the cases as JSON on stdin."""
+    src = os.path.dirname(os.path.dirname(estimators.__file__))
+    cases = json.dumps([m.tolist() for m in _solver_cases()])
+    out = subprocess.run(
+        [sys.executable, "-c", _SOLVER_PRELUDE + code], input=cases, check=True,
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=120,
+    ).stdout
+    return json.loads(out)
+
+
+_SOLVER_PRELUDE = """
+import importlib.machinery, json, sys
+import numpy as np
+from gridest import estimators
+matrices = [np.array(m, dtype=float) for m in json.load(sys.stdin)]
+def solve_all(solver):
+    return [[np.asarray(part).tolist() for part in solver(m, maximize=maximize)]
+            for m in matrices for maximize in (True, False)]
+"""
+
+
+class TestAssignmentSolverLoader:
+    """The solver is scipy's ``_lsap`` extension, loaded without ``scipy.optimize``."""
+
+    def test_values_are_optimal(self):
+        for m in _solver_cases():
+            if m.shape[0] != m.shape[1]:
+                continue
+            n = m.shape[0]
+            best = max(m[np.arange(n), list(p)].sum()
+                       for p in itertools.permutations(range(n)))
+            assert max_assignment_value(m) == pytest.approx(best, abs=1e-12)
+
+    def test_same_assignments_as_scipy_optimize(self):
+        from scipy.optimize import linear_sum_assignment
+
+        got = _run_with_cases(
+            "loaded = solve_all(estimators._linear_sum_assignment())\n"
+            "optimize_loaded = 'scipy.optimize' in sys.modules\n"
+            "import scipy.optimize\n"
+            "print(json.dumps([optimize_loaded, loaded,"
+            " solve_all(scipy.optimize.linear_sum_assignment),"
+            " solve_all(estimators._linear_sum_assignment()),"
+            " [estimators.max_assignment_value(m) for m in matrices]]))\n"
+        )
+        optimize_loaded, loaded, public_after, loaded_after, values = got
+        want = _solve_all(linear_sum_assignment, _solver_cases())
+        assert not optimize_loaded
+        # importing scipy.optimize after the loader still works, with the same answers
+        assert loaded == public_after == loaded_after == want
+        assert values == [max_assignment_value(m) for m in _solver_cases()]
+
+    def test_falls_back_to_the_public_import(self):
+        from scipy.optimize import linear_sum_assignment
+
+        got = _run_with_cases(
+            "finder = importlib.machinery.PathFinder\n"
+            "original = finder.find_spec\n"
+            "finder.find_spec = staticmethod(lambda name, path=None, target=None:"
+            " None if name == '_lsap' else original(name, path, target))\n"
+            "loaded = solve_all(estimators._linear_sum_assignment())\n"
+            "print(json.dumps(['scipy.optimize' in sys.modules, loaded,"
+            " [estimators.max_assignment_value(m) for m in matrices]]))\n"
+        )
+        optimize_loaded, loaded, values = got
+        assert optimize_loaded
+        assert loaded == _solve_all(linear_sum_assignment, _solver_cases())
+        assert values == [max_assignment_value(m) for m in _solver_cases()]
 
 
 def _two_solve_deviation(est, dist):

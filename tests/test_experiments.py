@@ -95,10 +95,11 @@ class TestDeterminism:
                 assert serial.report.deviations == parallel.report.deviations
 
     def test_bad_worker_count_rejected(self, monkeypatch):
-        monkeypatch.setenv("GRIDEST_WORKERS", "many")
-        with pytest.raises(ValueError, match="GRIDEST_WORKERS"):
-            run_scenario(tiny("perm-empirical-failure", trials=2,
-                              params={"n": 10, "m": 2}))
+        for raw in ("many", "0", "-2"):
+            monkeypatch.setenv("GRIDEST_WORKERS", raw)
+            with pytest.raises(ValueError, match="GRIDEST_WORKERS"):
+                run_scenario(tiny("perm-empirical-failure", trials=2,
+                                  params={"n": 10, "m": 2}))
 
     def test_worker_count_does_not_change_marginal_count_trials(self, monkeypatch):
         config = tiny("perm-product-success", trials=6, params={"n": 8})
@@ -129,8 +130,12 @@ class TestWorkerCount:
         monkeypatch.setenv("GRIDEST_WORKERS", "100000")
         assert worker_count(10) == 2
         assert worker_count(1) == 1
-        monkeypatch.setenv("GRIDEST_WORKERS", "-3")
+        monkeypatch.setenv("GRIDEST_WORKERS", "1")
         assert worker_count(10) == 1
+        # below 1 is an error, not a serial run
+        monkeypatch.setenv("GRIDEST_WORKERS", "-3")
+        with pytest.raises(ValueError, match="GRIDEST_WORKERS"):
+            worker_count(10)
 
     def test_pool_is_sized_by_the_clamped_count(self, monkeypatch):
         sizes = []
@@ -200,11 +205,21 @@ class TestPartialGridPins:
 
 def test_import_does_not_load_scipy_optimize():
     src = os.path.dirname(os.path.dirname(gridest.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": src, "GRIDEST_WORKERS": "1"}
     code = "import sys, gridest; print('scipy.optimize' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == "False"
+    # nor does an assignment sup-deviation: it loads only the solver's extension
+    code = (
+        "import sys; from gridest.experiments import ExperimentConfig, run_scenario; "
+        "run_scenario(ExperimentConfig(scenario='pge-end-to-end', trials=2, "
+        "seed=2024)); "
+        "print('scipy.optimize' in sys.modules, 'scipy.optimize._lsap' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "False True"
 
 
 def test_serial_trials_do_not_load_multiprocessing():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridest import families
 from gridest.domain import CapExceededError, NotEnumerableError, ProductDomain
 from gridest.families import (
     AxisBoxes,
@@ -143,6 +144,14 @@ class TestBuiltinStructure:
     def test_oversized_builtin_raises(self):
         with pytest.raises(CapExceededError, match="family too large"):
             PermutationGraphs(20).members_matrix()
+
+    def test_oversized_intervals_raise(self, monkeypatch):
+        domain = ProductDomain.of_sizes(5)
+        assert len(IntervalsOnAxis(domain).members_matrix()) == 16
+        monkeypatch.setattr(families, "MAX_MEMBERS", 10)
+        for family in (IntervalsOnAxis(domain), AxisBoxes(domain)):
+            with pytest.raises(CapExceededError, match="family too large"):
+                family.members_matrix()
 
 
 class TestRestrictions:
