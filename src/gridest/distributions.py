@@ -45,8 +45,7 @@ class ProductDistribution:
         return out
 
     def table(self) -> "JointTable":
-        if self.domain.n_points > MAX_CELLS:
-            raise CapExceededError("domain too large to tabulate")
+        self.domain.check_tabulable()
         probs = functools.reduce(np.multiply.outer, self.marginals)
         return JointTable(self.domain, probs.ravel())
 
@@ -201,9 +200,13 @@ def marginal_counts(dist: Distribution, m: int, seed) -> tuple[np.ndarray, ...]:
                 for size, comp in zip(sizes, dist.components))
             for i in range(dist.domain.width)
         )
-    counts = sample_counts(dist, m, rng)
-    axes = range(counts.ndim)
-    return tuple(counts.sum(axis=tuple(j for j in axes if j != i)) for i in axes)
+    return _axis_sums(sample_counts(dist, m, rng))
+
+
+def _axis_sums(table: np.ndarray) -> tuple[np.ndarray, ...]:
+    """For each axis in order, the sum of a table over all its other axes."""
+    axes = range(table.ndim)
+    return tuple(table.sum(axis=tuple(j for j in axes if j != i)) for i in axes)
 
 
 # -- box projection and total correlation -------------------------------------
@@ -213,13 +216,7 @@ def box_projection(dist: Distribution) -> ProductDistribution:
     """The product of the exact one-dimensional marginals."""
     if isinstance(dist, ProductDistribution):
         return dist
-    table = dist.table().reshaped()
-    d = table.ndim
-    marginals = []
-    for i in range(d):
-        axes = tuple(j for j in range(d) if j != i)
-        marginals.append(table.sum(axis=axes))
-    return ProductDistribution(dist.domain, marginals)
+    return ProductDistribution(dist.domain, _axis_sums(dist.table().reshaped()))
 
 
 def event_probability(dist: Distribution, event) -> float:
@@ -439,6 +436,8 @@ def _load_vector(raw, where: str) -> np.ndarray:
         p = None
     if p is None:
         raise ValueError(f"{where}: must be a list of probabilities")
+    if not np.isfinite(p).all():  # a NaN passes the sign and sum checks
+        raise ValueError(f"{where}: non-finite probabilities")
     if np.any(p < 0):
         raise ValueError(f"{where}: negative probabilities")
     with np.errstate(over="ignore", invalid="ignore"):  # a sum past 1e308 is inf

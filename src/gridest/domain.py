@@ -120,12 +120,30 @@ class ProductDomain:
         points = np.asarray(points, dtype=np.int64)
         return points @ self._strides
 
-    def all_points(self) -> np.ndarray:
-        """``(n_points, d)`` array of all points in canonical order (guarded by cap)."""
+    def check_tabulable(self) -> None:
+        """Raise ``CapExceededError`` if the domain has over ``MAX_CELLS`` points."""
         if self.n_points > MAX_CELLS:
             raise CapExceededError(
-                f"domain has {self.n_points} points, exceeds cap {MAX_CELLS}"
+                f"domain {self.describe()} has {self.n_points} points, "
+                f"too large to tabulate (cap {MAX_CELLS})"
             )
+
+    def axis_counts(self, points: np.ndarray) -> list[np.ndarray]:
+        """One value-count vector per axis, of checked ``(m, d)`` points."""
+        return [np.bincount(axis, minlength=n) for axis, n in zip(points.T, self.sizes)]
+
+    def cell_counts(self, points: np.ndarray) -> np.ndarray:
+        """The point counts of checked ``(m, d)`` points, shaped like the domain.
+
+        Needs a tabulable domain (``check_tabulable``).
+        """
+        self.check_tabulable()
+        flat = np.bincount(self.flat_index(points), minlength=self.n_points)
+        return flat.reshape(self.sizes)
+
+    def all_points(self) -> np.ndarray:
+        """``(n_points, d)`` array of all points in canonical order (tabulable only)."""
+        self.check_tabulable()
         return np.stack(
             np.unravel_index(np.arange(self.n_points), self.sizes),
             axis=1, dtype=np.int64,
@@ -244,11 +262,7 @@ def build_grid(sample: np.ndarray, domain: ProductDomain) -> Grid:
     sample = np.asarray(sample, dtype=np.int64)
     if sample.size == 0:
         raise ValueError("empty sample")
-    sample = domain.validate_points(sample)
-    return grid_from_counts(
-        [np.bincount(sample[:, i], minlength=n) for i, n in enumerate(domain.sizes)],
-        domain,
-    )
+    return grid_from_counts(domain.axis_counts(domain.validate_points(sample)), domain)
 
 
 def check_marginal_counts(

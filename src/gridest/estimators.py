@@ -23,7 +23,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .domain import (
-    MAX_CELLS,
     CapExceededError,
     Grid,
     NotEnumerableError,
@@ -81,7 +80,10 @@ def phase1_size(plan: SamplingPlan) -> int:
     )
     if not math.isfinite(value):
         raise ValueError(f"phase-1 size is not finite: {value!r}")
-    return math.ceil(value)
+    size = math.ceil(value)
+    if size < 1:
+        raise ValueError(f"phase-1 size is {size} (c0 = {plan.c0!r}): need >= 1")
+    return size
 
 
 def phase2_size(epsilon: float, delta: float, class_count: int) -> int:
@@ -103,7 +105,12 @@ def product_case_size(
     value = constant * d**2 / epsilon**2 * (g + math.log(1.0 / delta))
     if not math.isfinite(value):
         raise ValueError(f"product-case size is not finite: {value!r}")
-    return math.ceil(value)
+    size = math.ceil(value)
+    if size < 1:
+        raise ValueError(
+            f"product-case size is {size} (constant = {constant!r}): need >= 1"
+        )
+    return size
 
 
 # -- basic estimators ----------------------------------------------------------
@@ -126,18 +133,6 @@ def _event_row(event, domain: ProductDomain) -> np.ndarray:
     """The event as a one-row member matrix; a predicate is evaluated on all points."""
     bits = event(domain.all_points()) if callable(event) else event
     return _member_rows(np.reshape(bits, (1, -1)), domain)
-
-
-def _axis_counts(points: np.ndarray, domain: ProductDomain) -> list[np.ndarray]:
-    """The per-axis value counts of checked ``(m, d)`` points."""
-    return [np.bincount(axis, minlength=n) for axis, n in zip(points.T, domain.sizes)]
-
-
-def _check_tabulable(domain: ProductDomain) -> None:
-    if domain.n_points > MAX_CELLS:
-        raise CapExceededError(
-            f"domain has {domain.n_points} points, exceeds cap {MAX_CELLS}"
-        )
 
 
 class _CellWeightEstimator:
@@ -183,9 +178,7 @@ class EmpiricalMeanEstimator(_CellWeightEstimator):
         sample = domain.validate_points(np.asarray(sample, dtype=np.int64))
         if sample.shape[0] == 0:
             raise ValueError("empty sample")
-        _check_tabulable(domain)
-        counts = np.bincount(domain.flat_index(sample), minlength=domain.n_points)
-        super().__init__(domain, counts, sample.shape[0])
+        super().__init__(domain, domain.cell_counts(sample).ravel(), sample.shape[0])
 
 
 class EmpiricalProductEstimator(_CellWeightEstimator):
@@ -198,7 +191,7 @@ class EmpiricalProductEstimator(_CellWeightEstimator):
 
     def __init__(self, sample: np.ndarray, domain: ProductDomain):
         sample = domain.validate_points(np.asarray(sample, dtype=np.int64))
-        self._fit(_axis_counts(sample, domain), domain)
+        self._fit(domain.axis_counts(sample), domain)
 
     @classmethod
     def from_counts(
@@ -214,7 +207,7 @@ class EmpiricalProductEstimator(_CellWeightEstimator):
 
     def _fit(self, marginal_counts, domain: ProductDomain) -> None:
         counts, m, _ = check_marginal_counts(marginal_counts, domain)
-        _check_tabulable(domain)
+        domain.check_tabulable()
         self.dist = ProductDistribution(domain, [c / m for c in counts])
         super().__init__(
             domain, functools.reduce(np.multiply.outer, self.dist.marginals).ravel()
@@ -236,13 +229,13 @@ class ProductGridEstimator(_CellWeightEstimator):
     """The trained two-phase estimator: grid, trace index, query extension.
 
     Built from the phase-1 grid and the phase-2 cell counts only (see
-    ``from_counts``); its weights are those counts, with total m1.  In
-    explicit mode the trace index is the sorted array of realized trace keys,
-    ``class_keys``; each class answers with the phase-2 mean of its
-    representative (the member with the lexicographically smallest canonical
-    encoding).  For permutation-graph families whose phase-1 grid covers the
-    full domain, every trace class is a singleton and the estimate is the
-    phase-2 mean itself: the structured mode.
+    ``from_counts``); its weights are those counts, and its ``total`` is
+    their sum m1.  In explicit mode the trace index is the sorted array of
+    realized trace keys, ``class_keys``; each class answers with the phase-2
+    mean of its representative (the member with the lexicographically
+    smallest canonical encoding).  For permutation-graph families whose
+    phase-1 grid covers the full domain, every trace class is a singleton and
+    the estimate is the phase-2 mean itself: the structured mode.
     """
 
     def __init__(
@@ -250,14 +243,12 @@ class ProductGridEstimator(_CellWeightEstimator):
         grid: Grid,
         cell_counts: np.ndarray,
         class_count: int,
-        split: tuple[int, int],
         class_keys: np.ndarray | None = None,
         representatives: np.ndarray | None = None,
     ):
-        super().__init__(grid.domain, cell_counts.ravel(), split[1])
+        super().__init__(grid.domain, cell_counts.ravel(), int(cell_counts.sum()))
         self.grid = grid
         self.class_count = class_count
-        self.split = split
         self.class_keys = class_keys
         self.representatives = representatives
         self.class_estimates = (
@@ -296,18 +287,15 @@ class ProductGridEstimator(_CellWeightEstimator):
             )
         m1 = int(cell_counts.sum())
         if plan.split is not None:
-            m0 = plan.split[0]
             if m1 != plan.split[1]:
                 raise ValueError(
                     f"phase-2 counts sum to {m1}, plan splits {plan.split}"
                 )
-        else:
-            m0 = phase1_size(plan)
-            if m1 < 1:
-                raise ValueError("insufficient sample: empty phase 2")
+        elif m1 < 1:
+            raise ValueError("insufficient sample: empty phase 2")
 
         if isinstance(family, PermutationGraphs) and grid.is_full:
-            estimator = cls(grid, cell_counts, family.member_count(), (m0, m1))
+            estimator = cls(grid, cell_counts, family.member_count())
         else:
             try:
                 members = family.members_matrix()
@@ -332,7 +320,6 @@ class ProductGridEstimator(_CellWeightEstimator):
                 grid,
                 cell_counts,
                 class_keys.size,
-                (m0, m1),
                 class_keys=class_keys,
                 representatives=members[first],
             )
@@ -425,12 +412,10 @@ def build_product_grid_estimator(
             raise ValueError(
                 f"insufficient sample: phase 1 alone needs {m0} points"
             )
-    _check_tabulable(domain)
-    s1_flat = domain.flat_index(sample[m0 : m0 + m1])
-    counts = np.bincount(s1_flat, minlength=domain.n_points).reshape(domain.sizes)
+    counts = domain.cell_counts(sample[m0 : m0 + m1])
     # the points are checked above: the grid comes from their counts
     return ProductGridEstimator.from_counts(
-        grid_from_counts(_axis_counts(sample[:m0], domain), domain),
+        grid_from_counts(domain.axis_counts(sample[:m0]), domain),
         counts, family, plan,
     )
 

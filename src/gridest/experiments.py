@@ -407,18 +407,15 @@ def _run_ssp_audit(params, trials, seed, memo):
         if traces > bound:
             violations += 1
 
-    for n in range(2, params["perm_n_max"] + 1):
-        fam = PermutationGraphs(n).materialize()
+    n_max = params["perm_n_max"]
+    for fam in (
+        *(PermutationGraphs(n).materialize() for n in range(2, n_max + 1)),
+        *(UnionsOfPermutations(4, g).materialize() for g in (1, 2)),
+        enumerate_hd_permutations(3, 3),
+    ):
         grid = fam.domain.full_grid()
         audit(fam, grid)
         entries.append((fam, grid))
-    for g in (1, 2):
-        fam = UnionsOfPermutations(4, g)
-        audit(fam.materialize(), fam.domain.full_grid())
-        entries.append((fam.materialize(), fam.domain.full_grid()))
-    hd = enumerate_hd_permutations(3, 3)
-    audit(hd, hd.domain.full_grid())
-    entries.append((hd, hd.domain.full_grid()))
 
     for _ in range(params["random_families"]):
         d = int(rng.integers(2, 4))

@@ -62,10 +62,6 @@ class SetFamily:
         members = self.members_matrix()[:, flat]
         return ExplicitFamily(_line_domain(self.domain, line.axis), members)
 
-    def structural_lvc(self):
-        """Known-by-construction linear VC dimension, else None."""
-        return None
-
     def describe(self) -> str:
         return f"{type(self).__name__}({self.domain.describe()})"
 
@@ -172,9 +168,6 @@ class PermutationGraphs(SetFamily):
         members = np.eye(self.n, dtype=bool)
         return ExplicitFamily(_line_domain(self.domain, line.axis), members)
 
-    def structural_lvc(self) -> int:
-        return 1
-
     def describe(self) -> str:
         return f"permutation-graphs(n={self.n})"
 
@@ -207,9 +200,6 @@ class UnionsOfPermutations(SetFamily):
         # unions of at most g singletons
         members = unions_of_rows(np.eye(self.n, dtype=bool), min(self.g, self.n))
         return ExplicitFamily(_line_domain(self.domain, line.axis), members)
-
-    def structural_lvc(self) -> int:
-        return min(self.g, self.n)
 
     def describe(self) -> str:
         return f"unions-of-permutations(n={self.n}, g={self.g})"
@@ -244,9 +234,6 @@ class IntervalsOnAxis(SetFamily):
             members = np.array([[False] * n_line, [True] * n_line])
         return ExplicitFamily(_line_domain(self.domain, line.axis), members)
 
-    def structural_lvc(self) -> int:
-        return min(2, self.domain.sizes[self.axis])
-
     def describe(self) -> str:
         return f"intervals(axis={self.axis}, {self.domain.describe()})"
 
@@ -278,9 +265,6 @@ class AxisBoxes(SetFamily):
         # a box meets a line in an interval (or misses it entirely)
         return IntervalsOnAxis(self.domain, line.axis).restrict_to_line(line)
 
-    def structural_lvc(self) -> int:
-        return min(2, max(self.domain.sizes))
-
     def describe(self) -> str:
         return f"axis-boxes({self.domain.describe()})"
 
@@ -306,9 +290,6 @@ class PowerSetFamily(SetFamily):
             _line_domain(self.domain, line.axis),
             PowerSetFamily(ProductDomain.of_sizes(n_line)).members_matrix(),
         )
-
-    def structural_lvc(self) -> int:
-        return max(self.domain.sizes)
 
     def describe(self) -> str:
         return f"power-set({self.domain.describe()})"

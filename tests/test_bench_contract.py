@@ -3,14 +3,21 @@
 The test suite does not run ``perfbench/``, so a change that removes or
 renames a name the workloads call would break the benchmark unseen.  This
 reads ``perfbench/workloads.py`` as a syntax tree, without importing it, and
-resolves every library name it uses.
+resolves every library name it uses.  It also reads, off real library
+objects, the attributes that the workloads and ``perfbench/layers.py`` read.
 """
 
 import ast
 import importlib
+import math
 from pathlib import Path
 
+import numpy as np
+
+from gridest import distributions, domain, estimators, experiments, families
+
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+LAYERS = WORKLOADS.with_name("layers.py")
 MODULES = ("distributions", "domain", "estimators", "experiments", "families")
 
 
@@ -63,3 +70,35 @@ def test_the_collector_sees_calls_attributes_and_patched_targets():
         "experiments.check_grid_hitting",
     } <= names
     assert {name.split(".")[0] for name in names} == set(MODULES)
+
+
+#: Attributes the benchmark reads off library objects rather than modules.
+OBJECT_ATTRIBUTES = ("class_count", "is_structured", "axes", "cell_count",
+                     "point_prob", "member_count", "split")
+
+
+def test_the_object_attributes_are_still_read_by_the_benchmark():
+    source = WORKLOADS.read_text(encoding="utf-8") + LAYERS.read_text(encoding="utf-8")
+    assert [a for a in OBJECT_ATTRIBUTES if f".{a}" not in source] == []
+
+
+def test_every_attribute_the_benchmark_reads_off_library_objects_resolves():
+    dist = experiments.two_component_mixture(3)
+    plan = estimators.SamplingPlan(
+        epsilon=0.2, delta=0.1, lvc=1, width=2,
+        modulus=distributions.Modulus.identity(), split=(100, 100),
+    )
+    m0, m1 = plan.split  # the workloads' boxes trials read the plan's split
+    s = distributions.sample(dist, m0 + m1, 0)
+    for family, structured in ((families.PermutationGraphs(3), True),
+                               (families.AxisBoxes(dist.domain), False)):
+        est = estimators.build_product_grid_estimator(s, family, plan)
+        # layers read both to sort builds; workloads compare class counts
+        assert est.is_structured is structured
+        assert 1 <= int(est.class_count) == est.class_count <= family.member_count()
+    grid = domain.build_grid(s[:m0], dist.domain)
+    assert grid.cell_count == math.prod(axis.size for axis in grid.axes)
+    truth = dist.point_prob(dist.domain.all_points())
+    assert np.allclose(truth, dist.table().probs, rtol=0, atol=1e-15)
+    hitting = families.ExplicitFamily(dist.domain, np.eye(9, dtype=bool))
+    assert hitting.member_count() == 9

@@ -1,5 +1,6 @@
 """Distributions: sampling, box projection, total correlation, moduli."""
 
+import json
 import math
 
 import numpy as np
@@ -703,6 +704,17 @@ class TestJsonFormat:
         # Tier-1 turns RuntimeWarning into an error
         with pytest.raises(ValueError, match="axis 0: probabilities sum to inf"):
             distribution_from_dict({"kind": "product", "axes": [[1e308, 1e308]]})
+
+    @pytest.mark.parametrize("text, field", [
+        ('{"kind": "product", "axes": [[NaN, 1.0]]}', "axis 0"),
+        ('{"kind": "mixture", "weights": [NaN, 1.0], '
+         '"components": [[[1.0]], [[1.0]]]}', "weights"),
+        ('{"kind": "joint", "sizes": [2], "table": [1.0, NaN]}', "table"),
+    ], ids=["product", "mixture", "joint"])
+    def test_non_finite_entry_is_named(self, text, field):
+        # JSON's NaN passes a sign check and a sum check
+        with pytest.raises(ValueError, match=f"^{field}: non-finite probabilities"):
+            distribution_from_dict(json.loads(text))
 
     def test_joint_table_size_checked_before_the_domain(self, monkeypatch):
         def never(*sizes):

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridest.distributions import ProductDistribution
 from gridest.domain import (
     AxisLine,
+    CapExceededError,
     Grid,
     ProductDomain,
     build_grid,
@@ -79,6 +81,35 @@ class TestProductDomain:
         d = ProductDomain.of_sizes(3, 3)
         with pytest.raises(ValueError, match="index 1"):
             d.validate_points(np.array([[0, 0], [0, 3]]))
+
+
+class TestCounts:
+    """``axis_counts`` and ``cell_counts`` against a direct tally, and the cap."""
+
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=3),
+           st.integers(0, 40), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_counts_match_a_direct_tally(self, sizes, m, seed):
+        d = ProductDomain.of_sizes(*sizes)
+        pts = np.random.default_rng(seed).integers(0, sizes, size=(m, len(sizes)))
+        cells = np.zeros(sizes, dtype=np.int64)
+        for p in pts:
+            cells[tuple(p)] += 1
+        assert np.array_equal(d.cell_counts(pts), cells)
+        for i, got in enumerate(d.axis_counts(pts)):
+            assert got.tolist() == [int(np.sum(pts[:, i] == v))
+                                    for v in range(sizes[i])]
+
+    def test_cap_is_checked_by_every_table(self):
+        ProductDomain.of_sizes(1024, 1024).check_tabulable()  # exactly MAX_CELLS
+        d = ProductDomain.of_sizes(1025, 1025)
+        u = np.full(1025, 1 / 1025)
+        for build in (d.check_tabulable, d.all_points,
+                      lambda: d.cell_counts(np.zeros((1, 2), dtype=np.int64)),
+                      ProductDistribution(d, [u, u]).table):
+            with pytest.raises(CapExceededError, match="1025x1025 has 1050625 "
+                                                       "points, too large to tabulate"):
+                build()
 
 
 class TestBuildGrid:

@@ -381,7 +381,9 @@ class TestProductGridEstimator:
         m1 = phase2_size(0.4, 0.2, 5) + 10
         s = sample(dist, m0 + m1, seed=3)
         est = build_product_grid_estimator(s, fam, plan)
-        assert est.split == (m0, m1)
+        assert est.total == m1
+        first = build_grid(s[:m0], fam.domain)
+        assert all(np.array_equal(a, b) for a, b in zip(est.grid.axes, first.axes))
 
 
 def cell_counts(points, domain):
@@ -427,7 +429,7 @@ class TestCountCore:
         )
         assert via_points.is_structured == via_counts.is_structured
         assert via_points.class_count == via_counts.class_count
-        assert via_points.split == via_counts.split == (m0, 50)
+        assert via_points.total == via_counts.total == 50
         members = family.members_matrix()
         assert np.array_equal(via_points.estimate_many(members),
                               via_counts.estimate_many(members))

@@ -605,6 +605,15 @@ class TestCli:
         assert cli_main(["calibrate", "grid-hitting", "--grid", "inf"]) == 2
         assert "phase-1 size is not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario, size", [
+        ("grid-hitting", "phase-1 size is 0 (c0 = 0.0)"),
+        ("pge-end-to-end", "phase-1 size is 0 (c0 = 0.0)"),
+        ("perm-product-success", "product-case size is 0 (constant = 0.0)"),
+    ])
+    def test_zero_calibration_constant_exits_2(self, scenario, size, capsys):
+        assert cli_main(["calibrate", scenario, "--grid", "0"]) == 2
+        assert f"error: {size}: need >= 1" in capsys.readouterr().err
+
     def test_overflowing_phase1_constant_exits_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"scenario": "grid-hitting",
