@@ -38,7 +38,7 @@ class ProductDistribution:
         self.marginals = tuple(cleaned)
 
     def point_prob(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=np.int64)
+        points = self.domain.validate_points(points)
         out = np.ones(len(points))
         for i, p in enumerate(self.marginals):
             out *= p[points[:, i]]
@@ -76,6 +76,7 @@ class MixtureDistribution:
         return len(self.components)
 
     def point_prob(self, points: np.ndarray) -> np.ndarray:
+        points = self.domain.validate_points(points)
         out = np.zeros(len(points))
         for w, comp in zip(self.weights, self.components):
             out += w * comp.point_prob(points)
@@ -106,7 +107,7 @@ class JointTable:
         self.probs = probs
 
     def point_prob(self, points: np.ndarray) -> np.ndarray:
-        return self.probs[self.domain.flat_index(points)]
+        return self.probs[self.domain.flat_index(self.domain.validate_points(points))]
 
     def table(self) -> "JointTable":
         return self
@@ -478,13 +479,17 @@ def distribution_from_dict(data: dict) -> Distribution:
         )
     kind = data.get("kind")
     if kind == "product":
-        return _product(_list_field(data, "axes"))
+        axes = _list_field(data, "axes")
+        if not axes:
+            raise ValueError("product distribution: field 'axes' must not be empty")
+        return _product(axes)
     if kind == "mixture":
         weights = _load_vector(_field(data, "weights"), "weights")
         components = _list_field(data, "components")
-        if not all(isinstance(c, list) for c in components):
+        if not components or not all(isinstance(c, list) and c for c in components):
             raise ValueError(
-                "mixture distribution: field 'components' must be a list of axis lists"
+                "mixture distribution: field 'components' must be a non-empty list "
+                "of non-empty axis lists"
             )
         return MixtureDistribution(weights, [_product(c) for c in components])
     if kind == "joint":

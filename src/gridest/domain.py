@@ -242,9 +242,12 @@ class Grid:
         """The trace of every row of a dense member matrix, as a ``row_keys`` key.
 
         Bit ``j`` of a row's trace is the member's bit on cell ``j``, so
-        equal traces give equal keys, and keys sort like the traces.
+        equal traces give equal keys, and keys sort like the traces.  The
+        cells are gathered with ``np.take``, which returns a row-major array
+        (``members[:, flat]`` comes back column-major), so the packing runs
+        along each row's contiguous memory.
         """
-        return row_keys(members[:, self.flat_domain_indices()])
+        return row_keys(np.take(members, self.flat_domain_indices(), axis=1))
 
     def point_mask(self) -> np.ndarray:
         """Boolean mask over the domain's canonical point order: cell or not."""

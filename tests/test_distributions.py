@@ -414,6 +414,26 @@ class TestEventProbability:
         mix, event = mixture_tightness_instance(3, 2, 0.6)
         assert event_probability(mix, event) == pytest.approx(0.6, abs=1e-15)
 
+    @pytest.mark.parametrize("kind", ["product", "mixture", "joint"])
+    @pytest.mark.parametrize("point, axis", [
+        ([-1, 0], 0),  # would wrap to the last value of axis 0
+        ([0, 3], 1),   # a joint table would read cell (1, 0)
+        ([3, 0], 0),   # past the end of axis 0
+    ])
+    def test_point_prob_rejects_points_outside_the_domain(self, kind, point, axis):
+        dist = {"product": uniform_product(3), "mixture": two_component_mixture(3),
+                "joint": two_component_mixture(3).table()}[kind]
+        with pytest.raises(ValueError, match=f"coordinate {axis} out of range"):
+            dist.point_prob([[1, 1], point])
+
+    @pytest.mark.parametrize("kind", ["product", "mixture", "joint"])
+    def test_point_prob_reads_each_point_of_the_table(self, kind):
+        dist = {"product": ramp_product(3), "mixture": two_component_mixture(3),
+                "joint": two_component_mixture(3).table()}[kind]
+        points = dist.domain.all_points()
+        assert np.allclose(dist.point_prob(points), dist.table().probs,
+                           rtol=0, atol=1e-15)
+
 
 class TestTotalCorrelation:
     def test_product_gives_zero(self):
@@ -695,6 +715,9 @@ class TestJsonFormat:
         ({"kind": "joint", "sizes": [1], "table": {"a": 1}}, "table: must be a list"),
         ({"kind": "product", "axes": [["0.5", "0.5"]]}, "axis 0: must be a list"),
         ({"kind": "product", "axes": [[True, False]]}, "axis 0: must be a list"),
+        ({"kind": "product", "axes": []}, "field 'axes' must not be empty"),
+        ({"kind": "mixture", "weights": [1.0], "components": [[]]},
+         "field 'components' must be a non-empty list of non-empty axis lists"),
     ])
     def test_wrong_field_type_is_named(self, data, field):
         with pytest.raises(ValueError, match=field):

@@ -351,16 +351,35 @@ class TestTrace:
             assert len(subs) == 1
 
     @given(st.integers(0, 2**32 - 1), st.tuples(st.integers(1, 4), st.integers(1, 5)),
-           st.integers(1, 6))
-    @settings(max_examples=50, deadline=None)
-    def test_pack_traces_packs_the_grid_cells_in_cell_order(self, seed, sizes, m0):
+           st.integers(0, 6), st.sampled_from(["C", "F", "strided", "reversed"]))
+    @settings(max_examples=80, deadline=None)
+    def test_pack_traces_packs_the_grid_cells_in_cell_order(self, seed, sizes, m0, layout):
         rng = np.random.default_rng(seed)
         d = ProductDomain.of_sizes(*sizes)
-        grid = build_grid(rng.integers(0, sizes, size=(m0, 2)), d)
+        if m0:
+            grid = build_grid(rng.integers(0, sizes, size=(m0, 2)), d)
+        elif seed % 2:
+            grid = Grid(d, [rng.integers(0, n, size=1) for n in sizes])
+        else:
+            grid = Grid(d, [np.arange(sizes[0]), np.array([], dtype=np.int64)])
         members = rng.random((12, d.n_points)) < 0.5
-        keys = grid.pack_traces(members)
+        laid_out = {
+            "C": members,
+            "F": np.asfortranarray(members),
+            "strided": np.repeat(members, 2, axis=1)[:, ::2],
+            "reversed": members[:, ::-1].copy()[:, ::-1],
+        }[layout]
+        assert np.array_equal(laid_out, members)
+        keys = grid.pack_traces(laid_out)
+        # the plain fancy-index gather packs column-major, byte for byte the same
+        gathered = row_keys(members[:, grid.flat_domain_indices()])
+        assert keys.dtype == gathered.dtype
+        assert [k.tobytes() for k in keys] == [k.tobytes() for k in gathered]
         by_mask = row_keys(members[:, grid.point_mask()])
         assert keys.dtype == by_mask.dtype and np.all(keys == by_mask)
-        for row, got in zip(members, keys):
-            # the oracle reads the cells, not the columns
-            assert got.tobytes() == brute_trace(row, grid)
+        if grid.cell_count:
+            for row, got in zip(members, keys):
+                # the oracle reads the cells, not the columns
+                assert got.tobytes() == brute_trace(row, grid)
+        else:
+            assert all(k.tobytes() == b"\x00" for k in keys)
