@@ -1,0 +1,105 @@
+"""Every catalog report at seed 2024 hashes to its committed pin.
+
+Each scenario runs with at most 10 trials (single-pass ones with 1, and
+``ssp-audit`` with a smaller population); its JSON report, minus the
+``wall_ms`` timings and with sorted keys, and each CSV it writes are hashed
+with SHA-256.  A change to a random stream or to any reported number shows
+here as a changed digest.  A change that means to move the numbers
+regenerates the pins with::
+
+    python tests/test_report_pins.py --write
+
+The pin file records the Python, numpy and scipy versions it was written
+under; a mismatch prints them next to the running ones.
+"""
+
+import hashlib
+import json
+import platform
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy
+
+if __name__ == "__main__":  # run as a script from a checkout
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from gridest.experiments import SCENARIOS, ExperimentConfig, emit_report, run_scenario
+
+PINS = Path(__file__).with_name("report_pins.json")
+SEED = 2024
+TRIALS = 10
+#: smaller populations for scenarios that ignore the trial count
+PARAMS = {"ssp-audit": {"random_families": 20}}
+
+
+def versions() -> dict:
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__}
+
+
+def _drop_wall_ms(obj):
+    if isinstance(obj, dict):
+        return {k: _drop_wall_ms(v) for k, v in obj.items() if k != "wall_ms"}
+    if isinstance(obj, list):
+        return [_drop_wall_ms(v) for v in obj]
+    return obj
+
+
+def digests(name: str, out_dir: Path) -> dict:
+    """The SHA-256 of the scenario's report JSON and of each of its CSVs."""
+    entry = SCENARIOS[name]
+    config = ExperimentConfig(
+        scenario=name, seed=SEED, params=PARAMS.get(name, {}),
+        trials=1 if entry.default_trials == 1 else TRIALS,
+    )
+    path = out_dir / f"{name}.json"
+    emit_report(run_scenario(config), path)
+    report = _drop_wall_ms(json.loads(path.read_text(encoding="utf-8")))
+    found = {"json": hashlib.sha256(
+        json.dumps(report, sort_keys=True).encode("utf-8")).hexdigest()}
+    for csv_path in sorted(out_dir.glob(f"{name}.*.csv")):
+        found[csv_path.name] = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+    return found
+
+
+@pytest.fixture(scope="module")
+def pins() -> dict:
+    return json.loads(PINS.read_text(encoding="utf-8"))
+
+
+def test_pins_cover_the_catalog(pins):
+    assert sorted(pins["reports"]) == sorted(SCENARIOS)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_report_matches_its_pin(name, pins, tmp_path):
+    assert digests(name, tmp_path) == pins["reports"][name], (
+        f"{name} report changed at seed {SEED}; pins written under "
+        f"{pins['versions']}, running under {versions()}"
+    )
+
+
+def write_pins(out_dir: Path) -> None:
+    reports = {}
+    for name in sorted(SCENARIOS):
+        scenario_dir = out_dir / name
+        scenario_dir.mkdir()
+        reports[name] = digests(name, scenario_dir)
+    PINS.write_text(
+        json.dumps({"versions": versions(), "seed": SEED, "reports": reports},
+                   indent=2) + "\n",
+        encoding="utf-8",
+    )
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(f"usage: python {sys.argv[0]} --write")
+    with tempfile.TemporaryDirectory() as tmp:
+        write_pins(Path(tmp))
+    print(f"wrote {PINS}")
