@@ -120,9 +120,9 @@ def linear_vc_dimension(family: SetFamily) -> DimensionCert:
 
 def count_traces(family: SetFamily, grid: Grid) -> int:
     """Exact number of distinct traces the family induces on the grid."""
-    if isinstance(family, PermutationGraphs) and grid.is_full:
-        # the full grid determines the permutation, so all traces are distinct
-        return family.member_count()
+    index = family.trace_index(grid)
+    if index is not None:
+        return index.class_count
     return int(np.unique(grid.pack_traces(family.members_matrix())).size)
 
 

@@ -38,7 +38,9 @@ class ProductDistribution:
         self.marginals = tuple(cleaned)
 
     def point_prob(self, points: np.ndarray) -> np.ndarray:
-        points = self.domain.validate_points(points)
+        return self._checked_point_prob(self.domain.validate_points(points))
+
+    def _checked_point_prob(self, points: np.ndarray) -> np.ndarray:
         out = np.ones(len(points))
         for i, p in enumerate(self.marginals):
             out *= p[points[:, i]]
@@ -79,7 +81,7 @@ class MixtureDistribution:
         points = self.domain.validate_points(points)
         out = np.zeros(len(points))
         for w, comp in zip(self.weights, self.components):
-            out += w * comp.point_prob(points)
+            out += w * comp._checked_point_prob(points)
         return out
 
     def table(self) -> "JointTable":
@@ -339,11 +341,8 @@ def mixture_tightness_instance(k: int, d: int, alpha: float):
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     domain = ProductDomain.of_sizes(*([k] * d))
-    components = []
-    for t in range(k):
-        one_hot = np.zeros(k)
-        one_hot[t] = 1.0
-        components.append(ProductDistribution(domain, [one_hot] * d))
+    # component t is the point mass on (t, ..., t)
+    components = [ProductDistribution(domain, [one_hot] * d) for one_hot in np.eye(k)]
     weights = np.full(k, alpha / (k - 1))
     weights[k - 1] = 1.0 - alpha
     mixture = MixtureDistribution(weights, components)
@@ -365,16 +364,11 @@ def gilbert_varshamov_code(d: int, min_distance: int) -> np.ndarray:
     if 2**d > MAX_CELLS:
         raise CapExceededError("sign-vector space too large to enumerate")
     vectors = code_bits(np.arange(2**d, dtype=np.int64), d).astype(np.int8)
-    kept: list[np.ndarray] = []
-    kept_mat = np.empty((0, d), dtype=np.int8)
-    for v in vectors:
-        if kept_mat.shape[0]:
-            dists = np.sum(kept_mat != v, axis=1)
-            if dists.min() < min_distance:
-                continue
-        kept.append(v)
-        kept_mat = np.array(kept, dtype=np.int8)
-    return (kept_mat.astype(np.int64) * 2) - 1
+    kept = vectors[:1]
+    for v in vectors[1:]:
+        if np.sum(kept != v, axis=1).min() >= min_distance:
+            kept = np.vstack([kept, v])
+    return (kept.astype(np.int64) * 2) - 1
 
 
 def code_rate(code: np.ndarray) -> float:

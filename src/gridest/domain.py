@@ -110,7 +110,7 @@ class ProductDomain:
             bad = np.flatnonzero((points[:, i] < 0) | (points[:, i] >= n))
             if bad.size:
                 raise ValueError(
-                    f"invalid point at sample index {bad[0]}: "
+                    f"invalid point at index {bad[0]}: "
                     f"coordinate {i} out of range [0, {n})"
                 )
         return points

@@ -4,9 +4,10 @@ Four estimators share one core, a weight per domain point: the empirical
 mean (point counts), the empirical product of marginals, the exact
 distribution (the zero-deviation reference), and the two-phase product-grid
 estimator (grid from the first subsample, phase-2 cell counts from the
-second).  The product-grid estimator departs from the core in one place: off
-the full grid it answers by trace lookup.  Sup-deviations over
-permutation-graph families are computed exactly by max-weight assignment;
+second).  The product-grid estimator departs from the core in one place:
+where the family supplies no structured trace index it answers by trace
+lookup.  Sup-deviations over a family whose full-grid index has an exact
+maximizer (permutation graphs: max-weight assignment) are computed by it;
 explicit families are checked by full enumeration.
 """
 
@@ -32,7 +33,7 @@ from .domain import (
     row_keys,
 )
 from .distributions import Distribution, Modulus, ProductDistribution
-from .families import PermutationGraphs, SetFamily
+from .families import SetFamily
 
 
 # -- sample-size planners ------------------------------------------------------
@@ -233,22 +234,19 @@ class ProductGridEstimator(_CellWeightEstimator):
     their sum m1.  In explicit mode the trace index is the sorted array of
     realized trace keys, ``class_keys``; each class answers with the phase-2
     mean of its representative (the member with the lexicographically
-    smallest canonical encoding).  For permutation-graph families whose
-    phase-1 grid covers the full domain, every trace class is a singleton and
-    the estimate is the phase-2 mean itself: the structured mode.
+    smallest canonical encoding).  Where the family supplies a structured
+    trace index on the grid (``SetFamily.trace_index``), the index names each
+    query's representative and counts the classes: the structured mode.
     """
 
-    def __init__(
-        self,
-        grid: Grid,
-        cell_counts: np.ndarray,
-        class_count: int,
-        class_keys: np.ndarray | None = None,
-        representatives: np.ndarray | None = None,
-    ):
+    def __init__(self, grid: Grid, cell_counts: np.ndarray, trace_index=None,
+                 class_keys=None, representatives=None):
         super().__init__(grid.domain, cell_counts.ravel(), int(cell_counts.sum()))
         self.grid = grid
-        self.class_count = class_count
+        self.trace_index = trace_index
+        self.class_count = (
+            class_keys.size if trace_index is None else trace_index.class_count
+        )
         self.class_keys = class_keys
         self.representatives = representatives
         self.class_estimates = (
@@ -261,11 +259,7 @@ class ProductGridEstimator(_CellWeightEstimator):
 
     @classmethod
     def from_counts(
-        cls,
-        grid: Grid,
-        cell_counts: np.ndarray,
-        family: SetFamily,
-        plan: SamplingPlan,
+        cls, grid: Grid, cell_counts: np.ndarray, family: SetFamily, plan: SamplingPlan
     ) -> "ProductGridEstimator":
         """The build core: phase-1 grid plus phase-2 cell counts.
 
@@ -294,8 +288,9 @@ class ProductGridEstimator(_CellWeightEstimator):
         elif m1 < 1:
             raise ValueError("insufficient sample: empty phase 2")
 
-        if isinstance(family, PermutationGraphs) and grid.is_full:
-            estimator = cls(grid, cell_counts, family.member_count())
+        index = family.trace_index(grid)
+        if index is not None:
+            estimator = cls(grid, cell_counts, index)
         else:
             try:
                 members = family.members_matrix()
@@ -316,13 +311,8 @@ class ProductGridEstimator(_CellWeightEstimator):
                     grid.pack_traces(members)[order], return_index=True
                 )
                 first = order[first]
-            estimator = cls(
-                grid,
-                cell_counts,
-                class_keys.size,
-                class_keys=class_keys,
-                representatives=members[first],
-            )
+            estimator = cls(grid, cell_counts, class_keys=class_keys,
+                            representatives=members[first])
 
         if plan.split is None:
             need = phase2_size(plan.epsilon, plan.delta, estimator.class_count)
@@ -335,41 +325,21 @@ class ProductGridEstimator(_CellWeightEstimator):
 
     @property
     def is_structured(self) -> bool:
-        return self.class_keys is None
+        return self.trace_index is not None
 
     def estimate_many(self, members: np.ndarray) -> np.ndarray:
         """The estimate of the representative with each row's trace."""
         members = _member_rows(members, self.domain)
         if self.is_structured:
-            return super().estimate_many(self._graphs(members))
+            return super().estimate_many(self.trace_index.representatives(members))
         return self.class_estimates[self._class_ids(members)]
 
     def representative(self, event) -> np.ndarray:
         """Dense bits of the representative of the event's trace class."""
         row = _event_row(event, self.domain)
         if self.is_structured:
-            # the full grid makes every trace class a singleton
-            return self._graphs(row)[0].copy()
+            return self.trace_index.representatives(row)[0].copy()
         return self.representatives[self._class_ids(row)[0]]
-
-    def _graphs(self, members: np.ndarray) -> np.ndarray:
-        """The rows, checked to be permutation graphs: the traces the family has."""
-        n = self.domain.sizes[0]
-        rows = members.shape[0] * n
-        # with the graphs' rows stacked, the i-th one must lie on stacked row
-        # i, so each row holds exactly one; then k n ones that fill all k n
-        # (graph, column) bins put exactly one in each column.  A one at flat
-        # index g n^2 + i n + c is on stacked row g n + i, and its bin g n + c
-        # is the index minus (stacked row - g) n, without a slow modulo.
-        ones = np.flatnonzero(members)
-        row = ones // n
-        if not (
-            ones.size == rows
-            and (row == np.arange(rows)).all()
-            and np.bincount(ones - (row - row // n) * n, minlength=rows).all()
-        ):
-            raise ValueError("trace not represented")
-        return members
 
     def _class_ids(self, members: np.ndarray) -> np.ndarray:
         """The trace-class id of every row of a checked member matrix."""
@@ -465,38 +435,20 @@ def sup_deviation(
     """Exact ``sup_F |estimate(F) - P(F)|`` over the family.
 
     ``method`` is required, ``"assignment"`` or ``"enumerate"``.
-    ``assignment`` requires a permutation-graph family and an estimator whose
-    value on a graph decomposes into per-cell weights; the two signed sides
-    are solved as max-weight matchings.  ``enumerate`` evaluates every member
-    of an explicitly enumerable family.
+    ``assignment`` asks the family's trace index on the full grid for the
+    largest signed cell sum (for permutation graphs, two max-weight
+    matchings) and needs an estimator whose value on a member decomposes into
+    per-cell weights.  ``enumerate`` evaluates every member of an explicitly
+    enumerable family.
     """
     if method == "assignment":
-        if not isinstance(family, PermutationGraphs):
-            raise ValueError("method inapplicable: family is not permutation graphs")
+        index = family.trace_index(family.domain.full_grid())
+        if index is None:
+            raise ValueError("method inapplicable: family has no structured index")
         weights = estimator.cell_weights()
         if weights is None:
             raise ValueError("method inapplicable: estimator has no cell weights")
-        diff = weights - dist.table().reshaped()
-
-        # by assignment LP duality a side's value is at most the sum of its
-        # row maxima; the -diff side's maxima are diff's minima, negated, so
-        # a side is negated only to be solved
-        bounds = (diff.max(axis=1).sum(), -diff.min(axis=1).sum())
-
-        def solve(side):
-            return max_assignment_value(-diff if side else diff)
-
-        # solve the side with the larger bound first, and the other only if
-        # its bound does not rule it out (1e-12 covers the rounding of the
-        # bound's and the matching's sums)
-        first = int(bounds[1] > bounds[0])
-        other = 1 - first
-        values = [None, None]
-        values[first] = solve(first)
-        if bounds[other] < values[first] - 1e-12:
-            return values[first]
-        values[other] = solve(other)
-        return max(values[0], values[1])
+        return index.max_abs_sum(weights - dist.table().reshaped())
     if method == "enumerate":
         members = family.members_matrix()
         truth = ExactEstimator(dist).estimate_many(members)
@@ -554,30 +506,18 @@ class DeviationReport:
 
     @classmethod
     def from_deviations(
-        cls,
-        estimator: str,
-        family: str,
-        distribution: str,
-        seed: int,
+        cls, estimator: str, family: str, distribution: str, seed: int,
         deviations: np.ndarray,
-        wall_ms: float = 0.0,
     ) -> "DeviationReport":
         deviations = np.asarray(deviations, dtype=float)
         if not np.all((deviations >= 0) & (deviations <= 1)):
             raise ValueError("deviations must lie in [0, 1]")
-        q50, q90, q99 = np.quantile(deviations, [0.5, 0.9, 0.99])
+        q50, q90, q99 = (float(q) for q in np.quantile(deviations, [0.5, 0.9, 0.99]))
         return cls(
-            estimator=estimator,
-            family=family,
-            distribution=distribution,
-            trials=int(deviations.size),
-            seed=int(seed),
-            deviations=[float(v) for v in deviations],
-            mean=float(deviations.mean()),
-            q50=float(q50),
-            q90=float(q90),
-            q99=float(q99),
-            wall_ms=float(wall_ms),
+            estimator=estimator, family=family, distribution=distribution,
+            trials=int(deviations.size), seed=int(seed),
+            deviations=[float(v) for v in deviations], mean=float(deviations.mean()),
+            q50=q50, q90=q90, q99=q99,
         )
 
     def to_dict(self) -> dict:

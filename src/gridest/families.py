@@ -23,6 +23,7 @@ from .domain import (
     MAX_MEMBERS,
     AxisLine,
     CapExceededError,
+    Grid,
     NotEnumerableError,
     ProductDomain,
     code_bits,
@@ -51,6 +52,15 @@ class SetFamily:
     def members_matrix(self) -> np.ndarray:
         """Deduplicated ``(M, n_points)`` boolean member matrix."""
         raise NotEnumerableError("not enumerable")
+
+    def trace_index(self, grid: Grid):
+        """A structured trace index on the grid, or None for the explicit path
+        through ``members_matrix``.  An index has a ``class_count``;
+        ``representatives(members)``, the rows whose cell sums answer the
+        queries, raising ``ValueError("trace not represented")`` for a trace
+        the family lacks; and ``max_abs_sum(diff)``, the exact largest
+        ``|sum of diff over F|`` over members F for a weight per grid cell."""
+        return None
 
     def materialize(self) -> "ExplicitFamily":
         return ExplicitFamily(self.domain, self.members_matrix(), _dedup=False)
@@ -163,6 +173,10 @@ class PermutationGraphs(SetFamily):
         np.put_along_axis(members, flat, True, axis=1)
         return members
 
+    def trace_index(self, grid: Grid) -> "PermutationGraphIndex | None":
+        full = grid.is_full and grid.domain == self.domain
+        return PermutationGraphIndex(self.n) if full else None
+
     def restrict_to_line(self, line: AxisLine) -> ExplicitFamily:
         # exactly-one-per-line structure: the restrictions are the singletons
         members = np.eye(self.n, dtype=bool)
@@ -170,6 +184,58 @@ class PermutationGraphs(SetFamily):
 
     def describe(self) -> str:
         return f"permutation-graphs(n={self.n})"
+
+
+class PermutationGraphIndex:
+    """The permutation graphs' trace index on the full grid, which determines
+    the permutation: every trace class is one graph, its own representative,
+    and the largest signed cell sum over the graphs is a max-weight assignment."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.class_count = math.factorial(n)
+
+    def representatives(self, members: np.ndarray) -> np.ndarray:
+        """The rows, checked to be permutation graphs: the traces the family has."""
+        n = self.n
+        rows = members.shape[0] * n
+        # with the graphs' rows stacked, the i-th one must lie on stacked row
+        # i, so each row holds exactly one; then k n ones that fill all k n
+        # (graph, column) bins put exactly one in each column.  A one at flat
+        # index g n^2 + i n + c is on stacked row g n + i, and its bin g n + c
+        # is the index minus (stacked row - g) n, without a slow modulo.
+        ones = np.flatnonzero(members)
+        row = ones // n
+        if not (
+            ones.size == rows
+            and (row == np.arange(rows)).all()
+            and np.bincount(ones - (row - row // n) * n, minlength=rows).all()
+        ):
+            raise ValueError("trace not represented")
+        return members
+
+    def max_abs_sum(self, diff: np.ndarray) -> float:
+        """``max_F |sum of diff over F|``: two signed max-weight assignments."""
+        # solves go through the module attribute, which profilers may wrap
+        from . import estimators
+
+        # by assignment LP duality a side's value is at most the sum of its
+        # row maxima; the -diff side's maxima are diff's minima, negated, so
+        # a side is negated only to be solved
+        bounds = (diff.max(axis=1).sum(), -diff.min(axis=1).sum())
+
+        def solve(side):
+            return estimators.max_assignment_value(-diff if side else diff)
+
+        # solve the side with the larger bound first, and the other only if
+        # its bound does not rule it out (1e-12 covers the rounding of the
+        # bound's and the matching's sums)
+        first = int(bounds[1] > bounds[0])
+        values = {first: solve(first)}
+        if bounds[1 - first] < values[first] - 1e-12:
+            return values[first]
+        values[1 - first] = solve(1 - first)
+        return max(values[0], values[1])
 
 
 class UnionsOfPermutations(SetFamily):

@@ -13,3 +13,35 @@ def brute_trace(event, grid) -> bytes:
     """A dense event's bits at the grid's cells, in cell order, packed."""
     bits = np.asarray(event, dtype=bool)
     return np.packbits(bits[grid.domain.flat_index(grid.cells())]).tobytes()
+
+
+def assignment_certificate(weights, cols) -> tuple[float, float, float]:
+    """An LP-dual certificate that the perfect matching ``i -> cols[i]`` of a
+    square weight matrix has maximum total weight.
+
+    Column potentials ``v`` come from Bellman-Ford on the difference
+    constraints ``v[cols[i]] - v[j] <= W[i, cols[i]] - W[i, j]``, and
+    ``u[i] = W[i, cols[i]] - v[cols[i]]``.  Then ``(u, v)`` is feasible for the
+    dual LP when every slack ``u[i] + v[j] - W[i, j]`` is >= 0, and its
+    objective ``sum(u) + sum(v)`` equals the matching's value by
+    construction, so a feasible pair proves the matching optimal.  Returns
+    the value, the smallest slack and the duality gap; the matching is
+    certified within ``tol`` when the slack is >= -tol and the gap <= tol.
+    """
+    w = np.asarray(weights, dtype=float)
+    cols = np.asarray(cols)
+    n = w.shape[0]
+    if w.shape != (n, n) or sorted(cols.tolist()) != list(range(n)):
+        raise ValueError("need a square matrix and a permutation of its columns")
+    matched = w[np.arange(n), cols]
+    cost = matched[:, None] - w  # row i: the edge j -> cols[i] and its length
+    v = np.zeros(n)  # a virtual source at distance 0 from every column
+    for _ in range(n):  # a shortest path has fewer than n edges
+        relaxed = np.minimum(v[cols], (v[None, :] + cost).min(axis=1))
+        if np.array_equal(relaxed, v[cols]):
+            break
+        v[cols] = relaxed
+    u = matched - v[cols]
+    value = float(matched.sum())
+    slack = float((u[:, None] + v[None, :] - w).min())
+    return value, slack, abs(float(u.sum() + v.sum()) - value)

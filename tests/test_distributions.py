@@ -434,6 +434,29 @@ class TestEventProbability:
         assert np.allclose(dist.point_prob(points), dist.table().probs,
                            rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("kind", ["product", "mixture", "joint"])
+    def test_point_prob_names_the_bad_point_by_its_index(self, kind):
+        dist = {"product": uniform_product(3), "mixture": two_component_mixture(3),
+                "joint": two_component_mixture(3).table()}[kind]
+        with pytest.raises(ValueError) as info:
+            dist.point_prob([[1, 1], [2, 2], [0, 3]])
+        assert str(info.value) == "invalid point at index 2: coordinate 1 out of range [0, 3)"
+
+    @pytest.mark.parametrize("kind", ["product", "mixture", "joint"])
+    def test_point_prob_checks_its_points_once(self, kind, monkeypatch):
+        dist = {"product": uniform_product(3), "mixture": two_component_mixture(3),
+                "joint": two_component_mixture(3).table()}[kind]
+        calls = []
+        check = ProductDomain.validate_points
+
+        def counted(domain, points):
+            calls.append(len(points))
+            return check(domain, points)
+
+        monkeypatch.setattr(ProductDomain, "validate_points", counted)
+        assert dist.point_prob([[0, 1], [2, 2]]).shape == (2,)
+        assert calls == [2]
+
 
 class TestTotalCorrelation:
     def test_product_gives_zero(self):

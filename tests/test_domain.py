@@ -142,6 +142,12 @@ class TestBuildGrid:
         with pytest.raises(ValueError, match="invalid point"):
             build_grid(np.array([[0, 0], [5, 0]]), d)
 
+    def test_invalid_point_named_by_its_index(self):
+        d = ProductDomain.of_sizes(2, 2)
+        with pytest.raises(ValueError) as info:
+            build_grid(np.array([[0, 0], [1, 1], [1, -1]]), d)
+        assert str(info.value) == "invalid point at index 2: coordinate 1 out of range [0, 2)"
+
     def test_cell_order_independent_of_sample_order(self):
         d = ProductDomain.of_sizes(6, 6)
         pts = np.array([[5, 0], [1, 3], [2, 2], [1, 0]])

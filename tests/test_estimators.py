@@ -1055,24 +1055,21 @@ def _is_permutation_batch(members, n):
 
 
 class TestGraphCheck:
-    """``_graphs`` accepts exactly the batches of permutation graphs."""
+    """The permutation graphs' full-grid index accepts exactly the batches of
+    permutation graphs, and represents each by itself."""
 
     @staticmethod
     def _structured(n):
-        d = ProductDomain.of_sizes(n, n)
-        counts = np.ones((n, n), dtype=np.int64)
-        return ProductGridEstimator.from_counts(
-            d.full_grid(), counts, PermutationGraphs(n), identity_plan(split=(1, n * n))
-        )
+        return PermutationGraphs(n).trace_index(ProductDomain.of_sizes(n, n).full_grid())
 
-    def _agrees(self, est, members, n):
+    def _agrees(self, index, members, n):
         want = _is_permutation_batch(members, n)
         try:
-            est._graphs(members)
-        except ValueError:
-            assert not want
+            reps = index.representatives(members)
+        except ValueError as exc:
+            assert not want and str(exc) == "trace not represented"
         else:
-            assert want
+            assert want and np.array_equal(reps, members)
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(0, 4),
            st.floats(0.0, 1.0))
@@ -1110,7 +1107,7 @@ class TestGraphCheck:
 
     def test_named_near_misses(self):
         n = 3
-        est = self._structured(n)
+        index = self._structured(n)
         identity = np.eye(n, dtype=bool)
         doubled = identity.copy()
         doubled[0, 1], doubled[1, 1] = True, False  # two ones above an empty row
@@ -1121,7 +1118,7 @@ class TestGraphCheck:
         for graphs in ([identity], [doubled], [extra], [short], [extra, short],
                        [identity, doubled], []):
             members = np.array(graphs, dtype=bool).reshape(-1, n * n)
-            self._agrees(est, members, n)
+            self._agrees(index, members, n)
 
 
 def _brute_is_permutation_batch(blocks):
