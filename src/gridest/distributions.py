@@ -36,6 +36,7 @@ class ProductDistribution:
             cleaned.append(p)
         self.domain = domain
         self.marginals = tuple(cleaned)
+        self._table: JointTable | None = None
 
     def point_prob(self, points: np.ndarray) -> np.ndarray:
         return self._checked_point_prob(self.domain.validate_points(points))
@@ -47,9 +48,12 @@ class ProductDistribution:
         return out
 
     def table(self) -> "JointTable":
-        self.domain.check_tabulable()
-        probs = functools.reduce(np.multiply.outer, self.marginals)
-        return JointTable(self.domain, probs.ravel())
+        """The joint table, computed on the first call and kept."""
+        if self._table is None:
+            self.domain.check_tabulable()
+            probs = functools.reduce(np.multiply.outer, self.marginals)
+            self._table = JointTable(self.domain, probs.ravel())
+        return self._table
 
     def describe(self) -> str:
         return f"product({self.domain.describe()})"

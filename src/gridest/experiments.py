@@ -189,18 +189,17 @@ def two_component_mixture(n: int) -> MixtureDistribution:
 
 
 def _trial_empirical(
-    seed_seq, draw, build, dist: Distribution, m: int,
-    family: PermutationGraphs, truth: JointTable,
+    seed_seq, draw, build, dist: Distribution, m: int, family: PermutationGraphs,
 ) -> float:
     est = build(draw(dist, m, seed_seq), dist.domain)
-    return sup_deviation(est, family, truth, method="assignment")
+    return sup_deviation(est, family, dist, method="assignment")
 
 
 def _empirical_trial_fn(draw, build, dist: Distribution) -> functools.partial:
     """``_trial_empirical`` with a run's fixed inputs bound; ``m`` is left open."""
     return functools.partial(
         _trial_empirical, draw=draw, build=build, dist=dist,
-        family=PermutationGraphs(dist.domain.sizes[0]), truth=dist.table(),
+        family=PermutationGraphs(dist.domain.sizes[0]),
     )
 
 

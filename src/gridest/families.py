@@ -13,6 +13,7 @@ the enumeration caps.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Sequence
@@ -58,8 +59,10 @@ class SetFamily:
         through ``members_matrix``.  An index has a ``class_count``;
         ``representatives(members)``, the rows whose cell sums answer the
         queries, raising ``ValueError("trace not represented")`` for a trace
-        the family lacks; and ``max_abs_sum(diff)``, the exact largest
-        ``|sum of diff over F|`` over members F for a weight per grid cell."""
+        the family lacks; and ``max_abs_sum(diff, terms=None)``, the exact
+        largest ``|sum of diff over F|`` over members F for a weight per grid
+        cell, where ``terms`` may give ``diff`` as a sum of outer products
+        ``a b^T`` that an index can use to go faster."""
         return None
 
     def materialize(self) -> "ExplicitFamily":
@@ -156,6 +159,7 @@ class PermutationGraphs(SetFamily):
             raise ValueError("n must be positive")
         self.n = n
         self.domain = ProductDomain.of_sizes(n, n)
+        self._index = PermutationGraphIndex(n)
 
     def member_count(self) -> int:
         return math.factorial(self.n)
@@ -175,7 +179,7 @@ class PermutationGraphs(SetFamily):
 
     def trace_index(self, grid: Grid) -> "PermutationGraphIndex | None":
         full = grid.is_full and grid.domain == self.domain
-        return PermutationGraphIndex(self.n) if full else None
+        return self._index if full else None
 
     def restrict_to_line(self, line: AxisLine) -> ExplicitFamily:
         # exactly-one-per-line structure: the restrictions are the singletons
@@ -193,7 +197,10 @@ class PermutationGraphIndex:
 
     def __init__(self, n: int):
         self.n = n
-        self.class_count = math.factorial(n)
+
+    @functools.cached_property
+    def class_count(self) -> int:
+        return math.factorial(self.n)
 
     def representatives(self, members: np.ndarray) -> np.ndarray:
         """The rows, checked to be permutation graphs: the traces the family has."""
@@ -214,18 +221,29 @@ class PermutationGraphIndex:
             raise ValueError("trace not represented")
         return members
 
-    def max_abs_sum(self, diff: np.ndarray) -> float:
-        """``max_F |sum of diff over F|``: two signed max-weight assignments."""
-        # solves go through the module attribute, which profilers may wrap
-        from . import estimators
+    def max_abs_sum(self, diff: np.ndarray, terms=None) -> float:
+        """``max_F |sum of diff over F|``: two signed max-weight assignments.
 
+        ``terms``, pairs of vectors ``(a, b)`` whose outer products sum to
+        ``diff``, warm-start each solve with column potentials (see
+        ``_column_potentials``).  They change how long a solve takes, not
+        its value, which is summed from ``diff``: wrong terms only make a
+        solve slower, as long as they are on ``diff``'s scale (far larger
+        ones would round away the low bits of ``diff - potentials``).
+        """
         # by assignment LP duality a side's value is at most the sum of its
         # row maxima; the -diff side's maxima are diff's minima, negated, so
         # a side is negated only to be solved
         bounds = (diff.max(axis=1).sum(), -diff.min(axis=1).sum())
 
         def solve(side):
-            return estimators.max_assignment_value(-diff if side else diff)
+            weights = -diff if side else diff
+            potentials = (
+                None if terms is None
+                else _column_potentials(weights, terms, -1.0 if side else 1.0)
+            )
+            # through the module attribute, which profilers and tests may wrap
+            return _estimators().max_assignment_value(weights, potentials)
 
         # solve the side with the larger bound first, and the other only if
         # its bound does not rule it out (1e-12 covers the rounding of the
@@ -236,6 +254,35 @@ class PermutationGraphIndex:
             return values[first]
         values[1 - first] = solve(1 - first)
         return max(values[0], values[1])
+
+
+def _column_potentials(weights: np.ndarray, terms, sign: float) -> np.ndarray:
+    """Column potentials near an optimal assignment dual of ``weights``, which
+    is ``sign`` times the sum of the terms' outer products ``a b^T``.
+
+    On one term, with ``x = sign * a`` and ``y = b``, the rearrangement
+    inequality matches the k-th smallest x with the k-th smallest y, and the
+    column of the k-th smallest y gets the exact dual potential
+    ``sum_{t<=k} x_(t) (y_(t) - y_(t-1))``.  The terms' potentials are summed,
+    then reduced once against the weights: ``u = max_j (W - v)`` per row,
+    then ``v = max_i (W - u)`` per column.
+    """
+    v = np.zeros(weights.shape[1])
+    for a, b in terms:
+        # tied y share one potential whatever their order; y_(0) = y_(1)
+        order = np.argsort(b)
+        y = b[order]
+        v[order[1:]] += np.cumsum(np.sort(sign * a)[1:] * np.diff(y))
+    u = (weights - v).max(axis=1)
+    return (weights - u[:, None]).max(axis=0)
+
+
+@functools.cache
+def _estimators():
+    """``gridest.estimators``, which imports this module, on first use."""
+    from . import estimators
+
+    return estimators
 
 
 class UnionsOfPermutations(SetFamily):

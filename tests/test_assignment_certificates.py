@@ -3,9 +3,11 @@
 Enumeration checks the assignment path only at n <= 6.  Here each matching
 the library's solver returns is proved optimal by a dual certificate
 (``_oracles.assignment_certificate``) within 1e-12: on random and tied
-weights up to n = 100, on the n = 100 matrices ``deviation-scaling`` solves,
-and on every second solve that ``pge-end-to-end`` skips, whose certified
-value must be at or below the first side's.
+weights up to n = 100, on the n = 100 matrices ``deviation-scaling`` and
+``perm-product-success`` solve, both as given and warm-started from the
+column potentials they are solved with, and on every second solve that
+``pge-end-to-end`` skips, whose certified value must be at or below the
+first side's.
 """
 
 import numpy as np
@@ -21,12 +23,14 @@ from gridest.families import PermutationGraphIndex
 TOL = 1e-12
 
 
-def certified_value(weights) -> float:
-    """The value of the solver's matching on ``weights``, certified optimal."""
-    _, cols = estimators._linear_sum_assignment()(weights, maximize=True)
+def certified_value(weights, potentials=None) -> float:
+    """The value of the solver's matching on ``weights``, less the column
+    ``potentials`` when given, certified optimal for ``weights`` itself."""
+    reduced = weights if potentials is None else weights - potentials
+    _, cols = estimators._linear_sum_assignment()(reduced, maximize=True)
     value, slack, gap = assignment_certificate(weights, cols)
     assert slack >= -TOL and gap <= TOL, (slack, gap)
-    assert abs(estimators.max_assignment_value(weights) - value) <= TOL
+    assert abs(estimators.max_assignment_value(weights, potentials) - value) <= TOL
     return value
 
 
@@ -48,18 +52,21 @@ def test_the_certificate_rejects_a_suboptimal_matching():
 
 def solves_per_sup_deviation(monkeypatch, scenario: str, trials: int) -> list[list]:
     """Run a scenario at seed 2024 and list, per permutation-graph
-    sup-deviation, the weight matrices it handed to the solver."""
+    sup-deviation, the weight matrices it handed to the solver, each with
+    the column potentials it came with (None for a cold solve)."""
     calls = []
     solve = estimators.max_assignment_value
     max_abs_sum = PermutationGraphIndex.max_abs_sum
 
-    def recording_solve(weights):
-        calls[-1].append(weights.copy())
-        return solve(weights)
+    def recording_solve(weights, potentials=None):
+        calls[-1].append(
+            (weights.copy(), None if potentials is None else potentials.copy())
+        )
+        return solve(weights, potentials)
 
-    def recording_max_abs_sum(index, diff):
+    def recording_max_abs_sum(index, diff, terms=None):
         calls.append([])
-        return max_abs_sum(index, diff)
+        return max_abs_sum(index, diff, terms)
 
     with monkeypatch.context() as patch:
         patch.setattr(estimators, "max_assignment_value", recording_solve)
@@ -72,18 +79,33 @@ def test_deviation_scaling_matrices_both_signs(monkeypatch):
     calls = solves_per_sup_deviation(monkeypatch, "deviation-scaling", 2)
     # seven sample sizes, two trials each; the row bound skips no second solve
     assert len(calls) == 14 and all(len(solves) == 2 for solves in calls)
-    for diff, negated in calls:
+    for (diff, warm), (negated, negated_warm) in calls:
         assert diff.shape == (100, 100) and np.array_equal(negated, -diff)
         # the empirical product minus the ramp product: rank at most 2
         assert np.linalg.matrix_rank(diff) <= 2
-        certified_value(diff)
-        certified_value(negated)
+        assert warm is not None and negated_warm is not None
+        assert abs(certified_value(diff, warm) - certified_value(diff)) <= TOL
+        assert abs(certified_value(negated, negated_warm)
+                   - certified_value(negated)) <= TOL
+
+
+def test_perm_product_success_warm_solves(monkeypatch):
+    # a uniform truth: integer count ties give exactly tied optimal matchings
+    calls = solves_per_sup_deviation(monkeypatch, "perm-product-success", 5)
+    solves = [solve for solves in calls for solve in solves]
+    assert len(calls) == 5 and len(solves) >= 5
+    for weights, potentials in solves:
+        assert weights.shape == (100, 100) and potentials is not None
+        assert abs(certified_value(weights, potentials)
+                   - certified_value(weights)) <= TOL
 
 
 def test_skipped_second_solves_on_pge_end_to_end(monkeypatch):
     calls = solves_per_sup_deviation(monkeypatch, "pge-end-to-end", 10)
     skipped = [solves[0] for solves in calls if len(solves) == 1]
     assert skipped and all(len(solves) in (1, 2) for solves in calls)
-    for first in skipped:
+    # phase-2 means are no product: their solves are cold
+    assert all(potentials is None for solves in calls for _, potentials in solves)
+    for first, _ in skipped:
         value = certified_value(first)
         assert certified_value(-first) <= value + TOL

@@ -30,7 +30,7 @@ from gridest.distributions import (
     tc_modulus,
     total_correlation,
 )
-from gridest.domain import ProductDomain
+from gridest.domain import CapExceededError, ProductDomain
 from gridest.experiments import ramp_product, two_component_mixture
 from gridest.families import perm_graph_bits
 
@@ -72,6 +72,23 @@ class TestConstruction:
     def test_non_finite_probabilities_rejected(self, build, probs):
         with pytest.raises(ValueError, match="non-finite"):
             build(probs)
+
+
+class TestTables:
+    def test_product_table_is_kept(self):
+        dist = ramp_product(4)
+        table = dist.table()
+        assert dist.table() is table
+        want = np.multiply.outer(*dist.marginals).ravel()
+        assert np.array_equal(table.probs, want)
+
+    def test_product_table_cap_raised_on_the_first_call(self):
+        d = ProductDomain.of_sizes(1025, 1025)
+        u = np.full(1025, 1 / 1025)
+        dist = ProductDistribution(d, [u, u])
+        for _ in range(2):
+            with pytest.raises(CapExceededError, match="too large to tabulate"):
+                dist.table()
 
 
 class TestSampling:

@@ -915,9 +915,9 @@ def solves(monkeypatch):
     """Counts the assignment solves ``sup_deviation`` makes."""
     calls = []
 
-    def counting(weights):
+    def counting(weights, potentials=None):
         calls.append(weights.shape)
-        return max_assignment_value(weights)
+        return max_assignment_value(weights, potentials)
 
     monkeypatch.setattr(estimators, "max_assignment_value", counting)
     return calls
@@ -1010,9 +1010,9 @@ class TestBoundFirstAssignment:
         first_value = max_assignment_value(-diff if first else diff)
         calls = []
 
-        def counting(w):
+        def counting(w, potentials=None):
             calls.append(w.shape)
-            return max_assignment_value(w)
+            return max_assignment_value(w, potentials)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(estimators, "max_assignment_value", counting)

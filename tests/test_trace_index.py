@@ -10,14 +10,19 @@ that way: no library module but ``families.py`` tests for
 import ast
 import itertools
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gridest import estimators
 from gridest.combinatorics import count_traces
+from gridest.distributions import ProductDistribution
 from gridest.domain import Grid, ProductDomain
+from gridest.estimators import EmpiricalProductEstimator, sup_deviation
 from gridest.families import (
     AxisBoxes,
     ExplicitFamily,
@@ -25,6 +30,7 @@ from gridest.families import (
     PermutationGraphs,
     PowerSetFamily,
     UnionsOfPermutations,
+    _column_potentials,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gridest"
@@ -88,6 +94,125 @@ class TestPermutationIndexMaximum:
         want = np.abs(family.members_matrix() @ diff.ravel()).max()
         got = family.trace_index(family.domain.full_grid()).max_abs_sum(diff)
         assert abs(got - want) <= 1e-12
+
+
+class TestOneIndexPerFamily:
+    def test_the_family_keeps_its_index(self):
+        family = PermutationGraphs(4)
+        index = family.trace_index(family.domain.full_grid())
+        assert family.trace_index(family.domain.full_grid()) is index
+        # the class count is computed when read
+        assert "class_count" not in vars(index)
+        assert index.class_count == 24 and "class_count" in vars(index)
+        # trial functions carry the family to worker processes
+        again = pickle.loads(pickle.dumps(family))
+        assert again.trace_index(again.domain.full_grid()).class_count == 24
+
+    def test_each_solve_reads_the_solver_attribute(self, monkeypatch):
+        family = PermutationGraphs(3)
+        index = family.trace_index(family.domain.full_grid())
+        diff = np.arange(9.0).reshape(3, 3) - 4.0
+        want = index.max_abs_sum(diff)
+        seen = []
+        solve = estimators.max_assignment_value
+
+        def recording(weights, potentials=None):
+            seen.append(weights.shape)
+            return solve(weights, potentials)
+
+        # patched after the index was built and used
+        monkeypatch.setattr(estimators, "max_assignment_value", recording)
+        assert index.max_abs_sum(diff) == want and seen
+
+
+def product_pair(n, seed, truth, m):
+    """A width-2 product truth and the empirical product of m counts per axis."""
+    rng = np.random.default_rng(seed)
+    domain = ProductDomain.of_sizes(n, n)
+    if truth == "uniform":
+        marginals = [np.full(n, 1.0 / n)] * 2
+    else:
+        marginals = [rng.dirichlet(np.full(n, 0.5)) for _ in range(2)]
+    dist = ProductDistribution(domain, marginals)
+    counts = [rng.multinomial(m, p) for p in marginals]
+    return EmpiricalProductEstimator.from_counts(counts, domain), dist
+
+
+def warm_and_cold(est, dist, monkeypatch):
+    """``sup_deviation`` warm-started from the product factors, and solved cold."""
+    family = PermutationGraphs(dist.domain.sizes[0])
+    potentials = []
+    solve = estimators.max_assignment_value
+
+    def recording(weights, v=None):
+        potentials.append(v)
+        return solve(weights, v)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(estimators, "max_assignment_value", recording)
+        warm = sup_deviation(est, family, dist, "assignment")
+    assert potentials and all(v is not None for v in potentials)
+    # the joint table is no product: the same difference, solved cold
+    cold = sup_deviation(est, family, dist.table(), "assignment")
+    return warm, cold
+
+
+class TestWarmStart:
+    """Column potentials from the product factors change no value."""
+
+    @given(st.integers(1, 100), st.integers(0, 2**32 - 1),
+           st.sampled_from(["uniform", "skewed"]), st.sampled_from([0.5, 2, 20]))
+    @example(1, 0, "uniform", 2)
+    @example(1, 0, "skewed", 20)
+    @example(2, 3, "uniform", 0.5)
+    @settings(max_examples=80, deadline=None)
+    def test_warm_equals_cold(self, n, seed, truth, per_cell):
+        # few points per row give zero counts and integer-count ties
+        m = max(1, round(per_cell * n))
+        est, dist = product_pair(n, seed, truth, m)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            warm, cold = warm_and_cold(est, dist, monkeypatch)
+        assert abs(warm - cold) <= 1e-12
+        if n <= 6:
+            assert abs(warm - sup_deviation(est, PermutationGraphs(n), dist,
+                                            "enumerate")) <= 1e-12
+
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1),
+           st.sampled_from(["swapped", "negated", "scaled", "random", "zero"]))
+    @settings(max_examples=60, deadline=None)
+    def test_wrong_terms_give_the_exact_value(self, n, seed, kind):
+        rng = np.random.default_rng(seed)
+        est, dist = product_pair(n, seed, "skewed", 3 * n)
+        (xh, yh), (x, y) = est.dist.marginals, dist.marginals
+        diff = np.multiply.outer(xh, yh) - np.multiply.outer(x, y)
+        right = ((xh - x, (y + yh) / 2), ((xh + x) / 2, yh - y))
+        terms = {
+            "swapped": tuple((b, a) for a, b in right),
+            "negated": tuple((-a, b) for a, b in right),
+            "random": tuple((rng.normal(size=n), rng.normal(size=n)) for _ in range(2)),
+            "scaled": tuple((10 * a, b) for a, b in right),
+            "random": tuple((rng.normal(size=n), rng.normal(size=n)) for _ in range(2)),
+            "zero": ((np.zeros(n), np.zeros(n)),),
+        }[kind]
+        index = PermutationGraphs(n).trace_index(dist.domain.full_grid())
+        cold = index.max_abs_sum(diff)
+        assert abs(index.max_abs_sum(diff, terms) - cold) <= 1e-12
+        if n <= 6:
+            want = np.abs(PermutationGraphs(n).members_matrix() @ diff.ravel()).max()
+            assert abs(cold - want) <= 1e-12
+
+    @given(st.integers(1, 60), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_one_term_potentials_are_an_optimal_dual(self, n, seed, negate):
+        # the rearrangement dual of a rank-1 matrix closes the duality gap
+        rng = np.random.default_rng(seed)
+        a, b = rng.normal(size=n), rng.integers(-2, 3, size=n).astype(float)
+        sign = -1.0 if negate else 1.0
+        weights = sign * np.multiply.outer(a, b)
+        v = _column_potentials(weights, [(a, b)], sign)
+        u = (weights - v).max(axis=1)
+        value = estimators.max_assignment_value(weights)
+        assert abs(u.sum() + v.sum() - value) <= 1e-12
 
 
 def isinstance_checks_of(name: str, path: Path) -> list[int]:
