@@ -23,6 +23,7 @@ from .domain import (
 )
 from .families import (
     ExplicitFamily,
+    ExplicitTraceIndex,
     PermutationGraphs,
     PowerSetFamily,
     SetFamily,
@@ -121,9 +122,9 @@ def linear_vc_dimension(family: SetFamily) -> DimensionCert:
 def count_traces(family: SetFamily, grid: Grid) -> int:
     """Exact number of distinct traces the family induces on the grid."""
     index = family.trace_index(grid)
-    if index is not None:
-        return index.class_count
-    return int(np.unique(grid.pack_traces(family.members_matrix())).size)
+    if index is None:
+        index = ExplicitTraceIndex(family, grid)
+    return index.class_count
 
 
 def binomle(n: int, g: int) -> int:

@@ -5,10 +5,12 @@ mean (point counts), the empirical product of marginals, the exact
 distribution (the zero-deviation reference), and the two-phase product-grid
 estimator (grid from the first subsample, phase-2 cell counts from the
 second).  The product-grid estimator departs from the core in one place:
-where the family supplies no structured trace index it answers by trace
-lookup.  Sup-deviations over a family whose full-grid index has an exact
-maximizer (permutation graphs: max-weight assignment) are computed by it;
-explicit families are checked by full enumeration.
+its trace index on the grid (the family's own, or ``ExplicitTraceIndex``
+over the enumerated members) maps each query to its class's representative
+before the weights are summed.  Sup-deviations over a family whose
+full-grid index has an exact maximizer (permutation graphs: max-weight
+assignment) are computed by it; explicit families are checked by full
+enumeration.
 """
 
 from __future__ import annotations
@@ -30,10 +32,9 @@ from .domain import (
     ProductDomain,
     check_marginal_counts,
     grid_from_counts,
-    row_keys,
 )
 from .distributions import Distribution, Modulus, ProductDistribution
-from .families import SetFamily
+from .families import ExplicitTraceIndex, SetFamily
 
 
 # -- sample-size planners ------------------------------------------------------
@@ -116,10 +117,12 @@ def product_case_size(
 
 # -- basic estimators ----------------------------------------------------------
 #
-# Every estimator but the explicit product-grid one is a weight per domain
-# point: ``estimate_many(members)`` is ``members @ weights``, divided by the
-# sample size when the weights are counts.  ``estimate(event)`` is that answer
-# on the event's one row.
+# Every estimator is a weight per domain point: ``estimate_many(members)`` is
+# ``members @ weights``, divided by the sample size when the weights are
+# counts; the product-grid estimator first maps each row to its trace class's
+# representative.  ``estimate(event)`` is that answer on the event's one row.
+
+_BLOCK_ROWS = 4096
 
 
 def _member_rows(members, domain: ProductDomain) -> np.ndarray:
@@ -161,7 +164,11 @@ class _CellWeightEstimator:
 
     def estimate_many(self, members: np.ndarray) -> np.ndarray:
         """``estimate`` on every row of a dense ``(k, n_points)`` member matrix."""
-        values = _member_rows(members, self.domain) @ self.weights
+        members = _member_rows(members, self.domain)
+        # blocks of rows bound the float64 copy NumPy makes of a bool matrix
+        values = np.empty(members.shape[0])
+        for i in range(0, members.shape[0], _BLOCK_ROWS):
+            values[i : i + _BLOCK_ROWS] = members[i : i + _BLOCK_ROWS] @ self.weights
         return values if self.total is None else values / self.total
 
     def cell_weights(self) -> np.ndarray | None:
@@ -231,31 +238,18 @@ class ProductGridEstimator(_CellWeightEstimator):
 
     Built from the phase-1 grid and the phase-2 cell counts only (see
     ``from_counts``); its weights are those counts, and its ``total`` is
-    their sum m1.  In explicit mode the trace index is the sorted array of
-    realized trace keys, ``class_keys``; each class answers with the phase-2
-    mean of its representative (the member with the lexicographically
-    smallest canonical encoding).  Where the family supplies a structured
-    trace index on the grid (``SetFamily.trace_index``), the index names each
-    query's representative and counts the classes: the structured mode.
+    their sum m1.  The trace index is the family's own on the grid
+    (``SetFamily.trace_index``, the structured mode) or else
+    ``ExplicitTraceIndex`` over the enumerated members.  Either names each
+    query's representative, whose phase-2 mean is the query's estimate, and
+    counts the classes.
     """
 
-    def __init__(self, grid: Grid, cell_counts: np.ndarray, trace_index=None,
-                 class_keys=None, representatives=None):
+    def __init__(self, grid: Grid, cell_counts: np.ndarray, trace_index):
         super().__init__(grid.domain, cell_counts.ravel(), int(cell_counts.sum()))
         self.grid = grid
         self.trace_index = trace_index
-        self.class_count = (
-            class_keys.size if trace_index is None else trace_index.class_count
-        )
-        self.class_keys = class_keys
-        self.representatives = representatives
-        self.class_estimates = (
-            None if representatives is None
-            else super().estimate_many(representatives)
-        )
-        for arr in (class_keys, self.class_estimates, representatives):
-            if arr is not None:
-                arr.flags.writeable = False
+        self.class_count = trace_index.class_count
 
     @classmethod
     def from_counts(
@@ -280,40 +274,21 @@ class ProductGridEstimator(_CellWeightEstimator):
                 f"need nonnegative integer cell counts of shape {domain.sizes}"
             )
         m1 = int(cell_counts.sum())
-        if plan.split is not None:
-            if m1 != plan.split[1]:
-                raise ValueError(
-                    f"phase-2 counts sum to {m1}, plan splits {plan.split}"
-                )
-        elif m1 < 1:
+        # a plan's split sizes are positive
+        if plan.split is not None and m1 != plan.split[1]:
+            raise ValueError(f"phase-2 counts sum to {m1}, plan splits {plan.split}")
+        if m1 < 1:
             raise ValueError("insufficient sample: empty phase 2")
 
         index = family.trace_index(grid)
-        if index is not None:
-            estimator = cls(grid, cell_counts, index)
-        else:
+        if index is None:
             try:
-                members = family.members_matrix()
+                index = ExplicitTraceIndex(family, grid)
             except (NotEnumerableError, CapExceededError) as exc:
                 raise NotEnumerableError(
                     "family not trace-enumerable within caps"
                 ) from exc
-            keys = row_keys(members)
-            if grid.is_full:
-                # a member's trace is all of its bits: its own key is its
-                # trace key, and the members of a class are equal rows
-                class_keys, first = np.unique(keys, return_index=True)
-            else:
-                # visit members in the sorted order of their own keys; the
-                # first member seen of each trace class is its representative
-                order = np.argsort(keys)
-                class_keys, first = np.unique(
-                    grid.pack_traces(members)[order], return_index=True
-                )
-                first = order[first]
-            estimator = cls(grid, cell_counts, class_keys=class_keys,
-                            representatives=members[first])
-
+        estimator = cls(grid, cell_counts, index)
         if plan.split is None:
             need = phase2_size(plan.epsilon, plan.delta, estimator.class_count)
             if m1 < need:
@@ -325,35 +300,22 @@ class ProductGridEstimator(_CellWeightEstimator):
 
     @property
     def is_structured(self) -> bool:
-        return self.trace_index is not None
+        return not isinstance(self.trace_index, ExplicitTraceIndex)
 
     def estimate_many(self, members: np.ndarray) -> np.ndarray:
         """The estimate of the representative with each row's trace."""
         members = _member_rows(members, self.domain)
-        if self.is_structured:
-            return super().estimate_many(self.trace_index.representatives(members))
-        return self.class_estimates[self._class_ids(members)]
+        return super().estimate_many(self.trace_index.representatives(members))
 
     def representative(self, event) -> np.ndarray:
         """Dense bits of the representative of the event's trace class."""
         row = _event_row(event, self.domain)
-        if self.is_structured:
-            return self.trace_index.representatives(row)[0].copy()
-        return self.representatives[self._class_ids(row)[0]]
-
-    def _class_ids(self, members: np.ndarray) -> np.ndarray:
-        """The trace-class id of every row of a checked member matrix."""
-        # on the full grid a row's trace is all of its bits
-        grid = self.grid
-        keys = row_keys(members) if grid.is_full else grid.pack_traces(members)
-        # every id is in range: a key past all but the last class can only be the last
-        ids = self.class_keys[:-1].searchsorted(keys)
-        if self.class_keys[ids].tobytes() != keys.tobytes():
-            raise ValueError("trace not represented")
-        return ids
+        return self.trace_index.representatives(row)[0].copy()
 
     def cell_weights(self) -> np.ndarray | None:
-        return super().cell_weights() if self.is_structured else None
+        """The phase-2 means on a full grid, where every query is its own
+        representative; None on a partial grid, where it need not be."""
+        return super().cell_weights() if self.grid.is_full else None
 
 
 def build_product_grid_estimator(

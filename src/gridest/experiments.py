@@ -903,11 +903,14 @@ def calibrate_constants(
 ) -> dict:
     """Smallest grid constant for which the scenario passes at the target.
 
-    Every grid value is run (monotonicity is verified, not assumed); when none
-    passes the result is flagged unbounded at the grid maximum.
+    Every value of the strictly increasing grid is run (monotonicity is
+    verified, not assumed); when none passes the result is flagged unbounded.
     """
     if scenario not in CALIBRATABLE:
         raise ValueError(f"scenario {scenario!r} does not support calibration")
+    if not (len(grid) and all(a < b for a, b in zip(grid, grid[1:]))):
+        raise ValueError(f"calibration grid must be non-empty and strictly "
+                         f"increasing, got {list(grid)}")
     knob = CALIBRATABLE[scenario]
     passes = []
     memo: dict = {}

@@ -55,14 +55,15 @@ class SetFamily:
         raise NotEnumerableError("not enumerable")
 
     def trace_index(self, grid: Grid):
-        """A structured trace index on the grid, or None for the explicit path
-        through ``members_matrix``.  An index has a ``class_count``;
-        ``representatives(members)``, the rows whose cell sums answer the
-        queries, raising ``ValueError("trace not represented")`` for a trace
-        the family lacks; and ``max_abs_sum(diff, terms=None)``, the exact
-        largest ``|sum of diff over F|`` over members F for a weight per grid
-        cell, where ``terms`` may give ``diff`` as a sum of outer products
-        ``a b^T`` that an index can use to go faster."""
+        """A structured trace index on the grid, or None; callers then build
+        ``ExplicitTraceIndex`` from ``members_matrix``.  Every index has a
+        ``class_count`` and ``representatives(members)``, the rows whose cell
+        sums answer the queries, raising ``ValueError("trace not represented")``
+        for a trace the family lacks.  A structured one also has
+        ``max_abs_sum(diff, terms=None)``, the exact largest ``|sum of diff
+        over F|`` over members F for a weight per grid cell, where ``terms``
+        may give ``diff`` as a sum of outer products ``a b^T`` that an index
+        can use to go faster."""
         return None
 
     def materialize(self) -> "ExplicitFamily":
@@ -164,17 +165,12 @@ class PermutationGraphs(SetFamily):
     def member_count(self) -> int:
         return math.factorial(self.n)
 
-    def perms(self) -> np.ndarray:
+    def members_matrix(self) -> np.ndarray:
         if self.member_count() > MAX_MEMBERS:
             raise CapExceededError("family too large")
-        return np.array(list(itertools.permutations(range(self.n))), dtype=np.int64)
-
-    def members_matrix(self) -> np.ndarray:
-        perms = self.perms()
-        rows = np.repeat(np.arange(self.n, dtype=np.int64)[None, :], len(perms), 0)
-        flat = rows * self.n + perms
+        perms = np.array(list(itertools.permutations(range(self.n))), dtype=np.int64)
         members = np.zeros((len(perms), self.domain.n_points), dtype=bool)
-        np.put_along_axis(members, flat, True, axis=1)
+        np.put_along_axis(members, np.arange(self.n) * self.n + perms, True, axis=1)
         return members
 
     def trace_index(self, grid: Grid) -> "PermutationGraphIndex | None":
@@ -283,6 +279,43 @@ def _estimators():
     from . import estimators
 
     return estimators
+
+
+class ExplicitTraceIndex:
+    """The trace index of a family's enumerated members on a grid: the sorted
+    distinct trace keys, ``class_keys``, and one representative row per
+    class, ``rows``, the member with the smallest key (``row_keys`` order)."""
+
+    def __init__(self, family: SetFamily, grid: Grid):
+        members = family.members_matrix()
+        keys = row_keys(members)
+        if grid.is_full:
+            # a member's trace is all of its bits: its own key is its trace
+            # key, and the members of a class are equal rows
+            class_keys, first = np.unique(keys, return_index=True)
+        else:
+            # visit members in the sorted order of their own keys; the first
+            # member seen of each trace class is its representative
+            order = np.argsort(keys)
+            traces = grid.pack_traces(members)[order]
+            class_keys, first = np.unique(traces, return_index=True)
+            first = order[first]
+        self.grid = grid
+        self.class_keys = class_keys
+        self.rows = members[first]
+        self.class_count = class_keys.size
+        class_keys.flags.writeable = self.rows.flags.writeable = False
+
+    def representatives(self, members: np.ndarray) -> np.ndarray:
+        """The representative row of each row's trace class."""
+        # on the full grid a row's trace is all of its bits
+        grid = self.grid
+        keys = row_keys(members) if grid.is_full else grid.pack_traces(members)
+        # every id is in range: a key past all but the last class can only be the last
+        ids = self.class_keys[:-1].searchsorted(keys)
+        if self.class_keys[ids].tobytes() != keys.tobytes():
+            raise ValueError("trace not represented")
+        return self.rows[ids]
 
 
 class UnionsOfPermutations(SetFamily):

@@ -659,7 +659,30 @@ class TestOneCellWeightCore:
         assert np.array_equal(est.estimate_many(graphs), graphs @ counts / m1)
         assert np.array_equal(est.cell_weights(), counts.reshape(n, n) / m1)
 
+    @pytest.mark.parametrize("k", [1, 4095, 4096, 4097, 9000])
+    def test_blocked_product_equals_the_unblocked_one(self, k):
+        # the rows go through the product in blocks of 4096
+        rng = np.random.default_rng(k)
+        d = ProductDomain.of_sizes(7, 9)
+        rows = rng.random((k, d.n_points)) < rng.random()
+        s = rng.integers(0, d.sizes, size=(500, 2))
+        # count weights: integer sums are exact in any order
+        mean = EmpiricalMeanEstimator(s, d)
+        assert np.array_equal(mean.estimate_many(rows), rows @ mean.weights / 500)
+        family = ExplicitFamily(d, rows)
+        grid_est = ProductGridEstimator.from_counts(
+            d.full_grid(), d.cell_counts(s), family, identity_plan(split=(1, 500)))
+        members = family.members_matrix()
+        assert np.array_equal(grid_est.estimate_many(members),
+                              members @ mean.weights / 500)
+        # probability weights: BLAS may sum a block in another order
+        dist = JointTable(d, rng.dirichlet(np.ones(d.n_points)))
+        for est in (EmpiricalProductEstimator(s, d), ExactEstimator(dist)):
+            gap = np.abs(est.estimate_many(rows) - rows @ est.weights)
+            assert gap.max() <= 1e-12
+
     def test_explicit_product_grid_has_no_cell_weights(self):
+        # the grid misses row 1 and column 1; on a full grid it has them
         fam, s = small_interval_family(), np.array([[0, 0], [2, 2], [1, 1]])
         est = build_product_grid_estimator(s, fam, identity_plan(split=(2, 1)))
         assert not est.is_structured and est.cell_weights() is None

@@ -429,6 +429,14 @@ class TestCalibration:
         with pytest.raises(ValueError, match="calibration"):
             calibrate_constants("modulus-tc")
 
+    @pytest.mark.parametrize("grid", [(), (4.0, 0.5, 1.0), (0.5, 0.5), (0.5, math.nan)])
+    def test_grid_must_increase_strictly(self, grid, monkeypatch):
+        # rejected before any scenario runs
+        monkeypatch.setattr(experiments, "run_scenario", _never_run)
+        with pytest.raises(ValueError, match="calibration grid must be non-empty "
+                           r"and strictly increasing, got \["):
+            calibrate_constants("perm-product-success", grid=grid, trials=5)
+
     def test_reports_unbounded_when_nothing_passes(self):
         # an impossible accuracy target at tiny sample sizes
         outcome = calibrate_constants(
@@ -600,6 +608,17 @@ class TestCli:
         config.write_text(json.dumps({"scenario": scenario, "params": params}))
         assert cli_main(["run", "--config", str(config), "--trials", "1"]) == 2
         assert f"error: {match}" in capsys.readouterr().err
+
+    def test_unsorted_calibration_grid_exits_2(self, capsys):
+        # every constant here passes: an unsorted grid would name 4.0 smallest
+        argv = ["calibrate", "perm-product-success", "--trials", "20", "--seed", "1"]
+        assert cli_main(argv + ["--grid", "4,0.5,1"]) == 2
+        err = capsys.readouterr().err
+        assert ("error: calibration grid must be non-empty and strictly increasing, "
+                "got [4.0, 0.5, 1.0]") in err
+        assert cli_main(argv + ["--grid", "0.5,1,4"]) == 0
+        outcome = json.loads(capsys.readouterr().out)
+        assert outcome["passes"] == [True] * 3 and outcome["smallest_passing"] == 0.5
 
     def test_infinite_calibration_constant_exits_2(self, capsys):
         assert cli_main(["calibrate", "grid-hitting", "--grid", "inf"]) == 2

@@ -2,9 +2,12 @@
 
 A family that knows its trace structure on a grid says so through
 ``trace_index``; the estimators, ``sup_deviation`` and ``count_traces`` ask it
-instead of testing the family's type.  The syntax-tree check below keeps it
-that way: no library module but ``families.py`` tests for
-``PermutationGraphs``.
+instead of testing the family's type, and fall back to
+``ExplicitTraceIndex`` over the enumerated members where it returns None.
+Either index answers the product-grid estimator's queries, which has one
+query path.  The syntax-tree checks below keep it that way: no library module
+but ``families.py`` tests for ``PermutationGraphs``, and ``estimators.py``
+handles no trace keys outside ``check_grid_hitting``.
 """
 
 import ast
@@ -20,18 +23,26 @@ from hypothesis import strategies as st
 
 from gridest import estimators
 from gridest.combinatorics import count_traces
-from gridest.distributions import ProductDistribution
+from gridest.distributions import Modulus, ProductDistribution
 from gridest.domain import Grid, ProductDomain
-from gridest.estimators import EmpiricalProductEstimator, sup_deviation
+from gridest.estimators import (
+    EmpiricalProductEstimator,
+    ProductGridEstimator,
+    SamplingPlan,
+    sup_deviation,
+)
 from gridest.families import (
     AxisBoxes,
     ExplicitFamily,
+    ExplicitTraceIndex,
     IntervalsOnAxis,
     PermutationGraphs,
     PowerSetFamily,
     UnionsOfPermutations,
     _column_potentials,
 )
+
+from _oracles import brute_trace
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gridest"
 
@@ -79,6 +90,105 @@ class TestWhichFamiliesAreStructured:
             assert family.trace_index(grid).class_count == math.factorial(n)
             # the explicit path over the same members agrees
             assert count_traces(family.materialize(), grid) == math.factorial(n)
+
+
+def random_grid(rng, domain: ProductDomain, kind: str) -> Grid:
+    """The full grid, one cell, or a grid that is not full (zero cells allowed)."""
+    if kind == "full":
+        return domain.full_grid()
+    if kind == "one-cell":
+        return Grid(domain, [[rng.integers(n)] for n in domain.sizes])
+    axes = [np.flatnonzero(rng.random(n) < 0.5) for n in domain.sizes]
+    if all(a.size == n for a, n in zip(axes, domain.sizes)):
+        axes[0] = axes[0][1:]
+    return Grid(domain, axes)
+
+
+class TestExplicitIndex:
+    """``ExplicitTraceIndex`` against a brute-force grouping of the members by
+    their bits on the grid's cells."""
+
+    @given(st.integers(0, 2**32 - 1), st.tuples(st.integers(1, 3), st.integers(1, 4)),
+           st.integers(1, 12), st.sampled_from(["full", "partial", "one-cell"]))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_brute_force(self, seed, sizes, k, kind):
+        rng = np.random.default_rng(seed)
+        d = ProductDomain.of_sizes(*sizes)
+        family = ExplicitFamily(d, rng.random((k, d.n_points)) < rng.random())
+        grid = random_grid(rng, d, kind)
+        # one cell is the full grid of a one-point domain
+        assert grid.is_full == (kind == "full" or d.n_points == 1 == grid.cell_count)
+        index = ExplicitTraceIndex(family, grid)
+        members = family.members_matrix()
+        classes = {}
+        for row in members:
+            classes.setdefault(brute_trace(row, grid), []).append(row)
+        assert index.class_count == len(classes)
+        # a class's representative is its member with the smallest key, and
+        # keys sort like the rows
+        smallest = {t: min(rows, key=lambda r: r.tolist()) for t, rows in classes.items()}
+        want = np.array([smallest[brute_trace(row, grid)] for row in members])
+        assert np.array_equal(index.representatives(members), want)
+        # the members' complements and random rows: a trace no member has raises
+        for row in np.vstack([~members, rng.random((6, d.n_points)) < 0.5]):
+            trace = brute_trace(row, grid)
+            if trace in classes:
+                assert np.array_equal(index.representatives(row[None])[0],
+                                      smallest[trace])
+            else:
+                with pytest.raises(ValueError, match="^trace not represented$"):
+                    index.representatives(np.vstack([members, row]))
+
+    def test_keys_and_rows_are_read_only(self):
+        d = ProductDomain.of_sizes(2, 3)
+        family = AxisBoxes(d)
+        for grid in (d.full_grid(), Grid(d, [[0], [1, 2]])):
+            index = ExplicitTraceIndex(family, grid)
+            assert not index.class_keys.flags.writeable
+            assert not index.rows.flags.writeable
+
+
+class AnyGridGraphs(PermutationGraphs):
+    """Permutation graphs whose structured index is offered on every grid."""
+
+    def trace_index(self, grid):
+        return self._index
+
+
+def full_and_partial_builds(n, m1, seed):
+    """The phase-2 counts, and the (grid, estimator) pairs built on them for
+    four families on a full and a partial grid."""
+    rng = np.random.default_rng(seed)
+    d = ProductDomain.of_sizes(n, n)
+    counts = rng.multinomial(m1, np.full(d.n_points, 1.0 / d.n_points)).reshape(n, n)
+    plan = SamplingPlan(epsilon=0.2, delta=0.1, lvc=1, width=2,
+                        modulus=Modulus.identity(), split=(1, m1))
+    return counts, [
+        (grid, ProductGridEstimator.from_counts(grid, counts, family, plan))
+        for family in (PermutationGraphs(n), PermutationGraphs(n).materialize(),
+                       AxisBoxes(d), AnyGridGraphs(n))
+        for grid in (d.full_grid(), Grid(d, [np.arange(n - 1), np.arange(n)]))
+    ]
+
+
+class TestCellWeightsOnlyOnFullGrids:
+    """``cell_weights()`` feeds the assignment path, which sums ``diff`` over
+    the members themselves: right only where every query is its own
+    representative, which a full grid guarantees whichever index answers."""
+
+    @given(st.integers(2, 4), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_phase2_means_on_full_grids_and_none_elsewhere(self, n, m1, seed):
+        counts, builds = full_and_partial_builds(n, m1, seed)
+        kinds = set()
+        for grid, est in builds:
+            kinds.add((est.is_structured, grid.is_full))
+            if grid.is_full:
+                assert np.array_equal(est.cell_weights(), counts / m1)
+            else:
+                assert est.cell_weights() is None
+        # both index kinds on both kinds of grid
+        assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
 
 class TestPermutationIndexMaximum:
@@ -247,3 +357,48 @@ def test_the_checker_sees_the_forms_it_forbids(tmp_path):
         encoding="utf-8",
     )
     assert isinstance_checks_of("PermutationGraphs", source) == [1, 2]
+
+
+def names_in(tree: ast.AST) -> set[str]:
+    """Every name, attribute and imported name in a syntax tree."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update({node.name, node.asname} - {None})
+    return names
+
+
+def callers_of(name: str, tree: ast.AST) -> list[str]:
+    """The top-level functions that call ``name``, as a function or a method."""
+    return [
+        fn.name for fn in tree.body
+        if isinstance(fn, ast.FunctionDef | ast.ClassDef) and any(
+            isinstance(c, ast.Call) and name in names_in(c.func) for c in ast.walk(fn))
+    ]
+
+
+def test_estimators_hold_no_trace_keys():
+    # the trace index maps queries to representatives; the estimators only
+    # sum weights, so no key or class array is theirs
+    tree = ast.parse((SRC / "estimators.py").read_text(encoding="utf-8"))
+    keys = {"row_keys", "class_keys", "class_estimates", "_class_ids"}
+    assert names_in(tree) & keys == set()
+    # check_grid_hitting groups members by trace, left for a shortcut of its own
+    assert callers_of("pack_traces", tree) == ["check_grid_hitting"]
+
+
+def test_the_key_checkers_see_what_they_forbid():
+    tree = ast.parse(
+        "from .domain import row_keys as rk\n"
+        "class E:\n"
+        "    def f(self, grid, m):\n"
+        "        return self.index.class_keys, grid.pack_traces(m)\n"
+        "def check_grid_hitting(grid, m):\n"
+        "    return grid.pack_traces(m)\n"
+    )
+    assert {"row_keys", "rk", "class_keys", "pack_traces"} <= names_in(tree)
+    assert callers_of("pack_traces", tree) == ["E", "check_grid_hitting"]
