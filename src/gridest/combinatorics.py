@@ -23,7 +23,6 @@ from .domain import (
 )
 from .families import (
     ExplicitFamily,
-    ExplicitTraceIndex,
     PermutationGraphs,
     PowerSetFamily,
     SetFamily,
@@ -121,10 +120,7 @@ def linear_vc_dimension(family: SetFamily) -> DimensionCert:
 
 def count_traces(family: SetFamily, grid: Grid) -> int:
     """Exact number of distinct traces the family induces on the grid."""
-    index = family.trace_index(grid)
-    if index is None:
-        index = ExplicitTraceIndex(family, grid)
-    return index.class_count
+    return family.trace_index(grid).class_count
 
 
 def binomle(n: int, g: int) -> int:

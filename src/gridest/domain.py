@@ -212,28 +212,15 @@ class Grid:
             raise CapExceededError(
                 f"grid has {self.cell_count} cells, exceeds cap {MAX_CELLS}"
             )
-        self._cells: np.ndarray | None = None
         self._flat: np.ndarray | None = None
 
     def __repr__(self) -> str:
         return f"Grid(sizes={self.sizes}, cells={self.cell_count})"
 
-    def cells(self) -> np.ndarray:
-        """``(cell_count, d)`` array of cells in canonical row-major order."""
-        if self._cells is None:
-            if self.cell_count == 0:
-                cells = np.empty((0, self.domain.width), dtype=np.int64)
-            else:
-                mesh = np.meshgrid(*self.axes, indexing="ij")
-                cells = np.stack([m.ravel() for m in mesh], axis=1)
-            cells.flags.writeable = False
-            self._cells = cells
-        return self._cells
-
     def flat_domain_indices(self) -> np.ndarray:
         """Canonical domain flat index of every cell, in cell order."""
         if self._flat is None:
-            flat = self.domain.flat_index(self.cells())
+            flat = np.ravel_multi_index(np.ix_(*self.axes), self.domain.sizes).ravel()
             flat.flags.writeable = False
             self._flat = flat
         return self._flat
@@ -248,12 +235,6 @@ class Grid:
         along each row's contiguous memory.
         """
         return row_keys(np.take(members, self.flat_domain_indices(), axis=1))
-
-    def point_mask(self) -> np.ndarray:
-        """Boolean mask over the domain's canonical point order: cell or not."""
-        mask = np.zeros(self.domain.n_points, dtype=bool)
-        mask[self.flat_domain_indices()] = True
-        return mask
 
     @property
     def is_full(self) -> bool:

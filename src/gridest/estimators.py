@@ -5,12 +5,11 @@ mean (point counts), the empirical product of marginals, the exact
 distribution (the zero-deviation reference), and the two-phase product-grid
 estimator (grid from the first subsample, phase-2 cell counts from the
 second).  The product-grid estimator departs from the core in one place:
-its trace index on the grid (the family's own, or ``ExplicitTraceIndex``
-over the enumerated members) maps each query to its class's representative
-before the weights are summed.  Sup-deviations over a family whose
-full-grid index has an exact maximizer (permutation graphs: max-weight
-assignment) are computed by it; explicit families are checked by full
-enumeration.
+the family's trace index on the grid (``SetFamily.trace_index``) maps each
+query to its class's representative before the weights are summed.
+Sup-deviations over a family with an exact maximizer
+(``SetFamily.max_abs_sum``; permutation graphs: max-weight assignment) are
+computed by it; explicit families are checked by full enumeration.
 """
 
 from __future__ import annotations
@@ -25,14 +24,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .domain import (
-    CapExceededError,
-    Grid,
-    NotEnumerableError,
-    ProductDomain,
-    check_marginal_counts,
-    grid_from_counts,
-)
+from .domain import Grid, ProductDomain, check_marginal_counts, grid_from_counts
 from .distributions import Distribution, Modulus, ProductDistribution
 from .families import ExplicitTraceIndex, SetFamily
 
@@ -238,11 +230,11 @@ class ProductGridEstimator(_CellWeightEstimator):
 
     Built from the phase-1 grid and the phase-2 cell counts only (see
     ``from_counts``); its weights are those counts, and its ``total`` is
-    their sum m1.  The trace index is the family's own on the grid
-    (``SetFamily.trace_index``, the structured mode) or else
-    ``ExplicitTraceIndex`` over the enumerated members.  Either names each
-    query's representative, whose phase-2 mean is the query's estimate, and
-    counts the classes.
+    their sum m1.  The trace index is the family's on the grid
+    (``SetFamily.trace_index``): a structured one where the family knows its
+    traces, else ``ExplicitTraceIndex`` over the enumerated members.  It
+    names each query's representative, whose phase-2 mean is the query's
+    estimate, and counts the classes.
     """
 
     def __init__(self, grid: Grid, cell_counts: np.ndarray, trace_index):
@@ -262,8 +254,6 @@ class ProductGridEstimator(_CellWeightEstimator):
         realized class count.
         """
         domain = family.domain
-        if grid.domain != domain:
-            raise ValueError("grid and family live on different domains")
         cell_counts = np.asarray(cell_counts)
         if (
             cell_counts.shape != domain.sizes
@@ -280,15 +270,7 @@ class ProductGridEstimator(_CellWeightEstimator):
         if m1 < 1:
             raise ValueError("insufficient sample: empty phase 2")
 
-        index = family.trace_index(grid)
-        if index is None:
-            try:
-                index = ExplicitTraceIndex(family, grid)
-            except (NotEnumerableError, CapExceededError) as exc:
-                raise NotEnumerableError(
-                    "family not trace-enumerable within caps"
-                ) from exc
-        estimator = cls(grid, cell_counts, index)
+        estimator = cls(grid, cell_counts, family.trace_index(grid))
         if plan.split is None:
             need = phase2_size(plan.epsilon, plan.delta, estimator.class_count)
             if m1 < need:
@@ -306,11 +288,6 @@ class ProductGridEstimator(_CellWeightEstimator):
         """The estimate of the representative with each row's trace."""
         members = _member_rows(members, self.domain)
         return super().estimate_many(self.trace_index.representatives(members))
-
-    def representative(self, event) -> np.ndarray:
-        """Dense bits of the representative of the event's trace class."""
-        row = _event_row(event, self.domain)
-        return self.trace_index.representatives(row)[0].copy()
 
     def cell_weights(self) -> np.ndarray | None:
         """The phase-2 means on a full grid, where every query is its own
@@ -409,23 +386,19 @@ def sup_deviation(
     """Exact ``sup_F |estimate(F) - P(F)|`` over the family.
 
     ``method`` is required, ``"assignment"`` or ``"enumerate"``.
-    ``assignment`` asks the family's trace index on the full grid for the
-    largest signed cell sum (for permutation graphs, two max-weight
-    matchings) and needs an estimator whose value on a member decomposes into
-    per-cell weights.  ``enumerate`` evaluates every member of an explicitly
-    enumerable family.
+    ``assignment`` asks the family's ``max_abs_sum`` for the largest signed
+    cell sum (for permutation graphs, two max-weight matchings) and needs an
+    estimator whose value on a member decomposes into per-cell weights.
+    ``enumerate`` evaluates every member of an explicitly enumerable family.
 
     When both the estimator (an empirical product, marginals x^, y^) and
     ``dist`` (x, y) are width-2 products, the cell difference
-    ``x^ y^T - x y^T`` is handed to the index with its split into the two
+    ``x^ y^T - x y^T`` is handed to the family with its split into the two
     rank-1 terms ``(x^ - x) ((y + y^)/2)^T`` and ``((x^ + x)/2) (y^ - y)^T``.
-    The index builds column potentials from them (see
+    The family builds column potentials from them (see
     ``max_assignment_value``): the value is the same, found ~3x faster.
     """
     if method == "assignment":
-        index = family.trace_index(family.domain.full_grid())
-        if index is None:
-            raise ValueError("method inapplicable: family has no structured index")
         weights = estimator.cell_weights()
         if weights is None:
             raise ValueError("method inapplicable: estimator has no cell weights")
@@ -434,7 +407,7 @@ def sup_deviation(
                 and isinstance(dist, ProductDistribution) and dist.domain.width == 2):
             (xh, yh), (x, y) = estimator.dist.marginals, dist.marginals
             terms = ((xh - x, (y + yh) / 2), ((xh + x) / 2, yh - y))
-        return index.max_abs_sum(weights - dist.table().reshaped(), terms)
+        return family.max_abs_sum(weights - dist.table().reshaped(), terms)
     if method == "enumerate":
         members = family.members_matrix()
         truth = ExactEstimator(dist).estimate_many(members)

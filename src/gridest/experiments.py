@@ -54,7 +54,6 @@ from .distributions import (
 from .domain import (
     MAX_MEMBERS,
     CapExceededError,
-    NotEnumerableError,
     ProductDomain,
     build_grid,
     grid_from_counts,
@@ -217,13 +216,11 @@ def _trial_pge(
     rng = np.random.default_rng(seed_seq)
     phase1 = marginal_counts(dist, m0, rng)
     phase2 = sample_counts(dist, m1, rng)
-    try:
-        est = ProductGridEstimator.from_counts(
-            grid_from_counts(phase1, dist.domain), phase2, family, plan
-        )
-    except NotEnumerableError:
+    grid = grid_from_counts(phase1, dist.domain)
+    if not grid.is_full:
         # phase-1 grid missed part of the domain; count the trial as a failure
         return 1.0
+    est = ProductGridEstimator.from_counts(grid, phase2, family, plan)
     return sup_deviation(est, family, dist, method="assignment")
 
 

@@ -55,16 +55,19 @@ class SetFamily:
         raise NotEnumerableError("not enumerable")
 
     def trace_index(self, grid: Grid):
-        """A structured trace index on the grid, or None; callers then build
-        ``ExplicitTraceIndex`` from ``members_matrix``.  Every index has a
-        ``class_count`` and ``representatives(members)``, the rows whose cell
-        sums answer the queries, raising ``ValueError("trace not represented")``
-        for a trace the family lacks.  A structured one also has
-        ``max_abs_sum(diff, terms=None)``, the exact largest ``|sum of diff
-        over F|`` over members F for a weight per grid cell, where ``terms``
-        may give ``diff`` as a sum of outer products ``a b^T`` that an index
-        can use to go faster."""
-        return None
+        """The family's trace index on the grid: its ``class_count`` and
+        ``representatives(members)``, the rows whose cell sums answer the
+        queries, raising ``ValueError("trace not represented")`` for a trace
+        the family lacks.  Here ``ExplicitTraceIndex`` over the enumerated
+        members; a family that knows its trace structure overrides this."""
+        return ExplicitTraceIndex(self, grid)
+
+    def max_abs_sum(self, diff: np.ndarray, terms=None) -> float:
+        """The exact largest ``|sum of diff over F|`` over members F, for a
+        weight per domain point shaped like the domain.  ``terms`` may give
+        ``diff`` as a sum of outer products ``a b^T`` that a family can use
+        to go faster.  Only a family with an exact maximizer has one."""
+        raise ValueError("method inapplicable: family has no structured index")
 
     def materialize(self) -> "ExplicitFamily":
         return ExplicitFamily(self.domain, self.members_matrix(), _dedup=False)
@@ -173,49 +176,15 @@ class PermutationGraphs(SetFamily):
         np.put_along_axis(members, np.arange(self.n) * self.n + perms, True, axis=1)
         return members
 
-    def trace_index(self, grid: Grid) -> "PermutationGraphIndex | None":
-        full = grid.is_full and grid.domain == self.domain
-        return self._index if full else None
+    def trace_index(self, grid: Grid):
+        if grid.is_full and grid.domain == self.domain:
+            return self._index
+        return super().trace_index(grid)
 
     def restrict_to_line(self, line: AxisLine) -> ExplicitFamily:
         # exactly-one-per-line structure: the restrictions are the singletons
         members = np.eye(self.n, dtype=bool)
         return ExplicitFamily(_line_domain(self.domain, line.axis), members)
-
-    def describe(self) -> str:
-        return f"permutation-graphs(n={self.n})"
-
-
-class PermutationGraphIndex:
-    """The permutation graphs' trace index on the full grid, which determines
-    the permutation: every trace class is one graph, its own representative,
-    and the largest signed cell sum over the graphs is a max-weight assignment."""
-
-    def __init__(self, n: int):
-        self.n = n
-
-    @functools.cached_property
-    def class_count(self) -> int:
-        return math.factorial(self.n)
-
-    def representatives(self, members: np.ndarray) -> np.ndarray:
-        """The rows, checked to be permutation graphs: the traces the family has."""
-        n = self.n
-        rows = members.shape[0] * n
-        # with the graphs' rows stacked, the i-th one must lie on stacked row
-        # i, so each row holds exactly one; then k n ones that fill all k n
-        # (graph, column) bins put exactly one in each column.  A one at flat
-        # index g n^2 + i n + c is on stacked row g n + i, and its bin g n + c
-        # is the index minus (stacked row - g) n, without a slow modulo.
-        ones = np.flatnonzero(members)
-        row = ones // n
-        if not (
-            ones.size == rows
-            and (row == np.arange(rows)).all()
-            and np.bincount(ones - (row - row // n) * n, minlength=rows).all()
-        ):
-            raise ValueError("trace not represented")
-        return members
 
     def max_abs_sum(self, diff: np.ndarray, terms=None) -> float:
         """``max_F |sum of diff over F|``: two signed max-weight assignments.
@@ -251,6 +220,40 @@ class PermutationGraphIndex:
         values[1 - first] = solve(1 - first)
         return max(values[0], values[1])
 
+    def describe(self) -> str:
+        return f"permutation-graphs(n={self.n})"
+
+
+class PermutationGraphIndex:
+    """The permutation graphs' trace index on the full grid, which determines
+    the permutation: every trace class is one graph, its own representative."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    @functools.cached_property
+    def class_count(self) -> int:
+        return math.factorial(self.n)
+
+    def representatives(self, members: np.ndarray) -> np.ndarray:
+        """The rows, checked to be permutation graphs: the traces the family has."""
+        n = self.n
+        rows = members.shape[0] * n
+        # with the graphs' rows stacked, the i-th one must lie on stacked row
+        # i, so each row holds exactly one; then k n ones that fill all k n
+        # (graph, column) bins put exactly one in each column.  A one at flat
+        # index g n^2 + i n + c is on stacked row g n + i, and its bin g n + c
+        # is the index minus (stacked row - g) n, without a slow modulo.
+        ones = np.flatnonzero(members)
+        row = ones // n
+        if not (
+            ones.size == rows
+            and (row == np.arange(rows)).all()
+            and np.bincount(ones - (row - row // n) * n, minlength=rows).all()
+        ):
+            raise ValueError("trace not represented")
+        return members
+
 
 def _column_potentials(weights: np.ndarray, terms, sign: float) -> np.ndarray:
     """Column potentials near an optimal assignment dual of ``weights``, which
@@ -284,22 +287,25 @@ def _estimators():
 class ExplicitTraceIndex:
     """The trace index of a family's enumerated members on a grid: the sorted
     distinct trace keys, ``class_keys``, and one representative row per
-    class, ``rows``, the member with the smallest key (``row_keys`` order)."""
+    class, ``rows``, the member with the smallest key (``row_keys`` order).
+
+    Raises ``ValueError`` for a grid of another domain, and
+    ``NotEnumerableError`` for a family past the enumeration caps.
+    """
 
     def __init__(self, family: SetFamily, grid: Grid):
-        members = family.members_matrix()
-        keys = row_keys(members)
-        if grid.is_full:
-            # a member's trace is all of its bits: its own key is its trace
-            # key, and the members of a class are equal rows
-            class_keys, first = np.unique(keys, return_index=True)
-        else:
-            # visit members in the sorted order of their own keys; the first
-            # member seen of each trace class is its representative
-            order = np.argsort(keys)
-            traces = grid.pack_traces(members)[order]
-            class_keys, first = np.unique(traces, return_index=True)
-            first = order[first]
+        if grid.domain != family.domain:
+            raise ValueError("grid and family live on different domains")
+        try:
+            members = family.members_matrix()
+        except (NotEnumerableError, CapExceededError) as exc:
+            raise NotEnumerableError("family not trace-enumerable within caps") from exc
+        # visit members in the sorted order of their own keys; the first
+        # member seen of each trace class is its representative
+        order = np.argsort(row_keys(members))
+        traces = grid.pack_traces(members)[order]
+        class_keys, first = np.unique(traces, return_index=True)
+        first = order[first]
         self.grid = grid
         self.class_keys = class_keys
         self.rows = members[first]
@@ -308,9 +314,7 @@ class ExplicitTraceIndex:
 
     def representatives(self, members: np.ndarray) -> np.ndarray:
         """The representative row of each row's trace class."""
-        # on the full grid a row's trace is all of its bits
-        grid = self.grid
-        keys = row_keys(members) if grid.is_full else grid.pack_traces(members)
+        keys = self.grid.pack_traces(members)
         # every id is in range: a key past all but the last class can only be the last
         ids = self.class_keys[:-1].searchsorted(keys)
         if self.class_keys[ids].tobytes() != keys.tobytes():

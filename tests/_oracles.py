@@ -1,5 +1,7 @@
 """Brute-force references that tests check the library's fast paths against."""
 
+import itertools
+
 import numpy as np
 
 
@@ -10,9 +12,10 @@ def brute_mean(sample, event, domain) -> float:
 
 
 def brute_trace(event, grid) -> bytes:
-    """A dense event's bits at the grid's cells, in cell order, packed."""
-    bits = np.asarray(event, dtype=bool)
-    return np.packbits(bits[grid.domain.flat_index(grid.cells())]).tobytes()
+    """A dense event's bits at the grid's cells, in row-major cell order, packed."""
+    bits = np.asarray(event, dtype=bool).reshape(grid.domain.sizes)
+    cells = itertools.product(*grid.axes)
+    return np.packbits(np.array([bits[c] for c in cells], dtype=bool)).tobytes()
 
 
 def assignment_certificate(weights, cols) -> tuple[float, float, float]:

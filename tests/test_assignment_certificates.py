@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from _oracles import assignment_certificate
 from gridest import estimators
 from gridest.experiments import ExperimentConfig, run_scenario
-from gridest.families import PermutationGraphIndex
+from gridest.families import PermutationGraphs
 
 TOL = 1e-12
 
@@ -56,7 +56,7 @@ def solves_per_sup_deviation(monkeypatch, scenario: str, trials: int) -> list[li
     the column potentials it came with (None for a cold solve)."""
     calls = []
     solve = estimators.max_assignment_value
-    max_abs_sum = PermutationGraphIndex.max_abs_sum
+    max_abs_sum = PermutationGraphs.max_abs_sum
 
     def recording_solve(weights, potentials=None):
         calls[-1].append(
@@ -64,13 +64,13 @@ def solves_per_sup_deviation(monkeypatch, scenario: str, trials: int) -> list[li
         )
         return solve(weights, potentials)
 
-    def recording_max_abs_sum(index, diff, terms=None):
+    def recording_max_abs_sum(family, diff, terms=None):
         calls.append([])
-        return max_abs_sum(index, diff, terms)
+        return max_abs_sum(family, diff, terms)
 
     with monkeypatch.context() as patch:
         patch.setattr(estimators, "max_assignment_value", recording_solve)
-        patch.setattr(PermutationGraphIndex, "max_abs_sum", recording_max_abs_sum)
+        patch.setattr(PermutationGraphs, "max_abs_sum", recording_max_abs_sum)
         run_scenario(ExperimentConfig(scenario=scenario, trials=trials, seed=2024))
     return calls
 

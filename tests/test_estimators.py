@@ -332,7 +332,7 @@ class TestProductGridEstimator:
         s = np.array([[0, 0], [0, 0], [1, 1]])
         est = build_product_grid_estimator(s, fam, identity_plan(split=(2, 1)))
         assert est.class_count == 1
-        rep = est.representative(a)
+        rep = est.trace_index.representatives(a[None])[0]
         assert np.array_equal(rep, b)  # 0010 precedes 0110
 
     def test_phase_separation(self):
@@ -347,7 +347,9 @@ class TestProductGridEstimator:
         shuffled_s1 = s.copy()
         shuffled_s1[30:] = shuffled_s1[30:][rng.permutation(30)]
         alt = build_product_grid_estimator(shuffled_s1, fam, plan)
-        assert np.array_equal(base.grid.cells(), alt.grid.cells())
+        cells = fam.domain.all_points()
+        assert np.array_equal(cells[base.grid.flat_domain_indices()],
+                              cells[alt.grid.flat_domain_indices()])
         for row in members:
             assert base.estimate(row) == alt.estimate(row)
 
@@ -441,7 +443,7 @@ class TestCountCore:
         s = np.array([[0, 0], [1, 1], [0, 1], [1, 0], [0, 0], [2, 2], [0, 1]])
         est = build_product_grid_estimator(s, fam, identity_plan(split=(4, 3)))
         for row in fam.members_matrix():
-            rep = est.representative(row)
+            rep = est.trace_index.representatives(row[None])[0]
             assert est.estimate(row) == brute_mean(s[4:], rep, fam.domain)
 
     def test_counts_must_match_the_split(self):
@@ -569,8 +571,8 @@ class TestTraceIndexOracle:
            st.integers(1, 12), st.integers(1, 30))
     @settings(max_examples=60, deadline=None)
     def test_full_grid_reuses_the_member_keys(self, seed, sizes, k, m1):
-        # phase 1 sees every point, so the build takes each member's own key
-        # as its trace key
+        # phase 1 sees every point, so a member's trace key is its own key
+        # and every member is its own class
         rng = np.random.default_rng(seed)
         d = ProductDomain.of_sizes(*sizes)
         fam = ExplicitFamily(d, rng.random((k, d.n_points)) < rng.random())
@@ -592,10 +594,10 @@ class TestTraceIndexOracle:
                 with pytest.raises(ValueError, match="trace not represented"):
                     est.estimate_many(row[None, :])
                 with pytest.raises(ValueError, match="trace not represented"):
-                    est.representative(row)
+                    est.trace_index.representatives(row[None, :])
                 continue
             rep = min(same, key=lambda r: r.tolist())
-            assert np.array_equal(est.representative(row), rep)
+            assert np.array_equal(est.trace_index.representatives(row[None, :])[0], rep)
             assert est.estimate_many(row[None, :])[0] == brute_mean(s[m0:], rep, d)
         return est
 
@@ -746,7 +748,8 @@ class TestEstimateOnPredicates:
 
             assert est.estimate(graph) == est.estimate(bits)
             if kind == "product-grid-structured":
-                assert np.array_equal(est.representative(graph), bits)
+                row = graph(d.all_points())[None, :]
+                assert np.array_equal(est.trace_index.representatives(row)[0], bits)
 
 
 class TestEmpiricalProductFromCounts:
@@ -1259,7 +1262,7 @@ class TestGridHitting:
             if check_grid_hitting(fam, est.grid, dist, eps / 2):
                 continue
             for row in fam.members_matrix():
-                rep = est.representative(row)
+                rep = est.trace_index.representatives(row[None])[0]
                 gap = abs(
                     event_probability(dist, row) - event_probability(dist, rep)
                 )
@@ -1313,14 +1316,16 @@ class TestGridHittingBruteForce:
         grid = build_grid(rng.integers(0, n, size=(m0, 2)), d)
         base = rng.random((k, d.n_points)) < 0.5
         # copies that differ from a base member only off the grid share its trace
-        flips = (rng.random((k, d.n_points)) < 0.3) & ~grid.point_mask()
+        pts = d.all_points()
+        on_grid = np.isin(pts[:, 0], grid.axes[0]) & np.isin(pts[:, 1], grid.axes[1])
+        flips = (rng.random((k, d.n_points)) < 0.3) & ~on_grid
         fam = ExplicitFamily(d, np.vstack([base, base ^ flips]))
         probs = rng.dirichlet(np.ones(d.n_points))
         dist = JointTable(d, probs)
         got = check_grid_hitting(fam, grid, dist, eps)
         assert got == sorted(got) and all(i < j for i, j in got)
         sure, maybe = _brute_force_missed_pairs(
-            fam.members_matrix(), probs, grid.point_mask(), eps
+            fam.members_matrix(), probs, on_grid, eps
         )
         assert sure <= set(got) <= maybe
 

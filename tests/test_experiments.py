@@ -176,6 +176,14 @@ class TestCountTrials:
         family = PermutationGraphs(30)
         assert _trial_pge(seed, family, self._plan(1, 100), dist) == 1.0
 
+    def test_partial_phase1_grid_counts_as_failure_where_enumerable(self):
+        # 4! graphs are within the caps: the miss is read off the grid, not
+        # off an enumeration error
+        dist = two_component_mixture(4)
+        value = _trial_pge(np.random.SeedSequence(5), PermutationGraphs(4),
+                           self._plan(1, 100), dist)
+        assert value == 1.0
+
     def test_full_phase1_grid_gives_a_deviation(self):
         dist = two_component_mixture(4)
         value = _trial_pge(np.random.SeedSequence(5), PermutationGraphs(4),

@@ -1,13 +1,17 @@
-"""The seam between families and estimators: ``SetFamily.trace_index``.
+"""The seam between families and estimators: ``SetFamily.trace_index`` and
+``SetFamily.max_abs_sum``.
 
-A family that knows its trace structure on a grid says so through
-``trace_index``; the estimators, ``sup_deviation`` and ``count_traces`` ask it
-instead of testing the family's type, and fall back to
-``ExplicitTraceIndex`` over the enumerated members where it returns None.
-Either index answers the product-grid estimator's queries, which has one
-query path.  The syntax-tree checks below keep it that way: no library module
-but ``families.py`` tests for ``PermutationGraphs``, and ``estimators.py``
-handles no trace keys outside ``check_grid_hitting``.
+Every family answers ``trace_index(grid)``: ``ExplicitTraceIndex`` over its
+enumerated members unless it knows its trace structure on the grid (the
+permutation graphs on their full grid).  The estimators and ``count_traces``
+ask it instead of testing the family's type, and the product-grid
+estimator's queries have one path through whichever index answers.
+``sup_deviation(method="assignment")`` asks the family's ``max_abs_sum``,
+which only a family with an exact maximizer has.  The syntax-tree checks
+below keep it that way: no library module but ``families.py`` tests for
+``PermutationGraphs`` or builds an ``ExplicitTraceIndex``, and
+``estimators.py`` builds no full grid and handles no trace keys outside
+``check_grid_hitting``.
 """
 
 import ast
@@ -24,9 +28,10 @@ from hypothesis import strategies as st
 from gridest import estimators
 from gridest.combinatorics import count_traces
 from gridest.distributions import Modulus, ProductDistribution
-from gridest.domain import Grid, ProductDomain
+from gridest.domain import Grid, NotEnumerableError, ProductDomain
 from gridest.estimators import (
     EmpiricalProductEstimator,
+    ExactEstimator,
     ProductGridEstimator,
     SamplingPlan,
     sup_deviation,
@@ -36,6 +41,7 @@ from gridest.families import (
     ExplicitFamily,
     ExplicitTraceIndex,
     IntervalsOnAxis,
+    PermutationGraphIndex,
     PermutationGraphs,
     PowerSetFamily,
     UnionsOfPermutations,
@@ -63,11 +69,13 @@ class TestWhichFamiliesAreStructured:
         assert len(grids) == 49
         for grid in grids:
             index = family.trace_index(grid)
-            assert (index is not None) == grid.is_full
+            assert isinstance(index, PermutationGraphIndex) == grid.is_full
+            assert isinstance(index, ExplicitTraceIndex) != grid.is_full
         # the full grid of another domain is not the family's
-        assert family.trace_index(ProductDomain.of_sizes(4, 4).full_grid()) is None
+        with pytest.raises(ValueError, match="^grid and family live on different"):
+            family.trace_index(ProductDomain.of_sizes(4, 4).full_grid())
 
-    def test_the_other_families_have_none_on_every_grid(self):
+    def test_the_other_families_have_an_explicit_index_on_every_grid(self):
         d = ProductDomain.of_sizes(3, 2)
         square = ProductDomain.of_sizes(3, 3)
         families = [
@@ -81,7 +89,8 @@ class TestWhichFamiliesAreStructured:
         for family in families:
             grids = every_grid(family.domain)
             assert len(grids) == (49 if family.domain == square else 21)
-            assert all(family.trace_index(grid) is None for grid in grids)
+            assert all(isinstance(family.trace_index(grid), ExplicitTraceIndex)
+                       for grid in grids)
 
     def test_permutation_index_counts_every_graph_as_a_class(self):
         for n in range(1, 6):
@@ -90,6 +99,50 @@ class TestWhichFamiliesAreStructured:
             assert family.trace_index(grid).class_count == math.factorial(n)
             # the explicit path over the same members agrees
             assert count_traces(family.materialize(), grid) == math.factorial(n)
+
+
+def small_plan(m1: int) -> SamplingPlan:
+    """A plan that pins the split (1, m1), so no phase-2 size is checked."""
+    return SamplingPlan(epsilon=0.2, delta=0.1, lvc=1, width=2,
+                        modulus=Modulus.identity(), split=(1, m1))
+
+
+class TestOneBuildForEveryCaller:
+    """``count_traces`` and ``from_counts`` both ask ``trace_index``, so they
+    refuse the same grids and families with the same errors, and the
+    assignment path asks the family's ``max_abs_sum``, never its members."""
+
+    @pytest.mark.parametrize("family, grid", [
+        (PermutationGraphs(3), ProductDomain.of_sizes(2, 2).full_grid()),
+        (PermutationGraphs(3), Grid(ProductDomain.of_sizes(4, 4), [[0, 1], [2]])),
+        (AxisBoxes(ProductDomain.of_sizes(3, 3)), ProductDomain.of_sizes(4, 4).full_grid()),
+    ], ids=["permutations-full", "permutations-partial", "boxes-full"])
+    def test_a_grid_of_another_domain_is_refused(self, family, grid):
+        counts = np.ones(family.domain.sizes, dtype=np.int64)
+        plan = small_plan(int(counts.sum()))
+        with pytest.raises(ValueError, match="^grid and family live on different domains$"):
+            count_traces(family, grid)
+        with pytest.raises(ValueError, match="^grid and family live on different domains$"):
+            ProductGridEstimator.from_counts(grid, counts, family, plan)
+
+    def test_a_family_past_the_caps_is_not_enumerable(self):
+        d = ProductDomain.of_sizes(5, 5)
+        family = PowerSetFamily(d)
+        counts = np.ones(d.sizes, dtype=np.int64)
+        for grid in (d.full_grid(), Grid(d, [[0], [1, 2]])):
+            with pytest.raises(NotEnumerableError, match="^family not trace-enumerable"):
+                count_traces(family, grid)
+            with pytest.raises(NotEnumerableError, match="^family not trace-enumerable"):
+                ProductGridEstimator.from_counts(grid, counts, family, small_plan(25))
+
+    def test_assignment_never_enumerates_a_family_without_a_maximizer(self, monkeypatch):
+        d = ProductDomain.of_sizes(5, 5)
+        dist = ProductDistribution(d, [np.full(5, 0.2)] * 2)
+        enumerated = []
+        monkeypatch.setattr(PowerSetFamily, "members_matrix", enumerated.append)
+        with pytest.raises(ValueError, match="^method inapplicable: family has no"):
+            sup_deviation(ExactEstimator(dist), PowerSetFamily(d), dist, "assignment")
+        assert enumerated == []
 
 
 def random_grid(rng, domain: ProductDomain, kind: str) -> Grid:
@@ -161,8 +214,7 @@ def full_and_partial_builds(n, m1, seed):
     rng = np.random.default_rng(seed)
     d = ProductDomain.of_sizes(n, n)
     counts = rng.multinomial(m1, np.full(d.n_points, 1.0 / d.n_points)).reshape(n, n)
-    plan = SamplingPlan(epsilon=0.2, delta=0.1, lvc=1, width=2,
-                        modulus=Modulus.identity(), split=(1, m1))
+    plan = small_plan(m1)
     return counts, [
         (grid, ProductGridEstimator.from_counts(grid, counts, family, plan))
         for family in (PermutationGraphs(n), PermutationGraphs(n).materialize(),
@@ -202,7 +254,7 @@ class TestPermutationIndexMaximum:
                 else rng.normal(size=(n, n)))
         family = PermutationGraphs(n)
         want = np.abs(family.members_matrix() @ diff.ravel()).max()
-        got = family.trace_index(family.domain.full_grid()).max_abs_sum(diff)
+        got = family.max_abs_sum(diff)
         assert abs(got - want) <= 1e-12
 
 
@@ -220,9 +272,8 @@ class TestOneIndexPerFamily:
 
     def test_each_solve_reads_the_solver_attribute(self, monkeypatch):
         family = PermutationGraphs(3)
-        index = family.trace_index(family.domain.full_grid())
         diff = np.arange(9.0).reshape(3, 3) - 4.0
-        want = index.max_abs_sum(diff)
+        want = family.max_abs_sum(diff)
         seen = []
         solve = estimators.max_assignment_value
 
@@ -230,9 +281,9 @@ class TestOneIndexPerFamily:
             seen.append(weights.shape)
             return solve(weights, potentials)
 
-        # patched after the index was built and used
+        # patched after the family was built and used
         monkeypatch.setattr(estimators, "max_assignment_value", recording)
-        assert index.max_abs_sum(diff) == want and seen
+        assert family.max_abs_sum(diff) == want and seen
 
 
 def product_pair(n, seed, truth, m):
@@ -304,11 +355,11 @@ class TestWarmStart:
             "random": tuple((rng.normal(size=n), rng.normal(size=n)) for _ in range(2)),
             "zero": ((np.zeros(n), np.zeros(n)),),
         }[kind]
-        index = PermutationGraphs(n).trace_index(dist.domain.full_grid())
-        cold = index.max_abs_sum(diff)
-        assert abs(index.max_abs_sum(diff, terms) - cold) <= 1e-12
+        family = PermutationGraphs(n)
+        cold = family.max_abs_sum(diff)
+        assert abs(family.max_abs_sum(diff, terms) - cold) <= 1e-12
         if n <= 6:
-            want = np.abs(PermutationGraphs(n).members_matrix() @ diff.ravel()).max()
+            want = np.abs(family.members_matrix() @ diff.ravel()).max()
             assert abs(cold - want) <= 1e-12
 
     @given(st.integers(1, 60), st.integers(0, 2**32 - 1), st.booleans())
@@ -348,15 +399,37 @@ def test_only_families_tests_for_permutation_graphs():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def calls_of(name: str, path: Path) -> list[int]:
+    """The lines of ``path`` that call ``name``, as a function or a method."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+    )
+
+
+def test_only_families_build_an_explicit_index():
+    # every caller gets its index from ``trace_index``, and the assignment
+    # path asks the family, not an index on the full grid
+    found = {p.name: calls_of("ExplicitTraceIndex", p)
+             for p in sorted(SRC.glob("*.py")) if p.name != "families.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert calls_of("full_grid", SRC / "estimators.py") == []
+
+
 def test_the_checker_sees_the_forms_it_forbids(tmp_path):
     source = tmp_path / "m.py"
     source.write_text(
         "isinstance(f, PermutationGraphs)\n"
         "isinstance(f, (ExplicitFamily, families.PermutationGraphs))\n"
-        "isinstance(f, ExplicitFamily)\n",
+        "isinstance(f, ExplicitFamily)\n"
+        "ExplicitTraceIndex(f, g), isinstance(i, ExplicitTraceIndex)\n"
+        "families.ExplicitTraceIndex(f, f.domain.full_grid())\n",
         encoding="utf-8",
     )
     assert isinstance_checks_of("PermutationGraphs", source) == [1, 2]
+    assert calls_of("ExplicitTraceIndex", source) == [4, 5]
+    assert calls_of("full_grid", source) == [5]
 
 
 def names_in(tree: ast.AST) -> set[str]:
