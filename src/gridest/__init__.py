@@ -19,7 +19,6 @@ from .combinatorics import (
     grid_ssp_rate,
     linear_vc_dimension,
     random_explicit_family,
-    shatters,
     union_family_lower_check,
     vc_dimension,
 )

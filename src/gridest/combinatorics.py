@@ -24,14 +24,12 @@ from .domain import (
 from .families import (
     ExplicitFamily,
     PermutationGraphs,
-    PowerSetFamily,
     SetFamily,
     unions_of_rows,
 )
 from .info import binary_entropy_bits
 
 VC_DOMAIN_CAP = 16
-SHATTER_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -54,22 +52,6 @@ def _pattern_count(members: np.ndarray, cols) -> int:
         return 1
     codes = members[:, cols] @ (1 << np.arange(len(cols), dtype=np.int64))
     return int(np.unique(codes).size)
-
-
-def shatters(family: SetFamily, points) -> bool:
-    """True iff every labeling of ``points`` is realized by some member."""
-    points = [tuple(p) for p in points]
-    if len(points) > SHATTER_CAP:
-        raise CapExceededError(f"cannot check shattering of {len(points)} points")
-    if len(set(points)) != len(points):
-        return False
-    if not points:
-        return True  # every nonempty family realizes the empty labeling
-    if isinstance(family, PowerSetFamily):
-        return True
-    members = family.members_matrix()
-    flat = family.domain.flat_index(np.array(points, dtype=np.int64))
-    return _pattern_count(members, flat) == 2 ** len(points)
 
 
 def vc_dimension(family: SetFamily) -> DimensionCert:
@@ -265,12 +247,13 @@ def random_explicit_family(
 def dimension_report_rows(entries) -> list[dict]:
     """Rows (family, n, d, g, vc, traces, ssp_bound, rate_bound) for the CSV report.
 
-    ``entries`` yields (family, grid) pairs; dimensions are computed exactly,
-    so every family must be within the brute-force caps.
+    ``entries`` yields ``(family, grid, g, traces)``: the family's linear VC
+    dimension and its trace count on the grid, as the caller computed them.
+    Only the VC dimension is searched here: exactly, or ``None`` on a domain
+    past ``VC_DOMAIN_CAP`` points.
     """
     rows = []
-    for family, grid in entries:
-        g = linear_vc_dimension(family).dimension
+    for family, grid, g, traces in entries:
         sizes = grid.sizes
         n = max(sizes)
         d = len(sizes)
@@ -287,7 +270,7 @@ def dimension_report_rows(entries) -> list[dict]:
                 "d": d,
                 "g": g,
                 "vc": vc,
-                "traces": count_traces(family, grid),
+                "traces": traces,
                 "ssp_bound": bound,
                 "rate_bound": rate,
             }

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .domain import CapExceededError, MAX_CELLS, ProductDomain, code_bits
-from .info import as_pmf, binary_entropy
+from .info import as_pmf, binary_entropy, kl_divergence
 
 
 class ProductDistribution:
@@ -140,12 +140,7 @@ def sample(dist: Distribution, m: int, seed) -> np.ndarray:
     if m < 1:
         raise ValueError("need m >= 1")
     rng = np.random.default_rng(seed)
-    return _sample_with(dist, m, rng)
-
-
-def _sample_with(dist: Distribution, m: int, rng: np.random.Generator) -> np.ndarray:
-    d = dist.domain.width
-    out = np.empty((m, d), dtype=np.int64)
+    out = np.empty((m, dist.domain.width), dtype=np.int64)
     if isinstance(dist, ProductDistribution):
         for i, p in enumerate(dist.marginals):
             out[:, i] = rng.choice(p.size, size=m, p=p)
@@ -244,14 +239,7 @@ def event_probability(dist: Distribution, event) -> float:
 
 def total_correlation(joint: JointTable) -> float:
     """KL(P || product of marginals) in nats; finite on finite domains."""
-    p = joint.probs
-    q = box_projection(joint).table().probs
-    mask = p > 0
-    if np.any(q[mask] == 0):
-        # cannot happen: the product of marginals dominates the joint
-        raise AssertionError("box projection fails to dominate the joint table")
-    value = float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
-    return max(value, 0.0)
+    return max(kl_divergence(joint.probs, box_projection(joint).table().probs), 0.0)
 
 
 # -- moduli of box-continuity --------------------------------------------------
@@ -279,56 +267,25 @@ def tc_modulus(c_nats: float, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class Modulus:
-    """A modulus of box-continuity: nondecreasing alpha -> beta on (0, 1]."""
+    """The planners' modulus of box-continuity: ``mixture_modulus(k, d, alpha)``.
 
-    kind: str
-    params: tuple = ()
+    The modulus of k-mixtures of products on d axes; ``identity()`` is k = 1,
+    where the modulus is alpha itself (products are box-continuous).
+    """
+
+    k: int
+    d: int
 
     def __call__(self, alpha: float) -> float:
-        if self.kind == "identity":
-            if not 0.0 < alpha <= 1.0:
-                raise ValueError("alpha must lie in (0, 1]")
-            return alpha
-        if self.kind == "mixture":
-            k, d = self.params
-            return mixture_modulus(k, d, alpha)
-        if self.kind == "tc":
-            (c_nats,) = self.params
-            return tc_modulus(c_nats, alpha)
-        if self.kind == "table":
-            alphas, betas = self.params
-            if not 0.0 < alpha <= 1.0:
-                raise ValueError("alpha must lie in (0, 1]")
-            idx = np.searchsorted(alphas, alpha, side="right") - 1
-            if idx < 0:
-                raise ValueError("alpha below the table's smallest knot")
-            return float(betas[idx])
-        raise ValueError(f"unknown modulus kind {self.kind!r}")
+        return mixture_modulus(self.k, self.d, alpha)
 
     @classmethod
     def identity(cls) -> "Modulus":
-        return cls("identity")
+        return cls(1, 1)
 
     @classmethod
     def for_mixture(cls, k: int, d: int) -> "Modulus":
-        return cls("mixture", (k, d))
-
-    @classmethod
-    def for_total_correlation(cls, c_nats: float) -> "Modulus":
-        return cls("tc", (c_nats,))
-
-    @classmethod
-    def from_table(cls, alphas, betas) -> "Modulus":
-        """A step modulus; the knots are kept as tuples so moduli compare and hash."""
-        alphas = np.asarray(alphas, dtype=float).ravel()
-        betas = np.asarray(betas, dtype=float).ravel()
-        if alphas.size != betas.size:
-            raise ValueError("need one beta per alpha knot")
-        if np.any(np.diff(alphas) <= 0) or np.any(np.diff(betas) < 0):
-            raise ValueError("table knots must be increasing, betas nondecreasing")
-        if np.any((betas <= 0) | (betas > 1)):
-            raise ValueError("betas must lie in (0, 1]")
-        return cls("table", (tuple(alphas.tolist()), tuple(betas.tolist())))
+        return cls(k, d)
 
 
 # -- constructions -------------------------------------------------------------
@@ -379,25 +336,18 @@ def code_rate(code: np.ndarray) -> float:
     return math.log2(code.shape[0]) / code.shape[1]
 
 
-def biased_cube_family(
-    d: int, nu: float, code: np.ndarray | None = None
-) -> list[ProductDistribution]:
-    """Products ``Ber(1/2 + theta_i nu)`` over ``{0,1}^d`` for sign patterns theta.
-
-    With ``code`` given (an ``(M, d)`` array of +-1), only those patterns are
-    built; otherwise all ``2^d``.
+def biased_cube_family(d: int, nu: float, code: np.ndarray) -> list[ProductDistribution]:
+    """Products ``Ber(1/2 + theta_i nu)`` over ``{0,1}^d``, one per row theta of
+    ``code``, an ``(M, d)`` array of +-1 (for example a ``gilbert_varshamov_code``).
     """
     if not 0.0 < nu < 0.25:
         raise ValueError("nu must lie in (0, 1/4)")
     domain = ProductDomain.of_sizes(*([2] * d))
-    if code is None:
-        code = code_bits(np.arange(2**d, dtype=np.int64), d) * 2 - 1
-    else:
-        code = np.asarray(code, dtype=np.int64)
-        if code.ndim != 2 or code.shape[1] != d:
-            raise ValueError("code must be an (M, d) sign matrix")
-        if not np.all(np.abs(code) == 1):
-            raise ValueError("code entries must be +-1")
+    code = np.asarray(code, dtype=np.int64)
+    if code.ndim != 2 or code.shape[1] != d:
+        raise ValueError("code must be an (M, d) sign matrix")
+    if not np.all(np.abs(code) == 1):
+        raise ValueError("code entries must be +-1")
     family = []
     for theta in code:
         marginals = [

@@ -32,6 +32,11 @@ from .families import ExplicitTraceIndex, SetFamily
 # -- sample-size planners ------------------------------------------------------
 
 
+def _check_accuracy(epsilon: float, delta: float) -> None:
+    if not 0.0 < epsilon < 1.0 or not 0.0 < delta < 1.0:
+        raise ValueError("epsilon and delta must lie in (0, 1)")
+
+
 @dataclass(frozen=True)
 class SamplingPlan:
     """Accuracy / confidence targets plus the structural inputs of the planners.
@@ -50,8 +55,7 @@ class SamplingPlan:
     split: tuple[int, int] | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0 or not 0.0 < self.delta < 1.0:
-            raise ValueError("epsilon and delta must lie in (0, 1)")
+        _check_accuracy(self.epsilon, self.delta)
         if self.lvc < 1 or self.width < 1:
             raise ValueError("need lvc >= 1 and width >= 1")
         if self.split is not None:
@@ -82,6 +86,7 @@ def phase1_size(plan: SamplingPlan) -> int:
 
 def phase2_size(epsilon: float, delta: float, class_count: int) -> int:
     """Estimation-phase size: ``(2/eps^2) ln(4 * class_count / delta)``."""
+    _check_accuracy(epsilon, delta)
     if class_count < 1:
         raise ValueError("need at least one trace class")
     # math.log takes an int of any size, where the float 4 * count overflows
@@ -94,8 +99,7 @@ def product_case_size(
     epsilon: float, delta: float, g: int, d: int, constant: float = 1.0
 ) -> int:
     """Product-distribution sample size: ``C d^2 / eps^2 (g + ln(1/delta))``."""
-    if not 0.0 < epsilon < 1.0 or not 0.0 < delta < 1.0:
-        raise ValueError("epsilon and delta must lie in (0, 1)")
+    _check_accuracy(epsilon, delta)
     value = constant * d**2 / epsilon**2 * (g + math.log(1.0 / delta))
     if not math.isfinite(value):
         raise ValueError(f"product-case size is not finite: {value!r}")

@@ -395,13 +395,13 @@ def _run_ssp_audit(params, trials, seed, memo):
     violations = 0
     entries = []
 
-    def audit(family, grid):
+    def audit(family, grid, lvc):
         nonlocal violations
         traces = count_traces(family, grid)
-        g = max(linear_vc_dimension(family).dimension, 1)
-        bound, _ = grid_ssp_bound_maxside(grid.sizes, g)
+        bound, _ = grid_ssp_bound_maxside(grid.sizes, max(lvc, 1))
         if traces > bound:
             violations += 1
+        return traces
 
     n_max = params["perm_n_max"]
     for fam in (
@@ -410,17 +410,18 @@ def _run_ssp_audit(params, trials, seed, memo):
         enumerate_hd_permutations(3, 3),
     ):
         grid = fam.domain.full_grid()
-        audit(fam, grid)
-        entries.append((fam, grid))
+        lvc = linear_vc_dimension(fam).dimension
+        entries.append((fam, grid, lvc, audit(fam, grid, lvc)))
 
     for _ in range(params["random_families"]):
         d = int(rng.integers(2, 4))
         sizes = rng.integers(2, 5, size=d)
         domain = ProductDomain.of_sizes(*sizes)
         fam = random_explicit_family(domain, int(rng.integers(4, 17)), rng)
-        audit(fam, domain.full_grid())
+        lvc = linear_vc_dimension(fam).dimension
+        audit(fam, domain.full_grid(), lvc)
         pts = rng.integers(0, sizes, size=(5, d))
-        audit(fam, build_grid(pts, domain))
+        audit(fam, build_grid(pts, domain), lvc)
 
     exact, bound = union_family_lower_check(4, 2, 2)
     lower_ok = exact >= max(bound, params["union_lower_min"])

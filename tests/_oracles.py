@@ -4,6 +4,10 @@ import itertools
 
 import numpy as np
 
+from gridest.domain import CapExceededError
+
+SHATTER_CAP = 20
+
 
 def brute_mean(sample, event, domain) -> float:
     """Fraction of the sample's points inside a dense event, point by point."""
@@ -16,6 +20,21 @@ def brute_trace(event, grid) -> bytes:
     bits = np.asarray(event, dtype=bool).reshape(grid.domain.sizes)
     cells = itertools.product(*grid.axes)
     return np.packbits(np.array([bits[c] for c in cells], dtype=bool)).tobytes()
+
+
+def shatters(family, points) -> bool:
+    """True iff every labeling of ``points`` is realized by some member of
+    the family, read off its member matrix."""
+    points = [tuple(p) for p in points]
+    if len(points) > SHATTER_CAP:
+        raise CapExceededError(f"cannot check shattering of {len(points)} points")
+    if len(set(points)) != len(points):
+        return False
+    if not points:
+        return True  # every nonempty family realizes the empty labeling
+    flat = family.domain.flat_index(np.array(points, dtype=np.int64))
+    patterns = {row.tobytes() for row in family.members_matrix()[:, flat]}
+    return len(patterns) == 2 ** len(points)
 
 
 def assignment_certificate(weights, cols) -> tuple[float, float, float]:

@@ -16,7 +16,6 @@ from gridest.combinatorics import (
     grid_ssp_rate,
     linear_vc_dimension,
     random_explicit_family,
-    shatters,
     union_family_lower_check,
     vc_dimension,
 )
@@ -31,7 +30,7 @@ from gridest.families import (
     symdiff_family,
 )
 
-from _oracles import brute_trace
+from _oracles import brute_trace, shatters
 
 
 def singletons(n):

@@ -1,5 +1,6 @@
 """Distributions: sampling, box projection, total correlation, moduli."""
 
+import functools
 import json
 import math
 
@@ -511,6 +512,7 @@ class TestModuli:
     def test_single_component_is_identity(self):
         for alpha in (0.1, 0.5, 1.0):
             assert mixture_modulus(1, 3, alpha) == alpha
+            assert Modulus.identity()(alpha) == alpha
 
     def test_mixture_value(self):
         assert mixture_modulus(2, 2, 0.5) == pytest.approx(1 / 6, abs=1e-15)
@@ -531,6 +533,8 @@ class TestModuli:
                 mixture_modulus(2, 2, bad)
             with pytest.raises(ValueError):
                 tc_modulus(0.5, bad)
+            with pytest.raises(ValueError):
+                Modulus.identity()(bad)
 
     @pytest.mark.parametrize(
         "modulus",
@@ -538,8 +542,8 @@ class TestModuli:
             Modulus.identity(),
             Modulus.for_mixture(2, 2),
             Modulus.for_mixture(3, 4),
-            Modulus.for_total_correlation(0.0),
-            Modulus.for_total_correlation(1.3),
+            functools.partial(tc_modulus, 0.0),
+            functools.partial(tc_modulus, 1.3),
         ],
     )
     def test_modulus_monotone_in_unit_range(self, modulus):
@@ -556,24 +560,6 @@ class TestModuli:
             grid = np.linspace(0.001, 1.0, 1000)
             phi = [(binary_entropy(float(x)) + c) / x for x in grid]
             assert all(a >= b - 1e-9 for a, b in zip(phi, phi[1:]))
-
-    def test_table_modulus(self):
-        mod = Modulus.from_table([0.1, 0.5], [0.01, 0.2])
-        assert mod(0.3) == 0.01
-        assert mod(0.9) == 0.2
-        with pytest.raises(ValueError):
-            mod(0.05)
-
-    def test_table_modulus_equality_and_hash(self):
-        mod = Modulus.from_table([0.1, 0.5], [0.01, 0.2])
-        same = Modulus.from_table(np.array([0.1, 0.5]), (0.01, 0.2))
-        assert mod == same and hash(mod) == hash(same)
-        assert mod != Modulus.from_table([0.1, 0.5], [0.01, 0.3])
-        assert len({mod, same}) == 1
-
-    def test_table_modulus_needs_one_beta_per_knot(self):
-        with pytest.raises(ValueError, match="one beta per"):
-            Modulus.from_table([0.1, 0.5], [0.2])
 
     @given(
         st.floats(0.01, 1.0),
@@ -623,11 +609,12 @@ class TestBiasedCube:
         assert np.allclose(dist.marginals[1], [0.7, 0.3])
 
     def test_full_family_size(self):
-        assert len(biased_cube_family(3, 0.1)) == 8
+        # distance 1 keeps all 8 sign patterns: one product per code row
+        assert len(biased_cube_family(3, 0.1, gilbert_varshamov_code(3, 1))) == 8
 
     def test_bias_domain_checked(self):
         with pytest.raises(ValueError):
-            biased_cube_family(4, 0.25)
+            biased_cube_family(4, 0.25, gilbert_varshamov_code(4, 1))
 
     def test_greedy_code_distance_and_rate(self):
         code = gilbert_varshamov_code(8, 2)

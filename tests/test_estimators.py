@@ -94,19 +94,31 @@ class TestPlanners:
         assert ratio == pytest.approx(121, rel=1e-3)
 
     def test_phase1_rejects_vanished_modulus(self):
-        # beta^2 underflows to zero in floating point
-        table = Modulus.from_table([0.1], [1e-300])
-        plan = SamplingPlan(0.4, 0.1, 1, 2, table)
+        # beta(0.2) = 0.2^300 / 1.2^299 ~ 1e-233, so beta^2 underflows to zero
+        plan = SamplingPlan(0.4, 0.1, 1, 2, Modulus.for_mixture(2, 300))
         with pytest.raises(ValueError, match="vanished"):
             phase1_size(plan)
 
-    def test_plans_holding_a_table_modulus_compare_and_hash(self):
-        def plan(betas):
-            return SamplingPlan(0.4, 0.1, 1, 2, Modulus.from_table([0.1, 0.5], betas))
+    def test_plans_holding_a_mixture_modulus_compare_and_hash(self):
+        def plan(k, d):
+            return SamplingPlan(0.4, 0.1, 1, 2, Modulus.for_mixture(k, d))
 
-        assert plan([0.01, 0.2]) == plan([0.01, 0.2])
-        assert hash(plan([0.01, 0.2])) == hash(plan([0.01, 0.2]))
-        assert plan([0.01, 0.2]) != plan([0.01, 0.3])
+        assert plan(2, 2) == plan(2, 2)
+        assert hash(plan(2, 2)) == hash(plan(2, 2))
+        assert plan(2, 2) != plan(2, 3)
+        assert plan(1, 1) == SamplingPlan(0.4, 0.1, 1, 2, Modulus.identity())
+
+    @pytest.mark.parametrize("eps,delta", [
+        (1.5, 0.1), (0.1, 2.0), (0.0, 0.1), (0.1, 0.0), (1.0, 0.5), (math.nan, 0.1),
+    ])
+    def test_planners_reject_accuracy_outside_the_unit_interval(self, eps, delta):
+        message = r"epsilon and delta must lie in \(0, 1\)"
+        with pytest.raises(ValueError, match=message):
+            SamplingPlan(eps, delta, 1, 2, Modulus.identity())
+        with pytest.raises(ValueError, match=message):
+            product_case_size(eps, delta, g=1, d=2)
+        with pytest.raises(ValueError, match=message):
+            phase2_size(eps, delta, 5)
 
     def test_phase2_reference_values(self):
         assert phase2_size(0.1, 0.05, 1000) == 2258

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridest
-from gridest import experiments
+from gridest import combinatorics, experiments
 from gridest.cli import main as cli_main
 from gridest.distributions import Modulus, sample
 from gridest.domain import CapExceededError
@@ -402,6 +402,26 @@ class TestReports:
         lines = (tmp_path / "audit.dimension_report.csv").read_text().splitlines()
         assert lines[0] == "family,n,d,g,vc,traces,ssp_bound,rate_bound"
         assert len(lines) == 5
+
+    def test_ssp_audit_computes_each_certificate_once(self, monkeypatch):
+        # the default population: 4 permutation-graph families, 2 union
+        # families and the Latin squares, each on its full grid, then 100
+        # random families, each on its full grid and a sampled one
+        calls = {"linear_vc_dimension": 0, "count_traces": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        # the report rows are built in combinatorics, the audit in experiments
+        for module in (combinatorics, experiments):
+            for name in calls:
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        result = run_scenario(ExperimentConfig("ssp-audit", trials=1, seed=2024))
+        assert result.passed
+        assert calls == {"linear_vc_dimension": 107, "count_traces": 207}
 
     def test_empty_sweep_writes_header_only(self, tmp_path):
         result = ScenarioResult(

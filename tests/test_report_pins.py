@@ -4,8 +4,9 @@ Each scenario runs with at most 10 trials (single-pass ones with 1, and
 ``ssp-audit`` with a smaller population); its JSON report, minus the
 ``wall_ms`` timings and with sorted keys, and each CSV it writes are hashed
 with SHA-256.  A change to a random stream or to any reported number shows
-here as a changed digest.  A change that means to move the numbers
-regenerates the pins with::
+here as a changed digest.  Run as a script from a checkout, the file
+checks the pins; a change that means to move the numbers regenerates them
+with::
 
     python tests/test_report_pins.py --write
 
@@ -98,8 +99,10 @@ def write_pins(out_dir: Path) -> None:
 if __name__ == "__main__":
     import tempfile
 
+    if not sys.argv[1:]:
+        sys.exit(pytest.main(["-q", __file__]))
     if sys.argv[1:] != ["--write"]:
-        sys.exit(f"usage: python {sys.argv[0]} --write")
+        sys.exit(f"usage: python {sys.argv[0]} [--write]")
     with tempfile.TemporaryDirectory() as tmp:
         write_pins(Path(tmp))
     print(f"wrote {PINS}")

@@ -1,4 +1,4 @@
-"""No library module imports a name it never reads.
+"""No library module or test module imports a name it never reads.
 
 A syntax-tree check, stdlib only: an imported name counts as read when the
 module has a ``Name`` node for it anywhere (an attribute chain such as
@@ -10,7 +10,8 @@ package's public names.
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "gridest"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "gridest"
 
 
 def unused_imports(source: str, reexports: bool = False) -> list[str]:
@@ -31,11 +32,12 @@ def unused_imports(source: str, reexports: bool = False) -> list[str]:
 
 
 def test_no_module_imports_a_name_it_never_reads():
-    modules = sorted(SRC.glob("*.py"))
+    modules = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
     assert SRC / "estimators.py" in modules and SRC / "__init__.py" in modules
+    assert TESTS / "_oracles.py" in modules and Path(__file__).resolve() in modules
     found = {
-        p.name: unused_imports(p.read_text(encoding="utf-8"),
-                               reexports=p.name == "__init__.py")
+        str(p.relative_to(TESTS.parent)): unused_imports(
+            p.read_text(encoding="utf-8"), reexports=p == SRC / "__init__.py")
         for p in modules
     }
     assert {name: names for name, names in found.items() if names} == {}
