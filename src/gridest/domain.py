@@ -20,6 +20,8 @@ import numpy as np
 MAX_CELLS = 1 << 20
 #: Guard for brute-force enumeration of family members.
 MAX_MEMBERS = 1 << 20
+#: Rows per product in ``row_sums``.
+_BLOCK_ROWS = 4096
 
 
 class CapExceededError(ValueError):
@@ -46,6 +48,15 @@ def row_keys(bits: np.ndarray) -> np.ndarray:
     if packed.shape[1] == 0:
         packed = np.zeros((packed.shape[0], 1), dtype=np.uint8)
     return np.ascontiguousarray(packed).view(f"V{packed.shape[1]}").ravel()
+
+
+def row_sums(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``rows @ weights`` for a bool matrix, in blocks of rows: each block
+    bounds the float64 copy NumPy makes of a bool matrix before a product."""
+    sums = np.empty(rows.shape[0])
+    for i in range(0, rows.shape[0], _BLOCK_ROWS):
+        sums[i : i + _BLOCK_ROWS] = rows[i : i + _BLOCK_ROWS] @ weights
+    return sums
 
 
 class ProductDomain:

@@ -5,8 +5,8 @@ mean (point counts), the empirical product of marginals, the exact
 distribution (the zero-deviation reference), and the two-phase product-grid
 estimator (grid from the first subsample, phase-2 cell counts from the
 second).  The product-grid estimator departs from the core in one place:
-the family's trace index on the grid (``SetFamily.trace_index``) maps each
-query to its class's representative before the weights are summed.
+the family's trace index on the grid (``SetFamily.trace_index``) answers
+its sums, over each query's trace class's representative.
 Sup-deviations over a family with an exact maximizer
 (``SetFamily.max_abs_sum``; permutation graphs: max-weight assignment) are
 computed by it; explicit families are checked by full enumeration.
@@ -24,7 +24,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .domain import Grid, ProductDomain, check_marginal_counts, grid_from_counts
+from .domain import (Grid, ProductDomain, check_marginal_counts, grid_from_counts,
+                     row_sums)
 from .distributions import Distribution, Modulus, ProductDistribution
 from .families import ExplicitTraceIndex, SetFamily
 
@@ -115,10 +116,9 @@ def product_case_size(
 #
 # Every estimator is a weight per domain point: ``estimate_many(members)`` is
 # ``members @ weights``, divided by the sample size when the weights are
-# counts; the product-grid estimator first maps each row to its trace class's
-# representative.  ``estimate(event)`` is that answer on the event's one row.
-
-_BLOCK_ROWS = 4096
+# counts; for the product-grid estimator the trace index answers the sums,
+# over each row's trace class's representative.  ``estimate(event)`` is that
+# answer on the event's one row.
 
 
 def _member_rows(members, domain: ProductDomain) -> np.ndarray:
@@ -160,11 +160,7 @@ class _CellWeightEstimator:
 
     def estimate_many(self, members: np.ndarray) -> np.ndarray:
         """``estimate`` on every row of a dense ``(k, n_points)`` member matrix."""
-        members = _member_rows(members, self.domain)
-        # blocks of rows bound the float64 copy NumPy makes of a bool matrix
-        values = np.empty(members.shape[0])
-        for i in range(0, members.shape[0], _BLOCK_ROWS):
-            values[i : i + _BLOCK_ROWS] = members[i : i + _BLOCK_ROWS] @ self.weights
+        values = row_sums(_member_rows(members, self.domain), self.weights)
         return values if self.total is None else values / self.total
 
     def cell_weights(self) -> np.ndarray | None:
@@ -237,8 +233,8 @@ class ProductGridEstimator(_CellWeightEstimator):
     their sum m1.  The trace index is the family's on the grid
     (``SetFamily.trace_index``): a structured one where the family knows its
     traces, else ``ExplicitTraceIndex`` over the enumerated members.  It
-    names each query's representative, whose phase-2 mean is the query's
-    estimate, and counts the classes.
+    counts the classes and answers ``sums(members, weights)``, the phase-2
+    counts over each query's class's representative, divided here by m1.
     """
 
     def __init__(self, grid: Grid, cell_counts: np.ndarray, trace_index):
@@ -289,9 +285,9 @@ class ProductGridEstimator(_CellWeightEstimator):
         return not isinstance(self.trace_index, ExplicitTraceIndex)
 
     def estimate_many(self, members: np.ndarray) -> np.ndarray:
-        """The estimate of the representative with each row's trace."""
+        """The phase-2 mean of each row's trace class, as the index sums it."""
         members = _member_rows(members, self.domain)
-        return super().estimate_many(self.trace_index.representatives(members))
+        return self.trace_index.sums(members, self.weights) / self.total
 
     def cell_weights(self) -> np.ndarray | None:
         """The phase-2 means on a full grid, where every query is its own

@@ -29,6 +29,7 @@ from .domain import (
     ProductDomain,
     code_bits,
     row_keys,
+    row_sums,
 )
 
 
@@ -56,10 +57,10 @@ class SetFamily:
 
     def trace_index(self, grid: Grid):
         """The family's trace index on the grid: its ``class_count`` and
-        ``representatives(members)``, the rows whose cell sums answer the
-        queries, raising ``ValueError("trace not represented")`` for a trace
-        the family lacks.  Here ``ExplicitTraceIndex`` over the enumerated
-        members; a family that knows its trace structure overrides this."""
+        ``sums(members, weights)``, the weights over each query's class's
+        representative, raising ``ValueError("trace not represented")`` for a
+        trace the family lacks.  Here ``ExplicitTraceIndex`` over the
+        enumerated members; a family that knows its traces overrides this."""
         return ExplicitTraceIndex(self, grid)
 
     def max_abs_sum(self, diff: np.ndarray, terms=None) -> float:
@@ -235,8 +236,8 @@ class PermutationGraphIndex:
     def class_count(self) -> int:
         return math.factorial(self.n)
 
-    def representatives(self, members: np.ndarray) -> np.ndarray:
-        """The rows, checked to be permutation graphs: the traces the family has."""
+    def sums(self, members: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Each row's own sum, once the rows are checked to be permutation graphs."""
         n = self.n
         rows = members.shape[0] * n
         # with the graphs' rows stacked, the i-th one must lie on stacked row
@@ -252,7 +253,7 @@ class PermutationGraphIndex:
             and np.bincount(ones - (row - row // n) * n, minlength=rows).all()
         ):
             raise ValueError("trace not represented")
-        return members
+        return row_sums(members, weights)
 
 
 def _column_potentials(weights: np.ndarray, terms, sign: float) -> np.ndarray:
@@ -288,6 +289,8 @@ class ExplicitTraceIndex:
     """The trace index of a family's enumerated members on a grid: the sorted
     distinct trace keys, ``class_keys``, and one representative row per
     class, ``rows``, the member with the smallest key (``row_keys`` order).
+    Its sums gather class totals, ``rows @ weights`` once per weights array
+    (kept by identity: the weights must be read-only, as an estimator's are).
 
     Raises ``ValueError`` for a grid of another domain, and
     ``NotEnumerableError`` for a family past the enumeration caps.
@@ -305,21 +308,23 @@ class ExplicitTraceIndex:
         order = np.argsort(row_keys(members))
         traces = grid.pack_traces(members)[order]
         class_keys, first = np.unique(traces, return_index=True)
-        first = order[first]
         self.grid = grid
         self.class_keys = class_keys
-        self.rows = members[first]
+        self.rows = members[order[first]]
         self.class_count = class_keys.size
         class_keys.flags.writeable = self.rows.flags.writeable = False
+        self._weights = self._totals = None
 
-    def representatives(self, members: np.ndarray) -> np.ndarray:
-        """The representative row of each row's trace class."""
+    def sums(self, members: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """The weights summed over the representative of each row's class."""
         keys = self.grid.pack_traces(members)
         # every id is in range: a key past all but the last class can only be the last
         ids = self.class_keys[:-1].searchsorted(keys)
         if self.class_keys[ids].tobytes() != keys.tobytes():
             raise ValueError("trace not represented")
-        return self.rows[ids]
+        if weights is not self._weights:
+            self._weights, self._totals = weights, row_sums(self.rows, weights)
+        return self._totals[ids]
 
 
 class UnionsOfPermutations(SetFamily):

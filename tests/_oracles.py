@@ -22,6 +22,23 @@ def brute_trace(event, grid) -> bytes:
     return np.packbits(np.array([bits[c] for c in cells], dtype=bool)).tobytes()
 
 
+def bit_weights(n_points: int) -> np.ndarray:
+    """The weights ``2**j`` of point j: a row's sum over them is its bits read
+    as a binary number, exact in float64 up to 53 points, so equal sums mean
+    equal rows."""
+    if n_points > 53:
+        raise ValueError(f"{n_points} points: 2**j sums are exact up to 53")
+    return 2.0 ** np.arange(n_points)
+
+
+def representative_rows(index, members) -> np.ndarray:
+    """The rows a trace index sums over for each query, read back from its
+    ``sums`` with ``bit_weights``."""
+    n_points = members.shape[1]
+    codes = index.sums(members, bit_weights(n_points)).astype(np.int64)
+    return (codes[:, None] >> np.arange(n_points)) & 1 == 1
+
+
 def shatters(family, points) -> bool:
     """True iff every labeling of ``points`` is realized by some member of
     the family, read off its member matrix."""

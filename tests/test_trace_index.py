@@ -4,14 +4,17 @@
 Every family answers ``trace_index(grid)``: ``ExplicitTraceIndex`` over its
 enumerated members unless it knows its trace structure on the grid (the
 permutation graphs on their full grid).  The estimators and ``count_traces``
-ask it instead of testing the family's type, and the product-grid
-estimator's queries have one path through whichever index answers.
+ask it instead of testing the family's type.  The index answers sums: the
+product-grid estimator's queries have one path, ``sums(members, weights)``,
+through whichever index answers, and read nothing else off it but
+``class_count``.
 ``sup_deviation(method="assignment")`` asks the family's ``max_abs_sum``,
 which only a family with an exact maximizer has.  The syntax-tree checks
 below keep it that way: no library module but ``families.py`` tests for
 ``PermutationGraphs`` or builds an ``ExplicitTraceIndex``, and
-``estimators.py`` builds no full grid and handles no trace keys outside
-``check_grid_hitting``.
+``estimators.py`` builds no full grid, handles no trace keys outside
+``check_grid_hitting`` and reads only ``sums`` and ``class_count`` off an
+index.
 """
 
 import ast
@@ -25,10 +28,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gridest import estimators
+from gridest import estimators, families
 from gridest.combinatorics import count_traces
 from gridest.distributions import Modulus, ProductDistribution
-from gridest.domain import Grid, NotEnumerableError, ProductDomain
+from gridest.domain import Grid, NotEnumerableError, ProductDomain, row_sums
 from gridest.estimators import (
     EmpiricalProductEstimator,
     ExactEstimator,
@@ -48,7 +51,7 @@ from gridest.families import (
     _column_potentials,
 )
 
-from _oracles import brute_trace
+from _oracles import brute_trace, representative_rows
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gridest"
 
@@ -181,16 +184,28 @@ class TestExplicitIndex:
         # keys sort like the rows
         smallest = {t: min(rows, key=lambda r: r.tolist()) for t, rows in classes.items()}
         want = np.array([smallest[brute_trace(row, grid)] for row in members])
-        assert np.array_equal(index.representatives(members), want)
+        assert np.array_equal(representative_rows(index, members), want)
         # the members' complements and random rows: a trace no member has raises
+        represented = [members]
         for row in np.vstack([~members, rng.random((6, d.n_points)) < 0.5]):
             trace = brute_trace(row, grid)
             if trace in classes:
-                assert np.array_equal(index.representatives(row[None])[0],
+                assert np.array_equal(representative_rows(index, row[None])[0],
                                       smallest[trace])
+                represented.append(row[None])
             else:
                 with pytest.raises(ValueError, match="^trace not represented$"):
-                    index.representatives(np.vstack([members, row]))
+                    representative_rows(index, np.vstack([members, row]))
+        # the sums over the representatives: float weights within 1e-12,
+        # integer counts exactly
+        rows = np.vstack(represented)
+        reps = [smallest[brute_trace(row, grid)] for row in rows]
+        floats = rng.random(d.n_points)
+        assert np.allclose(index.sums(rows, floats),
+                           [math.fsum(floats[rep]) for rep in reps], rtol=0, atol=1e-12)
+        counts = rng.integers(0, 2**40, size=d.n_points)
+        assert index.sums(rows, counts.astype(np.float64)).tolist() == [
+            float(sum(counts[rep].tolist())) for rep in reps]
 
     def test_keys_and_rows_are_read_only(self):
         d = ProductDomain.of_sizes(2, 3)
@@ -199,6 +214,37 @@ class TestExplicitIndex:
             index = ExplicitTraceIndex(family, grid)
             assert not index.class_keys.flags.writeable
             assert not index.rows.flags.writeable
+
+    def test_class_totals_are_computed_once_per_weights_array(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        d = ProductDomain.of_sizes(4, 4)
+        family = AxisBoxes(d)
+        grid = Grid(d, [[0, 2], [1, 3]])
+        counts = rng.multinomial(50, np.full(d.n_points, 1.0 / d.n_points)).reshape(4, 4)
+        est = ProductGridEstimator.from_counts(grid, counts, family, small_plan(50))
+        assert not est.is_structured and est.class_count < family.member_count()
+        calls = []
+
+        def counting(rows, weights):
+            calls.append(weights)
+            return row_sums(rows, weights)
+
+        monkeypatch.setattr(families, "row_sums", counting)
+        members = family.members_matrix()
+        picks = rng.integers(0, len(members), size=200)
+        got = [est.estimate(members[i]) for i in picks]
+        assert len(calls) == 1 and calls[0] is est.weights
+        smallest = {}
+        for row in members:
+            trace = brute_trace(row, grid)
+            smallest[trace] = min(smallest.get(trace, row), row, key=lambda r: r.tolist())
+        reps = [smallest[brute_trace(members[i], grid)] for i in picks]
+        assert got == [int(counts.ravel()[rep].sum()) / 50 for rep in reps]
+        # another weights array gets fresh totals
+        other = np.arange(d.n_points, dtype=np.float64)
+        got = est.trace_index.sums(members[picks], other)
+        assert got.tolist() == [float(other[rep].sum()) for rep in reps]
+        assert len(calls) == 2 and calls[1] is other
 
 
 class AnyGridGraphs(PermutationGraphs):
@@ -256,6 +302,18 @@ class TestPermutationIndexMaximum:
         want = np.abs(family.members_matrix() @ diff.ravel()).max()
         got = family.max_abs_sum(diff)
         assert abs(got - want) <= 1e-12
+
+
+class TestPermutationIndexSums:
+    @given(st.integers(1, 5), st.integers(0, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_sums_are_the_rows_own_products(self, n, k, seed):
+        rng = np.random.default_rng(seed)
+        family = PermutationGraphs(n)
+        members = family.members_matrix()[rng.integers(0, math.factorial(n), size=k)]
+        weights = rng.normal(size=n * n)
+        index = family.trace_index(family.domain.full_grid())
+        assert np.array_equal(index.sums(members, weights), members @ weights)
 
 
 class TestOneIndexPerFamily:
@@ -454,24 +512,47 @@ def callers_of(name: str, tree: ast.AST) -> list[str]:
     ]
 
 
+def index_attributes(tree: ast.AST) -> set[str]:
+    """The attributes read off a trace index: off a name ``trace_index``, an
+    attribute ``.trace_index``, a ``trace_index(...)`` call, or a name bound
+    to one of those."""
+    aliases = {"trace_index"}
+
+    def is_index(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        return (isinstance(node, ast.Name) and node.id in aliases
+                or isinstance(node, ast.Attribute) and node.attr == "trace_index")
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and is_index(node.value):
+            aliases.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and is_index(node.value)}
+
+
 def test_estimators_hold_no_trace_keys():
-    # the trace index maps queries to representatives; the estimators only
-    # sum weights, so no key or class array is theirs
+    # the trace index answers sums; the estimators only divide them, so no
+    # key, class array or representative row is theirs
     tree = ast.parse((SRC / "estimators.py").read_text(encoding="utf-8"))
     keys = {"row_keys", "class_keys", "class_estimates", "_class_ids"}
     assert names_in(tree) & keys == set()
     # check_grid_hitting groups members by trace, left for a shortcut of its own
     assert callers_of("pack_traces", tree) == ["check_grid_hitting"]
+    assert index_attributes(tree) == {"sums", "class_count"}
 
 
 def test_the_key_checkers_see_what_they_forbid():
     tree = ast.parse(
         "from .domain import row_keys as rk\n"
         "class E:\n"
-        "    def f(self, grid, m):\n"
-        "        return self.index.class_keys, grid.pack_traces(m)\n"
+        "    def f(self, grid, m, family, trace_index):\n"
+        "        index = family.trace_index(grid)\n"
+        "        return (self.index.class_keys, grid.pack_traces(m), index.rows,\n"
+        "                self.trace_index.representatives(m), trace_index.sums(m, w),\n"
+        "                family.trace_index(grid).class_count)\n"
         "def check_grid_hitting(grid, m):\n"
         "    return grid.pack_traces(m)\n"
     )
     assert {"row_keys", "rk", "class_keys", "pack_traces"} <= names_in(tree)
     assert callers_of("pack_traces", tree) == ["E", "check_grid_hitting"]
+    assert index_attributes(tree) == {"rows", "representatives", "sums", "class_count"}
