@@ -83,8 +83,11 @@ def linear_vc_dimension(family: SetFamily) -> DimensionCert:
     """Largest shattered colinear set: max over axes and lines of the line VC.
 
     Ties break toward the lowest axis, then the first line in enumeration
-    order, so the certificate is deterministic.
+    order, so the certificate is deterministic.  Every line's restriction is
+    read off the members, which the family materializes once; a family past
+    ``MAX_MEMBERS`` raises ``CapExceededError``, as in ``vc_dimension``.
     """
+    family = family.materialize()
     domain = family.domain
     best = DimensionCert(0, (), line=None)
     for axis in range(domain.width):

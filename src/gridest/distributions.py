@@ -283,10 +283,6 @@ class Modulus:
     def identity(cls) -> "Modulus":
         return cls(1, 1)
 
-    @classmethod
-    def for_mixture(cls, k: int, d: int) -> "Modulus":
-        return cls(k, d)
-
 
 # -- constructions -------------------------------------------------------------
 

@@ -205,12 +205,8 @@ class Grid:
             raise ValueError("grid axis count != domain width")
         clean = []
         for i, vals in enumerate(axes):
-            vals = np.asarray(vals, dtype=np.int64).ravel()
-            # a strictly increasing axis is already sorted and duplicate-free
-            if vals.size > 1 and not (vals[1:] > vals[:-1]).all():
-                vals = np.unique(vals)
-            else:
-                vals = vals.copy()
+            # a new array: the grid never aliases the caller's values
+            vals = np.unique(np.asarray(vals, dtype=np.int64))
             if vals.size and (vals[0] < 0 or vals[-1] >= domain.sizes[i]):
                 raise ValueError(f"grid axis {i} values outside alphabet")
             vals.flags.writeable = False

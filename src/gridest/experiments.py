@@ -550,7 +550,7 @@ def _run_grid_hitting(params, trials, seed, memo):
     family = _hitting_family(n, params["base_perms"], rng)
     plan = SamplingPlan(
         epsilon=eps, delta=delta, lvc=g, width=2,
-        modulus=Modulus.for_mixture(2, 2), c0=c0,
+        modulus=Modulus(2, 2), c0=c0,
     )
     m0 = phase1_size(plan)
     fn = functools.partial(
@@ -578,7 +578,7 @@ def _run_pge_end_to_end(params, trials, seed, memo):
     dist = two_component_mixture(n)
     plan = SamplingPlan(
         epsilon=eps, delta=delta, lvc=1, width=2,
-        modulus=Modulus.for_mixture(2, 2), c0=c0,
+        modulus=Modulus(2, 2), c0=c0,
     )
     m0 = phase1_size(plan)
     m1 = phase2_size(eps, delta, math.factorial(n))

@@ -75,17 +75,12 @@ class SetFamily:
 
     def restrict_to_line(self, line: AxisLine) -> "ExplicitFamily":
         """Deduplicated family of member restrictions, as subsets of the line."""
-        pts = line.points(self.domain)
-        flat = self.domain.flat_index(pts)
-        members = self.members_matrix()[:, flat]
-        return ExplicitFamily(_line_domain(self.domain, line.axis), members)
+        flat = self.domain.flat_index(line.points(self.domain))
+        line_domain = ProductDomain.of_sizes(self.domain.sizes[line.axis])
+        return ExplicitFamily(line_domain, self.members_matrix()[:, flat])
 
     def describe(self) -> str:
         return f"{type(self).__name__}({self.domain.describe()})"
-
-
-def _line_domain(domain: ProductDomain, axis: int) -> ProductDomain:
-    return ProductDomain.of_sizes(domain.sizes[axis])
 
 
 class ExplicitFamily(SetFamily):
@@ -182,11 +177,6 @@ class PermutationGraphs(SetFamily):
             return self._index
         return super().trace_index(grid)
 
-    def restrict_to_line(self, line: AxisLine) -> ExplicitFamily:
-        # exactly-one-per-line structure: the restrictions are the singletons
-        members = np.eye(self.n, dtype=bool)
-        return ExplicitFamily(_line_domain(self.domain, line.axis), members)
-
     def max_abs_sum(self, diff: np.ndarray, terms=None) -> float:
         """``max_F |sum of diff over F|``: two signed max-weight assignments.
 
@@ -238,20 +228,9 @@ class PermutationGraphIndex:
 
     def sums(self, members: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Each row's own sum, once the rows are checked to be permutation graphs."""
-        n = self.n
-        rows = members.shape[0] * n
-        # with the graphs' rows stacked, the i-th one must lie on stacked row
-        # i, so each row holds exactly one; then k n ones that fill all k n
-        # (graph, column) bins put exactly one in each column.  A one at flat
-        # index g n^2 + i n + c is on stacked row g n + i, and its bin g n + c
-        # is the index minus (stacked row - g) n, without a slow modulo.
-        ones = np.flatnonzero(members)
-        row = ones // n
-        if not (
-            ones.size == rows
-            and (row == np.arange(rows)).all()
-            and np.bincount(ones - (row - row // n) * n, minlength=rows).all()
-        ):
+        # a permutation graph holds exactly one point in each row and column
+        blocks = members.reshape(-1, self.n, self.n)
+        if not ((blocks.sum(axis=1) == 1).all() and (blocks.sum(axis=2) == 1).all()):
             raise ValueError("trace not represented")
         return row_sums(members, weights)
 
@@ -350,12 +329,6 @@ class UnionsOfPermutations(SetFamily):
             raise CapExceededError("family too large")
         return unions_of_rows(base.members_matrix(), self.g)
 
-    def restrict_to_line(self, line: AxisLine) -> ExplicitFamily:
-        # restrictions are exactly the subsets of the line of size <= g: the
-        # unions of at most g singletons
-        members = unions_of_rows(np.eye(self.n, dtype=bool), min(self.g, self.n))
-        return ExplicitFamily(_line_domain(self.domain, line.axis), members)
-
     def describe(self) -> str:
         return f"unions-of-permutations(n={self.n}, g={self.g})"
 
@@ -379,15 +352,6 @@ class IntervalsOnAxis(SetFamily):
         # distinct intervals of the axis are distinct slabs, so no row repeats
         x = self.domain.all_points()[:, self.axis]
         return _intervals(self.domain.sizes[self.axis])[:, x]
-
-    def restrict_to_line(self, line: AxisLine) -> ExplicitFamily:
-        n_line = self.domain.sizes[line.axis]
-        if line.axis == self.axis:
-            members = _intervals(n_line)
-        else:
-            # off-axis: each member restricts to the empty set or the full line
-            members = np.array([[False] * n_line, [True] * n_line])
-        return ExplicitFamily(_line_domain(self.domain, line.axis), members)
 
     def describe(self) -> str:
         return f"intervals(axis={self.axis}, {self.domain.describe()})"
@@ -416,10 +380,6 @@ class AxisBoxes(SetFamily):
             )
         return np.vstack([np.zeros((1, self.domain.n_points), dtype=bool), boxes])
 
-    def restrict_to_line(self, line: AxisLine) -> ExplicitFamily:
-        # a box meets a line in an interval (or misses it entirely)
-        return IntervalsOnAxis(self.domain, line.axis).restrict_to_line(line)
-
     def describe(self) -> str:
         return f"axis-boxes({self.domain.describe()})"
 
@@ -438,13 +398,6 @@ class PowerSetFamily(SetFamily):
         if 2**n > MAX_MEMBERS:
             raise CapExceededError("family too large")
         return code_bits(np.arange(2**n, dtype=np.int64), n).astype(bool)
-
-    def restrict_to_line(self, line: AxisLine) -> ExplicitFamily:
-        n_line = self.domain.sizes[line.axis]
-        return ExplicitFamily(
-            _line_domain(self.domain, line.axis),
-            PowerSetFamily(ProductDomain.of_sizes(n_line)).members_matrix(),
-        )
 
     def describe(self) -> str:
         return f"power-set({self.domain.describe()})"

@@ -80,6 +80,11 @@ class TestVcDimension:
         for combo in itertools.combinations(pts, cert.dimension + 1):
             assert not shatters(fam, list(combo))
 
+    def test_axis_boxes_on_a_square(self):
+        # rectangles shatter the four points of a diamond and no five points
+        boxes = AxisBoxes(ProductDomain.of_sizes(4, 4))
+        assert vc_dimension(boxes).dimension == 4
+
     def test_domain_cap(self):
         with pytest.raises(CapExceededError):
             vc_dimension(PowerSetFamily(ProductDomain.of_sizes(17)))
@@ -94,6 +99,11 @@ class TestLinearVcDimension:
     def test_power_set_on_cube(self, d):
         fam = PowerSetFamily(ProductDomain.of_sizes(*([2] * d)))
         assert linear_vc_dimension(fam).dimension == 2
+
+    def test_axis_boxes(self):
+        # a box meets a line in an interval, and intervals shatter two points
+        boxes = AxisBoxes(ProductDomain.of_sizes(6, 6))
+        assert linear_vc_dimension(boxes).dimension == 2
 
     def test_union_family(self):
         assert linear_vc_dimension(UnionsOfPermutations(4, 2)).dimension == 2

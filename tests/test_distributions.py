@@ -540,8 +540,8 @@ class TestModuli:
         "modulus",
         [
             Modulus.identity(),
-            Modulus.for_mixture(2, 2),
-            Modulus.for_mixture(3, 4),
+            Modulus(2, 2),
+            Modulus(3, 4),
             functools.partial(tc_modulus, 0.0),
             functools.partial(tc_modulus, 1.3),
         ],

@@ -89,19 +89,19 @@ class TestPlanners:
     def test_phase1_mixture_modulus_factor(self):
         # beta(0.1) drops from 0.1 to 0.01/1.1, a factor 11, squaring to 121
         identity = identity_plan()
-        mixture = SamplingPlan(0.2, 0.1, 1, 2, Modulus.for_mixture(2, 2))
+        mixture = SamplingPlan(0.2, 0.1, 1, 2, Modulus(2, 2))
         ratio = phase1_size(mixture) / phase1_size(identity)
         assert ratio == pytest.approx(121, rel=1e-3)
 
     def test_phase1_rejects_vanished_modulus(self):
         # beta(0.2) = 0.2^300 / 1.2^299 ~ 1e-233, so beta^2 underflows to zero
-        plan = SamplingPlan(0.4, 0.1, 1, 2, Modulus.for_mixture(2, 300))
+        plan = SamplingPlan(0.4, 0.1, 1, 2, Modulus(2, 300))
         with pytest.raises(ValueError, match="vanished"):
             phase1_size(plan)
 
     def test_plans_holding_a_mixture_modulus_compare_and_hash(self):
         def plan(k, d):
-            return SamplingPlan(0.4, 0.1, 1, 2, Modulus.for_mixture(k, d))
+            return SamplingPlan(0.4, 0.1, 1, 2, Modulus(k, d))
 
         assert plan(2, 2) == plan(2, 2)
         assert hash(plan(2, 2)) == hash(plan(2, 2))

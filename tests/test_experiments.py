@@ -167,7 +167,7 @@ class TestWorkerCount:
 class TestCountTrials:
     def _plan(self, m0, m1):
         return SamplingPlan(epsilon=0.2, delta=0.1, lvc=1, width=2,
-                            modulus=Modulus.for_mixture(2, 2), split=(m0, m1))
+                            modulus=Modulus(2, 2), split=(m0, m1))
 
     def test_partial_phase1_grid_counts_as_failure(self):
         # one phase-1 point cannot cover [30]^2: the trial is a failure, 1.0
