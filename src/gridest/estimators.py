@@ -374,6 +374,10 @@ def max_assignment_value(
     Potentials near an optimal LP dual leave the solver less to do: on the
     rank-2 n = 100 matrices of ``deviation-scaling`` a solve takes ~0.5 ms
     with the potentials ``sup_deviation`` leads to, against ~1.6 ms without.
+    Only where optimal matchings tie may they pick another one, whose sum
+    can differ in the last bits.  ``PermutationGraphs.max_abs_sum`` also
+    bounds each side by the LP dual the potentials give, and solves a side
+    only when that bound says it could win.
     """
     reduced = weights if potentials is None else weights - potentials
     rows, cols = _linear_sum_assignment()(reduced, maximize=True)
@@ -395,8 +399,11 @@ def sup_deviation(
     ``dist`` (x, y) are width-2 products, the cell difference
     ``x^ y^T - x y^T`` is handed to the family with its split into the two
     rank-1 terms ``(x^ - x) ((y + y^)/2)^T`` and ``((x^ + x)/2) (y^ - y)^T``.
-    The family builds column potentials from them (see
-    ``max_assignment_value``): the value is the same, found ~3x faster.
+    The family builds column potentials from them, which warm-start each
+    solve (see ``max_assignment_value``) and give each signed side an LP-dual
+    bound tight enough to skip about 70% of the second solves
+    ``deviation-scaling`` made with row bounds alone.  The value is the
+    same, found with fewer and faster solves.
     """
     if method == "assignment":
         weights = estimator.cell_weights()

@@ -77,7 +77,14 @@ class SetFamily:
         """Deduplicated family of member restrictions, as subsets of the line."""
         flat = self.domain.flat_index(line.points(self.domain))
         line_domain = ProductDomain.of_sizes(self.domain.sizes[line.axis])
-        return ExplicitFamily(line_domain, self.members_matrix()[:, flat])
+        rows = self.members_matrix()[:, flat]
+        if flat.size > 62:
+            return ExplicitFamily(line_domain, rows)
+        # up to 62 points a row is one int64 code, as combinatorics._pattern_count
+        # reads it, and int64 codes dedup faster than packed row keys
+        codes = rows @ (1 << np.arange(flat.size, dtype=np.int64))
+        _, first = np.unique(codes, return_index=True)
+        return ExplicitFamily(line_domain, rows[np.sort(first)], _dedup=False)
 
     def describe(self) -> str:
         return f"{type(self).__name__}({self.domain.describe()})"
@@ -180,30 +187,35 @@ class PermutationGraphs(SetFamily):
     def max_abs_sum(self, diff: np.ndarray, terms=None) -> float:
         """``max_F |sum of diff over F|``: two signed max-weight assignments.
 
+        Side 0 maximizes ``diff`` over the matchings, side 1 ``-diff``.  Each
+        side is bounded by a feasible LP dual (see ``_dual_bound``); the side
+        with the larger bound is solved first, and the other only if its
+        bound does not rule it out, so the value is the two-solve value.
+
         ``terms``, pairs of vectors ``(a, b)`` whose outer products sum to
-        ``diff``, warm-start each solve with column potentials (see
-        ``_column_potentials``).  They change how long a solve takes, not
-        its value, which is summed from ``diff``: wrong terms only make a
-        solve slower, as long as they are on ``diff``'s scale (far larger
-        ones would round away the low bits of ``diff - potentials``).
+        ``diff``, give each side column potentials (see
+        ``_column_potentials``) that warm-start its solve and tighten its
+        bound.  They change how long a solve takes and which solves are
+        skipped, not the value, which is summed from ``diff`` (up to the
+        last bits, where optimal matchings tie): wrong terms only make a
+        solve slower and a bound looser, as long as they are on ``diff``'s
+        scale (far larger ones would round away the low bits of
+        ``diff - potentials``).  Without terms the bound is the row maxima,
+        and ``-diff`` is built only if its side is solved.
         """
-        # by assignment LP duality a side's value is at most the sum of its
-        # row maxima; the -diff side's maxima are diff's minima, negated, so
-        # a side is negated only to be solved
-        bounds = (diff.max(axis=1).sum(), -diff.min(axis=1).sum())
+        potentials = (None, None) if terms is None else (
+            _column_potentials(diff, terms, 1.0), _column_potentials(-diff, terms, -1.0)
+        )
+        bounds = (_dual_bound(diff, 1.0, potentials[0]),
+                  _dual_bound(diff, -1.0, potentials[1]))
 
         def solve(side):
-            weights = -diff if side else diff
-            potentials = (
-                None if terms is None
-                else _column_potentials(weights, terms, -1.0 if side else 1.0)
-            )
             # through the module attribute, which profilers and tests may wrap
-            return _estimators().max_assignment_value(weights, potentials)
+            return _estimators().max_assignment_value(
+                -diff if side else diff, potentials[side]
+            )
 
-        # solve the side with the larger bound first, and the other only if
-        # its bound does not rule it out (1e-12 covers the rounding of the
-        # bound's and the matching's sums)
+        # 1e-12 covers the rounding of the bound's and the matching's sums
         first = int(bounds[1] > bounds[0])
         values = {first: solve(first)}
         if bounds[1 - first] < values[first] - 1e-12:
@@ -233,6 +245,21 @@ class PermutationGraphIndex:
         if not ((blocks.sum(axis=1) == 1).all() and (blocks.sum(axis=2) == 1).all()):
             raise ValueError("trace not represented")
         return row_sums(members, weights)
+
+
+def _dual_bound(diff: np.ndarray, sign: float, potentials=None) -> float:
+    """An upper bound on every matching's total weight on ``W = sign * diff``.
+
+    With column potentials ``v`` (None is v = 0) and row potentials
+    ``u = max_j (W - v)``, every ``u_i + v_j >= W_ij``: a feasible assignment
+    LP dual, whose value ``sum(u) + sum(v)`` bounds the primal by weak
+    duality.  At v = 0 it is the sum of W's row maxima.  ``W`` is read
+    through ``diff``: ``max_j (-diff - v) = -min_j (diff + v)``, exactly.
+    """
+    reduced = diff if potentials is None else diff - sign * potentials
+    extremes = reduced.max(axis=1) if sign > 0 else reduced.min(axis=1)
+    bound = sign * extremes.sum()
+    return bound if potentials is None else bound + potentials.sum()
 
 
 def _column_potentials(weights: np.ndarray, terms, sign: float) -> np.ndarray:

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 
 from gridest.domain import CapExceededError
+from gridest.families import _column_potentials
 
 SHATTER_CAP = 20
 
@@ -84,3 +85,16 @@ def assignment_certificate(weights, cols) -> tuple[float, float, float]:
     value = float(matched.sum())
     slack = float((u[:, None] + v[None, :] - w).min())
     return value, slack, abs(float(u.sum() + v.sum()) - value)
+
+
+def warm_dual_sides(diff, terms) -> list[tuple[np.ndarray, np.ndarray, float]]:
+    """Both signed sides of the warm assignment on ``diff``, side 0 first:
+    each side's weights ``W`` (``diff``, then ``-diff``), the column
+    potentials ``v`` the library computes for W from ``terms``, and the
+    value of the LP dual they give, ``sum_i max_j (W - v) + sum(v)``, which
+    bounds every matching's total weight on W (weak duality)."""
+    sides = []
+    for sign, weights in ((1.0, diff), (-1.0, -diff)):
+        v = _column_potentials(weights, terms, sign)
+        sides.append((weights, v, float((weights - v).max(axis=1).sum() + v.sum())))
+    return sides

@@ -6,15 +6,15 @@ the library's solver returns is proved optimal by a dual certificate
 weights up to n = 100, on the n = 100 matrices ``deviation-scaling`` and
 ``perm-product-success`` solve, both as given and warm-started from the
 column potentials they are solved with, and on every second solve that
-``pge-end-to-end`` skips, whose certified value must be at or below the
-first side's.
+``deviation-scaling`` or ``pge-end-to-end`` skips, whose certified value
+must be at or below the first side's.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import assignment_certificate
+from _oracles import assignment_certificate, warm_dual_sides
 from gridest import estimators
 from gridest.experiments import ExperimentConfig, run_scenario
 from gridest.families import PermutationGraphs
@@ -49,22 +49,23 @@ def test_the_certificate_rejects_a_suboptimal_matching():
     assert assignment_certificate(weights, [0, 1])[1:] == (0.0, 0.0)
 
 
-def solves_per_sup_deviation(monkeypatch, scenario: str, trials: int) -> list[list]:
+def solves_per_sup_deviation(monkeypatch, scenario: str, trials: int) -> list:
     """Run a scenario at seed 2024 and list, per permutation-graph
-    sup-deviation, the weight matrices it handed to the solver, each with
+    sup-deviation, the ``(diff, terms, solves)`` handed to ``max_abs_sum``:
+    the solves are the weight matrices it handed to the solver, each with
     the column potentials it came with (None for a cold solve)."""
     calls = []
     solve = estimators.max_assignment_value
     max_abs_sum = PermutationGraphs.max_abs_sum
 
     def recording_solve(weights, potentials=None):
-        calls[-1].append(
+        calls[-1][2].append(
             (weights.copy(), None if potentials is None else potentials.copy())
         )
         return solve(weights, potentials)
 
     def recording_max_abs_sum(family, diff, terms=None):
-        calls.append([])
+        calls.append((diff.copy(), terms, []))
         return max_abs_sum(family, diff, terms)
 
     with monkeypatch.context() as patch:
@@ -76,22 +77,39 @@ def solves_per_sup_deviation(monkeypatch, scenario: str, trials: int) -> list[li
 
 def test_deviation_scaling_matrices_both_signs(monkeypatch):
     calls = solves_per_sup_deviation(monkeypatch, "deviation-scaling", 2)
-    # seven sample sizes, two trials each; the row bound skips no second solve
-    assert len(calls) == 14 and all(len(solves) == 2 for solves in calls)
-    for (diff, warm), (negated, negated_warm) in calls:
-        assert diff.shape == (100, 100) and np.array_equal(negated, -diff)
+    # seven sample sizes, two trials each
+    assert len(calls) == 14
+    skipped = 0
+    for diff, terms, solves in calls:
+        assert diff.shape == (100, 100) and terms is not None
         # the empirical product minus the ramp product: rank at most 2
         assert np.linalg.matrix_rank(diff) <= 2
-        assert warm is not None and negated_warm is not None
-        assert abs(certified_value(diff, warm) - certified_value(diff)) <= TOL
-        assert abs(certified_value(negated, negated_warm)
-                   - certified_value(negated)) <= TOL
+        sides = warm_dual_sides(diff, terms)
+        optima = [certified_value(weights) for weights, _, _ in sides]
+        for (weights, potentials, bound), optimum in zip(sides, optima):
+            assert bound >= optimum - TOL
+            assert abs(certified_value(weights, potentials) - optimum) <= TOL
+        # the side with the larger dual bound is solved first, warm; the
+        # other only when its bound reaches the first side's value
+        first = int(sides[1][2] > sides[0][2])
+        weights, potentials, _ = sides[first]
+        assert np.array_equal(solves[0][0], weights)
+        assert np.array_equal(solves[0][1], potentials)
+        first_value = estimators.max_assignment_value(weights, potentials)
+        assert len(solves) == 1 + (sides[1 - first][2] >= first_value - 1e-12)
+        if len(solves) == 1:
+            skipped += 1
+            assert optima[1 - first] <= optima[first] + TOL
+        else:
+            assert np.array_equal(solves[1][0], sides[1 - first][0])
+            assert np.array_equal(solves[1][1], sides[1 - first][1])
+    assert skipped
 
 
 def test_perm_product_success_warm_solves(monkeypatch):
     # a uniform truth: integer count ties give exactly tied optimal matchings
     calls = solves_per_sup_deviation(monkeypatch, "perm-product-success", 5)
-    solves = [solve for solves in calls for solve in solves]
+    solves = [solve for _, _, solves in calls for solve in solves]
     assert len(calls) == 5 and len(solves) >= 5
     for weights, potentials in solves:
         assert weights.shape == (100, 100) and potentials is not None
@@ -101,10 +119,11 @@ def test_perm_product_success_warm_solves(monkeypatch):
 
 def test_skipped_second_solves_on_pge_end_to_end(monkeypatch):
     calls = solves_per_sup_deviation(monkeypatch, "pge-end-to-end", 10)
-    skipped = [solves[0] for solves in calls if len(solves) == 1]
-    assert skipped and all(len(solves) in (1, 2) for solves in calls)
+    skipped = [solves[0] for _, _, solves in calls if len(solves) == 1]
+    assert skipped and all(len(solves) in (1, 2) for _, _, solves in calls)
     # phase-2 means are no product: their solves are cold
-    assert all(potentials is None for solves in calls for _, potentials in solves)
+    assert all(terms is None for _, terms, _ in calls)
+    assert all(potentials is None for _, _, solves in calls for _, potentials in solves)
     for first, _ in skipped:
         value = certified_value(first)
         assert certified_value(-first) <= value + TOL

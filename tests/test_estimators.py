@@ -53,7 +53,8 @@ from gridest.families import (
     perm_graph_bits,
 )
 
-from _oracles import brute_mean, brute_trace, representative_rows
+from _oracles import (assignment_certificate, brute_mean, brute_trace,
+                      representative_rows, warm_dual_sides)
 
 
 def uniform_product(n):
@@ -962,6 +963,30 @@ def solves(monkeypatch):
     return calls
 
 
+def _recording_max_abs_sum(patch):
+    """Patch ``PermutationGraphs.max_abs_sum`` to record each call's
+    ``(diff, terms)``; returns the list it records into."""
+    calls = []
+    max_abs_sum = PermutationGraphs.max_abs_sum
+
+    def recording(family, diff, terms=None):
+        calls.append((diff, terms))
+        return max_abs_sum(family, diff, terms)
+
+    patch.setattr(PermutationGraphs, "max_abs_sum", recording)
+    return calls
+
+
+def _warm_solve_count(diff, terms):
+    """The solves a warm ``max_abs_sum`` should make: the side with the larger
+    dual bound, then the other only if its bound reaches the first value."""
+    sides = warm_dual_sides(diff, terms)
+    first = int(sides[1][2] > sides[0][2])
+    weights, potentials, _ = sides[first]
+    first_value = max_assignment_value(weights, potentials)
+    return 1 + (sides[1 - first][2] >= first_value - 1e-12)
+
+
 class TestBoundFirstAssignment:
     """Solving the side that a bound says can win equals solving both sides."""
 
@@ -1074,17 +1099,64 @@ class TestBoundFirstAssignment:
             assert len(solves) == 1
             assert _same_float(got, _two_solve_deviation(est, dist))
 
-    def test_empirical_products_take_two_solves(self, solves):
+    def test_empirical_products_solve_what_their_dual_bounds_allow(
+        self, solves, monkeypatch
+    ):
         n, m = 20, 256
         dist = ramp_product(n)
+        args = _recording_max_abs_sum(monkeypatch)
+        counts = []
         for seed in range(5):
             est = EmpiricalProductEstimator.from_counts(
                 marginal_counts(dist, m, seed), dist.domain
             )
             solves.clear()
+            args.clear()
             got = sup_deviation(est, PermutationGraphs(n), dist, "assignment")
-            assert len(solves) == 2
+            (diff, terms), = args
+            assert terms is not None
+            assert len(solves) == _warm_solve_count(diff, terms)
             assert _same_float(got, _two_solve_deviation(est, dist))
+            counts.append(len(solves))
+        # the warm bound skips some second solves, not all
+        assert sorted(set(counts)) == [1, 2]
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 40),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_warm_bounds_hold_and_keep_the_two_solve_value(self, seed, n, m, uniform):
+        # uniform truths and few points: count ties often make the sides equal
+        rng = np.random.default_rng(seed)
+        marginals = [np.full(n, 1.0 / n) if uniform else rng.dirichlet(np.ones(n))
+                     for _ in range(2)]
+        dist = ProductDistribution(ProductDomain.of_sizes(n, n), marginals)
+        est = EmpiricalProductEstimator.from_counts(
+            marginal_counts(dist, m, rng), dist.domain
+        )
+        calls = []
+
+        def counting(w, potentials=None):
+            calls.append(w.shape)
+            return max_assignment_value(w, potentials)
+
+        with pytest.MonkeyPatch.context() as mp:
+            args = _recording_max_abs_sum(mp)
+            mp.setattr(estimators, "max_assignment_value", counting)
+            got = sup_deviation(est, PermutationGraphs(n), dist, "assignment")
+        (diff, terms), = args
+        assert terms is not None
+        sides = warm_dual_sides(diff, terms)
+        for weights, _, bound in sides:
+            _, cols = estimators._linear_sum_assignment()(weights, maximize=True)
+            optimum, slack, gap = assignment_certificate(weights, cols)
+            assert slack >= -1e-12 and gap <= 1e-12
+            assert bound >= optimum - 1e-12
+        assert len(calls) == _warm_solve_count(diff, terms)
+        # both sides solved warm, bit for bit; a cold solve may pick another
+        # of tied optimal matchings, whose float sum can differ in the last bit
+        two_warm = max(max_assignment_value(w, v) for w, v, _ in sides)
+        assert _same_float(got, two_warm)
+        assert abs(got - _two_solve_deviation(est, dist)) <= 1e-12
 
 
 def _is_permutation_batch(members, n):

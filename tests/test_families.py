@@ -179,6 +179,26 @@ class TestRestrictions:
         line = enumerate_axis_lines(fam.domain, 1)[0]
         assert fam.restrict_to_line(line).member_count() == 2
 
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 7, 62, 63, 70]),
+           st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_restriction_keeps_first_occurrences_in_order(self, seed, k, m):
+        # lines of up to 62 points dedup on int64 codes, longer ones on row
+        # keys; both must keep each distinct restriction at its first place
+        rng = np.random.default_rng(seed)
+        domain = ProductDomain.of_sizes(k, 2)
+        # few distinct rows, repeated, so duplicates are common
+        base = rng.random((int(rng.integers(1, 6)), domain.n_points)) < 0.5
+        fam = ExplicitFamily(domain, base[rng.integers(0, len(base), size=m)])
+        line = enumerate_axis_lines(domain, 0)[int(rng.integers(0, 2))]
+        flat = domain.flat_index(line.points(domain))
+        want = {}
+        for row in fam.members_matrix()[:, flat]:
+            want.setdefault(row.tobytes(), row)
+        got = fam.restrict_to_line(line)
+        assert got.domain == ProductDomain.of_sizes(k)
+        assert np.array_equal(got.members_matrix(), np.array(list(want.values())))
+
     def test_family_without_members_not_enumerable(self):
         class Unlisted(SetFamily):
             domain = ProductDomain.of_sizes(2, 2)
