@@ -1,8 +1,9 @@
 """Command-line interface: run scenarios, list the catalog, calibrate constants.
 
-Exit status is 0 iff the scenario assertion passed.  Configuration comes from
-a single JSON document; the flags override individual fields.  Unknown fields
-in the document are errors.
+Exit status is 0 iff the scenario assertion passed, 1 when it failed, and 2
+for a bad input or a path that cannot be read or written (``error: ...``,
+no traceback).  Configuration comes from a single JSON document; the flags
+override individual fields.  Unknown fields in the document are errors.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,10 +1,12 @@
 """Exact combinatorial dimensions and trace-counting bounds.
 
 VC and linear VC dimensions are computed by brute force with verifiable
-witnesses.  The counting bounds (binomial-sum tail, per-axis grid bound, and
-its rate form) use exact big-integer arithmetic; floating point appears only
-in the rate forms.  The aggregation constant intentionally uses base-2
-entropy, unlike the nats used everywhere else.
+witnesses, by one search over the members' int64 codes on a column set: all
+points of the domain for the VC dimension, each axis-parallel line's points
+for the linear one.  The counting bounds (binomial-sum tail, per-axis grid
+bound, and its rate form) use exact big-integer arithmetic; floating point
+appears only in the rate forms.  The aggregation constant intentionally uses
+base-2 entropy, unlike the nats used everywhere else.
 """
 
 from __future__ import annotations
@@ -45,61 +47,60 @@ class DimensionCert:
     line: object = None
 
 
-def _pattern_count(members: np.ndarray, cols) -> int:
-    """Number of distinct 0/1 patterns the members realize on the columns."""
-    cols = list(cols)
-    if not cols:
-        return 1
-    codes = members[:, cols] @ (1 << np.arange(len(cols), dtype=np.int64))
-    return int(np.unique(codes).size)
+def _shattered_columns(family: SetFamily, cols) -> tuple:
+    """The first largest tuple of positions into ``cols`` (at most
+    ``VC_DOMAIN_CAP``) that the members shatter, in combinations order: with
+    member code bit j its value at ``cols[j]``, positions are shattered when
+    ``codes & mask`` takes ``2**size`` values."""
+    width = len(cols)
+    if width > VC_DOMAIN_CAP:
+        raise CapExceededError(
+            f"domain has {width} points, VC search cap is {VC_DOMAIN_CAP}"
+        )
+    weights = 1 << np.arange(width, dtype=np.int64)
+    seen = np.zeros(1 << width, dtype=bool)
+    seen[(family.members_matrix()[:, cols] * weights).sum(axis=1)] = True
+    codes = np.flatnonzero(seen)
+    best = ()
+    for size in range(1, min(width, codes.size.bit_length() - 1) + 1):
+        for found in itertools.combinations(range(width), size):
+            seen[:] = False
+            seen[codes & sum(1 << p for p in found)] = True
+            if np.count_nonzero(seen) == 1 << size:
+                best = found
+                break
+        else:
+            break
+    return best
 
 
 def vc_dimension(family: SetFamily) -> DimensionCert:
     """Exact VC dimension by exhaustive search, with a shattered witness."""
     domain = family.domain
-    if domain.n_points > VC_DOMAIN_CAP:
-        raise CapExceededError(
-            f"domain has {domain.n_points} points, VC search cap is {VC_DOMAIN_CAP}"
-        )
-    members = family.members_matrix()
+    found = _shattered_columns(family, np.arange(domain.n_points))
     points = domain.all_points()
-    n = domain.n_points
-    best = DimensionCert(0, ())
-    max_possible = min(n, int(math.log2(members.shape[0])) if members.shape[0] else 0)
-    for size in range(1, max_possible + 1):
-        found = None
-        for cols in itertools.combinations(range(n), size):
-            if _pattern_count(members, cols) == 2**size:
-                found = cols
-                break
-        if found is None:
-            break
-        witness = tuple(tuple(points[c]) for c in found)
-        best = DimensionCert(size, witness)
-    return best
+    return DimensionCert(len(found), tuple(tuple(points[c]) for c in found))
 
 
 def linear_vc_dimension(family: SetFamily) -> DimensionCert:
     """Largest shattered colinear set: max over axes and lines of the line VC.
 
     Ties break toward the lowest axis, then the first line in enumeration
-    order, so the certificate is deterministic.  Every line's restriction is
-    read off the members, which the family materializes once; a family past
-    ``MAX_MEMBERS`` raises ``CapExceededError``, as in ``vc_dimension``.
+    order, so the certificate is deterministic.  Every line is searched on
+    its own columns of the members, which the family materializes once; a
+    family past ``MAX_MEMBERS`` raises ``CapExceededError``, as in
+    ``vc_dimension``, and so does a line past ``VC_DOMAIN_CAP`` points.
     """
     family = family.materialize()
     domain = family.domain
     best = DimensionCert(0, (), line=None)
     for axis in range(domain.width):
         for line in enumerate_axis_lines(domain, axis):
-            restriction = family.restrict_to_line(line)
-            cert = vc_dimension(restriction)
-            if cert.dimension > best.dimension:
-                pts = line.points(domain)
-                witness = tuple(
-                    tuple(pts[p[0]]) for p in cert.witness
-                )  # line-local index -> domain point
-                best = DimensionCert(cert.dimension, witness, line=line)
+            pts = line.points(domain)
+            found = _shattered_columns(family, domain.flat_index(pts))
+            if len(found) > best.dimension:
+                witness = tuple(tuple(pts[p]) for p in found)
+                best = DimensionCert(len(found), witness, line=line)
     return best
 
 

@@ -22,7 +22,6 @@ import numpy as np
 
 from .domain import (
     MAX_MEMBERS,
-    AxisLine,
     CapExceededError,
     Grid,
     NotEnumerableError,
@@ -72,19 +71,6 @@ class SetFamily:
 
     def materialize(self) -> "ExplicitFamily":
         return ExplicitFamily(self.domain, self.members_matrix(), _dedup=False)
-
-    def restrict_to_line(self, line: AxisLine) -> "ExplicitFamily":
-        """Deduplicated family of member restrictions, as subsets of the line."""
-        flat = self.domain.flat_index(line.points(self.domain))
-        line_domain = ProductDomain.of_sizes(self.domain.sizes[line.axis])
-        rows = self.members_matrix()[:, flat]
-        if flat.size > 62:
-            return ExplicitFamily(line_domain, rows)
-        # up to 62 points a row is one int64 code, as combinatorics._pattern_count
-        # reads it, and int64 codes dedup faster than packed row keys
-        codes = rows @ (1 << np.arange(flat.size, dtype=np.int64))
-        _, first = np.unique(codes, return_index=True)
-        return ExplicitFamily(line_domain, rows[np.sort(first)], _dedup=False)
 
     def describe(self) -> str:
         return f"{type(self).__name__}({self.domain.describe()})"

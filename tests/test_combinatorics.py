@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridest.combinatorics import (
     aggregation_eta,
@@ -19,13 +21,20 @@ from gridest.combinatorics import (
     union_family_lower_check,
     vc_dimension,
 )
-from gridest.domain import CapExceededError, Grid, ProductDomain, enumerate_axis_lines
+from gridest.domain import (
+    CapExceededError,
+    Grid,
+    NotEnumerableError,
+    ProductDomain,
+    enumerate_axis_lines,
+)
 from gridest.families import (
     AxisBoxes,
     ExplicitFamily,
     IntervalsOnAxis,
     PermutationGraphs,
     PowerSetFamily,
+    SetFamily,
     UnionsOfPermutations,
     symdiff_family,
 )
@@ -90,6 +99,56 @@ class TestVcDimension:
             vc_dimension(PowerSetFamily(ProductDomain.of_sizes(17)))
 
 
+@st.composite
+def small_explicit_families(draw):
+    """A random explicit family on at most 3 axes of sizes 1-4 and at most 16
+    points: 12 draws from 1-12 random rows, so repeats are common."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)
+                 .filter(lambda s: math.prod(s) <= 16))
+    domain = ProductDomain.of_sizes(*sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.random((int(rng.integers(1, 13)), domain.n_points)) < 0.5
+    return ExplicitFamily(domain, base[rng.integers(0, len(base), size=12)])
+
+
+def first_shattered(family, points, size):
+    """The first ``size``-subset of ``points`` in combinations order that the
+    oracle finds shattered, or None."""
+    return next((c for c in itertools.combinations(points, size)
+                 if shatters(family, c)), None)
+
+
+class TestShatterSearchAgainstTheOracle:
+    @given(small_explicit_families())
+    @settings(max_examples=60, deadline=None)
+    def test_vc_dimension(self, fam):
+        points = [tuple(p) for p in fam.domain.all_points()]
+        cert = vc_dimension(fam)
+        assert len(cert.witness) == cert.dimension
+        assert shatters(fam, cert.witness)
+        assert first_shattered(fam, points, cert.dimension + 1) is None
+        assert first_shattered(fam, points, cert.dimension) == cert.witness
+
+    @given(small_explicit_families())
+    @settings(max_examples=60, deadline=None)
+    def test_linear_vc_dimension(self, fam):
+        domain = fam.domain
+        lines = [(line, [tuple(p) for p in line.points(domain)])
+                 for axis in range(domain.width)
+                 for line in enumerate_axis_lines(domain, axis)]
+        cert = linear_vc_dimension(fam)
+        assert len(cert.witness) == cert.dimension
+        assert shatters(fam, cert.witness)
+        for _, pts in lines:
+            assert first_shattered(fam, pts, cert.dimension + 1) is None
+        if cert.dimension == 0:
+            assert cert.line is None
+            return
+        first = next((line, found) for line, pts in lines
+                     if (found := first_shattered(fam, pts, cert.dimension)))
+        assert first == (cert.line, cert.witness)
+
+
 class TestLinearVcDimension:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_permutation_graphs(self, n):
@@ -123,10 +182,31 @@ class TestLinearVcDimension:
             (PermutationGraphs(4), 1),
             (UnionsOfPermutations(4, 2), 2),
             (IntervalsOnAxis(ProductDomain.of_sizes(4, 3)), 2),
+            (IntervalsOnAxis(ProductDomain.of_sizes(4)), 2),
             (PowerSetFamily(ProductDomain.of_sizes(2, 2)), 2),
         ]
         for fam, lvc in fams:
             assert linear_vc_dimension(fam).dimension == lvc
+
+    def test_intervals_are_all_or_nothing_off_their_axis(self):
+        # on an axis-0 line an axis-1 interval is the whole line or empty, so
+        # only the axis-1 lines reach dimension 2
+        fam = IntervalsOnAxis(ProductDomain.of_sizes(3, 3), axis=1)
+        cert = linear_vc_dimension(fam)
+        assert cert.dimension == 2 and cert.line.axis == 1
+
+    def test_line_cap(self):
+        fam = IntervalsOnAxis(ProductDomain.of_sizes(17, 2))
+        with pytest.raises(CapExceededError,
+                           match="domain has 17 points, VC search cap is 16"):
+            linear_vc_dimension(fam)
+
+    def test_family_without_members_not_enumerable(self):
+        class Unlisted(SetFamily):
+            domain = ProductDomain.of_sizes(2, 2)
+
+        with pytest.raises(NotEnumerableError, match="not enumerable"):
+            linear_vc_dimension(Unlisted())
 
     def test_never_exceeds_vc(self):
         rng = np.random.default_rng(8)

@@ -677,6 +677,17 @@ class TestCli:
         assert cli_main(["run", "--config", str(config)]) == 2
         assert "too large to tabulate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config"],
+        ["run", "modulus-tc", "--out"],
+        ["calibrate", "perm-product-success", "--target-eps", "0.9",
+         "--target-delta", "0.9", "--grid", "0.25", "--trials", "4", "--out"],
+    ])
+    def test_directory_path_exits_2(self, tmp_path, capsys, argv):
+        assert cli_main(argv + [str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_config_must_be_an_object(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(["modulus-tc"]))

@@ -556,30 +556,3 @@ def test_the_key_checkers_see_what_they_forbid():
     assert {"row_keys", "rk", "class_keys", "pack_traces"} <= names_in(tree)
     assert callers_of("pack_traces", tree) == ["E", "check_grid_hitting"]
     assert index_attributes(tree) == {"rows", "representatives", "sums", "class_count"}
-
-
-def classes_defining(name: str, tree: ast.AST) -> list[str]:
-    """The sorted names of the classes, at any depth, whose own body defines
-    ``name``, by a ``def`` or by an assignment."""
-
-    def defines(node):
-        if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef):
-            return node.name == name
-        targets = (node.targets if isinstance(node, ast.Assign)
-                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
-        return any(isinstance(t, ast.Name) and t.id == name for t in targets)
-
-    return sorted(cls.name for cls in ast.walk(tree)
-                  if isinstance(cls, ast.ClassDef) and any(map(defines, cls.body)))
-
-
-def test_only_the_base_family_restricts_to_a_line():
-    # every family's line restriction is read off its members, in one place
-    tree = ast.parse((SRC / "families.py").read_text(encoding="utf-8"))
-    assert classes_defining("restrict_to_line", tree) == ["SetFamily"]
-    assert classes_defining("restrict_to_line", ast.parse(
-        "class A:\n    def restrict_to_line(self): pass\n"
-        "def f():\n    class B:\n        async def restrict_to_line(self): pass\n"
-        "class C:\n    restrict_to_line = A.restrict_to_line\n"
-        "class D:\n    def other(self):\n        restrict_to_line = 1\n"
-    )) == ["A", "B", "C"]
