@@ -2,8 +2,10 @@
 
 Exit status is 0 iff the scenario assertion passed, 1 when it failed, and 2
 for a bad input or a path that cannot be read or written (``error: ...``,
-no traceback).  Configuration comes from a single JSON document; the flags
-override individual fields.  Unknown fields in the document are errors.
+no traceback).  An out path that is a directory, or whose directory does not
+exist, is rejected before the run.  Configuration comes from a single JSON
+document; the flags override individual fields.  Unknown fields in the
+document are errors.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from pathlib import Path
 
 from .experiments import (
     CALIBRATABLE,
@@ -44,6 +47,12 @@ def _load_config(args) -> ExperimentConfig:
         if getattr(args, name, None) is not None and isinstance(config.params, dict):
             config.params[name] = getattr(args, name)
     check_config(config)
+    if config.out:  # checked before any run, without creating the file
+        out = Path(config.out)
+        if out.is_dir():
+            raise ValueError(f"out path {out} is a directory")
+        if not out.parent.is_dir():
+            raise ValueError(f"out path {out}: {out.parent} is not a directory")
     return config
 
 

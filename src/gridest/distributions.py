@@ -357,14 +357,15 @@ def exhaustive_event_probabilities(dist: Distribution) -> np.ndarray:
     """P(E) for every event E of the domain, indexed by the event's bitmask.
 
     Event ``e`` contains point ``j`` (canonical order) iff bit ``j`` of ``e``
-    is set.  Only feasible for small domains (cap 2^20 events).
+    is set, so P(e + 2^j) = P(e) + p_j for e < 2^j (cap 2^20 events).
     """
     n = dist.domain.n_points
     if 2**n > MAX_CELLS:
-        raise CapExceededError("too many events to enumerate")
-    probs = dist.table().probs
-    bits = code_bits(np.arange(2**n, dtype=np.int64), n).astype(float)
-    return bits @ probs
+        raise CapExceededError(f"{n} points have 2^{n} events, cap {MAX_CELLS}")
+    table = np.zeros(2**n)
+    for j, p in enumerate(dist.table().probs):
+        table[1 << j : 2 << j] = table[: 1 << j] + p
+    return table
 
 
 # -- JSON distribution format --------------------------------------------------

@@ -79,7 +79,7 @@ from .families import (
     perm_graph_bits,
     symdiff_family,
 )
-from .info import kl_divergence, tv_distance
+from .info import kl_divergence
 
 WORKERS_ENV = "GRIDEST_WORKERS"
 
@@ -479,11 +479,9 @@ def _run_fano_omega_d(params, trials, seed, memo):
     distance_ok = bool(np.all(pair_dist[off_diag] >= min_dist))
 
     family = biased_cube_family(d, nu, code=code)
-    tables = np.array([f.table().probs for f in family])
-    min_tv = math.inf
-    for i in range(len(tables)):
-        for j in range(i + 1, len(tables)):
-            min_tv = min(min_tv, tv_distance(tables[i], tables[j]))
+    tables = np.array([f.table().probs for f in family])  # each validated once
+    min_tv = float(min((0.5 * np.abs(tables[i] - tables[i + 1:]).sum(axis=1)).min()
+                       for i in range(len(tables) - 1)))
     tv_ok = min_tv >= 4 * eps
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))

@@ -453,7 +453,7 @@ def dump_family(family: SetFamily, path) -> None:
 
 def load_family(path) -> ExplicitFamily:
     sizes = None
-    members = []
+    count, bits = 0, bytearray()  # one ASCII '0'/'1' byte per point
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -476,9 +476,15 @@ def load_family(path) -> ExplicitFamily:
                 raise ValueError(
                     f"line {lineno}: member length {len(line)} != {n_points}"
                 )
-            members.append([c == "1" for c in line])
+            count += 1
+            if count > MAX_MEMBERS:
+                raise CapExceededError(
+                    f"line {lineno}: member {count} is past the cap of {MAX_MEMBERS}"
+                )
+            bits += line.encode("ascii")
     if sizes is None:
         raise ValueError("missing 'domain' header")
-    if not members:
+    if not count:
         raise ValueError("no members after the 'domain' header")
-    return ExplicitFamily(ProductDomain.of_sizes(*sizes), np.array(members, dtype=bool))
+    members = np.frombuffer(bits, dtype=np.uint8).reshape(count, n_points) == ord("1")
+    return ExplicitFamily(ProductDomain.of_sizes(*sizes), members)

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 
-from gridest.domain import CapExceededError
+from gridest.domain import CapExceededError, code_bits
 from gridest.families import _column_potentials
 
 SHATTER_CAP = 20
@@ -21,6 +21,14 @@ def brute_trace(event, grid) -> bytes:
     bits = np.asarray(event, dtype=bool).reshape(grid.domain.sizes)
     cells = itertools.product(*grid.axes)
     return np.packbits(np.array([bits[c] for c in cells], dtype=bool)).tobytes()
+
+
+def bit_matrix_event_probabilities(dist) -> np.ndarray:
+    """P(E) for every event E, as the 2^n x n matrix of event bitmasks (bit j
+    of row e set iff point j is in event e) times the point probabilities."""
+    n = dist.domain.n_points
+    bits = code_bits(np.arange(2**n, dtype=np.int64), n).astype(float)
+    return bits @ dist.table().probs
 
 
 def bit_weights(n_points: int) -> np.ndarray:

@@ -35,6 +35,8 @@ from gridest.domain import CapExceededError, ProductDomain
 from gridest.experiments import ramp_product, two_component_mixture
 from gridest.families import perm_graph_bits
 
+from _oracles import bit_matrix_event_probabilities
+
 
 def uniform_product(n):
     d = ProductDomain.of_sizes(n, n)
@@ -627,12 +629,57 @@ class TestBiasedCube:
         assert code_rate(code) > 0.5
 
 
+@st.composite
+def _small_distributions(draw):
+    """A product, a mixture of products or a joint table on at most 12 points."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)
+                 .filter(lambda s: math.prod(s) <= 12))
+    domain = ProductDomain.of_sizes(*sizes)
+
+    def pmf(n):
+        w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+        if w.sum() == 0.0:
+            w[0] = 1.0
+        return w / w.sum()
+
+    def product():
+        return ProductDistribution(domain, [pmf(n) for n in sizes])
+
+    kind = draw(st.sampled_from(["product", "mixture", "joint"]))
+    if kind == "product":
+        return product()
+    if kind == "mixture":
+        k = draw(st.integers(1, 3))
+        return MixtureDistribution(pmf(k), [product() for _ in range(k)])
+    return JointTable(domain, pmf(domain.n_points))
+
+
 class TestExhaustiveEvents:
     def test_matches_manual_subset_sums(self):
         d = ProductDomain.of_sizes(2)
         dist = ProductDistribution(d, [[0.25, 0.75]])
         probs = exhaustive_event_probabilities(dist)
         assert probs.tolist() == [0.0, 0.25, 0.75, 1.0]
+
+    @given(_small_distributions())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_bit_matrix_oracle(self, dist):
+        n = dist.domain.n_points
+        probs = dist.table().probs
+        table = exhaustive_event_probabilities(dist)
+        want = bit_matrix_event_probabilities(dist)
+        assert table.shape == want.shape == (2**n,)
+        assert np.max(np.abs(table - want)) <= n * 2.0**-52
+        # the empty event and the singletons are exact
+        assert table[0] == 0.0
+        assert all(table[1 << j] == probs[j] for j in range(n))
+
+    def test_cap_names_the_point_count(self):
+        dist = ProductDistribution(ProductDomain.of_sizes(3, 7), [np.ones(3) / 3,
+                                                                  np.ones(7) / 7])
+        with pytest.raises(CapExceededError, match=r"21 points have 2\^21 events, "
+                                                   r"cap 1048576"):
+            exhaustive_event_probabilities(dist)
 
 
 _JSON = st.recursive(

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -17,7 +18,12 @@ from hypothesis import strategies as st
 import gridest
 from gridest import combinatorics, experiments
 from gridest.cli import main as cli_main
-from gridest.distributions import Modulus, sample
+from gridest.distributions import (
+    Modulus,
+    biased_cube_family,
+    gilbert_varshamov_code,
+    sample,
+)
 from gridest.domain import CapExceededError
 from gridest.estimators import EmpiricalMeanEstimator, SamplingPlan, sup_deviation
 from gridest.experiments import (
@@ -35,6 +41,7 @@ from gridest.experiments import (
     worker_count,
 )
 from gridest.families import PermutationGraphs
+from gridest.info import tv_distance
 
 
 def tiny(scenario, **overrides):
@@ -358,6 +365,26 @@ class TestGridHittingCaps:
             run_scenario(tiny("grid-hitting", trials=1, params={"base_perms": 2**19}))
 
 
+class TestFanoSeparation:
+    @pytest.mark.parametrize("d", [4, 6, 8])
+    def test_blocked_minimum_equals_the_pairwise_tv_minimum(self, d):
+        result = run_scenario(tiny("fano-omega-d", trials=1, params={"d": d}))
+        code = gilbert_varshamov_code(d, max(1, d // 4))
+        tables = [f.table().probs
+                  for f in biased_cube_family(d, result.metrics["nu"], code)]
+        want = min(tv_distance(p, q) for p, q in itertools.combinations(tables, 2))
+        assert result.metrics["min_tv"] == want
+
+    def test_the_only_closest_pair_is_the_last_one(self, monkeypatch):
+        # Hamming distances 8, 6 and 2: the minimum is at rows (1, 2) alone
+        code = np.array([[-1] * 8, [1] * 8, [1] * 6 + [-1] * 2])
+        monkeypatch.setattr(experiments, "gilbert_varshamov_code", lambda d, k: code)
+        result = run_scenario(tiny("fano-omega-d", trials=1))
+        p, q = (f.table().probs for f in biased_cube_family(8, result.metrics["nu"],
+                                                            code[1:]))
+        assert result.metrics["min_tv"] == tv_distance(p, q)
+
+
 class TestReports:
     def test_rerun_byte_identical_except_wall_time(self, tmp_path):
         paths = []
@@ -460,7 +487,8 @@ class TestCalibration:
     @pytest.mark.parametrize("grid", [(), (4.0, 0.5, 1.0), (0.5, 0.5), (0.5, math.nan)])
     def test_grid_must_increase_strictly(self, grid, monkeypatch):
         # rejected before any scenario runs
-        monkeypatch.setattr(experiments, "run_scenario", _never_run)
+        for name in ("run_scenario", "calibrate_constants"):
+            monkeypatch.setattr(f"gridest.cli.{name}", _never_run)
         with pytest.raises(ValueError, match="calibration grid must be non-empty "
                            r"and strictly increasing, got \["):
             calibrate_constants("perm-product-success", grid=grid, trials=5)
@@ -685,8 +713,23 @@ class TestCli:
     ])
     def test_directory_path_exits_2(self, tmp_path, capsys, argv):
         assert cli_main(argv + [str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert captured.out == ""  # rejected before the run
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "fano-omega-d"],
+        ["calibrate", "perm-product-success", "--grid", "0.25", "--trials", "4"],
+    ])
+    def test_missing_out_directory_exits_2_before_the_run(self, tmp_path, capsys,
+                                                          monkeypatch, argv):
+        for name in ("run_scenario", "calibrate_constants"):
+            monkeypatch.setattr(f"gridest.cli.{name}", _never_run)
+        out = tmp_path / "missing" / "report.json"
+        assert cli_main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: out path {out}: {out.parent} is not a directory\n"
+        assert captured.out == "" and not out.parent.exists()
 
     def test_config_must_be_an_object(self, tmp_path, capsys):
         config = tmp_path / "config.json"

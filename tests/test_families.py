@@ -271,6 +271,18 @@ class TestTextFormat:
         with pytest.raises(ValueError, match="header"):
             load_family(path)
 
+    def test_member_cap_names_the_first_line_past_it(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(families, "MAX_MEMBERS", 3)
+        path = tmp_path / "family.txt"
+        # rows count before dedup: the repeated member is row 3, and line 7
+        # holds row 4; the malformed line 8 is never read
+        path.write_text("domain 1 3\n100\n# c\n010\n\n010\n001\nxxx\n")
+        with pytest.raises(CapExceededError,
+                           match=re.escape("line 7: member 4 is past the cap of 3")):
+            load_family(path)
+        path.write_text("domain 1 3\n100\n010\n010\n")
+        assert load_family(path).member_count() == 2
+
     def test_member_length_checked_before_the_domain(self, tmp_path, monkeypatch):
         def never(*sizes):
             raise AssertionError("built a domain for members of the wrong length")
