@@ -487,8 +487,7 @@ class TestCalibration:
     @pytest.mark.parametrize("grid", [(), (4.0, 0.5, 1.0), (0.5, 0.5), (0.5, math.nan)])
     def test_grid_must_increase_strictly(self, grid, monkeypatch):
         # rejected before any scenario runs
-        for name in ("run_scenario", "calibrate_constants"):
-            monkeypatch.setattr(f"gridest.cli.{name}", _never_run)
+        monkeypatch.setattr(experiments, "run_scenario", _never_run)
         with pytest.raises(ValueError, match="calibration grid must be non-empty "
                            r"and strictly increasing, got \["):
             calibrate_constants("perm-product-success", grid=grid, trials=5)
