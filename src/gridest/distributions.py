@@ -32,10 +32,24 @@ class ProductDistribution:
             p = as_pmf(p)
             if p.size != domain.sizes[i]:
                 raise ValueError(f"marginal {i} length != axis size")
-            p.flags.writeable = False
             cleaned.append(p)
+        self._adopt(domain, cleaned)
+
+    @classmethod
+    def from_checked(
+        cls, domain: ProductDomain, marginals: Sequence
+    ) -> "ProductDistribution":
+        """The product of float64 pmfs already known to fit the domain's axes,
+        such as checked counts over their total: they are kept, unchecked."""
+        dist = cls.__new__(cls)
+        dist._adopt(domain, marginals)
+        return dist
+
+    def _adopt(self, domain: ProductDomain, marginals: Sequence) -> None:
+        for p in marginals:
+            p.flags.writeable = False
         self.domain = domain
-        self.marginals = tuple(cleaned)
+        self.marginals = tuple(marginals)
         self._table: JointTable | None = None
 
     def point_prob(self, points: np.ndarray) -> np.ndarray:
@@ -320,12 +334,15 @@ def gilbert_varshamov_code(d: int, min_distance: int) -> np.ndarray:
         raise ValueError("need d >= 1 and min_distance >= 1")
     if 2**d > MAX_CELLS:
         raise CapExceededError("sign-vector space too large to enumerate")
-    vectors = code_bits(np.arange(2**d, dtype=np.int64), d).astype(np.int8)
-    kept = vectors[:1]
-    for v in vectors[1:]:
-        if np.sum(kept != v, axis=1).min() >= min_distance:
-            kept = np.vstack([kept, v])
-    return (kept.astype(np.int64) * 2) - 1
+    # word w has bit j of w in column j: the distance of two words is the
+    # popcount of their codes' xor
+    kept = np.zeros(2**d, dtype=np.int64)
+    size = 1
+    for w in range(1, 2**d):
+        if np.bitwise_count(kept[:size] ^ w).min() >= min_distance:
+            kept[size] = w
+            size += 1
+    return code_bits(kept[:size], d) * 2 - 1
 
 
 def code_rate(code: np.ndarray) -> float:

@@ -52,6 +52,7 @@ from .distributions import (
     total_correlation,
 )
 from .domain import (
+    MAX_CELLS,
     MAX_MEMBERS,
     CapExceededError,
     ProductDomain,
@@ -466,13 +467,29 @@ def _run_symdiff_vc(params, trials, seed, memo):
     return passed, assertion, 0.0, {"violations": violations}, {}, None
 
 
+def _check_fano_tables(d: int, words: int, qualifier: str = "") -> None:
+    """Raise ``CapExceededError`` if the ``words`` probability tables over
+    ``{0,1}^d`` that ``fano-omega-d`` stacks hold over ``MAX_CELLS`` cells."""
+    cells = words * 2**d
+    if cells > MAX_CELLS:
+        raise CapExceededError(
+            f"fano-omega-d at d = {d} stacks {qualifier}{words} tables of 2^{d} "
+            f"cells: {cells} cells ({cells * 8 / 2**20:.1f} MiB), cap {MAX_CELLS}"
+        )
+
+
 def _run_fano_omega_d(params, trials, seed, memo):
     d, eps, tol = params["d"], params["eps"], params["tol"]
     nu = 4.0 * math.sqrt(eps / d) if d > 0 else math.inf
     if nu >= 0.25:
         raise ValueError("d too small: the bias must stay below 1/4")
     min_dist = max(1, d // 4)
+    # a greedy code is maximal: the balls of radius min_dist - 1 around its
+    # words cover all 2^d sign vectors, so it keeps at least 2^d / ball words
+    ball = sum(math.comb(d, i) for i in range(min_dist))
+    _check_fano_tables(d, -(-2**d // ball), "at least ")
     code = gilbert_varshamov_code(d, min_dist)
+    _check_fano_tables(d, len(code))
     dists = code[:, None, :] != code[None, :, :]
     pair_dist = dists.sum(axis=2)
     off_diag = ~np.eye(len(code), dtype=bool)

@@ -174,40 +174,62 @@ class PermutationGraphs(SetFamily):
         """``max_F |sum of diff over F|``: two signed max-weight assignments.
 
         Side 0 maximizes ``diff`` over the matchings, side 1 ``-diff``.  Each
-        side is bounded by a feasible LP dual (see ``_dual_bound``); the side
-        with the larger bound is solved first, and the other only if its
-        bound does not rule it out, so the value is the two-solve value.
+        side is bounded by feasible LP duals; the side with the larger bound
+        is solved first, and the other only if none of its bounds falls
+        below the first value, so the value is the two-solve value.
+
+        Without ``terms`` a side's bound is its row maxima (see
+        ``_row_bound``), and ``-diff`` is built only if its side is solved.
 
         ``terms``, pairs of vectors ``(a, b)`` whose outer products sum to
-        ``diff``, give each side column potentials (see
-        ``_column_potentials``) that warm-start its solve and tighten its
-        bound.  They change how long a solve takes and which solves are
-        skipped, not the value, which is summed from ``diff`` (up to the
-        last bits, where optimal matchings tie): wrong terms only make a
-        solve slower and a bound looser, as long as they are on ``diff``'s
-        scale (far larger ones would round away the low bits of
-        ``diff - potentials``).  Without terms the bound is the row maxima,
-        and ``-diff`` is built only if its side is solved.
+        ``diff``, give each side ``W`` the summed rank-1 potentials ``v`` of
+        ``_term_potentials`` and row potentials ``u = max_j (W - v)``: the
+        unreduced bound ``sum(u) + sum(v)`` orders the sides.  Only a side
+        that is solved, or still in play, gets column potentials
+        ``p = max_i (W - u)`` (``_column_potentials``), which warm-start its
+        solve.  The other side is ruled out when its unreduced bound falls
+        below the first value, else when ``sum(u) + sum(p)`` does.  Since
+        ``u_i >= W_ij - v_j``, ``p <= v``, so ``max_j (W - p) >= u``, and
+        ``p_j >= W_ij - u_i`` gives ``<=``: up to rounding, ``sum(u) + sum(p)``
+        is the dual ``sum_i max_j (W - p) + sum(p)`` that ``p`` gives, no
+        larger than the unreduced bound.
+
+        Terms change how long a solve takes and which solves are skipped,
+        not the value, which is summed from ``diff`` (up to the last bits,
+        where optimal matchings tie): wrong terms only make a solve slower
+        and a bound looser, as long as they are on ``diff``'s scale (far
+        larger ones would round away the low bits of ``diff - potentials``).
         """
-        potentials = (None, None) if terms is None else (
-            _column_potentials(diff, terms, 1.0), _column_potentials(-diff, terms, -1.0)
-        )
-        bounds = (_dual_bound(diff, 1.0, potentials[0]),
-                  _dual_bound(diff, -1.0, potentials[1]))
 
-        def solve(side):
+        def solve(weights, potentials=None):
             # through the module attribute, which profilers and tests may wrap
-            return _estimators().max_assignment_value(
-                -diff if side else diff, potentials[side]
-            )
+            return _estimators().max_assignment_value(weights, potentials)
 
-        # 1e-12 covers the rounding of the bound's and the matching's sums
-        first = int(bounds[1] > bounds[0])
-        values = {first: solve(first)}
-        if bounds[1 - first] < values[first] - 1e-12:
-            return values[first]
-        values[1 - first] = solve(1 - first)
-        return max(values[0], values[1])
+        # 1e-12 covers the rounding of the bounds' and the matchings' sums
+        if terms is None:
+            bounds = (_row_bound(diff, 1.0), _row_bound(diff, -1.0))
+            first = int(bounds[1] > bounds[0])
+            value = solve(-diff if first else diff)
+            if bounds[1 - first] < value - 1e-12:
+                return value
+            other = solve(diff if first else -diff)
+        else:
+            sides = (diff, -diff)
+            v = _term_potentials(terms, self.n)
+            u = [(w - vs).max(axis=1) for w, vs in zip(sides, v)]
+            unreduced = [u[s].sum() + v[s].sum() for s in (0, 1)]
+            first = int(unreduced[1] > unreduced[0])
+            value = solve(sides[first], _reduce_columns(sides[first], u[first]))
+            weights, rows = sides[1 - first], u[1 - first]
+            cut = value - 1e-12
+            if unreduced[1 - first] < cut:
+                return value
+            p = _reduce_columns(weights, rows)
+            if rows.sum() + p.sum() < cut:
+                return value
+            other = solve(weights, p)
+        # in side order: of equal values max keeps the first, so a zero's sign
+        return max(value, other) if first == 0 else max(other, value)
 
     def describe(self) -> str:
         return f"permutation-graphs(n={self.n})"
@@ -226,47 +248,73 @@ class PermutationGraphIndex:
 
     def sums(self, members: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Each row's own sum, once the rows are checked to be permutation graphs."""
-        # a permutation graph holds exactly one point in each row and column
-        blocks = members.reshape(-1, self.n, self.n)
-        if not ((blocks.sum(axis=1) == 1).all() and (blocks.sum(axis=2) == 1).all()):
+        n = self.n
+        rows = members.shape[0] * n
+        # with the graphs' rows stacked, the i-th one must lie on stacked row
+        # i, so each row holds exactly one; then k n ones that fill all k n
+        # (graph, column) bins put exactly one in each column.  A one at flat
+        # index g n^2 + i n + c is on stacked row g n + i, and its bin g n + c
+        # is the index minus (stacked row - g) n, without a slow modulo.
+        ones = np.flatnonzero(members)
+        row = ones // n
+        if not (
+            ones.size == rows
+            and (row == np.arange(rows)).all()
+            and np.bincount(ones - (row - row // n) * n, minlength=rows).all()
+        ):
             raise ValueError("trace not represented")
         return row_sums(members, weights)
 
 
-def _dual_bound(diff: np.ndarray, sign: float, potentials=None) -> float:
-    """An upper bound on every matching's total weight on ``W = sign * diff``.
-
-    With column potentials ``v`` (None is v = 0) and row potentials
-    ``u = max_j (W - v)``, every ``u_i + v_j >= W_ij``: a feasible assignment
-    LP dual, whose value ``sum(u) + sum(v)`` bounds the primal by weak
-    duality.  At v = 0 it is the sum of W's row maxima.  ``W`` is read
-    through ``diff``: ``max_j (-diff - v) = -min_j (diff + v)``, exactly.
+def _row_bound(diff: np.ndarray, sign: float) -> float:
+    """An upper bound on every matching's total weight on ``W = sign * diff``:
+    the sum of W's row maxima, the value of the feasible assignment LP dual
+    ``u = max_j W``, ``v = 0`` (weak duality).  ``W`` is read through
+    ``diff``: ``max_j (-diff) = -min_j diff``, exactly.
     """
-    reduced = diff if potentials is None else diff - sign * potentials
-    extremes = reduced.max(axis=1) if sign > 0 else reduced.min(axis=1)
-    bound = sign * extremes.sum()
-    return bound if potentials is None else bound + potentials.sum()
+    extremes = diff.max(axis=1) if sign > 0 else diff.min(axis=1)
+    return sign * extremes.sum()
 
 
-def _column_potentials(weights: np.ndarray, terms, sign: float) -> np.ndarray:
-    """Column potentials near an optimal assignment dual of ``weights``, which
-    is ``sign`` times the sum of the terms' outer products ``a b^T``.
+def _term_potentials(terms, n: int) -> np.ndarray:
+    """Column potentials near an optimal assignment dual of each signed side
+    of the sum of the terms' outer products ``a b^T``, an ``n x n`` matrix:
+    row 0 for the sum itself, row 1 for its negation.
 
-    On one term, with ``x = sign * a`` and ``y = b``, the rearrangement
-    inequality matches the k-th smallest x with the k-th smallest y, and the
-    column of the k-th smallest y gets the exact dual potential
-    ``sum_{t<=k} x_(t) (y_(t) - y_(t-1))``.  The terms' potentials are summed,
-    then reduced once against the weights: ``u = max_j (W - v)`` per row,
-    then ``v = max_i (W - u)`` per column.
+    On one term and a sign, with ``x = sign * a`` and ``y = b``, the
+    rearrangement inequality matches the k-th smallest x with the k-th
+    smallest y, and the column of the k-th smallest y gets the exact dual
+    potential ``sum_{t<=k} x_(t) (y_(t) - y_(t-1))``.  Both signs share the
+    order of y, and the sorted ``-a`` is the sorted ``a`` reversed and
+    negated, exactly.  The terms' potentials are summed.
     """
-    v = np.zeros(weights.shape[1])
+    v = np.zeros((2, n))
+    up, down = v
     for a, b in terms:
         # tied y share one potential whatever their order; y_(0) = y_(1)
         order = np.argsort(b)
         y = b[order]
-        v[order[1:]] += np.cumsum(np.sort(sign * a)[1:] * np.diff(y))
-    u = (weights - v).max(axis=1)
-    return (weights - u[:, None]).max(axis=0)
+        steps = y[1:] - y[:-1]
+        x = np.sort(a)
+        up[order[1:]] += np.cumsum(x[1:] * steps)
+        down[order[1:]] += np.cumsum(-x[-2::-1] * steps)
+    return v
+
+
+def _reduce_columns(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``max_i (W - u)``: the least column potentials that make the row
+    potentials ``u`` a feasible assignment LP dual of ``W``."""
+    return (weights - rows[:, None]).max(axis=0)
+
+
+def _column_potentials(weights: np.ndarray, terms, sign: float) -> np.ndarray:
+    """The column potentials a solve of ``weights``, ``sign`` times the sum of
+    the terms' outer products, is warm-started with: the terms' potentials
+    ``v`` (``_term_potentials``), reduced once against the weights,
+    ``u = max_j (W - v)`` per row, then ``max_i (W - u)`` per column.
+    """
+    v = _term_potentials(terms, weights.shape[1])[0 if sign > 0 else 1]
+    return _reduce_columns(weights, (weights - v).max(axis=1))
 
 
 @functools.cache

@@ -1,11 +1,12 @@
 """Brute-force references that tests check the library's fast paths against."""
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
 from gridest.domain import CapExceededError, code_bits
-from gridest.families import _column_potentials
+from gridest.families import _column_potentials, _term_potentials
 
 SHATTER_CAP = 20
 
@@ -95,14 +96,37 @@ def assignment_certificate(weights, cols) -> tuple[float, float, float]:
     return value, slack, abs(float(u.sum() + v.sum()) - value)
 
 
-def warm_dual_sides(diff, terms) -> list[tuple[np.ndarray, np.ndarray, float]]:
-    """Both signed sides of the warm assignment on ``diff``, side 0 first:
-    each side's weights ``W`` (``diff``, then ``-diff``), the column
-    potentials ``v`` the library computes for W from ``terms``, and the
-    value of the LP dual they give, ``sum_i max_j (W - v) + sum(v)``, which
-    bounds every matching's total weight on W (weak duality)."""
+class WarmSide(NamedTuple):
+    """One signed side of the warm assignment: its weights ``W``, the column
+    potentials ``v`` it is solved with, the value of the LP dual they give,
+    ``bound``, and the two bounds ``max_abs_sum`` reads, ``unreduced`` and
+    ``reduced``."""
+
+    weights: np.ndarray
+    potentials: np.ndarray
+    bound: float
+    unreduced: float
+    reduced: float
+
+
+def warm_dual_sides(diff, terms) -> list[WarmSide]:
+    """Both signed sides of the warm assignment on ``diff``, side 0 first.
+
+    Each side's weights ``W`` are ``diff``, then ``-diff``; ``v`` are the
+    column potentials the library computes for W from ``terms``, and
+    ``bound = sum_i max_j (W - v) + sum(v)`` bounds every matching's total
+    weight on W (weak duality).  With ``t`` the terms' own potentials before
+    the column reduction and ``u = max_j (W - t)``, ``unreduced`` is
+    ``sum(u) + sum(t)`` and ``reduced`` is ``sum(u) + sum(v)``: both are
+    feasible duals too, since ``v = max_i (W - u)``.
+    """
     sides = []
-    for sign, weights in ((1.0, diff), (-1.0, -diff)):
+    term_potentials = _term_potentials(terms, diff.shape[1])
+    for sign, weights, t in zip((1.0, -1.0), (diff, -diff), term_potentials):
         v = _column_potentials(weights, terms, sign)
-        sides.append((weights, v, float((weights - v).max(axis=1).sum() + v.sum())))
+        u = (weights - t).max(axis=1)
+        sides.append(WarmSide(
+            weights, v, float((weights - v).max(axis=1).sum() + v.sum()),
+            float(u.sum() + t.sum()), float(u.sum() + v.sum()),
+        ))
     return sides

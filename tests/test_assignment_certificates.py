@@ -85,24 +85,27 @@ def test_deviation_scaling_matrices_both_signs(monkeypatch):
         # the empirical product minus the ramp product: rank at most 2
         assert np.linalg.matrix_rank(diff) <= 2
         sides = warm_dual_sides(diff, terms)
-        optima = [certified_value(weights) for weights, _, _ in sides]
-        for (weights, potentials, bound), optimum in zip(sides, optima):
-            assert bound >= optimum - TOL
-            assert abs(certified_value(weights, potentials) - optimum) <= TOL
-        # the side with the larger dual bound is solved first, warm; the
-        # other only when its bound reaches the first side's value
-        first = int(sides[1][2] > sides[0][2])
-        weights, potentials, _ = sides[first]
+        optima = [certified_value(side.weights) for side in sides]
+        for side, optimum in zip(sides, optima):
+            assert side.bound >= optimum - TOL
+            # the reduced bound is the potentials' own dual, up to rounding
+            assert abs(side.reduced - side.bound) <= TOL
+            assert side.unreduced >= side.reduced - TOL
+            assert abs(certified_value(side.weights, side.potentials) - optimum) <= TOL
+        # the side with the larger unreduced bound is solved first, warm; the
+        # other only when its reduced bound reaches the first side's value
+        first = int(sides[1].unreduced > sides[0].unreduced)
+        weights, potentials = sides[first][:2]
         assert np.array_equal(solves[0][0], weights)
         assert np.array_equal(solves[0][1], potentials)
         first_value = estimators.max_assignment_value(weights, potentials)
-        assert len(solves) == 1 + (sides[1 - first][2] >= first_value - 1e-12)
+        assert len(solves) == 1 + (sides[1 - first].reduced >= first_value - 1e-12)
         if len(solves) == 1:
             skipped += 1
             assert optima[1 - first] <= optima[first] + TOL
         else:
-            assert np.array_equal(solves[1][0], sides[1 - first][0])
-            assert np.array_equal(solves[1][1], sides[1 - first][1])
+            assert np.array_equal(solves[1][0], sides[1 - first].weights)
+            assert np.array_equal(solves[1][1], sides[1 - first].potentials)
     assert skipped
 
 

@@ -31,7 +31,7 @@ from gridest.distributions import (
     tc_modulus,
     total_correlation,
 )
-from gridest.domain import CapExceededError, ProductDomain
+from gridest.domain import CapExceededError, ProductDomain, code_bits
 from gridest.experiments import ramp_product, two_component_mixture
 from gridest.families import perm_graph_bits
 
@@ -49,6 +49,15 @@ class TestConstruction:
         d = ProductDomain.of_sizes(2)
         with pytest.raises(ValueError):
             ProductDistribution(d, [[0.5, 0.6]])
+
+    def test_from_checked_keeps_the_marginals_read_only(self):
+        domain = ProductDomain.of_sizes(2, 3)
+        marginals = [np.array([0.25, 0.75]), np.array([0.5, 0.25, 0.25])]
+        dist = ProductDistribution.from_checked(domain, marginals)
+        checked = ProductDistribution(domain, [m.copy() for m in marginals])
+        assert all(a is b for a, b in zip(dist.marginals, marginals))
+        assert not any(p.flags.writeable for p in dist.marginals)
+        assert np.array_equal(dist.table().probs, checked.table().probs)
 
     def test_mixture_weights_must_normalize(self):
         comp = uniform_product(2)
@@ -627,6 +636,23 @@ class TestBiasedCube:
         # greedy meets the sphere-covering count: 2^8 / (1 + 8) rounded up
         assert len(code) >= 29
         assert code_rate(code) > 0.5
+
+    def test_greedy_code_equals_the_stacking_loop(self):
+        # the loop the buffered greedy replaced: every word checked against
+        # all kept rows, lexicographic in code_bits order
+        def stacking(d, min_distance):
+            vectors = code_bits(np.arange(2**d, dtype=np.int64), d).astype(np.int8)
+            kept = vectors[:1]
+            for v in vectors[1:]:
+                if np.sum(kept != v, axis=1).min() >= min_distance:
+                    kept = np.vstack([kept, v])
+            return (kept.astype(np.int64) * 2) - 1
+
+        for d in range(1, 13):
+            for min_distance in sorted({1, 2, max(1, d // 4), d // 2 + 1, d + 1}):
+                code = gilbert_varshamov_code(d, min_distance)
+                want = stacking(d, min_distance)
+                assert code.dtype == want.dtype and np.array_equal(code, want)
 
 
 @st.composite

@@ -29,7 +29,7 @@ from gridest.domain import (
     build_grid,
     grid_from_counts,
 )
-from gridest import estimators
+from gridest import distributions, estimators
 from gridest.estimators import (
     DeviationReport,
     EmpiricalMeanEstimator,
@@ -780,6 +780,20 @@ class TestEmpiricalProductFromCounts:
         assert abs(a - e) <= 1e-12
 
 
+    def test_marginals_are_the_counts_over_their_total(self, monkeypatch):
+        # check_marginal_counts has checked the counts: the pmfs are not checked again
+        monkeypatch.setattr(distributions, "as_pmf", _never_called)
+        d = ProductDomain.of_sizes(3, 4)
+        counts = [np.array([0, 2, 5]), np.array([4, 0, 1, 2])]
+        est = EmpiricalProductEstimator.from_counts(counts, d)
+        for got, c in zip(est.dist.marginals, counts):
+            assert np.array_equal(got, c / 7) and not got.flags.writeable
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("called")
+
+
 class _CellWeightStub:
     """Estimator stub defined entirely by a per-cell weight matrix."""
 
@@ -939,6 +953,39 @@ class TestAssignmentSolverLoader:
         assert values == [max_assignment_value(m) for m in _solver_cases()]
 
 
+class TestMinimizeForm:
+    """``max_assignment_value`` minimizes ``potentials - weights``: the same
+    matching the solver finds maximizing ``weights - potentials``."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12),
+           st.sampled_from(["floats", "ties", "negative"]), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_same_matching_as_maximize(self, seed, n, kind, warm):
+        rng = np.random.default_rng(seed)
+        weights = {
+            "floats": lambda: rng.random((n, n)),
+            "ties": lambda: rng.integers(0, 3, (n, n)) / 7,
+            "negative": lambda: rng.normal(size=(n, n)) - 3.0,
+        }[kind]()
+        potentials = rng.random(n) if warm else None
+        solve = estimators._linear_sum_assignment()
+        reduced = weights if potentials is None else weights - potentials
+        rows, cols = solve(reduced, maximize=True)
+        seen = []
+
+        def recording(cost, maximize=False):
+            seen.append(maximize)
+            got = solve(cost, maximize=maximize)
+            assert np.array_equal(got[0], rows) and np.array_equal(got[1], cols)
+            return got
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimators, "_linear_sum_assignment", lambda: recording)
+            value = max_assignment_value(weights, potentials)
+        assert seen == [False]
+        assert value == float(weights[rows, cols].sum())
+
+
 def _two_solve_deviation(est, dist):
     """The assignment sup-deviation with both signed sides solved."""
     diff = est.cell_weights() - ExactEstimator(dist).cell_weights()
@@ -952,11 +999,12 @@ def _same_float(a, b):
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Counts the assignment solves ``sup_deviation`` makes."""
+    """Records the ``(weights, potentials)`` of each assignment solve
+    ``sup_deviation`` makes."""
     calls = []
 
     def counting(weights, potentials=None):
-        calls.append(weights.shape)
+        calls.append((weights, potentials))
         return max_assignment_value(weights, potentials)
 
     monkeypatch.setattr(estimators, "max_assignment_value", counting)
@@ -977,14 +1025,30 @@ def _recording_max_abs_sum(patch):
     return calls
 
 
-def _warm_solve_count(diff, terms):
-    """The solves a warm ``max_abs_sum`` should make: the side with the larger
-    dual bound, then the other only if its bound reaches the first value."""
+def _warm_solves(diff, terms):
+    """The ``(weights, potentials)`` a warm ``max_abs_sum`` should solve, in
+    order: the side with the larger unreduced bound (side 0 on a tie), then
+    the other only if its reduced bound reaches the first value (its
+    unreduced bound then reaches it too)."""
     sides = warm_dual_sides(diff, terms)
-    first = int(sides[1][2] > sides[0][2])
-    weights, potentials, _ = sides[first]
-    first_value = max_assignment_value(weights, potentials)
-    return 1 + (sides[1 - first][2] >= first_value - 1e-12)
+    first = int(sides[1].unreduced > sides[0].unreduced)
+    first_value = max_assignment_value(sides[first].weights, sides[first].potentials)
+    other = sides[1 - first]
+    # the reduced bound is the column potentials' own dual, up to rounding
+    assert abs(other.reduced - other.bound) <= 1e-12
+    assert other.unreduced >= other.reduced - 1e-12
+    wanted = [sides[first][:2]]
+    if other.reduced >= first_value - 1e-12:
+        wanted.append(other[:2])
+    return wanted
+
+
+def _same_solves(got, wanted):
+    """The recorded solves are the wanted ones, bit for bit, in order."""
+    return len(got) == len(wanted) and all(
+        w.tobytes() == ww.tobytes() and p.tobytes() == pp.tobytes()
+        for (w, p), (ww, pp) in zip(got, wanted)
+    )
 
 
 class TestBoundFirstAssignment:
@@ -1115,7 +1179,7 @@ class TestBoundFirstAssignment:
             got = sup_deviation(est, PermutationGraphs(n), dist, "assignment")
             (diff, terms), = args
             assert terms is not None
-            assert len(solves) == _warm_solve_count(diff, terms)
+            assert _same_solves(solves, _warm_solves(diff, terms))
             assert _same_float(got, _two_solve_deviation(est, dist))
             counts.append(len(solves))
         # the warm bound skips some second solves, not all
@@ -1136,7 +1200,7 @@ class TestBoundFirstAssignment:
         calls = []
 
         def counting(w, potentials=None):
-            calls.append(w.shape)
+            calls.append((w, potentials))
             return max_assignment_value(w, potentials)
 
         with pytest.MonkeyPatch.context() as mp:
@@ -1146,15 +1210,18 @@ class TestBoundFirstAssignment:
         (diff, terms), = args
         assert terms is not None
         sides = warm_dual_sides(diff, terms)
-        for weights, _, bound in sides:
+        for weights, _, bound, unreduced, reduced in sides:
             _, cols = estimators._linear_sum_assignment()(weights, maximize=True)
             optimum, slack, gap = assignment_certificate(weights, cols)
             assert slack >= -1e-12 and gap <= 1e-12
-            assert bound >= optimum - 1e-12
-        assert len(calls) == _warm_solve_count(diff, terms)
+            assert abs(reduced - bound) <= 1e-12 and bound >= optimum - 1e-12
+            assert unreduced >= reduced - 1e-12
+        # at n = 1, and where counts meet the truth, diff is 0: the sides tie
+        assert _same_solves(calls, _warm_solves(diff, terms))
         # both sides solved warm, bit for bit; a cold solve may pick another
         # of tied optimal matchings, whose float sum can differ in the last bit
-        two_warm = max(max_assignment_value(w, v) for w, v, _ in sides)
+        two_warm = max(max_assignment_value(side.weights, side.potentials)
+                       for side in sides)
         assert _same_float(got, two_warm)
         assert abs(got - _two_solve_deviation(est, dist)) <= 1e-12
 
@@ -1215,6 +1282,21 @@ class TestGraphCheck:
                 g[i] = False
                 graphs[0, j, rng.integers(0, n)] = True
         self._agrees(self._structured(n), graphs.reshape(k, n * n), n)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 5),
+           st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_graphs_with_flipped_bits(self, seed, n, k, flips):
+        # the flatnonzero check accepts and rejects what the block sums did
+        rng = np.random.default_rng(seed)
+        graphs = np.zeros((k, n, n), dtype=bool)
+        for g in graphs:
+            g[np.arange(n), rng.permutation(n)] = True
+        members = graphs.reshape(k, n * n)
+        if k:
+            for _ in range(flips):
+                members[rng.integers(k), rng.integers(n * n)] ^= True
+        self._agrees(self._structured(n), members, n)
 
     def test_named_near_misses(self):
         n = 3

@@ -385,6 +385,35 @@ class TestFanoSeparation:
         assert result.metrics["min_tv"] == tv_distance(p, q)
 
 
+class TestFanoTableCap:
+    """The stacked code tables are capped before any of them is built."""
+
+    def test_cap_names_the_size(self, monkeypatch):
+        # the default d = 8 code has 128 words: 128 tables of 256 cells
+        monkeypatch.setattr(experiments, "MAX_CELLS", 128 * 256 - 1)
+        monkeypatch.setattr(experiments, "biased_cube_family", _never_run)
+        with pytest.raises(CapExceededError, match=re.escape(
+                "stacks 128 tables of 2^8 cells: 32768 cells (0.2 MiB), cap 32767")):
+            run_scenario(tiny("fano-omega-d", trials=1))
+
+    def test_the_cap_itself_passes(self, monkeypatch):
+        monkeypatch.setattr(experiments, "MAX_CELLS", 128 * 256)
+        assert run_scenario(tiny("fano-omega-d", trials=1)).metrics["code_size"] == 128
+
+    def test_a_code_too_large_by_its_least_size_is_never_built(self, monkeypatch):
+        # d = 20, distance 5: a greedy code keeps >= 2^20 / 6196 = 170 words
+        monkeypatch.setattr(experiments, "gilbert_varshamov_code", _never_run)
+        with pytest.raises(CapExceededError, match="stacks at least 170 tables"):
+            run_scenario(tiny("fano-omega-d", trials=1, params={"d": 20}))
+
+    def test_cli_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scenario": "fano-omega-d", "params": {"d": 13}}))
+        assert cli_main(["run", "--config", str(config)]) == 2
+        assert ("error: fano-omega-d at d = 13 stacks 512 tables of 2^13 cells: "
+                "4194304 cells (32.0 MiB), cap 1048576") in capsys.readouterr().err
+
+
 class TestReports:
     def test_rerun_byte_identical_except_wall_time(self, tmp_path):
         paths = []

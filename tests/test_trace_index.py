@@ -49,6 +49,7 @@ from gridest.families import (
     PowerSetFamily,
     UnionsOfPermutations,
     _column_potentials,
+    _term_potentials,
 )
 
 from _oracles import brute_trace, representative_rows
@@ -419,6 +420,25 @@ class TestWarmStart:
         if n <= 6:
             want = np.abs(family.members_matrix() @ diff.ravel()).max()
             assert abs(cold - want) <= 1e-12
+
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_both_signs_equal_the_per_sign_sums(self, n, seed, count):
+        # the per-sign loop the shared sort replaced, with tied b and zero a
+        def per_sign(terms, sign):
+            v = np.zeros(n)
+            for a, b in terms:
+                order = np.argsort(b)
+                y = b[order]
+                v[order[1:]] += np.cumsum(np.sort(sign * a)[1:] * np.diff(y))
+            return v
+
+        rng = np.random.default_rng(seed)
+        terms = [(rng.integers(-2, 3, size=n) * rng.normal(size=n),
+                  rng.integers(-2, 3, size=n) / 3) for _ in range(count)]
+        both = _term_potentials(terms, n)
+        assert both.tobytes() == np.array(
+            [per_sign(terms, 1.0), per_sign(terms, -1.0)]).tobytes()
 
     @given(st.integers(1, 60), st.integers(0, 2**32 - 1), st.booleans())
     @settings(max_examples=40, deadline=None)
