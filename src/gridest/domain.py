@@ -20,6 +20,8 @@ import numpy as np
 MAX_CELLS = 1 << 20
 #: Guard for brute-force enumeration of family members.
 MAX_MEMBERS = 1 << 20
+#: Guard on a dense member matrix: members x points, one byte per cell.
+MAX_MEMBER_CELLS = 1 << 28
 #: Rows per product in ``row_sums``.
 _BLOCK_ROWS = 4096
 

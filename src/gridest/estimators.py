@@ -362,6 +362,19 @@ def _linear_sum_assignment():
     return module.linear_sum_assignment
 
 
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+@functools.cache
+def _spread_order(n: int) -> np.ndarray:
+    """The rows ``0 .. n-1`` in golden-ratio (Weyl) order, read-only:
+    ``argsort(frac(i * 0.618...))``, so every prefix is spread evenly over
+    the rows."""
+    order = np.argsort((np.arange(n) * _GOLDEN) % 1.0, kind="stable")
+    order.flags.writeable = False
+    return order
+
+
 def max_assignment_value(
     weights: np.ndarray, potentials: np.ndarray | None = None
 ) -> float:
@@ -380,10 +393,26 @@ def max_assignment_value(
     The solver minimizes ``potentials - weights``: it would negate a copy of
     ``weights - potentials`` to maximize it, and the negation is exact, so
     the matching is the same.
+
+    A warm solve (one given ``potentials``) hands the solver its rows in
+    ``_spread_order``.  The solver (shortest augmenting paths) adds rows one
+    at a time; on an empirical product's cell differences neighbouring rows
+    have nearly equal mass and want the same columns, so in index order
+    each new row re-routes the rows just before it, and in spread order it
+    meets rows far from it.  The matching is mapped back to the natural
+    rows and summed in their order, so a unique optimum gives the same
+    bits; where optimal matchings tie, the order may pick another one.
+    Cold solves keep the natural order and its tie-breaking.
     """
-    cost = -weights if potentials is None else potentials - weights
-    rows, cols = _linear_sum_assignment()(cost)
-    return float(weights[rows, cols].sum())
+    if potentials is None:
+        rows, cols = _linear_sum_assignment()(-weights)
+        return float(weights[rows, cols].sum())
+    n = weights.shape[0]
+    order = _spread_order(n)
+    _, spread = _linear_sum_assignment()(potentials - weights[order])
+    cols = np.empty_like(spread)
+    cols[order] = spread
+    return float(weights[np.arange(n), cols].sum())
 
 
 def sup_deviation(

@@ -53,7 +53,6 @@ from .distributions import (
 )
 from .domain import (
     MAX_CELLS,
-    MAX_MEMBERS,
     CapExceededError,
     ProductDomain,
     build_grid,
@@ -77,6 +76,7 @@ from .families import (
     PermutationGraphs,
     SetFamily,
     UnionsOfPermutations,
+    check_member_matrix,
     perm_graph_bits,
     symdiff_family,
 )
@@ -538,9 +538,8 @@ def _run_fano_omega_d(params, trials, seed, memo):
 
 def _hitting_family(n: int, base_perms: int, rng: np.random.Generator):
     """A capped subfamily of single permutation graphs plus their complements."""
-    if 2 + 2 * base_perms > MAX_MEMBERS:
-        raise CapExceededError(f"family too large: {2 + 2 * base_perms} members")
     domain = ProductDomain.of_sizes(n, n)
+    check_member_matrix(2 + 2 * base_perms, domain.n_points)
     members = [np.zeros(domain.n_points, dtype=bool),
                np.ones(domain.n_points, dtype=bool)]
     for _ in range(base_perms):

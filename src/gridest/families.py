@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .domain import (
+    MAX_MEMBER_CELLS,
     MAX_MEMBERS,
     CapExceededError,
     Grid,
@@ -39,6 +40,19 @@ def perm_graph_bits(perm: Sequence[int], domain: ProductDomain) -> np.ndarray:
     idx = np.arange(n, dtype=np.int64) * domain.sizes[1] + np.asarray(perm, np.int64)
     bits[idx] = True
     return bits
+
+
+def check_member_matrix(members: int, points: int) -> None:
+    """Refuse a dense member matrix of ``members`` rows over ``points``
+    points before it is built: past ``MAX_MEMBERS`` rows, or past
+    ``MAX_MEMBER_CELLS`` cells (members x points, one byte each)."""
+    if members > MAX_MEMBERS:
+        raise CapExceededError(f"family too large: {members} members, cap {MAX_MEMBERS}")
+    if members * points > MAX_MEMBER_CELLS:
+        raise CapExceededError(
+            f"family too large: {members} members x {points} points = "
+            f"{members * points} cells, cap {MAX_MEMBER_CELLS}"
+        )
 
 
 class SetFamily:
@@ -89,8 +103,7 @@ class ExplicitFamily(SetFamily):
             raise ValueError(
                 f"member length {members.shape[1]} != domain size {domain.n_points}"
             )
-        if members.shape[0] > MAX_MEMBERS:
-            raise CapExceededError("family too large")
+        check_member_matrix(*members.shape)
         if _dedup:
             members = _dedup_rows(members)
         members.flags.writeable = False
@@ -158,8 +171,7 @@ class PermutationGraphs(SetFamily):
         return math.factorial(self.n)
 
     def members_matrix(self) -> np.ndarray:
-        if self.member_count() > MAX_MEMBERS:
-            raise CapExceededError("family too large")
+        check_member_matrix(self.member_count(), self.domain.n_points)
         perms = np.array(list(itertools.permutations(range(self.n))), dtype=np.int64)
         members = np.zeros((len(perms), self.domain.n_points), dtype=bool)
         np.put_along_axis(members, np.arange(self.n) * self.n + perms, True, axis=1)
@@ -186,7 +198,7 @@ class PermutationGraphs(SetFamily):
         ``_term_potentials`` and row potentials ``u = max_j (W - v)``: the
         unreduced bound ``sum(u) + sum(v)`` orders the sides.  Only a side
         that is solved, or still in play, gets column potentials
-        ``p = max_i (W - u)`` (``_column_potentials``), which warm-start its
+        ``p = max_i (W - u)`` (``_reduce_columns``), which warm-start its
         solve.  The other side is ruled out when its unreduced bound falls
         below the first value, else when ``sum(u) + sum(p)`` does.  Since
         ``u_i >= W_ij - v_j``, ``p <= v``, so ``max_j (W - p) >= u``, and
@@ -307,16 +319,6 @@ def _reduce_columns(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return (weights - rows[:, None]).max(axis=0)
 
 
-def _column_potentials(weights: np.ndarray, terms, sign: float) -> np.ndarray:
-    """The column potentials a solve of ``weights``, ``sign`` times the sum of
-    the terms' outer products, is warm-started with: the terms' potentials
-    ``v`` (``_term_potentials``), reduced once against the weights,
-    ``u = max_j (W - v)`` per row, then ``max_i (W - u)`` per column.
-    """
-    v = _term_potentials(terms, weights.shape[1])[0 if sign > 0 else 1]
-    return _reduce_columns(weights, (weights - v).max(axis=1))
-
-
 @functools.cache
 def _estimators():
     """``gridest.estimators``, which imports this module, on first use."""
@@ -386,8 +388,8 @@ class UnionsOfPermutations(SetFamily):
         n_tuples = sum(
             math.comb(base.member_count(), r) for r in range(self.g + 1)
         )
-        if n_tuples > MAX_MEMBERS:
-            raise CapExceededError("family too large")
+        # the unions are all built before the repeated ones are dropped
+        check_member_matrix(n_tuples, self.domain.n_points)
         return unions_of_rows(base.members_matrix(), self.g)
 
     def describe(self) -> str:
@@ -408,8 +410,7 @@ class IntervalsOnAxis(SetFamily):
         return 1 + n * (n + 1) // 2
 
     def members_matrix(self) -> np.ndarray:
-        if self.member_count() > MAX_MEMBERS:
-            raise CapExceededError("family too large")
+        check_member_matrix(self.member_count(), self.domain.n_points)
         # distinct intervals of the axis are distinct slabs, so no row repeats
         x = self.domain.all_points()[:, self.axis]
         return _intervals(self.domain.sizes[self.axis])[:, x]
@@ -428,8 +429,7 @@ class AxisBoxes(SetFamily):
         return 1 + math.prod(n * (n + 1) // 2 for n in self.domain.sizes)
 
     def members_matrix(self) -> np.ndarray:
-        if self.member_count() > MAX_MEMBERS:
-            raise CapExceededError("family too large")
+        check_member_matrix(self.member_count(), self.domain.n_points)
         # boxes in lexicographic order of their per-axis intervals (a, b),
         # a <= b, as outer products of the interval masks, one axis at a time;
         # distinct intervals give distinct nonempty boxes, so no row repeats
@@ -456,8 +456,7 @@ class PowerSetFamily(SetFamily):
 
     def members_matrix(self) -> np.ndarray:
         n = self.domain.n_points
-        if 2**n > MAX_MEMBERS:
-            raise CapExceededError("family too large")
+        check_member_matrix(2**n, n)
         return code_bits(np.arange(2**n, dtype=np.int64), n).astype(bool)
 
     def describe(self) -> str:
@@ -468,12 +467,12 @@ def symdiff_family(family: SetFamily) -> ExplicitFamily:
     """All pairwise symmetric differences ``A xor B``, deduplicated.
 
     Always contains the empty set (A xor A).  Requires an explicit
-    representation within the member cap.
+    representation within the member caps, and its m^2 differences, before
+    deduplication, within them too.
     """
     members = family.members_matrix()
     m, n = members.shape
-    if m * m > MAX_MEMBERS:
-        raise CapExceededError("family too large")
+    check_member_matrix(m * m, n)
     # packing commutes with xor: xored member keys are the differences' keys
     keys = row_keys(members)
     packed = keys.view(np.uint8).reshape(m, -1)
@@ -528,6 +527,11 @@ def load_family(path) -> ExplicitFamily:
             if count > MAX_MEMBERS:
                 raise CapExceededError(
                     f"line {lineno}: member {count} is past the cap of {MAX_MEMBERS}"
+                )
+            if count * n_points > MAX_MEMBER_CELLS:
+                raise CapExceededError(
+                    f"line {lineno}: {count} members x {n_points} points are "
+                    f"past the cap of {MAX_MEMBER_CELLS} cells"
                 )
             bits += line.encode("ascii")
     if sizes is None:

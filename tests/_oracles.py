@@ -6,7 +6,7 @@ from typing import NamedTuple
 import numpy as np
 
 from gridest.domain import CapExceededError, code_bits
-from gridest.families import _column_potentials, _term_potentials
+from gridest.families import _reduce_columns, _term_potentials
 
 SHATTER_CAP = 20
 
@@ -96,6 +96,16 @@ def assignment_certificate(weights, cols) -> tuple[float, float, float]:
     return value, slack, abs(float(u.sum() + v.sum()) - value)
 
 
+def column_potentials(weights, terms, sign) -> np.ndarray:
+    """The column potentials ``PermutationGraphs.max_abs_sum`` warm-starts a
+    solve of ``weights``, ``sign`` times the sum of the terms' outer
+    products, with: the terms' potentials ``v`` (``_term_potentials``),
+    reduced once against the weights, ``u = max_j (W - v)`` per row, then
+    ``max_i (W - u)`` per column."""
+    v = _term_potentials(terms, weights.shape[1])[0 if sign > 0 else 1]
+    return _reduce_columns(weights, (weights - v).max(axis=1))
+
+
 class WarmSide(NamedTuple):
     """One signed side of the warm assignment: its weights ``W``, the column
     potentials ``v`` it is solved with, the value of the LP dual they give,
@@ -123,7 +133,7 @@ def warm_dual_sides(diff, terms) -> list[WarmSide]:
     sides = []
     term_potentials = _term_potentials(terms, diff.shape[1])
     for sign, weights, t in zip((1.0, -1.0), (diff, -diff), term_potentials):
-        v = _column_potentials(weights, terms, sign)
+        v = column_potentials(weights, terms, sign)
         u = (weights - t).max(axis=1)
         sides.append(WarmSide(
             weights, v, float((weights - v).max(axis=1).sum() + v.sum()),

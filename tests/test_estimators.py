@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridest.distributions import (
@@ -954,8 +954,10 @@ class TestAssignmentSolverLoader:
 
 
 class TestMinimizeForm:
-    """``max_assignment_value`` minimizes ``potentials - weights``: the same
-    matching the solver finds maximizing ``weights - potentials``."""
+    """``max_assignment_value`` minimizes ``potentials - weights`` with a warm
+    solve's rows in ``_spread_order`` (``-weights`` cold, rows in order): on a
+    unique optimum, the matching the solver finds maximizing
+    ``weights - potentials``."""
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 12),
            st.sampled_from(["floats", "ties", "negative"]), st.booleans())
@@ -971,19 +973,67 @@ class TestMinimizeForm:
         solve = estimators._linear_sum_assignment()
         reduced = weights if potentials is None else weights - potentials
         rows, cols = solve(reduced, maximize=True)
+        order = estimators._spread_order(n) if warm else np.arange(n)
+        want = -weights if potentials is None else (potentials - weights)[order]
         seen = []
 
         def recording(cost, maximize=False):
-            seen.append(maximize)
             got = solve(cost, maximize=maximize)
-            assert np.array_equal(got[0], rows) and np.array_equal(got[1], cols)
+            seen.append((cost.copy(), maximize, got))
             return got
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(estimators, "_linear_sum_assignment", lambda: recording)
             value = max_assignment_value(weights, potentials)
-        assert seen == [False]
-        assert value == float(weights[rows, cols].sum())
+        (cost, maximize, (_, solved)), = seen
+        assert not maximize and cost.tobytes() == want.tobytes()
+        # the solver's row k is row order[k]
+        matched = np.empty(n, dtype=solved.dtype)
+        matched[order] = solved
+        assert value == float(weights[np.arange(n), matched].sum())
+        if kind == "ties" and warm:
+            # another of tied optimal matchings, certified optimal
+            _, slack, gap = assignment_certificate(weights, matched)
+            assert slack >= -1e-12 and gap <= 1e-12
+            assert abs(value - float(weights[rows, cols].sum())) <= 1e-12
+        else:
+            assert np.array_equal(matched, cols)
+            assert value == float(weights[rows, cols].sum())
+
+
+class TestSpreadOrder:
+    """Warm solves take their rows in golden-ratio order and map the matching back."""
+
+    def test_a_cached_read_only_permutation(self):
+        for n in range(1, 258):
+            order = estimators._spread_order(n)
+            assert np.array_equal(np.sort(order), np.arange(n))
+            assert not order.flags.writeable
+            assert estimators._spread_order(n) is order
+
+    def test_columns_map_back_to_their_rows(self):
+        # the solver's row k is row order[k], so it matches row order[k] to
+        # column order[k] on the diagonal optimum, and cols[order] = c is the
+        # identity where c[order] would match row 1 to column 4, and so on
+        order = estimators._spread_order(5)
+        assert order.tolist() == [0, 2, 4, 1, 3]
+        weights = np.diag([5.0, 4.0, 3.0, 2.0, 1.0])
+        assert max_assignment_value(weights, np.zeros(5)) == 15.0
+        assert max_assignment_value(weights, np.full(5, 0.25)) == 15.0
+
+    @example(seed=0, n=1, kind="floats")
+    @example(seed=0, n=2, kind="floats")
+    @example(seed=1, n=2, kind="ties")
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from(["floats", "ties"]))
+    @settings(max_examples=100, deadline=None)
+    def test_warm_value_equals_enumeration(self, seed, n, kind):
+        rng = np.random.default_rng(seed)
+        weights = (rng.normal(size=(n, n)) if kind == "floats"
+                   else rng.integers(-2, 3, (n, n)) / 3)
+        potentials = rng.normal(size=n)
+        best = max(weights[np.arange(n), list(p)].sum()
+                   for p in itertools.permutations(range(n)))
+        assert abs(max_assignment_value(weights, potentials) - best) <= 1e-12
 
 
 def _two_solve_deviation(est, dist):

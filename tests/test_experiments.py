@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridest
-from gridest import combinatorics, experiments
+from gridest import combinatorics, experiments, families
 from gridest.cli import main as cli_main
 from gridest.distributions import (
     Modulus,
@@ -363,6 +363,15 @@ class TestGridHittingCaps:
         monkeypatch.setattr(experiments, "perm_graph_bits", _never_run)
         with pytest.raises(CapExceededError):
             run_scenario(tiny("grid-hitting", trials=1, params={"base_perms": 2**19}))
+
+    def test_cell_cap_before_any_member(self, monkeypatch):
+        monkeypatch.setattr(experiments, "perm_graph_bits", _never_run)
+        monkeypatch.setattr(families, "MAX_MEMBER_CELLS", 8 * 8 * 9)
+        # 2 + 2 * 4 members of 8 x 8 points: 640 cells
+        with pytest.raises(CapExceededError, match=re.escape(
+                "10 members x 64 points = 640 cells, cap 576")):
+            run_scenario(tiny("grid-hitting", trials=1,
+                              params={"n": 8, "base_perms": 4}))
 
 
 class TestFanoSeparation:

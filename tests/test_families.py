@@ -153,6 +153,59 @@ class TestBuiltinStructure:
                 family.members_matrix()
 
 
+def _never_run(*args, **kwargs):
+    raise AssertionError("built members before the cap was checked")
+
+
+_SYMDIFF_BASE = ExplicitFamily(ProductDomain.of_sizes(4), np.eye(3, 4, dtype=bool))
+
+#: Each build of a member matrix, its members x points before deduplication,
+#: and a function it calls only once the cap has passed.
+_CELL_CASES = {
+    "permutation-graphs": (lambda: PermutationGraphs(4).members_matrix(), 24, 16, None),
+    "unions": (lambda: UnionsOfPermutations(3, 2).members_matrix(), 1 + 6 + 15, 9,
+               "unions_of_rows"),
+    "intervals": (lambda: IntervalsOnAxis(ProductDomain.of_sizes(5)).members_matrix(),
+                  16, 5, "_intervals"),
+    "boxes": (lambda: AxisBoxes(ProductDomain.of_sizes(3, 4)).members_matrix(),
+              1 + 6 * 10, 12, "_intervals"),
+    "power-set": (lambda: PowerSetFamily(ProductDomain.of_sizes(2, 2)).members_matrix(),
+                  16, 4, "code_bits"),
+    "explicit": (lambda: ExplicitFamily(ProductDomain.of_sizes(3),
+                                        [[1, 0, 0], [0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+                 4, 3, "_dedup_rows"),
+    "symdiff": (lambda: symdiff_family(_SYMDIFF_BASE), 9, 4, "row_keys"),
+}
+
+
+class TestMemberCellCap:
+    """One cap on a member matrix's members x points, checked before it is built."""
+
+    @pytest.mark.parametrize("case", _CELL_CASES)
+    def test_refused_one_cell_past_the_cap(self, case, monkeypatch):
+        build, members, points, guarded = _CELL_CASES[case]
+        cells = members * points
+        monkeypatch.setattr(families, "MAX_MEMBER_CELLS", cells)
+        build()
+        monkeypatch.setattr(families, "MAX_MEMBER_CELLS", cells - 1)
+        if guarded:
+            monkeypatch.setattr(families, guarded, _never_run)
+        want = f"{members} members x {points} points = {cells} cells, cap {cells - 1}"
+        with pytest.raises(CapExceededError, match=re.escape(want)):
+            build()
+
+    def test_real_cap_refuses_boxes_44x44_and_admits_the_sizes_in_use(self, monkeypatch):
+        monkeypatch.setattr(families, "_intervals", _never_run)
+        # 980,101 boxes x 1936 points: 1.77 GiB as bool
+        with pytest.raises(CapExceededError, match=re.escape("980101 members x 1936 points")):
+            AxisBoxes(ProductDomain.of_sizes(44, 44)).members_matrix()
+        for family in (AxisBoxes(ProductDomain.of_sizes(16, 16)),
+                       AxisBoxes(ProductDomain.of_sizes(31, 31)),
+                       PermutationGraphs(9),
+                       PowerSetFamily(ProductDomain.of_sizes(20))):
+            families.check_member_matrix(family.member_count(), family.domain.n_points)
+
+
 def restrict_to_line(family, line):
     """The distinct traces of ``family`` on ``line``, as a family on its points."""
     flat = family.domain.flat_index(line.points(family.domain))
@@ -282,6 +335,18 @@ class TestTextFormat:
             load_family(path)
         path.write_text("domain 1 3\n100\n010\n010\n")
         assert load_family(path).member_count() == 2
+
+    def test_cell_cap_names_the_first_line_past_it(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(families, "MAX_MEMBER_CELLS", 8)
+        path = tmp_path / "family.txt"
+        # the third 3-point member makes 9 cells, on line 5; line 6 is never read
+        path.write_text("domain 1 3\n100\n# c\n010\n001\nxxx\n")
+        with pytest.raises(CapExceededError, match=re.escape(
+                "line 5: 3 members x 3 points are past the cap of 8 cells")):
+            load_family(path)
+        monkeypatch.setattr(families, "MAX_MEMBER_CELLS", 9)
+        path.write_text("domain 1 3\n100\n010\n001\n")
+        assert load_family(path).member_count() == 3
 
     def test_member_length_checked_before_the_domain(self, tmp_path, monkeypatch):
         def never(*sizes):

@@ -48,11 +48,10 @@ from gridest.families import (
     PermutationGraphs,
     PowerSetFamily,
     UnionsOfPermutations,
-    _column_potentials,
     _term_potentials,
 )
 
-from _oracles import brute_trace, representative_rows
+from _oracles import brute_trace, column_potentials, representative_rows
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gridest"
 
@@ -448,7 +447,7 @@ class TestWarmStart:
         a, b = rng.normal(size=n), rng.integers(-2, 3, size=n).astype(float)
         sign = -1.0 if negate else 1.0
         weights = sign * np.multiply.outer(a, b)
-        v = _column_potentials(weights, [(a, b)], sign)
+        v = column_potentials(weights, [(a, b)], sign)
         u = (weights - v).max(axis=1)
         value = estimators.max_assignment_value(weights)
         assert abs(u.sum() + v.sum() - value) <= 1e-12
