@@ -27,6 +27,7 @@ from .families import (
     ExplicitFamily,
     PermutationGraphs,
     SetFamily,
+    check_member_matrix,
     unions_of_rows,
 )
 from .info import binary_entropy_bits
@@ -227,9 +228,10 @@ def union_family_lower_check(n: int, d: int, g: int) -> tuple[int, float]:
     if g < 1:
         raise ValueError("need g >= 1")
     members = enumerate_hd_permutations(n, d).members_matrix()
-    n_tuples = sum(math.comb(len(members), r) for r in range(g + 1))
-    if n_tuples > 1 << 22:
-        raise CapExceededError("too many unions to enumerate")
+    # the unions are all built before the repeated ones are dropped
+    check_member_matrix(
+        sum(math.comb(len(members), r) for r in range(g + 1)), members.shape[1]
+    )
     exact = len(unions_of_rows(members, g))
     bound = len(members) ** g / g ** (g * n ** (d - 1))
     if exact < bound:
@@ -244,6 +246,8 @@ def random_explicit_family(
     domain: ProductDomain, n_members: int, rng: np.random.Generator
 ) -> ExplicitFamily:
     """Seeded random family: each point joins each member with probability 1/2."""
+    # checked before one float per cell is drawn
+    check_member_matrix(n_members, domain.n_points)
     members = rng.random((n_members, domain.n_points)) < 0.5
     return ExplicitFamily(domain, members)
 

@@ -17,7 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import CapExceededError, MAX_CELLS, ProductDomain, code_bits
+from .domain import (CapExceededError, MAX_CELLS, ProductDomain, code_bits, event_row,
+                     row_sums)
 from .info import as_pmf, binary_entropy, kl_divergence
 
 
@@ -33,23 +34,10 @@ class ProductDistribution:
             if p.size != domain.sizes[i]:
                 raise ValueError(f"marginal {i} length != axis size")
             cleaned.append(p)
-        self._adopt(domain, cleaned)
-
-    @classmethod
-    def from_checked(
-        cls, domain: ProductDomain, marginals: Sequence
-    ) -> "ProductDistribution":
-        """The product of float64 pmfs already known to fit the domain's axes,
-        such as checked counts over their total: they are kept, unchecked."""
-        dist = cls.__new__(cls)
-        dist._adopt(domain, marginals)
-        return dist
-
-    def _adopt(self, domain: ProductDomain, marginals: Sequence) -> None:
-        for p in marginals:
+        for p in cleaned:
             p.flags.writeable = False
         self.domain = domain
-        self.marginals = tuple(marginals)
+        self.marginals = tuple(cleaned)
         self._table: JointTable | None = None
 
     def point_prob(self, points: np.ndarray) -> np.ndarray:
@@ -238,17 +226,10 @@ def box_projection(dist: Distribution) -> ProductDistribution:
 def event_probability(dist: Distribution, event) -> float:
     """Exact probability of an event (dense bits or a point predicate).
 
-    The sum ``bits @ probs`` is the one used by ``ExactEstimator``, so both
-    give the same number bit for bit.
+    The event's row is checked and summed as ``ExactEstimator.estimate``
+    does it, so both give the same number bit for bit.
     """
-    if callable(event):
-        pts = dist.domain.all_points()
-        bits = np.asarray(event(pts), dtype=bool)
-    else:
-        bits = np.asarray(event, dtype=bool)
-        if bits.size != dist.domain.n_points:
-            raise ValueError("dense event length != number of domain points")
-    return float(bits @ dist.table().probs)
+    return float(row_sums(event_row(event, dist.domain), dist.table().probs)[0])
 
 
 def total_correlation(joint: JointTable) -> float:

@@ -61,6 +61,25 @@ def row_sums(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return sums
 
 
+def member_rows(members, domain: "ProductDomain") -> np.ndarray:
+    """A dense ``(k, n_points)`` boolean member matrix, checked against the
+    domain: the one check of member rows and event rows."""
+    members = np.asarray(members, dtype=bool)
+    if members.ndim != 2 or members.shape[1] != domain.n_points:
+        raise ValueError(
+            f"need a (k, {domain.n_points}) member matrix, of member length "
+            f"{domain.n_points}, got shape {members.shape}"
+        )
+    return members
+
+
+def event_row(event, domain: "ProductDomain") -> np.ndarray:
+    """An event (dense bits or a point predicate) as a one-row member matrix;
+    a predicate is evaluated on all points."""
+    bits = event(domain.all_points()) if callable(event) else event
+    return member_rows(np.reshape(bits, (1, -1)), domain)
+
+
 class ProductDomain:
     """A product of finite index ranges ``[n_1] x ... x [n_d]``, one per axis.
 

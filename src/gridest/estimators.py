@@ -24,8 +24,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .domain import (Grid, ProductDomain, check_marginal_counts, grid_from_counts,
-                     row_sums)
+from .domain import (Grid, ProductDomain, check_marginal_counts, event_row,
+                     grid_from_counts, member_rows, row_sums)
 from .distributions import Distribution, Modulus, ProductDistribution
 from .families import ExplicitTraceIndex, SetFamily
 
@@ -121,20 +121,6 @@ def product_case_size(
 # answer on the event's one row.
 
 
-def _member_rows(members, domain: ProductDomain) -> np.ndarray:
-    """A dense ``(k, n_points)`` boolean member matrix, checked against the domain."""
-    members = np.asarray(members, dtype=bool)
-    if members.ndim != 2 or members.shape[1] != domain.n_points:
-        raise ValueError(f"need a (k, {domain.n_points}) member matrix")
-    return members
-
-
-def _event_row(event, domain: ProductDomain) -> np.ndarray:
-    """The event as a one-row member matrix; a predicate is evaluated on all points."""
-    bits = event(domain.all_points()) if callable(event) else event
-    return _member_rows(np.reshape(bits, (1, -1)), domain)
-
-
 class _CellWeightEstimator:
     """An estimator given by one weight per domain point, in canonical order.
 
@@ -156,11 +142,11 @@ class _CellWeightEstimator:
         self.total = total
 
     def estimate(self, event) -> float:
-        return float(self.estimate_many(_event_row(event, self.domain))[0])
+        return float(self.estimate_many(event_row(event, self.domain))[0])
 
     def estimate_many(self, members: np.ndarray) -> np.ndarray:
         """``estimate`` on every row of a dense ``(k, n_points)`` member matrix."""
-        values = row_sums(_member_rows(members, self.domain), self.weights)
+        values = row_sums(member_rows(members, self.domain), self.weights)
         return values if self.total is None else values / self.total
 
     def cell_weights(self) -> np.ndarray | None:
@@ -186,7 +172,8 @@ class EmpiricalProductEstimator(_CellWeightEstimator):
 
     It reads a sample only through its per-axis value counts.  ``from_counts``
     is the one build core; the point constructor counts each axis of the
-    sample and builds through it.
+    sample and builds through it.  ``marginals`` holds the read-only
+    empirical marginals, the checked counts over their total.
     """
 
     def __init__(self, sample: np.ndarray, domain: ProductDomain):
@@ -208,9 +195,11 @@ class EmpiricalProductEstimator(_CellWeightEstimator):
     def _fit(self, marginal_counts, domain: ProductDomain) -> None:
         counts, m, _ = check_marginal_counts(marginal_counts, domain)
         domain.check_tabulable()
-        self.dist = ProductDistribution.from_checked(domain, [c / m for c in counts])
+        self.marginals = tuple(c / m for c in counts)
+        for p in self.marginals:
+            p.flags.writeable = False
         super().__init__(
-            domain, functools.reduce(np.multiply.outer, self.dist.marginals).ravel()
+            domain, functools.reduce(np.multiply.outer, self.marginals).ravel()
         )
 
 
@@ -286,7 +275,7 @@ class ProductGridEstimator(_CellWeightEstimator):
 
     def estimate_many(self, members: np.ndarray) -> np.ndarray:
         """The phase-2 mean of each row's trace class, as the index sums it."""
-        members = _member_rows(members, self.domain)
+        members = member_rows(members, self.domain)
         return self.trace_index.sums(members, self.weights) / self.total
 
     def cell_weights(self) -> np.ndarray | None:
@@ -443,7 +432,7 @@ def sup_deviation(
         terms = None
         if (isinstance(estimator, EmpiricalProductEstimator)
                 and isinstance(dist, ProductDistribution) and dist.domain.width == 2):
-            (xh, yh), (x, y) = estimator.dist.marginals, dist.marginals
+            (xh, yh), (x, y) = estimator.marginals, dist.marginals
             terms = ((xh - x, (y + yh) / 2), ((xh + x) / 2, yh - y))
         return family.max_abs_sum(weights - dist.table().reshaped(), terms)
     if method == "enumerate":

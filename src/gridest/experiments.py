@@ -949,6 +949,8 @@ def calibrate_constants(
 
 
 def _jsonable(obj):
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -957,8 +959,6 @@ def _jsonable(obj):
         obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):
         return str(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     return str(obj)

@@ -28,6 +28,7 @@ from .domain import (
     NotEnumerableError,
     ProductDomain,
     code_bits,
+    member_rows,
     row_keys,
     row_sums,
 )
@@ -94,15 +95,9 @@ class ExplicitFamily(SetFamily):
     """A family given by an explicit list of dense members."""
 
     def __init__(self, domain: ProductDomain, members, _dedup: bool = True):
-        members = np.asarray(members, dtype=bool)
-        if members.ndim == 1:
-            members = members.reshape(1, -1)
+        members = member_rows(np.atleast_2d(members), domain)
         if members.shape[0] == 0:
             raise ValueError("empty family")
-        if members.shape[1] != domain.n_points:
-            raise ValueError(
-                f"member length {members.shape[1]} != domain size {domain.n_points}"
-            )
         check_member_matrix(*members.shape)
         if _dedup:
             members = _dedup_rows(members)
@@ -524,15 +519,10 @@ def load_family(path) -> ExplicitFamily:
                     f"line {lineno}: member length {len(line)} != {n_points}"
                 )
             count += 1
-            if count > MAX_MEMBERS:
-                raise CapExceededError(
-                    f"line {lineno}: member {count} is past the cap of {MAX_MEMBERS}"
-                )
-            if count * n_points > MAX_MEMBER_CELLS:
-                raise CapExceededError(
-                    f"line {lineno}: {count} members x {n_points} points are "
-                    f"past the cap of {MAX_MEMBER_CELLS} cells"
-                )
+            try:
+                check_member_matrix(count, n_points)
+            except CapExceededError as exc:
+                raise CapExceededError(f"line {lineno}: {exc}") from None
             bits += line.encode("ascii")
     if sizes is None:
         raise ValueError("missing 'domain' header")

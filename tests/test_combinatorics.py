@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridest import combinatorics, families
 from gridest.combinatorics import (
     aggregation_eta,
     binomle,
@@ -404,6 +406,24 @@ class TestUnionLowerCheck:
         assert bound == pytest.approx(0.25)
         assert exact >= 1
 
+    def test_member_caps_before_any_union(self, monkeypatch):
+        # 1 + 24 + 276 tuples of 4 x 4 points: 301 members, 4816 cells
+        monkeypatch.setattr(combinatorics, "unions_of_rows", _never_called)
+        for cap, value, match in (("MAX_MEMBERS", 300, "301 members, cap 300"),
+                                  ("MAX_MEMBER_CELLS", 4815, "= 4816 cells, cap 4815")):
+            with monkeypatch.context() as patch:
+                patch.setattr(families, cap, value)
+                with pytest.raises(CapExceededError, match=re.escape(match)):
+                    union_family_lower_check(4, 2, 2)
+        # 1 + 120 + 7140 + 280840 + 8214570 unions of 4 permutations of [5]
+        with pytest.raises(CapExceededError, match="8502671 members"):
+            union_family_lower_check(5, 2, 4)
+
+    def test_built_at_the_member_caps(self, monkeypatch):
+        monkeypatch.setattr(families, "MAX_MEMBERS", 301)
+        monkeypatch.setattr(families, "MAX_MEMBER_CELLS", 4816)
+        assert union_family_lower_check(4, 2, 2)[0] == 283
+
 
 class TestRandomFamilyInvariants:
     def test_classical_ssp_on_single_axis_domains(self):
@@ -437,3 +457,29 @@ class TestRandomFamilyInvariants:
                 vc_dimension(symdiff_family(fam)).dimension
                 <= 20 * vc_dimension(fam).dimension
             )
+
+
+class TestRandomFamilyCaps:
+    """The caps are checked before one float per cell is drawn."""
+
+    @pytest.mark.parametrize("cap, value, match", [
+        ("MAX_MEMBERS", 3, "4 members, cap 3"),
+        ("MAX_MEMBER_CELLS", 19, "4 members x 5 points = 20 cells, cap 19"),
+    ])
+    def test_refused_before_any_draw(self, monkeypatch, cap, value, match):
+        monkeypatch.setattr(families, cap, value)
+        domain = ProductDomain.of_sizes(5)
+
+        class NoDraws:
+            def random(self, *args, **kwargs):
+                raise AssertionError("drew a float matrix")
+
+        with pytest.raises(CapExceededError, match=re.escape(match)):
+            random_explicit_family(domain, 4, NoDraws())
+        monkeypatch.setattr(families, cap, value + 1)
+        rng = np.random.default_rng(0)
+        assert random_explicit_family(domain, 4, rng).members.shape[1] == 5
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("called")

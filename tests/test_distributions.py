@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from gridest.distributions import (
     total_correlation,
 )
 from gridest.domain import CapExceededError, ProductDomain, code_bits
+from gridest.estimators import EmpiricalProductEstimator
 from gridest.experiments import ramp_product, two_component_mixture
 from gridest.families import perm_graph_bits
 
@@ -50,14 +52,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ProductDistribution(d, [[0.5, 0.6]])
 
-    def test_from_checked_keeps_the_marginals_read_only(self):
+    def test_empirical_product_marginals_are_read_only(self):
         domain = ProductDomain.of_sizes(2, 3)
-        marginals = [np.array([0.25, 0.75]), np.array([0.5, 0.25, 0.25])]
-        dist = ProductDistribution.from_checked(domain, marginals)
-        checked = ProductDistribution(domain, [m.copy() for m in marginals])
-        assert all(a is b for a, b in zip(dist.marginals, marginals))
-        assert not any(p.flags.writeable for p in dist.marginals)
-        assert np.array_equal(dist.table().probs, checked.table().probs)
+        counts = [np.array([1, 3]), np.array([2, 1, 1])]
+        est = EmpiricalProductEstimator.from_counts(counts, domain)
+        checked = ProductDistribution(domain, [c / 4 for c in counts])
+        assert not any(p.flags.writeable for p in est.marginals)
+        with pytest.raises(ValueError, match="read-only"):
+            est.marginals[0][0] = 1.0
+        assert np.array_equal(est.weights, checked.table().probs)
 
     def test_mixture_weights_must_normalize(self):
         comp = uniform_product(2)
@@ -415,6 +418,22 @@ class TestEventProbability:
         dist = uniform_product(3)
         assert event_probability(dist, np.zeros(9, bool)) == 0.0
         assert event_probability(dist, np.ones(9, bool)) == pytest.approx(1.0)
+
+    def test_predicate_is_its_dense_bits(self):
+        dist = ramp_product(4)
+        diagonal = event_probability(dist, lambda pts: pts[:, 0] == pts[:, 1])
+        assert diagonal == event_probability(dist, np.eye(4, dtype=bool))
+
+    @pytest.mark.parametrize("event", [
+        lambda pts: pts[1:, 0] == 0,
+        lambda pts: True,
+        np.zeros(8, bool),
+        np.zeros(10, bool),
+    ])
+    def test_wrong_length_rejected(self, event):
+        with pytest.raises(ValueError, match=re.escape(
+                "need a (k, 9) member matrix, of member length 9")):
+            event_probability(uniform_product(3), event)
 
     def test_permutation_graph_under_uniform(self):
         n = 5

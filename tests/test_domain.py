@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridest import domain as domain_module
 from gridest.distributions import ProductDistribution
 from gridest.domain import (
     AxisLine,
@@ -110,6 +111,13 @@ class TestCounts:
             with pytest.raises(CapExceededError, match="1025x1025 has 1050625 "
                                                        "points, too large to tabulate"):
                 build()
+
+    def test_grid_cell_cap(self, monkeypatch):
+        monkeypatch.setattr(domain_module, "MAX_CELLS", 5)
+        d = ProductDomain.of_sizes(2, 3)
+        with pytest.raises(CapExceededError, match="grid has 6 cells, exceeds cap 5"):
+            Grid(d, (np.arange(2), np.arange(3)))
+        assert Grid(d, (np.arange(2), np.arange(2))).cell_count == 4
 
 
 class TestBuildGrid:

@@ -198,20 +198,20 @@ class TestEmpiricalProduct:
     def test_antidiagonal_sample_decouples(self):
         d = ProductDomain.of_sizes(2, 2)
         s = np.array([[0, 0], [1, 1]])
-        dist = EmpiricalProductEstimator(s, d).dist
-        assert np.allclose(dist.table().probs, 0.25, atol=1e-15)
+        est = EmpiricalProductEstimator(s, d)
+        assert all(est.estimate(np.eye(4, dtype=bool)[j]) == 0.25 for j in range(4))
         # decoupling: the product estimate halves while the mean saturates
         f_id = perm_graph_bits([0, 1], d)
-        assert EmpiricalProductEstimator(s, d).estimate(f_id) == pytest.approx(0.5)
+        assert est.estimate(f_id) == pytest.approx(0.5)
         assert EmpiricalMeanEstimator(s, d).estimate(f_id) == 1.0
 
     def test_single_point_gives_point_mass(self):
         d = ProductDomain.of_sizes(3, 3)
-        dist = EmpiricalProductEstimator(np.array([[2, 1]]), d).dist
-        assert event_probability(dist, perm_graph_bits([1, 2, 0], d)) == 0.0
+        est = EmpiricalProductEstimator(np.array([[2, 1]]), d)
+        assert est.estimate(perm_graph_bits([1, 2, 0], d)) == 0.0
         bits = np.zeros(9, bool)
         bits[d.flat_index(np.array([[2, 1]]))[0]] = True
-        assert event_probability(dist, bits) == 1.0
+        assert est.estimate(bits) == 1.0
 
     def test_structured_path_agrees_with_dense_sum(self):
         rng = np.random.default_rng(0)
@@ -786,7 +786,7 @@ class TestEmpiricalProductFromCounts:
         d = ProductDomain.of_sizes(3, 4)
         counts = [np.array([0, 2, 5]), np.array([4, 0, 1, 2])]
         est = EmpiricalProductEstimator.from_counts(counts, d)
-        for got, c in zip(est.dist.marginals, counts):
+        for got, c in zip(est.marginals, counts):
             assert np.array_equal(got, c / 7) and not got.flags.writeable
 
 
@@ -861,6 +861,11 @@ class TestSupDeviation:
         est = ExactEstimator(dist)
         with pytest.raises(ValueError, match="method inapplicable"):
             sup_deviation(est, small_interval_family(), dist, "assignment")
+
+    def test_unknown_method_rejected(self):
+        dist = uniform_product(3)
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            sup_deviation(ExactEstimator(dist), PermutationGraphs(3), dist, "bogus")
 
 
 def _solver_cases():

@@ -30,6 +30,7 @@ from gridest.experiments import (
     SCENARIOS,
     ExperimentConfig,
     ScenarioResult,
+    _jsonable,
     _trial_pge,
     calibrate_constants,
     check_config,
@@ -424,6 +425,14 @@ class TestFanoTableCap:
 
 
 class TestReports:
+    def test_arrays_become_valid_json(self):
+        values = [np.nan, np.inf, -np.inf, 0.5]
+        want = ["nan", "inf", "-inf", 0.5]
+        got = _jsonable({"a": np.array(values), "b": np.array([values]),
+                         "c": np.float64(np.nan), "d": values})
+        assert got == {"a": want, "b": [want], "c": "nan", "d": want}
+        json.dumps(got, allow_nan=False)
+
     def test_rerun_byte_identical_except_wall_time(self, tmp_path):
         paths = []
         for i in range(2):
@@ -609,6 +618,18 @@ class TestCli:
         out = capsys.readouterr().out
         for name in SCENARIOS:
             assert name in out
+
+    def test_calibrate_writes_the_json_it_prints(self, tmp_path, capsys):
+        out = tmp_path / "calibration.json"
+        code = cli_main([
+            "calibrate", "perm-product-success", "--target-eps", "0.9",
+            "--target-delta", "0.9", "--grid", "0.25", "--trials", "4",
+            "--seed", "2", "--out", str(out),
+        ])
+        assert code == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert json.loads(out.read_text()) == printed
+        assert printed["smallest_passing"] == 0.25
 
     def test_calibrate_smoke(self, tmp_path, capsys):
         code = cli_main([

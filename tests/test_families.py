@@ -331,7 +331,7 @@ class TestTextFormat:
         # holds row 4; the malformed line 8 is never read
         path.write_text("domain 1 3\n100\n# c\n010\n\n010\n001\nxxx\n")
         with pytest.raises(CapExceededError,
-                           match=re.escape("line 7: member 4 is past the cap of 3")):
+                           match=re.escape("line 7: family too large: 4 members, cap 3")):
             load_family(path)
         path.write_text("domain 1 3\n100\n010\n010\n")
         assert load_family(path).member_count() == 2
@@ -342,7 +342,7 @@ class TestTextFormat:
         # the third 3-point member makes 9 cells, on line 5; line 6 is never read
         path.write_text("domain 1 3\n100\n# c\n010\n001\nxxx\n")
         with pytest.raises(CapExceededError, match=re.escape(
-                "line 5: 3 members x 3 points are past the cap of 8 cells")):
+                "line 5: family too large: 3 members x 3 points = 9 cells, cap 8")):
             load_family(path)
         monkeypatch.setattr(families, "MAX_MEMBER_CELLS", 9)
         path.write_text("domain 1 3\n100\n010\n001\n")

@@ -402,7 +402,7 @@ class TestWarmStart:
     def test_wrong_terms_give_the_exact_value(self, n, seed, kind):
         rng = np.random.default_rng(seed)
         est, dist = product_pair(n, seed, "skewed", 3 * n)
-        (xh, yh), (x, y) = est.dist.marginals, dist.marginals
+        (xh, yh), (x, y) = est.marginals, dist.marginals
         diff = np.multiply.outer(xh, yh) - np.multiply.outer(x, y)
         right = ((xh - x, (y + yh) / 2), ((xh + x) / 2, yh - y))
         terms = {
