@@ -30,12 +30,12 @@ class ProductDistribution:
             raise ValueError("marginal count != domain width")
         cleaned = []
         for i, p in enumerate(marginals):
-            p = as_pmf(p)
+            # a frozen copy: as_pmf returns a float64 input itself
+            p = as_pmf(p).copy()
             if p.size != domain.sizes[i]:
                 raise ValueError(f"marginal {i} length != axis size")
-            cleaned.append(p)
-        for p in cleaned:
             p.flags.writeable = False
+            cleaned.append(p)
         self.domain = domain
         self.marginals = tuple(cleaned)
         self._table: JointTable | None = None
@@ -67,7 +67,7 @@ class MixtureDistribution:
     def __init__(self, weights, components: Sequence[ProductDistribution]):
         if len(components) == 0:
             raise ValueError("mixture needs at least one component")
-        weights = as_pmf(weights)
+        weights = as_pmf(weights).copy()
         if weights.size != len(components):
             raise ValueError("weight count != component count")
         domain = components[0].domain
@@ -314,7 +314,7 @@ def gilbert_varshamov_code(d: int, min_distance: int) -> np.ndarray:
     if d < 1 or min_distance < 1:
         raise ValueError("need d >= 1 and min_distance >= 1")
     if 2**d > MAX_CELLS:
-        raise CapExceededError("sign-vector space too large to enumerate")
+        raise CapExceededError(f"d = {d} has 2^{d} sign vectors, cap {MAX_CELLS}")
     # word w has bit j of w in column j: the distance of two words is the
     # popcount of their codes' xor
     kept = np.zeros(2**d, dtype=np.int64)

@@ -181,25 +181,24 @@ class PermutationGraphs(SetFamily):
         """``max_F |sum of diff over F|``: two signed max-weight assignments.
 
         Side 0 maximizes ``diff`` over the matchings, side 1 ``-diff``.  Each
-        side is bounded by feasible LP duals; the side with the larger bound
-        is solved first, and the other only if none of its bounds falls
-        below the first value, so the value is the two-solve value.
+        side ``W`` is bounded by feasible LP duals: column potentials ``v``
+        and row potentials ``u = max_j (W - v)`` give the unreduced bound
+        ``sum(u) + sum(v)``.  The side with the larger one is solved first,
+        and the other only if none of its bounds falls below the first
+        value, so the value is the two-solve value.
 
-        Without ``terms`` a side's bound is its row maxima (see
-        ``_row_bound``), and ``-diff`` is built only if its side is solved.
-
+        ``v`` is 0 without ``terms``, so ``u`` is ``W``'s row maxima.
         ``terms``, pairs of vectors ``(a, b)`` whose outer products sum to
-        ``diff``, give each side ``W`` the summed rank-1 potentials ``v`` of
-        ``_term_potentials`` and row potentials ``u = max_j (W - v)``: the
-        unreduced bound ``sum(u) + sum(v)`` orders the sides.  Only a side
-        that is solved, or still in play, gets column potentials
-        ``p = max_i (W - u)`` (``_reduce_columns``), which warm-start its
-        solve.  The other side is ruled out when its unreduced bound falls
-        below the first value, else when ``sum(u) + sum(p)`` does.  Since
-        ``u_i >= W_ij - v_j``, ``p <= v``, so ``max_j (W - p) >= u``, and
-        ``p_j >= W_ij - u_i`` gives ``<=``: up to rounding, ``sum(u) + sum(p)``
-        is the dual ``sum_i max_j (W - p) + sum(p)`` that ``p`` gives, no
-        larger than the unreduced bound.
+        ``diff``, give each side the summed rank-1 potentials of
+        ``_term_potentials`` instead.  The other side is ruled out when its
+        unreduced bound falls below the first value, else when
+        ``sum(u) + sum(p)`` does, with column potentials ``p = max_i (W - u)``
+        (``_reduce_columns``).  Since ``u_i >= W_ij - v_j``, ``p <= v``, so
+        ``max_j (W - p) >= u``, and ``p_j >= W_ij - u_i`` gives ``<=``: up to
+        rounding, ``sum(u) + sum(p)`` is the dual ``sum_i max_j (W - p) +
+        sum(p)`` that ``p`` gives, no larger than the unreduced bound.  With
+        terms, a solved side's ``p`` warm-starts its solve; without them
+        every solve is cold (``potentials=None``).
 
         Terms change how long a solve takes and which solves are skipped,
         not the value, which is summed from ``diff`` (up to the last bits,
@@ -208,33 +207,28 @@ class PermutationGraphs(SetFamily):
         larger ones would round away the low bits of ``diff - potentials``).
         """
 
-        def solve(weights, potentials=None):
+        def solve(weights, potentials):
             # through the module attribute, which profilers and tests may wrap
             return _estimators().max_assignment_value(weights, potentials)
 
+        # cold solves take no potentials: zero-term ones made them slower
+        warm = terms is not None
+        sides = (diff, -diff)
+        v = _term_potentials(terms or (), self.n)
+        u = [(w - vs).max(axis=1) for w, vs in zip(sides, v)]
+        unreduced = [u[s].sum() + v[s].sum() for s in (0, 1)]
+        first = int(unreduced[1] > unreduced[0])
+        value = solve(sides[first],
+                      _reduce_columns(sides[first], u[first]) if warm else None)
+        weights, rows = sides[1 - first], u[1 - first]
         # 1e-12 covers the rounding of the bounds' and the matchings' sums
-        if terms is None:
-            bounds = (_row_bound(diff, 1.0), _row_bound(diff, -1.0))
-            first = int(bounds[1] > bounds[0])
-            value = solve(-diff if first else diff)
-            if bounds[1 - first] < value - 1e-12:
-                return value
-            other = solve(diff if first else -diff)
-        else:
-            sides = (diff, -diff)
-            v = _term_potentials(terms, self.n)
-            u = [(w - vs).max(axis=1) for w, vs in zip(sides, v)]
-            unreduced = [u[s].sum() + v[s].sum() for s in (0, 1)]
-            first = int(unreduced[1] > unreduced[0])
-            value = solve(sides[first], _reduce_columns(sides[first], u[first]))
-            weights, rows = sides[1 - first], u[1 - first]
-            cut = value - 1e-12
-            if unreduced[1 - first] < cut:
-                return value
-            p = _reduce_columns(weights, rows)
-            if rows.sum() + p.sum() < cut:
-                return value
-            other = solve(weights, p)
+        cut = value - 1e-12
+        if unreduced[1 - first] < cut:
+            return value
+        p = _reduce_columns(weights, rows)
+        if rows.sum() + p.sum() < cut:
+            return value
+        other = solve(weights, p if warm else None)
         # in side order: of equal values max keeps the first, so a zero's sign
         return max(value, other) if first == 0 else max(other, value)
 
@@ -271,16 +265,6 @@ class PermutationGraphIndex:
         ):
             raise ValueError("trace not represented")
         return row_sums(members, weights)
-
-
-def _row_bound(diff: np.ndarray, sign: float) -> float:
-    """An upper bound on every matching's total weight on ``W = sign * diff``:
-    the sum of W's row maxima, the value of the feasible assignment LP dual
-    ``u = max_j W``, ``v = 0`` (weak duality).  ``W`` is read through
-    ``diff``: ``max_j (-diff) = -min_j diff``, exactly.
-    """
-    extremes = diff.max(axis=1) if sign > 0 else diff.min(axis=1)
-    return sign * extremes.sum()
 
 
 def _term_potentials(terms, n: int) -> np.ndarray:

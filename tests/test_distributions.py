@@ -62,6 +62,21 @@ class TestConstruction:
             est.marginals[0][0] = 1.0
         assert np.array_equal(est.weights, checked.table().probs)
 
+    def test_callers_arrays_stay_writable_and_apart(self):
+        domain = ProductDomain.of_sizes(3)
+        u, w = np.array([0.5, 0.25, 0.25]), np.array([0.75, 0.25])
+        flat = ProductDistribution(domain, [np.full(3, 1 / 3)])
+        product = ProductDistribution(domain, [u])
+        mixture = MixtureDistribution(w, [product, flat])
+        assert u.flags.writeable and w.flags.writeable
+        assert not product.marginals[0].flags.writeable
+        assert not mixture.weights.flags.writeable
+        # before either table is built
+        u[:], w[:] = 1.0, 0.0
+        assert product.table().probs.tolist() == [0.5, 0.25, 0.25]
+        want = 0.75 * product.table().probs + 0.25 * flat.table().probs
+        assert np.array_equal(mixture.table().probs, want)
+
     def test_mixture_weights_must_normalize(self):
         comp = uniform_product(2)
         with pytest.raises(ValueError):
@@ -655,6 +670,12 @@ class TestBiasedCube:
         # greedy meets the sphere-covering count: 2^8 / (1 + 8) rounded up
         assert len(code) >= 29
         assert code_rate(code) > 0.5
+
+    def test_cap_names_d(self):
+        # the check comes before any word is built
+        with pytest.raises(CapExceededError, match=r"^d = 21 has 2\^21 sign vectors, "
+                                                   r"cap 1048576$"):
+            gilbert_varshamov_code(21, 3)
 
     def test_greedy_code_equals_the_stacking_loop(self):
         # the loop the buffered greedy replaced: every word checked against

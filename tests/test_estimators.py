@@ -959,10 +959,9 @@ class TestAssignmentSolverLoader:
 
 
 class TestMinimizeForm:
-    """``max_assignment_value`` minimizes ``potentials - weights`` with a warm
-    solve's rows in ``_spread_order`` (``-weights`` cold, rows in order): on a
-    unique optimum, the matching the solver finds maximizing
-    ``weights - potentials``."""
+    """``max_assignment_value`` minimizes ``potentials - weights`` (``-weights``
+    cold) with its rows in ``_spread_order``: on a unique optimum, the
+    matching the solver finds maximizing ``weights - potentials``."""
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 12),
            st.sampled_from(["floats", "ties", "negative"]), st.booleans())
@@ -978,8 +977,8 @@ class TestMinimizeForm:
         solve = estimators._linear_sum_assignment()
         reduced = weights if potentials is None else weights - potentials
         rows, cols = solve(reduced, maximize=True)
-        order = estimators._spread_order(n) if warm else np.arange(n)
-        want = -weights if potentials is None else (potentials - weights)[order]
+        order = estimators._spread_order(n)
+        want = (-weights if potentials is None else potentials - weights)[order]
         seen = []
 
         def recording(cost, maximize=False):
@@ -996,7 +995,7 @@ class TestMinimizeForm:
         matched = np.empty(n, dtype=solved.dtype)
         matched[order] = solved
         assert value == float(weights[np.arange(n), matched].sum())
-        if kind == "ties" and warm:
+        if kind == "ties":
             # another of tied optimal matchings, certified optimal
             _, slack, gap = assignment_certificate(weights, matched)
             assert slack >= -1e-12 and gap <= 1e-12
@@ -1098,6 +1097,24 @@ def _warm_solves(diff, terms):
     return wanted
 
 
+def _cold_solve_counts(diff):
+    """The solves a cold ``max_abs_sum`` makes on ``diff`` under the
+    row-bound-only rule and under the one rule, ``(row_only, both)``.
+
+    The side with the larger sum of row maxima is solved first (side 0 on a
+    tie).  The row-bound-only rule solves the other side when its row
+    bound ``sum(u)`` reaches the first value minus 1e-12; the one rule also
+    asks ``sum(u) + sum(p)``, with ``p = max_i (W - u)``, to reach it."""
+    sides = (diff, -diff)
+    u = [w.max(axis=1) for w in sides]
+    first = int(u[1].sum() > u[0].sum())
+    cut = max_assignment_value(sides[first]) - 1e-12
+    weights, rows = sides[1 - first], u[1 - first]
+    p = (weights - rows[:, None]).max(axis=0)
+    row_only = rows.sum() >= cut
+    return 1 + row_only, 1 + (row_only and rows.sum() + p.sum() >= cut)
+
+
 def _same_solves(got, wanted):
     """The recorded solves are the wanted ones, bit for bit, in order."""
     return len(got) == len(wanted) and all(
@@ -1167,15 +1184,23 @@ class TestBoundFirstAssignment:
         assert _same_float(got, _two_solve_deviation(est, dist))
 
     def test_side_the_row_bound_keeps_is_solved(self, solves):
-        # diff has -1/8 down column 0 and 3/8 down column 1: diff's side is
-        # worth 1/4; -diff's row bound is 3/8, so that side is solved too
         dist = uniform_product(3)
-        diff = np.zeros((3, 3))
-        diff[:, 0], diff[:, 1] = -1 / 8, 3 / 8
-        est = _CellWeightStub(1 / 9 + diff, dist.domain)
-        got = sup_deviation(est, PermutationGraphs(3), dist, "assignment")
-        assert got == pytest.approx(1 / 4, abs=1e-15) and len(solves) == 2
-        assert _same_float(got, _two_solve_deviation(est, dist))
+        # kept: diff's side has row bound 3/8 and is worth 2/8; -diff's row
+        # maxima (0, 1/8, 1/8) reduce its columns to p = 0, so both of its
+        # bounds are 2/8 and it is solved too (worth 1/8).  Ruled out: diff
+        # has -1/8 down column 0 and 3/8 down column 1, worth 1/4; -diff's
+        # row bound 3/8 keeps it, but p = (0, -1/2, -1/8) gives -1/4
+        kept = np.array([[0, 1, 0], [0, -1, 1], [0, -1, 1]]) / 8
+        ruled_out = np.zeros((3, 3))
+        ruled_out[:, 0], ruled_out[:, 1] = -1 / 8, 3 / 8
+        for diff, count in ((kept, 2), (ruled_out, 1)):
+            est = _CellWeightStub(1 / 9 + diff, dist.domain)
+            solved = est.cell_weights() - ExactEstimator(dist).cell_weights()
+            assert _cold_solve_counts(solved) == (2, count)
+            solves.clear()
+            got = sup_deviation(est, PermutationGraphs(3), dist, "assignment")
+            assert got == pytest.approx(1 / 4, abs=1e-15) and len(solves) == count
+            assert _same_float(got, _two_solve_deviation(est, dist))
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.booleans())
     @settings(max_examples=150, deadline=None)
@@ -1188,9 +1213,7 @@ class TestBoundFirstAssignment:
         else:
             weights = rng.dirichlet(np.ones(n * n)).reshape(n, n)
         diff = weights - dist.reshaped()
-        bounds = (diff.max(axis=1).sum(), -diff.min(axis=1).sum())
-        first = int(bounds[1] > bounds[0])
-        first_value = max_assignment_value(-diff if first else diff)
+        _, count = _cold_solve_counts(diff)
         calls = []
 
         def counting(w, potentials=None):
@@ -1201,8 +1224,35 @@ class TestBoundFirstAssignment:
             mp.setattr(estimators, "max_assignment_value", counting)
             got = sup_deviation(_CellWeightStub(weights, dist.domain),
                                 PermutationGraphs(n), dist, "assignment")
-        assert len(calls) == 1 + (bounds[1 - first] >= first_value - 1e-12)
+        assert len(calls) == count
         assert got == max(max_assignment_value(diff), max_assignment_value(-diff))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6),
+           st.sampled_from(["floats", "ties", "negative"]))
+    @settings(max_examples=200, deadline=None)
+    def test_cold_value_and_solves_without_terms(self, seed, n, kind):
+        # signed floats and ties leave both sides in play; often the row
+        # bound keeps the second side and sum(u) + sum(p) rules it out
+        rng = np.random.default_rng(seed)
+        diff = {
+            "floats": lambda: rng.random((n, n)) - 0.5,
+            "ties": lambda: rng.integers(-2, 3, (n, n)) / 7,
+            "negative": lambda: rng.normal(size=(n, n)) - 3.0,
+        }[kind]()
+        row_only, count = _cold_solve_counts(diff)
+        calls = []
+
+        def counting(w, potentials=None):
+            calls.append(potentials)
+            return max_assignment_value(w, potentials)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimators, "max_assignment_value", counting)
+            got = PermutationGraphs(n).max_abs_sum(diff)
+        assert _same_float(
+            got, max(max_assignment_value(diff), max_assignment_value(-diff)))
+        assert len(calls) == count <= row_only
+        assert all(potentials is None for potentials in calls)
 
     def test_phase2_means_take_one_solve(self, solves):
         n, m1 = 30, 3918
