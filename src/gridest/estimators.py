@@ -423,7 +423,13 @@ def sup_deviation(
     1400 sup-deviations, where the bounds without terms (the row maxima,
     then their reduced columns) rule out no second solve.  The value is the
     same, found with fewer and faster solves.
+
+    The estimator, the family and ``dist`` must share one domain.
     """
+    if not estimator.domain == family.domain == dist.domain:
+        raise ValueError(
+            "estimator, family and distribution live on different domains"
+        )
     if method == "assignment":
         weights = estimator.cell_weights()
         if weights is None:

@@ -187,10 +187,11 @@ class PermutationGraphs(SetFamily):
         and the other only if none of its bounds falls below the first
         value, so the value is the two-solve value.
 
-        ``v`` is 0 without ``terms``, so ``u`` is ``W``'s row maxima.
-        ``terms``, pairs of vectors ``(a, b)`` whose outer products sum to
-        ``diff``, give each side the summed rank-1 potentials of
-        ``_term_potentials`` instead.  The other side is ruled out when its
+        Without ``terms`` there are no column potentials: ``u`` is ``W``'s
+        row maxima and the unreduced bound is ``sum(u)``.  ``terms``, pairs
+        of vectors ``(a, b)`` whose outer products sum to ``diff``, give each
+        side its ``v``, the summed rank-1 potentials of
+        ``_term_potentials``.  The other side is ruled out when its
         unreduced bound falls below the first value, else when
         ``sum(u) + sum(p)`` does, with column potentials ``p = max_i (W - u)``
         (``_reduce_columns``).  Since ``u_i >= W_ij - v_j``, ``p <= v``, so
@@ -205,21 +206,24 @@ class PermutationGraphs(SetFamily):
         where optimal matchings tie): wrong terms only make a solve slower
         and a bound looser, as long as they are on ``diff``'s scale (far
         larger ones would round away the low bits of ``diff - potentials``).
+        A ``diff`` of any shape but ``(n, n)`` is refused.
         """
 
         def solve(weights, potentials):
             # through the module attribute, which profilers and tests may wrap
             return _estimators().max_assignment_value(weights, potentials)
 
-        # cold solves take no potentials: zero-term ones made them slower
-        warm = terms is not None
+        if diff.shape != (self.n, self.n):
+            raise ValueError(f"need a {(self.n, self.n)} diff, got shape {diff.shape}")
         sides = (diff, -diff)
-        v = _term_potentials(terms or (), self.n)
-        u = [(w - vs).max(axis=1) for w, vs in zip(sides, v)]
-        unreduced = [u[s].sum() + v[s].sum() for s in (0, 1)]
+        v = None if terms is None else _term_potentials(terms, self.n)
+        u = [w.max(axis=1) if v is None else (w - v[s]).max(axis=1)
+             for s, w in enumerate(sides)]
+        unreduced = [r.sum() if v is None else r.sum() + v[s].sum()
+                     for s, r in enumerate(u)]
         first = int(unreduced[1] > unreduced[0])
         value = solve(sides[first],
-                      _reduce_columns(sides[first], u[first]) if warm else None)
+                      None if v is None else _reduce_columns(sides[first], u[first]))
         weights, rows = sides[1 - first], u[1 - first]
         # 1e-12 covers the rounding of the bounds' and the matchings' sums
         cut = value - 1e-12
@@ -228,7 +232,7 @@ class PermutationGraphs(SetFamily):
         p = _reduce_columns(weights, rows)
         if rows.sum() + p.sum() < cut:
             return value
-        other = solve(weights, p if warm else None)
+        other = solve(weights, None if v is None else p)
         # in side order: of equal values max keeps the first, so a zero's sign
         return max(value, other) if first == 0 else max(other, value)
 

@@ -29,7 +29,7 @@ from gridest.domain import (
     build_grid,
     grid_from_counts,
 )
-from gridest import distributions, estimators
+from gridest import distributions, estimators, families
 from gridest.estimators import (
     DeviationReport,
     EmpiricalMeanEstimator,
@@ -847,6 +847,8 @@ class TestSupDeviation:
         dist = uniform_product(3)
 
         class NoWeights:
+            domain = dist.domain
+
             def estimate(self, event):
                 return 0.0
 
@@ -866,6 +868,28 @@ class TestSupDeviation:
         dist = uniform_product(3)
         with pytest.raises(ValueError, match="unknown method 'bogus'"):
             sup_deviation(ExactEstimator(dist), PermutationGraphs(3), dist, "bogus")
+
+    @pytest.mark.parametrize("kind, est_n, fam_n, dist_n, method", [
+        # the (6, 6) - (1, 1) difference broadcasts to a value
+        (EmpiricalMeanEstimator, 6, 6, 1, "assignment"),
+        (EmpiricalMeanEstimator, 5, 6, 6, "assignment"),
+        # warm: an empirical product against a product truth
+        (EmpiricalProductEstimator, 6, 5, 6, "assignment"),
+        (EmpiricalMeanEstimator, 6, 5, 6, "enumerate"),
+        (EmpiricalMeanEstimator, 6, 6, 1, "enumerate"),
+    ])
+    def test_domains_must_agree(self, kind, est_n, fam_n, dist_n, method):
+        sample = np.stack([np.arange(est_n), np.arange(est_n)[::-1]], axis=1)
+        est = kind(sample, ProductDomain.of_sizes(est_n, est_n))
+        with pytest.raises(ValueError, match="live on different domains"):
+            sup_deviation(est, PermutationGraphs(fam_n), uniform_product(dist_n),
+                          method)
+
+    @pytest.mark.parametrize("shape", [(6, 6), (4, 4), (5, 6), (25,)])
+    @pytest.mark.parametrize("terms", [None, ((np.ones(5), np.ones(5)),)])
+    def test_max_abs_sum_refuses_a_diff_of_another_shape(self, shape, terms):
+        with pytest.raises(ValueError, match=r"need a \(5, 5\) diff"):
+            PermutationGraphs(5).max_abs_sum(np.ones(shape), terms)
 
 
 def _solver_cases():
@@ -1246,8 +1270,12 @@ class TestBoundFirstAssignment:
             calls.append(potentials)
             return max_assignment_value(w, potentials)
 
+        def no_potentials(terms, n):
+            raise AssertionError("a cold call builds column potentials")
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(estimators, "max_assignment_value", counting)
+            mp.setattr(families, "_term_potentials", no_potentials)
             got = PermutationGraphs(n).max_abs_sum(diff)
         assert _same_float(
             got, max(max_assignment_value(diff), max_assignment_value(-diff)))
