@@ -65,8 +65,19 @@ class SamplingPlan:
                 raise ValueError("split sizes must be positive")
 
 
+def _planned_size(value: float, name: str, knob: str, constant: float) -> int:
+    """The planners' one size check: ``ceil(value)``, or ``ValueError`` if
+    ``value`` is not finite or the size is below 1."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} size is not finite: {value!r}")
+    size = math.ceil(value)
+    if size < 1:
+        raise ValueError(f"{name} size is {size} ({knob} = {constant!r}): need >= 1")
+    return size
+
+
 def phase1_size(plan: SamplingPlan) -> int:
-    """Grid-phase sample size: ``C0 d^2 / beta(eps/2)^2 (g + ln(1/delta))``."""
+    """Grid-phase sample size: ``ceil(C0 d^2 / beta(eps/2)^2 (g + ln(1/delta)))``."""
     beta = plan.modulus(plan.epsilon / 2.0)
     beta_sq = beta * beta
     if beta_sq <= 0.0:
@@ -77,12 +88,7 @@ def phase1_size(plan: SamplingPlan) -> int:
         / beta_sq
         * (plan.lvc + math.log(1.0 / plan.delta))
     )
-    if not math.isfinite(value):
-        raise ValueError(f"phase-1 size is not finite: {value!r}")
-    size = math.ceil(value)
-    if size < 1:
-        raise ValueError(f"phase-1 size is {size} (c0 = {plan.c0!r}): need >= 1")
-    return size
+    return _planned_size(value, "phase-1", "c0", plan.c0)
 
 
 def phase2_size(epsilon: float, delta: float, class_count: int) -> int:
@@ -99,17 +105,10 @@ def phase2_size(epsilon: float, delta: float, class_count: int) -> int:
 def product_case_size(
     epsilon: float, delta: float, g: int, d: int, constant: float = 1.0
 ) -> int:
-    """Product-distribution sample size: ``C d^2 / eps^2 (g + ln(1/delta))``."""
+    """Product-distribution sample size: ``ceil(C d^2 / eps^2 (g + ln(1/delta)))``."""
     _check_accuracy(epsilon, delta)
     value = constant * d**2 / epsilon**2 * (g + math.log(1.0 / delta))
-    if not math.isfinite(value):
-        raise ValueError(f"product-case size is not finite: {value!r}")
-    size = math.ceil(value)
-    if size < 1:
-        raise ValueError(
-            f"product-case size is {size} (constant = {constant!r}): need >= 1"
-        )
-    return size
+    return _planned_size(value, "product-case", "constant", constant)
 
 
 # -- basic estimators ----------------------------------------------------------
@@ -481,7 +480,8 @@ def check_grid_hitting(
 
 @dataclass
 class DeviationReport:
-    """Per-trial sup-deviation statistics with reproducibility metadata."""
+    """Per-trial sup-deviation statistics with reproducibility metadata; the
+    run's wall time is ``ScenarioResult.wall_ms``."""
 
     estimator: str
     family: str
@@ -493,7 +493,6 @@ class DeviationReport:
     q50: float = 0.0
     q90: float = 0.0
     q99: float = 0.0
-    wall_ms: float = 0.0
 
     @classmethod
     def from_deviations(

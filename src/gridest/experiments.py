@@ -887,8 +887,6 @@ def run_scenario(config: ExperimentConfig, memo: dict | None = None) -> Scenario
         params, trials, config.seed, {} if memo is None else memo
     )
     wall_ms = (time.perf_counter() - start) * 1000.0
-    if report is not None:
-        report.wall_ms = wall_ms
     return ScenarioResult(
         scenario=entry.name,
         claim=entry.claim,
@@ -968,7 +966,7 @@ def emit_report(result: ScenarioResult, path) -> None:
     """Write the JSON result and one CSV per curve next to it.
 
     Re-running an identical config produces byte-identical files except for
-    the wall-time fields.
+    the wall-time field.
     """
     import csv
     import json

@@ -85,22 +85,22 @@ class SetFamily:
         raise ValueError("method inapplicable: family has no structured index")
 
     def materialize(self) -> "ExplicitFamily":
-        return ExplicitFamily(self.domain, self.members_matrix(), _dedup=False)
+        return ExplicitFamily(self.domain, self.members_matrix())
 
     def describe(self) -> str:
         return f"{type(self).__name__}({self.domain.describe()})"
 
 
 class ExplicitFamily(SetFamily):
-    """A family given by an explicit list of dense members."""
+    """A family given by an explicit list of dense members: a read-only copy
+    of the rows, each distinct row once, at its first occurrence."""
 
-    def __init__(self, domain: ProductDomain, members, _dedup: bool = True):
+    def __init__(self, domain: ProductDomain, members):
         members = member_rows(np.atleast_2d(members), domain)
         if members.shape[0] == 0:
             raise ValueError("empty family")
         check_member_matrix(*members.shape)
-        if _dedup:
-            members = _dedup_rows(members)
+        members = _dedup_rows(members)
         members.flags.writeable = False
         self.domain = domain
         self.members = members
@@ -461,7 +461,7 @@ def symdiff_family(family: SetFamily) -> ExplicitFamily:
     packed = keys.view(np.uint8).reshape(m, -1)
     xors = np.unique((packed[:, None, :] ^ packed[None, :, :]).view(keys.dtype))
     rows = np.unpackbits(xors.view(np.uint8).reshape(xors.size, -1), axis=1, count=n)
-    return ExplicitFamily(family.domain, rows, _dedup=False)
+    return ExplicitFamily(family.domain, rows)
 
 
 # -- set-system text format --------------------------------------------------

@@ -403,3 +403,15 @@ class TestTrace:
                 assert got.tobytes() == brute_trace(row, grid)
         else:
             assert all(k.tobytes() == b"\x00" for k in keys)
+
+    @pytest.mark.parametrize("sizes", [(1,), (7,), (3, 4), (5, 5), (2, 3, 2)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_pack_traces_on_a_full_grid_are_the_row_keys(self, sizes, order):
+        # the full grid's cell order is the domain's point order, so a trace
+        # is the whole member: the key a full-grid shortcut would return
+        d = ProductDomain.of_sizes(*sizes)
+        rng = np.random.default_rng(sum(sizes))
+        members = np.asarray(rng.random((17, d.n_points)) < 0.5, order=order)
+        keys, want = d.full_grid().pack_traces(members), row_keys(members)
+        assert keys.dtype == want.dtype
+        assert [k.tobytes() for k in keys] == [k.tobytes() for k in want]

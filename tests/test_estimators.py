@@ -1654,5 +1654,5 @@ class TestDeviationReport:
         )
         assert list(report.to_dict()) == [
             "estimator", "family", "distribution", "trials", "seed",
-            "deviations", "mean", "q50", "q90", "q99", "wall_ms",
+            "deviations", "mean", "q50", "q90", "q99",
         ]

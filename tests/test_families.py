@@ -234,6 +234,23 @@ class TestRestrictions:
         assert restrict_to_line(fam, line).member_count() == 11
 
 
+class TestMaterialize:
+    @pytest.mark.parametrize("make", [
+        lambda: PermutationGraphs(4),
+        lambda: UnionsOfPermutations(3, 2),
+        lambda: IntervalsOnAxis(ProductDomain.of_sizes(5)),
+        lambda: IntervalsOnAxis(ProductDomain.of_sizes(3, 4), axis=1),
+        lambda: AxisBoxes(ProductDomain.of_sizes(3, 4)),
+        lambda: PowerSetFamily(ProductDomain.of_sizes(2, 2)),
+    ], ids=["perm", "unions", "intervals", "intervals-axis1", "boxes", "power-set"])
+    def test_keeps_every_built_in_row_in_order(self, make):
+        family = make()
+        rows = family.members_matrix()
+        got = family.materialize().members_matrix()
+        assert got.dtype == rows.dtype == bool and got.shape == rows.shape
+        assert got.tobytes() == rows.tobytes()
+
+
 class TestSymdiff:
     def test_single_empty_member(self):
         d = ProductDomain.of_sizes(2)
@@ -276,7 +293,8 @@ class TestSymdiff:
             for b in members:
                 seen.setdefault(np.packbits(a ^ b).tobytes(), a ^ b)
         want = np.array([seen[key] for key in sorted(seen)])
-        assert np.array_equal(symdiff_family(fam).members_matrix(), want)
+        got = symdiff_family(fam).members_matrix()
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestTextFormat:
