@@ -40,6 +40,11 @@ class ProductDistribution:
         self.marginals = tuple(cleaned)
         self._table: JointTable | None = None
 
+    @functools.cached_property
+    def marginal_cdfs(self) -> tuple[np.ndarray, ...]:
+        """One read-only ``_choice_cdf`` per marginal, computed on first use."""
+        return tuple(_choice_cdf(p) for p in self.marginals)
+
     def point_prob(self, points: np.ndarray) -> np.ndarray:
         return self._checked_point_prob(self.domain.validate_points(points))
 
@@ -83,6 +88,11 @@ class MixtureDistribution:
     def k(self) -> int:
         return len(self.components)
 
+    @functools.cached_property
+    def weight_cdf(self) -> np.ndarray:
+        """The read-only ``_choice_cdf`` of the weights, computed on first use."""
+        return _choice_cdf(self.weights)
+
     def point_prob(self, points: np.ndarray) -> np.ndarray:
         points = self.domain.validate_points(points)
         out = np.zeros(len(points))
@@ -114,6 +124,11 @@ class JointTable:
         self.domain = domain
         self.probs = probs
 
+    @functools.cached_property
+    def cdf(self) -> np.ndarray:
+        """The read-only ``_choice_cdf`` of the table, computed on first use."""
+        return _choice_cdf(self.probs)
+
     def point_prob(self, points: np.ndarray) -> np.ndarray:
         return self.probs[self.domain.flat_index(self.domain.validate_points(points))]
 
@@ -133,32 +148,49 @@ Distribution = ProductDistribution | MixtureDistribution | JointTable
 # -- sampling -----------------------------------------------------------------
 
 
+def _choice_cdf(p: np.ndarray) -> np.ndarray:
+    """The read-only CDF that ``Generator.choice(p.size, p=p)`` draws through:
+    ``p.cumsum()`` over its last entry, computed as numpy computes it."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False
+    return cdf
+
+
+def _draw(rng: np.random.Generator, cdf: np.ndarray, size: int) -> np.ndarray:
+    """``size`` indices drawn through a ``_choice_cdf``: the same uniforms and
+    the same indices as ``rng.choice(cdf.size, size=size, p=p)``, bit for bit."""
+    return cdf.searchsorted(rng.random(size), side="right")
+
+
 def sample(dist: Distribution, m: int, seed) -> np.ndarray:
     """Draw ``m`` i.i.d. points as an ``(m, d)`` index array.
 
     Deterministic given ``seed`` (an int or a ``numpy.random.SeedSequence``).
-    Mixtures draw the component index first, then the coordinates.
+    Mixtures draw the component index first, then the coordinates.  Every
+    draw goes through a CDF the distribution keeps (``_draw``), so the
+    points are those of ``Generator.choice`` with the same probabilities.
     """
     if m < 1:
         raise ValueError("need m >= 1")
     rng = np.random.default_rng(seed)
     out = np.empty((m, dist.domain.width), dtype=np.int64)
     if isinstance(dist, ProductDistribution):
-        for i, p in enumerate(dist.marginals):
-            out[:, i] = rng.choice(p.size, size=m, p=p)
+        for i, cdf in enumerate(dist.marginal_cdfs):
+            out[:, i] = _draw(rng, cdf, m)
         return out
     if isinstance(dist, MixtureDistribution):
-        comps = rng.choice(dist.k, size=m, p=dist.weights)
+        comps = _draw(rng, dist.weight_cdf, m)
         for t, comp in enumerate(dist.components):
             mask = comps == t
             count = int(mask.sum())
             if count == 0:
                 continue
-            for i, p in enumerate(comp.marginals):
-                out[mask, i] = rng.choice(p.size, size=count, p=p)
+            for i, cdf in enumerate(comp.marginal_cdfs):
+                out[mask, i] = _draw(rng, cdf, count)
         return out
     if isinstance(dist, JointTable):
-        flat = rng.choice(dist.domain.n_points, size=m, p=dist.probs)
+        flat = _draw(rng, dist.cdf, m)
         return np.stack(
             np.unravel_index(flat, dist.domain.sizes), axis=1
         ).astype(np.int64)

@@ -364,23 +364,27 @@ def _spread_order(n: int) -> np.ndarray:
 
 
 def max_assignment_value(
-    weights: np.ndarray, potentials: np.ndarray | None = None
+    weights: np.ndarray, potentials: np.ndarray | None = None, sign: int = 1
 ) -> float:
-    """Maximum total weight of a perfect matching (exact, via scipy's solver).
+    """Maximum total weight of a perfect matching on ``sign * weights``
+    (exact, via scipy's solver), for ``sign`` 1 or -1.
 
-    ``potentials``, one per column, are subtracted from the weights before
-    the solve.  A perfect matching uses every column once, so that lowers
-    every matching's total by the same ``sum(potentials)`` and leaves the
-    maximizers as they are; the value is summed from ``weights`` itself.
-    Potentials near an optimal LP dual leave the solver less to do.  Only
-    where optimal matchings tie may they pick another one, whose sum can
-    differ in the last bits.  ``PermutationGraphs.max_abs_sum`` bounds each
-    signed side by feasible LP duals, and solves a side only when those
-    bounds say it could win.
+    ``potentials``, one per column, are subtracted from the signed weights
+    before the solve.  A perfect matching uses every column once, so that
+    lowers every matching's total by the same ``sum(potentials)`` and leaves
+    the maximizers as they are; the value is ``sign`` times the sum of
+    ``weights`` over the matching.  Potentials near an optimal LP dual leave
+    the solver less to do.  Only where optimal matchings tie may they pick
+    another one, whose sum can differ in the last bits.
+    ``PermutationGraphs.max_abs_sum`` bounds each signed side by feasible LP
+    duals, and solves a side only when those bounds say it could win.
 
-    The solver minimizes ``potentials - weights`` (``-weights`` without
-    potentials): it would negate a copy of ``weights - potentials`` to
-    maximize it, and the negation is exact, so the matching is the same.
+    The solver minimizes ``potentials - sign * weights``, formed without a
+    negated copy of ``weights``: ``-weights`` or ``potentials - weights`` for
+    sign 1, ``weights`` itself or ``potentials + weights`` for sign -1.
+    Negation is exact, so sign -1 gives the matching and the bits that a
+    negated copy of the weights would, but for the sign of a value that
+    sums to exactly zero.
 
     Every solve hands the solver its rows in ``_spread_order``.  The solver
     (shortest augmenting paths) adds rows one at a time; on an empirical
@@ -391,14 +395,19 @@ def max_assignment_value(
     order, so a unique optimum gives the same bits; where optimal matchings
     tie, the order may pick another one.
     """
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be 1 or -1, got {sign!r}")
     n = weights.shape[0]
     order = _spread_order(n)
     rows = weights.take(order, axis=0)
-    _, spread = _linear_sum_assignment()(
-        -rows if potentials is None else potentials - rows)
+    if sign > 0:
+        cost = -rows if potentials is None else potentials - rows
+    else:
+        cost = rows if potentials is None else potentials + rows
+    _, spread = _linear_sum_assignment()(cost)
     cols = np.empty_like(spread)
     cols[order] = spread
-    return float(weights[np.arange(n), cols].sum())
+    return float(sign * weights[np.arange(n), cols].sum())
 
 
 def sup_deviation(

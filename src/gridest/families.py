@@ -93,7 +93,8 @@ class SetFamily:
 
 class ExplicitFamily(SetFamily):
     """A family given by an explicit list of dense members: a read-only copy
-    of the rows, each distinct row once, at its first occurrence."""
+    of the rows, each distinct row once, at its first occurrence.  Its trace
+    index on the full grid is built on first use and kept."""
 
     def __init__(self, domain: ProductDomain, members):
         members = member_rows(np.atleast_2d(members), domain)
@@ -104,12 +105,20 @@ class ExplicitFamily(SetFamily):
         members.flags.writeable = False
         self.domain = domain
         self.members = members
+        self._full_index: ExplicitTraceIndex | None = None
 
     def member_count(self) -> int:
         return int(self.members.shape[0])
 
     def members_matrix(self) -> np.ndarray:
         return self.members
+
+    def trace_index(self, grid: Grid):
+        if not (grid.is_full and grid.domain == self.domain):
+            return super().trace_index(grid)
+        if self._full_index is None:
+            self._full_index = ExplicitTraceIndex(self, grid)
+        return self._full_index
 
     def materialize(self) -> "ExplicitFamily":
         return self
@@ -180,7 +189,9 @@ class PermutationGraphs(SetFamily):
     def max_abs_sum(self, diff: np.ndarray, terms=None) -> float:
         """``max_F |sum of diff over F|``: two signed max-weight assignments.
 
-        Side 0 maximizes ``diff`` over the matchings, side 1 ``-diff``.  Each
+        Side 0 maximizes ``diff`` over the matchings, side 1 ``-diff``, both
+        read off ``diff`` with their sign (``_signed_max``, and the ``sign``
+        of ``max_assignment_value``), without a negated copy.  Each
         side ``W`` is bounded by feasible LP duals: column potentials ``v``
         and row potentials ``u = max_j (W - v)`` give the unreduced bound
         ``sum(u) + sum(v)``.  The side with the larger one is solved first,
@@ -209,30 +220,30 @@ class PermutationGraphs(SetFamily):
         A ``diff`` of any shape but ``(n, n)`` is refused.
         """
 
-        def solve(weights, potentials):
+        def solve(sign, potentials):
             # through the module attribute, which profilers and tests may wrap
-            return _estimators().max_assignment_value(weights, potentials)
+            return _estimators().max_assignment_value(diff, potentials, sign)
 
         if diff.shape != (self.n, self.n):
             raise ValueError(f"need a {(self.n, self.n)} diff, got shape {diff.shape}")
-        sides = (diff, -diff)
+        signs = (1, -1)
         v = None if terms is None else _term_potentials(terms, self.n)
-        u = [w.max(axis=1) if v is None else (w - v[s]).max(axis=1)
-             for s, w in enumerate(sides)]
+        u = [_signed_max(diff, sign, None if v is None else v[s], axis=1)
+             for s, sign in enumerate(signs)]
         unreduced = [r.sum() if v is None else r.sum() + v[s].sum()
                      for s, r in enumerate(u)]
         first = int(unreduced[1] > unreduced[0])
-        value = solve(sides[first],
-                      None if v is None else _reduce_columns(sides[first], u[first]))
-        weights, rows = sides[1 - first], u[1 - first]
+        value = solve(signs[first], None if v is None
+                      else _reduce_columns(diff, u[first], signs[first]))
+        sign, rows = signs[1 - first], u[1 - first]
         # 1e-12 covers the rounding of the bounds' and the matchings' sums
         cut = value - 1e-12
         if unreduced[1 - first] < cut:
             return value
-        p = _reduce_columns(weights, rows)
+        p = _reduce_columns(diff, rows, sign)
         if rows.sum() + p.sum() < cut:
             return value
-        other = solve(weights, None if v is None else p)
+        other = solve(sign, None if v is None else p)
         # in side order: of equal values max keeps the first, so a zero's sign
         return max(value, other) if first == 0 else max(other, value)
 
@@ -242,10 +253,13 @@ class PermutationGraphs(SetFamily):
 
 class PermutationGraphIndex:
     """The permutation graphs' trace index on the full grid, which determines
-    the permutation: every trace class is one graph, its own representative."""
+    the permutation: every trace class is one graph, its own representative.
+    The last frozen query matrix it checked (``_frozen``) is kept by identity
+    and not checked again."""
 
     def __init__(self, n: int):
         self.n = n
+        self._checked = None
 
     @functools.cached_property
     def class_count(self) -> int:
@@ -260,15 +274,25 @@ class PermutationGraphIndex:
         # (graph, column) bins put exactly one in each column.  A one at flat
         # index g n^2 + i n + c is on stacked row g n + i, and its bin g n + c
         # is the index minus (stacked row - g) n, without a slow modulo.
-        ones = np.flatnonzero(members)
-        row = ones // n
-        if not (
-            ones.size == rows
-            and (row == np.arange(rows)).all()
-            and np.bincount(ones - (row - row // n) * n, minlength=rows).all()
-        ):
-            raise ValueError("trace not represented")
+        if members is not self._checked:
+            ones = np.flatnonzero(members)
+            row = ones // n
+            if not (
+                ones.size == rows
+                and (row == np.arange(rows)).all()
+                and np.bincount(ones - (row - row // n) * n, minlength=rows).all()
+            ):
+                raise ValueError("trace not represented")
+            if _frozen(members):
+                self._checked = members
         return row_sums(members, weights)
+
+
+def _frozen(rows: np.ndarray) -> bool:
+    """Whether a query matrix may be kept by identity: read-only and owning
+    its memory, as an explicit family's members are, so no writable view
+    can change it."""
+    return rows.base is None and not rows.flags.writeable
 
 
 def _term_potentials(terms, n: int) -> np.ndarray:
@@ -296,10 +320,26 @@ def _term_potentials(terms, n: int) -> np.ndarray:
     return v
 
 
-def _reduce_columns(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _signed_max(diff: np.ndarray, sign: int, shift, axis: int) -> np.ndarray:
+    """``max(sign * diff - shift)`` along ``axis``, for ``sign`` 1 or -1 and
+    a ``shift`` that broadcasts against ``diff`` (None for none).
+
+    Sign -1 is read off ``diff`` itself, without a negated copy: as
+    ``-min(diff)``, or as ``max(-shift - diff)``, which rounds every entry
+    as ``-diff - shift`` does, so its bits are those of the negated copy's.
+    ``-min(diff)`` is ``max(-diff)`` up to the sign of a zero, which no
+    bound comparison sees."""
+    if sign > 0:
+        return (diff if shift is None else diff - shift).max(axis=axis)
+    if shift is None:
+        return -diff.min(axis=axis)
+    return (-shift - diff).max(axis=axis)
+
+
+def _reduce_columns(diff: np.ndarray, rows: np.ndarray, sign: int) -> np.ndarray:
     """``max_i (W - u)``: the least column potentials that make the row
-    potentials ``u`` a feasible assignment LP dual of ``W``."""
-    return (weights - rows[:, None]).max(axis=0)
+    potentials ``u`` a feasible assignment LP dual of ``W = sign * diff``."""
+    return _signed_max(diff, sign, rows[:, None], axis=0)
 
 
 @functools.cache
@@ -315,7 +355,11 @@ class ExplicitTraceIndex:
     distinct trace keys, ``class_keys``, and one representative row per
     class, ``rows``, the member with the smallest key (``row_keys`` order).
     Its sums gather class totals, ``rows @ weights`` once per weights array
-    (kept by identity: the weights must be read-only, as an estimator's are).
+    (kept by identity: the weights must be read-only, as an estimator's are),
+    at each query row's class id, looked up once per frozen query matrix
+    (``_frozen``; kept by identity too).  An ``ExplicitFamily`` keeps its
+    full-grid index, so estimators on the full grid share it; the kept
+    totals are then those of the last weights.
 
     Raises ``ValueError`` for a grid of another domain, and
     ``NotEnumerableError`` for a family past the enumeration caps.
@@ -338,15 +382,20 @@ class ExplicitTraceIndex:
         self.rows = members[order[first]]
         self.class_count = class_keys.size
         class_keys.flags.writeable = self.rows.flags.writeable = False
-        self._weights = self._totals = None
+        self._weights = self._totals = self._members = self._ids = None
 
     def sums(self, members: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """The weights summed over the representative of each row's class."""
-        keys = self.grid.pack_traces(members)
-        # every id is in range: a key past all but the last class can only be the last
-        ids = self.class_keys[:-1].searchsorted(keys)
-        if self.class_keys[ids].tobytes() != keys.tobytes():
-            raise ValueError("trace not represented")
+        if members is self._members:
+            ids = self._ids
+        else:
+            keys = self.grid.pack_traces(members)
+            # every id is in range: a key past all but the last class can only be the last
+            ids = self.class_keys[:-1].searchsorted(keys)
+            if self.class_keys[ids].tobytes() != keys.tobytes():
+                raise ValueError("trace not represented")
+            if _frozen(members):
+                self._members, self._ids = members, ids
         if weights is not self._weights:
             self._weights, self._totals = weights, row_sums(self.rows, weights)
         return self._totals[ids]

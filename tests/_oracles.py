@@ -5,10 +5,39 @@ from typing import NamedTuple
 
 import numpy as np
 
+from gridest.distributions import JointTable, MixtureDistribution, ProductDistribution
 from gridest.domain import CapExceededError, code_bits
-from gridest.families import _reduce_columns, _term_potentials
+from gridest.families import _term_potentials
 
 SHATTER_CAP = 20
+
+
+def choice_sample(dist, m: int, seed) -> np.ndarray:
+    """The ``m`` points ``distributions.sample`` draws, drawn with numpy's
+    ``Generator.choice(size, p=...)``, which rebuilds the CDF of ``p`` on
+    every call: one draw per marginal of a product; for a mixture the
+    component indices, then each component's marginals over the points it
+    got (none for a component that got no points); for a joint table the
+    flat indices.  ``seed`` is anything ``default_rng`` takes; a generator
+    is used as is."""
+    rng = np.random.default_rng(seed)
+    out = np.empty((m, dist.domain.width), dtype=np.int64)
+    if isinstance(dist, ProductDistribution):
+        for i, p in enumerate(dist.marginals):
+            out[:, i] = rng.choice(p.size, size=m, p=p)
+    elif isinstance(dist, MixtureDistribution):
+        comps = rng.choice(dist.k, size=m, p=dist.weights)
+        for t, comp in enumerate(dist.components):
+            mask = comps == t
+            count = int(mask.sum())
+            for i, p in enumerate(comp.marginals if count else ()):
+                out[mask, i] = rng.choice(p.size, size=count, p=p)
+    elif isinstance(dist, JointTable):
+        flat = rng.choice(dist.domain.n_points, size=m, p=dist.probs)
+        out[:] = np.stack(np.unravel_index(flat, dist.domain.sizes), axis=1)
+    else:
+        raise TypeError(f"cannot sample from {type(dist).__name__}")
+    return out
 
 
 def brute_mean(sample, event, domain) -> float:
@@ -103,7 +132,8 @@ def column_potentials(weights, terms, sign) -> np.ndarray:
     reduced once against the weights, ``u = max_j (W - v)`` per row, then
     ``max_i (W - u)`` per column."""
     v = _term_potentials(terms, weights.shape[1])[0 if sign > 0 else 1]
-    return _reduce_columns(weights, (weights - v).max(axis=1))
+    u = (weights - v).max(axis=1)
+    return (weights - u[:, None]).max(axis=0)
 
 
 class WarmSide(NamedTuple):

@@ -20,6 +20,7 @@ from gridest.experiments import ExperimentConfig, run_scenario
 from gridest.families import PermutationGraphs
 
 TOL = 1e-12
+SIGNS = (1, -1)
 
 
 def certified_value(weights, potentials=None) -> float:
@@ -53,16 +54,17 @@ def solves_per_sup_deviation(monkeypatch, scenario: str, trials: int) -> list:
     """Run a scenario at seed 2024 and list, per permutation-graph
     sup-deviation, the ``(diff, terms, solves)`` handed to ``max_abs_sum``:
     the solves are the weight matrices it handed to the solver, each with
-    the column potentials it came with (None for a cold solve)."""
+    the column potentials it came with (None for a cold solve) and the sign
+    it maximizes them with."""
     calls = []
     solve = estimators.max_assignment_value
     max_abs_sum = PermutationGraphs.max_abs_sum
 
-    def recording_solve(weights, potentials=None):
+    def recording_solve(weights, potentials=None, sign=1):
         calls[-1][2].append(
-            (weights.copy(), None if potentials is None else potentials.copy())
+            (weights.copy(), None if potentials is None else potentials.copy(), sign)
         )
-        return solve(weights, potentials)
+        return solve(weights, potentials, sign)
 
     def recording_max_abs_sum(family, diff, terms=None):
         calls.append((diff.copy(), terms, []))
@@ -94,9 +96,10 @@ def test_deviation_scaling_matrices_both_signs(monkeypatch):
             assert abs(certified_value(side.weights, side.potentials) - optimum) <= TOL
         # the side with the larger unreduced bound is solved first, warm; the
         # other only when its reduced bound reaches the first side's value
+        # each solve gets diff itself and its side's sign
         first = int(sides[1].unreduced > sides[0].unreduced)
         weights, potentials = sides[first][:2]
-        assert np.array_equal(solves[0][0], weights)
+        assert np.array_equal(solves[0][0], diff) and solves[0][2] == SIGNS[first]
         assert np.array_equal(solves[0][1], potentials)
         first_value = estimators.max_assignment_value(weights, potentials)
         assert len(solves) == 1 + (sides[1 - first].reduced >= first_value - 1e-12)
@@ -104,7 +107,8 @@ def test_deviation_scaling_matrices_both_signs(monkeypatch):
             skipped += 1
             assert optima[1 - first] <= optima[first] + TOL
         else:
-            assert np.array_equal(solves[1][0], sides[1 - first].weights)
+            assert np.array_equal(solves[1][0], diff)
+            assert solves[1][2] == SIGNS[1 - first]
             assert np.array_equal(solves[1][1], sides[1 - first].potentials)
     assert skipped
 
@@ -114,10 +118,11 @@ def test_perm_product_success_warm_solves(monkeypatch):
     calls = solves_per_sup_deviation(monkeypatch, "perm-product-success", 5)
     solves = [solve for _, _, solves in calls for solve in solves]
     assert len(calls) == 5 and len(solves) >= 5
-    for weights, potentials in solves:
+    for weights, potentials, sign in solves:
         assert weights.shape == (100, 100) and potentials is not None
-        assert abs(certified_value(weights, potentials)
-                   - certified_value(weights)) <= TOL
+        signed = sign * weights
+        assert abs(certified_value(signed, potentials)
+                   - certified_value(signed)) <= TOL
 
 
 def test_skipped_second_solves_on_pge_end_to_end(monkeypatch):
@@ -126,7 +131,9 @@ def test_skipped_second_solves_on_pge_end_to_end(monkeypatch):
     assert skipped and all(len(solves) in (1, 2) for _, _, solves in calls)
     # phase-2 means are no product: their solves are cold
     assert all(terms is None for _, terms, _ in calls)
-    assert all(potentials is None for _, _, solves in calls for _, potentials in solves)
-    for first, _ in skipped:
+    assert all(potentials is None
+               for _, _, solves in calls for _, potentials, _ in solves)
+    for weights, _, sign in skipped:
+        first = sign * weights
         value = certified_value(first)
         assert certified_value(-first) <= value + TOL

@@ -37,7 +37,7 @@ from gridest.estimators import EmpiricalProductEstimator
 from gridest.experiments import ramp_product, two_component_mixture
 from gridest.families import perm_graph_bits
 
-from _oracles import bit_matrix_event_probabilities
+from _oracles import bit_matrix_event_probabilities, choice_sample
 
 
 def uniform_product(n):
@@ -718,6 +718,93 @@ def _small_distributions(draw):
         k = draw(st.integers(1, 3))
         return MixtureDistribution(pmf(k), [product() for _ in range(k)])
     return JointTable(domain, pmf(domain.n_points))
+
+
+def _point_mass_mixture():
+    """Three point masses on the diagonal of [3]^2, the middle one of weight 0."""
+    domain = ProductDomain.of_sizes(3, 3)
+    components = [ProductDistribution(domain, [one_hot] * 2) for one_hot in np.eye(3)]
+    return MixtureDistribution([0.5, 0.0, 0.5], components)
+
+
+def _sparse_joint():
+    probs = np.random.default_rng(11).dirichlet(np.ones(24))
+    probs[[0, 5, 6, 23]] = 0.0
+    return JointTable(ProductDomain.of_sizes(2, 3, 4), probs / probs.sum())
+
+
+SAMPLED = {
+    "uniform-product": lambda: uniform_product(6),
+    "ramp-product": lambda: ramp_product(7),
+    "sparse-product": lambda: ProductDistribution(
+        ProductDomain.of_sizes(4, 1, 3), [[0.0, 0.5, 0.0, 0.5], [1.0], [0.2, 0.0, 0.8]]),
+    "two-component-mixture": lambda: two_component_mixture(6),
+    "zero-weight-mixture": _point_mass_mixture,
+    "sparse-joint": _sparse_joint,
+    "uniform-joint": lambda: uniform_product(5).table(),
+}
+
+
+def _kept_cdfs(dist):
+    """Every CDF a distribution keeps for ``sample``, with the pmf it is of."""
+    if isinstance(dist, ProductDistribution):
+        return list(zip(dist.marginal_cdfs, dist.marginals))
+    if isinstance(dist, MixtureDistribution):
+        return [(dist.weight_cdf, dist.weights)] + [
+            pair for comp in dist.components for pair in _kept_cdfs(comp)]
+    return [(dist.cdf, dist.probs)]
+
+
+class TestSampleAgainstChoice:
+    """``sample`` draws through CDFs the distributions keep; numpy's
+    ``Generator.choice(p=...)`` draw (``_oracles.choice_sample``) is its
+    oracle, bit for bit: the same points and the same generator state."""
+
+    @pytest.mark.parametrize("m", [1, 5, 874])
+    @pytest.mark.parametrize("name", sorted(SAMPLED))
+    def test_same_points_and_generator_state(self, name, m):
+        dist = SAMPLED[name]()
+        for seed in range(20):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got, want = sample(dist, m, got_rng), choice_sample(dist, m, want_rng)
+            assert got.dtype == want.dtype == np.int64
+            assert got.tobytes() == want.tobytes()
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+            # an int seed builds the generator anew; a seed sequence too
+            assert sample(dist, m, seed).tobytes() == want.tobytes()
+            sequence = np.random.SeedSequence([seed, m])
+            assert (sample(dist, m, sequence).tobytes()
+                    == choice_sample(dist, m, sequence).tobytes())
+
+    @given(_small_distributions(), st.integers(1, 60), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_any_small_distribution(self, dist, m, seed):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert (sample(dist, m, got_rng).tobytes()
+                == choice_sample(dist, m, want_rng).tobytes())
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_a_zero_weight_component_draws_no_points(self):
+        dist = _point_mass_mixture()
+        for seed in range(20):
+            points = sample(dist, 874, seed)
+            assert not np.any(np.all(points == 1, axis=1))
+            assert set(np.unique(points).tolist()) == {0, 2}
+
+    @pytest.mark.parametrize("name", sorted(SAMPLED))
+    def test_kept_cdfs_are_read_only_and_built_once(self, name):
+        dist = SAMPLED[name]()
+        cdfs = _kept_cdfs(dist)
+        assert cdfs
+        for cdf, p in cdfs:
+            assert not cdf.flags.writeable
+            want = p.cumsum()
+            want /= want[-1]
+            assert cdf.tobytes() == want.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                cdf[0] = 0.0
+        sample(dist, 5, 0)
+        assert all(a is b for (a, _), (b, _) in zip(cdfs, _kept_cdfs(dist)))
 
 
 class TestExhaustiveEvents:

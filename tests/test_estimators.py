@@ -983,14 +983,16 @@ class TestAssignmentSolverLoader:
 
 
 class TestMinimizeForm:
-    """``max_assignment_value`` minimizes ``potentials - weights`` (``-weights``
-    cold) with its rows in ``_spread_order``: on a unique optimum, the
-    matching the solver finds maximizing ``weights - potentials``."""
+    """``max_assignment_value`` minimizes ``potentials - sign * weights``
+    (``-sign * weights`` cold) with its rows in ``_spread_order``: on a
+    unique optimum, the matching the solver finds maximizing
+    ``sign * weights - potentials``."""
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 12),
-           st.sampled_from(["floats", "ties", "negative"]), st.booleans())
+           st.sampled_from(["floats", "ties", "negative"]), st.booleans(),
+           st.sampled_from([1, -1]))
     @settings(max_examples=150, deadline=None)
-    def test_same_matching_as_maximize(self, seed, n, kind, warm):
+    def test_same_matching_as_maximize(self, seed, n, kind, warm, sign):
         rng = np.random.default_rng(seed)
         weights = {
             "floats": lambda: rng.random((n, n)),
@@ -998,11 +1000,12 @@ class TestMinimizeForm:
             "negative": lambda: rng.normal(size=(n, n)) - 3.0,
         }[kind]()
         potentials = rng.random(n) if warm else None
+        signed = sign * weights
         solve = estimators._linear_sum_assignment()
-        reduced = weights if potentials is None else weights - potentials
+        reduced = signed if potentials is None else signed - potentials
         rows, cols = solve(reduced, maximize=True)
         order = estimators._spread_order(n)
-        want = (-weights if potentials is None else potentials - weights)[order]
+        want = (-signed if potentials is None else potentials - signed)[order]
         seen = []
 
         def recording(cost, maximize=False):
@@ -1012,21 +1015,26 @@ class TestMinimizeForm:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(estimators, "_linear_sum_assignment", lambda: recording)
-            value = max_assignment_value(weights, potentials)
+            value = max_assignment_value(weights, potentials, sign)
         (cost, maximize, (_, solved)), = seen
         assert not maximize and cost.tobytes() == want.tobytes()
         # the solver's row k is row order[k]
         matched = np.empty(n, dtype=solved.dtype)
         matched[order] = solved
-        assert value == float(weights[np.arange(n), matched].sum())
+        assert value == float(signed[np.arange(n), matched].sum())
         if kind == "ties":
             # another of tied optimal matchings, certified optimal
-            _, slack, gap = assignment_certificate(weights, matched)
+            _, slack, gap = assignment_certificate(signed, matched)
             assert slack >= -1e-12 and gap <= 1e-12
-            assert abs(value - float(weights[rows, cols].sum())) <= 1e-12
+            assert abs(value - float(signed[rows, cols].sum())) <= 1e-12
         else:
             assert np.array_equal(matched, cols)
-            assert value == float(weights[rows, cols].sum())
+            assert value == float(signed[rows, cols].sum())
+
+    @pytest.mark.parametrize("sign", [0, 2, -0.5])
+    def test_refuses_a_sign_but_one_or_minus_one(self, sign):
+        with pytest.raises(ValueError, match="sign must be 1 or -1"):
+            max_assignment_value(np.eye(3), None, sign)
 
 
 class TestSpreadOrder:
@@ -1064,6 +1072,9 @@ class TestSpreadOrder:
         assert abs(max_assignment_value(weights, potentials) - best) <= 1e-12
 
 
+SIGNS = (1, -1)
+
+
 def _two_solve_deviation(est, dist):
     """The assignment sup-deviation with both signed sides solved."""
     diff = est.cell_weights() - ExactEstimator(dist).cell_weights()
@@ -1077,13 +1088,13 @@ def _same_float(a, b):
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Records the ``(weights, potentials)`` of each assignment solve
+    """Records the ``(weights, potentials, sign)`` of each assignment solve
     ``sup_deviation`` makes."""
     calls = []
 
-    def counting(weights, potentials=None):
-        calls.append((weights, potentials))
-        return max_assignment_value(weights, potentials)
+    def counting(weights, potentials=None, sign=1):
+        calls.append((weights, potentials, sign))
+        return max_assignment_value(weights, potentials, sign)
 
     monkeypatch.setattr(estimators, "max_assignment_value", counting)
     return calls
@@ -1104,8 +1115,9 @@ def _recording_max_abs_sum(patch):
 
 
 def _warm_solves(diff, terms):
-    """The ``(weights, potentials)`` a warm ``max_abs_sum`` should solve, in
-    order: the side with the larger unreduced bound (side 0 on a tie), then
+    """The ``(weights, potentials, sign)`` a warm ``max_abs_sum`` should
+    solve, in order: ``diff`` itself with each side's potentials and sign,
+    the side with the larger unreduced bound first (side 0 on a tie), then
     the other only if its reduced bound reaches the first value (its
     unreduced bound then reaches it too)."""
     sides = warm_dual_sides(diff, terms)
@@ -1115,9 +1127,9 @@ def _warm_solves(diff, terms):
     # the reduced bound is the column potentials' own dual, up to rounding
     assert abs(other.reduced - other.bound) <= 1e-12
     assert other.unreduced >= other.reduced - 1e-12
-    wanted = [sides[first][:2]]
+    wanted = [(diff, sides[first].potentials, SIGNS[first])]
     if other.reduced >= first_value - 1e-12:
-        wanted.append(other[:2])
+        wanted.append((diff, other.potentials, SIGNS[1 - first]))
     return wanted
 
 
@@ -1142,8 +1154,8 @@ def _cold_solve_counts(diff):
 def _same_solves(got, wanted):
     """The recorded solves are the wanted ones, bit for bit, in order."""
     return len(got) == len(wanted) and all(
-        w.tobytes() == ww.tobytes() and p.tobytes() == pp.tobytes()
-        for (w, p), (ww, pp) in zip(got, wanted)
+        w.tobytes() == ww.tobytes() and p.tobytes() == pp.tobytes() and s == ss
+        for (w, p, s), (ww, pp, ss) in zip(got, wanted)
     )
 
 
@@ -1240,9 +1252,9 @@ class TestBoundFirstAssignment:
         _, count = _cold_solve_counts(diff)
         calls = []
 
-        def counting(w, potentials=None):
+        def counting(w, potentials=None, sign=1):
             calls.append(w.shape)
-            return max_assignment_value(w, potentials)
+            return max_assignment_value(w, potentials, sign)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(estimators, "max_assignment_value", counting)
@@ -1264,11 +1276,12 @@ class TestBoundFirstAssignment:
             "negative": lambda: rng.normal(size=(n, n)) - 3.0,
         }[kind]()
         row_only, count = _cold_solve_counts(diff)
+        first = int((-diff).max(axis=1).sum() > diff.max(axis=1).sum())
         calls = []
 
-        def counting(w, potentials=None):
-            calls.append(potentials)
-            return max_assignment_value(w, potentials)
+        def counting(w, potentials=None, sign=1):
+            calls.append((w, potentials, sign))
+            return max_assignment_value(w, potentials, sign)
 
         def no_potentials(terms, n):
             raise AssertionError("a cold call builds column potentials")
@@ -1280,7 +1293,10 @@ class TestBoundFirstAssignment:
         assert _same_float(
             got, max(max_assignment_value(diff), max_assignment_value(-diff)))
         assert len(calls) == count <= row_only
-        assert all(potentials is None for potentials in calls)
+        assert all(potentials is None for _, potentials, _ in calls)
+        # every side is solved on diff itself, the first side's sign first
+        assert all(w is diff for w, _, _ in calls)
+        assert [sign for _, _, sign in calls] == [SIGNS[first], SIGNS[1 - first]][:count]
 
     def test_phase2_means_take_one_solve(self, solves):
         n, m1 = 30, 3918
@@ -1332,9 +1348,9 @@ class TestBoundFirstAssignment:
         )
         calls = []
 
-        def counting(w, potentials=None):
-            calls.append((w, potentials))
-            return max_assignment_value(w, potentials)
+        def counting(w, potentials=None, sign=1):
+            calls.append((w, potentials, sign))
+            return max_assignment_value(w, potentials, sign)
 
         with pytest.MonkeyPatch.context() as mp:
             args = _recording_max_abs_sum(mp)

@@ -316,6 +316,44 @@ class TestPermutationIndexSums:
         assert np.array_equal(index.sums(members, weights), members @ weights)
 
 
+class TestPermutationIndexChecks:
+    """The permutation index checks a frozen batch once, any other batch on
+    every call."""
+
+    def test_a_frozen_batch_is_checked_once(self, monkeypatch):
+        family = PermutationGraphs(4)
+        members = family.materialize().members_matrix()
+        index = family.trace_index(family.domain.full_grid())
+        weights = np.random.default_rng(2).random(16)
+        checks = []
+        flatnonzero = np.flatnonzero
+
+        def counting(a):
+            checks.append(a)
+            return flatnonzero(a)
+
+        monkeypatch.setattr(np, "flatnonzero", counting)
+        for _ in range(3):
+            assert np.array_equal(index.sums(members, weights), members @ weights)
+        assert len(checks) == 1
+        writable = members.copy()
+        for _ in range(2):
+            assert np.array_equal(index.sums(writable, weights), members @ weights)
+        assert len(checks) == 3
+
+    def test_a_read_only_view_is_checked_again(self):
+        family = PermutationGraphs(3)
+        index = family.trace_index(family.domain.full_grid())
+        base = family.members_matrix()
+        view = base[:]
+        view.flags.writeable = False
+        weights = np.arange(9.0)
+        assert np.array_equal(index.sums(view, weights), base @ weights)
+        base[0, 0] = ~base[0, 0]
+        with pytest.raises(ValueError, match="^trace not represented$"):
+            index.sums(view, weights)
+
+
 class TestOneIndexPerFamily:
     def test_the_family_keeps_its_index(self):
         family = PermutationGraphs(4)
@@ -335,13 +373,145 @@ class TestOneIndexPerFamily:
         seen = []
         solve = estimators.max_assignment_value
 
-        def recording(weights, potentials=None):
+        def recording(weights, potentials=None, sign=1):
             seen.append(weights.shape)
-            return solve(weights, potentials)
+            return solve(weights, potentials, sign)
 
         # patched after the family was built and used
         monkeypatch.setattr(estimators, "max_assignment_value", recording)
         assert family.max_abs_sum(diff) == want and seen
+
+
+EXPLICIT = {
+    "permutation-graphs": lambda: PermutationGraphs(4).materialize(),
+    "axis-boxes": lambda: AxisBoxes(ProductDomain.of_sizes(3, 4)).materialize(),
+    "random": lambda: ExplicitFamily(
+        ProductDomain.of_sizes(2, 3, 2),
+        np.random.default_rng(3).random((40, 12)) < 0.4),
+}
+
+
+def same_index(got, want) -> bool:
+    """Two explicit indexes with the same keys and rows, bit for bit."""
+    return (got.class_count == want.class_count
+            and got.class_keys.tobytes() == want.class_keys.tobytes()
+            and got.rows.tobytes() == want.rows.tobytes())
+
+
+class TestKeptExplicitIndex:
+    """An explicit family keeps its index on the full grid, as
+    ``PermutationGraphs`` keeps its own; every other grid gets a fresh one."""
+
+    @pytest.mark.parametrize("name", sorted(EXPLICIT))
+    def test_every_full_grid_gets_the_kept_index(self, name):
+        family = EXPLICIT[name]()
+        d = family.domain
+        index = family.trace_index(d.full_grid())
+        all_values = Grid(d, [np.arange(n) for n in d.sizes])
+        assert all_values is not d.full_grid() and all_values.is_full
+        assert family.trace_index(all_values) is index
+        assert family.trace_index(d.full_grid()) is index
+        assert same_index(index, ExplicitTraceIndex(family, all_values))
+
+    @pytest.mark.parametrize("name", sorted(EXPLICIT))
+    def test_a_partial_grid_gets_a_fresh_index(self, name):
+        family = EXPLICIT[name]()
+        d = family.domain
+        kept = family.trace_index(d.full_grid())
+        partial = Grid(d, [np.arange(n - 1 if i == 0 else n) for i, n in enumerate(d.sizes)])
+        first, second = family.trace_index(partial), family.trace_index(partial)
+        assert first is not second and kept not in (first, second)
+        assert same_index(first, ExplicitTraceIndex(family, partial))
+        assert same_index(second, first)
+        assert family.trace_index(d.full_grid()) is kept
+
+    def test_a_grid_of_another_domain_is_still_refused(self):
+        family = EXPLICIT["permutation-graphs"]()
+        with pytest.raises(ValueError, match="^grid and family live on different domains$"):
+            family.trace_index(ProductDomain.of_sizes(5, 5).full_grid())
+
+    @pytest.mark.parametrize("name", sorted(EXPLICIT))
+    def test_sums_equal_a_fresh_index(self, name):
+        rng = np.random.default_rng(7)
+        family = EXPLICIT[name]()
+        members = family.members_matrix()
+        index = family.trace_index(family.domain.full_grid())
+        for _ in range(3):
+            weights = rng.random(family.domain.n_points)
+            fresh = ExplicitTraceIndex(family, family.domain.full_grid())
+            assert (index.sums(members, weights).tobytes()
+                    == fresh.sums(members, weights).tobytes())
+
+    def test_estimators_on_one_full_grid_share_it_and_agree_alternately(self):
+        family = EXPLICIT["permutation-graphs"]()
+        d = family.domain
+        members = family.members_matrix()
+        plan = small_plan(40)
+        rng = np.random.default_rng(12)
+        counts = [rng.multinomial(40, np.full(d.n_points, 1.0 / d.n_points)).reshape(d.sizes)
+                  for _ in range(2)]
+        ests = [ProductGridEstimator.from_counts(d.full_grid(), c, family, plan)
+                for c in counts]
+        assert ests[0].trace_index is ests[1].trace_index
+        fresh = [ExplicitTraceIndex(family, d.full_grid()) for _ in ests]
+        # the shared one-entry totals cache swaps between the two weights
+        for est, index in [*zip(ests, fresh), *zip(ests, fresh), (ests[1], fresh[1])]:
+            want = index.sums(members, est.weights) / est.total
+            assert est.estimate_many(members).tobytes() == want.tobytes()
+            assert est.trace_index._weights is est.weights
+
+    def test_a_frozen_query_is_looked_up_once(self, monkeypatch):
+        family = EXPLICIT["axis-boxes"]()
+        members = family.members_matrix()
+        assert members.base is None and not members.flags.writeable
+        index = family.trace_index(family.domain.full_grid())
+        fresh = ExplicitTraceIndex(family, family.domain.full_grid())
+        rng = np.random.default_rng(4)
+        want = [(w, fresh.sums(members, w)) for w in rng.random((3, members.shape[1]))]
+        packed = []
+        pack_traces = Grid.pack_traces
+
+        def counting(grid, rows):
+            packed.append(rows)
+            return pack_traces(grid, rows)
+
+        monkeypatch.setattr(Grid, "pack_traces", counting)
+        for weights, sums in want * 2:
+            assert index.sums(members, weights).tobytes() == sums.tobytes()
+        assert len(packed) == 1 and packed[0] is members
+        # a writable copy is looked up on every call
+        copy = members.copy()
+        for weights, sums in want:
+            assert index.sums(copy, weights).tobytes() == sums.tobytes()
+        assert len(packed) == 4
+
+    def test_a_query_that_may_change_is_looked_up_again(self):
+        family = EXPLICIT["random"]()
+        members = family.members_matrix()
+        index = family.trace_index(family.domain.full_grid())
+        weights = np.arange(family.domain.n_points, dtype=np.float64)
+        # a read-only view of a writable matrix: its base can still change
+        base = members.copy()
+        view = base[:]
+        view.flags.writeable = False
+        assert np.array_equal(index.sums(view, weights), row_sums(members, weights))
+        base[0] = ~base[0]
+        assert not any((family.members == base[0]).all(axis=1))
+        with pytest.raises(ValueError, match="^trace not represented$"):
+            index.sums(view, weights)
+        # a frozen matrix with a trace no member has is refused every time
+        frozen = np.array(base)
+        frozen.flags.writeable = False
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^trace not represented$"):
+                index.sums(frozen, weights)
+
+    def test_the_family_pickles_with_its_kept_index(self):
+        family = EXPLICIT["axis-boxes"]()
+        index = family.trace_index(family.domain.full_grid())
+        again = pickle.loads(pickle.dumps(family))
+        kept = again.trace_index(again.domain.full_grid())
+        assert kept is not index and same_index(kept, index)
 
 
 def product_pair(n, seed, truth, m):
@@ -363,9 +533,9 @@ def warm_and_cold(est, dist, monkeypatch):
     potentials = []
     solve = estimators.max_assignment_value
 
-    def recording(weights, v=None):
+    def recording(weights, v=None, sign=1):
         potentials.append(v)
-        return solve(weights, v)
+        return solve(weights, v, sign)
 
     with monkeypatch.context() as patch:
         patch.setattr(estimators, "max_assignment_value", recording)
