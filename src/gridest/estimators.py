@@ -148,10 +148,8 @@ class _CellWeightEstimator:
         values = row_sums(member_rows(members, self.domain), self.weights)
         return values if self.total is None else values / self.total
 
-    def cell_weights(self) -> np.ndarray | None:
-        """The weights as an ``n x n`` matrix on width-2 domains, else None."""
-        if self.domain.width != 2:
-            return None
+    def cell_weights(self) -> np.ndarray:
+        """The weights shaped like the domain."""
         weights = self.weights.reshape(self.domain.sizes)
         return weights if self.total is None else weights / self.total
 
@@ -270,6 +268,8 @@ class ProductGridEstimator(_CellWeightEstimator):
 
     @property
     def is_structured(self) -> bool:
+        """Whether the index is not an ``ExplicitTraceIndex``: the library
+        does not read it; perfbench's build observer and tests do."""
         return not isinstance(self.trace_index, ExplicitTraceIndex)
 
     def estimate_many(self, members: np.ndarray) -> np.ndarray:

@@ -657,7 +657,7 @@ def _pge_cross_check(n: int, eps: float, delta: float, seed_seq) -> float:
     for child in seed_seq.spawn(8):
         s = sample(dist, 60 * n + m1, child)
         est = build_product_grid_estimator(s, family, plan)
-        if not est.is_structured:
+        if not est.grid.is_full:
             continue
         checked += 1
         dev_assign = sup_deviation(est, family, dist, method="assignment")
@@ -810,7 +810,7 @@ _CONFIG_FIELDS = (
     ("scenario", lambda v: isinstance(v, str), "a string"),
     ("trials", lambda v: v is None or (_is_a(v, numbers.Integral) and v >= 1),
      "null or an integer >= 1"),
-    ("seed", lambda v: _is_a(v, numbers.Integral), "an integer"),
+    ("seed", lambda v: _is_a(v, numbers.Integral) and v >= 0, "an integer >= 0"),
     ("params", lambda v: isinstance(v, dict), "an object"),
     ("out", lambda v: v is None or isinstance(v, str), "null or a string"),
 )
@@ -825,30 +825,36 @@ _DOMAIN_SIDES = ("n", "cross_n")
 _POPULATION_COUNTS = ("base_perms", "instances", "random_families",
                       "fano_instances", "vc_families", "lvc_families")
 
-#: The smallest value each of those params takes.
-_LEAST = {**dict.fromkeys(_DOMAIN_SIDES, 2), **dict.fromkeys(_POPULATION_COUNTS, 1)}
+#: The smallest value each of those params takes; also of the sample sizes
+#: (each item of ``m_list``), the linear VC dimension ``g``, the most mixture
+#: components ``k_max``, and ``size_max``, the top of the axis sizes drawn.
+_LEAST = {**dict.fromkeys(_DOMAIN_SIDES, 2), "size_max": 2,
+          **dict.fromkeys(_POPULATION_COUNTS + ("m", "m_list", "g", "k_max"), 1)}
 
 
-def _follows(value, default) -> bool:
-    """Whether a param has its default's type, and sign if that is >= 0 (nan passes)."""
+def _follows(value, default, least=None) -> bool:
+    """Whether a param has its default's type and is at least ``least``, or
+    0 where the default is >= 0 (nan passes); each item, for a list."""
     if isinstance(default, list):
         return (isinstance(value, list) and len(value) > 0
-                and all(_follows(v, default[0]) for v in value))
+                and all(_follows(v, default[0], least) for v in value))
     kind = numbers.Integral if isinstance(default, int) else numbers.Real
-    return _is_a(value, kind) and not (default >= 0 and value < 0)
+    least = least if least is not None or default < 0 else 0
+    return _is_a(value, kind) and not (least is not None and value < least)
 
 
-def _wanted(default) -> str:
+def _wanted(default, least=None) -> str:
     if isinstance(default, list):
-        return f"a non-empty list, each item {_wanted(default[0])}"
+        return f"a non-empty list, each item {_wanted(default[0], least)}"
     kind = "an integer" if isinstance(default, int) else "a real number"
-    return kind + (" >= 0" if default >= 0 else "")
+    least = least if least is not None or default < 0 else 0
+    return kind if least is None else f"{kind} >= {least}"
 
 
 def check_config(config: ExperimentConfig) -> CatalogEntry:
     """The entry of a valid config: checks its fields, names, params (against
-    their catalog defaults; domain sides >= 2, population counts >= 1) and the
-    single-pass rule; ``ValueError`` if bad."""
+    their catalog defaults and ``_LEAST``) and the single-pass rule;
+    ``ValueError`` if bad."""
     for name, ok, want in _CONFIG_FIELDS:
         value = getattr(config, name)
         if not ok(value):
@@ -860,12 +866,8 @@ def check_config(config: ExperimentConfig) -> CatalogEntry:
     if unknown:
         raise ValueError(f"unknown parameters for {entry.name}: {sorted(unknown)}")
     for name, value in config.params.items():
-        least = _LEAST.get(name)
-        if not _follows(value, entry.defaults[name]) or (
-            least is not None and value < least
-        ):
-            want = (_wanted(entry.defaults[name]) if least is None
-                    else f"an integer >= {least}")
+        if not _follows(value, entry.defaults[name], _LEAST.get(name)):
+            want = _wanted(entry.defaults[name], _LEAST.get(name))
             raise ValueError(f"{entry.name} param {name!r} must be {want}, got {value!r}")
     if entry.default_trials == 1 and config.trials not in (None, 1):
         raise ValueError(

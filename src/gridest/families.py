@@ -73,9 +73,17 @@ class SetFamily:
         """The family's trace index on the grid: its ``class_count`` and
         ``sums(members, weights)``, the weights over each query's class's
         representative, raising ``ValueError("trace not represented")`` for a
-        trace the family lacks.  Here ``ExplicitTraceIndex`` over the
-        enumerated members; a family that knows its traces overrides this."""
+        trace the family lacks.  A full grid of the family's own domain gets
+        ``_full_index``, built on first use and kept; any other grid a fresh
+        ``ExplicitTraceIndex`` over the enumerated members."""
+        if grid.is_full and grid.domain == self.domain:
+            return self._full_index
         return ExplicitTraceIndex(self, grid)
+
+    @functools.cached_property
+    def _full_index(self):
+        """A family that knows its traces on its full grid overrides this."""
+        return ExplicitTraceIndex(self, self.domain.full_grid())
 
     def max_abs_sum(self, diff: np.ndarray, terms=None) -> float:
         """The exact largest ``|sum of diff over F|`` over members F, for a
@@ -93,8 +101,7 @@ class SetFamily:
 
 class ExplicitFamily(SetFamily):
     """A family given by an explicit list of dense members: a read-only copy
-    of the rows, each distinct row once, at its first occurrence.  Its trace
-    index on the full grid is built on first use and kept."""
+    of the rows, each distinct row once, at its first occurrence."""
 
     def __init__(self, domain: ProductDomain, members):
         members = member_rows(np.atleast_2d(members), domain)
@@ -105,20 +112,12 @@ class ExplicitFamily(SetFamily):
         members.flags.writeable = False
         self.domain = domain
         self.members = members
-        self._full_index: ExplicitTraceIndex | None = None
 
     def member_count(self) -> int:
         return int(self.members.shape[0])
 
     def members_matrix(self) -> np.ndarray:
         return self.members
-
-    def trace_index(self, grid: Grid):
-        if not (grid.is_full and grid.domain == self.domain):
-            return super().trace_index(grid)
-        if self._full_index is None:
-            self._full_index = ExplicitTraceIndex(self, grid)
-        return self._full_index
 
     def materialize(self) -> "ExplicitFamily":
         return self
@@ -161,7 +160,7 @@ class PermutationGraphs(SetFamily):
 
     Every member meets every axis-parallel line in exactly one point, so the
     family restricted to any line is the n singletons and its linear VC
-    dimension is 1.
+    dimension is 1.  Its kept full-grid index is a ``PermutationGraphIndex``.
     """
 
     def __init__(self, n: int):
@@ -169,7 +168,6 @@ class PermutationGraphs(SetFamily):
             raise ValueError("n must be positive")
         self.n = n
         self.domain = ProductDomain.of_sizes(n, n)
-        self._index = PermutationGraphIndex(n)
 
     def member_count(self) -> int:
         return math.factorial(self.n)
@@ -181,10 +179,9 @@ class PermutationGraphs(SetFamily):
         np.put_along_axis(members, np.arange(self.n) * self.n + perms, True, axis=1)
         return members
 
-    def trace_index(self, grid: Grid):
-        if grid.is_full and grid.domain == self.domain:
-            return self._index
-        return super().trace_index(grid)
+    @functools.cached_property
+    def _full_index(self):
+        return PermutationGraphIndex(self.n)
 
     def max_abs_sum(self, diff: np.ndarray, terms=None) -> float:
         """``max_F |sum of diff over F|``: two signed max-weight assignments.
@@ -357,9 +354,9 @@ class ExplicitTraceIndex:
     Its sums gather class totals, ``rows @ weights`` once per weights array
     (kept by identity: the weights must be read-only, as an estimator's are),
     at each query row's class id, looked up once per frozen query matrix
-    (``_frozen``; kept by identity too).  An ``ExplicitFamily`` keeps its
-    full-grid index, so estimators on the full grid share it; the kept
-    totals are then those of the last weights.
+    (``_frozen``; kept by identity too).  A family keeps its full-grid
+    index (``SetFamily.trace_index``), so estimators on the full grid share
+    it; the kept totals are then those of the last weights.
 
     Raises ``ValueError`` for a grid of another domain, and
     ``NotEnumerableError`` for a family past the enumeration caps.

@@ -483,3 +483,18 @@ class TestRandomFamilyCaps:
 
 def _never_called(*args, **kwargs):
     raise AssertionError("called")
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: binomle(0, 1), "need n >= 1", id="binomle-n"),
+    pytest.param(lambda: binomle(3, -1), "need g >= 0", id="binomle-g"),
+    pytest.param(lambda: grid_ssp_bound((3, 3), 1, 2), "axis out of range",
+                 id="ssp-bound-axis"),
+    pytest.param(lambda: grid_ssp_rate(3, 0, 1), "need d >= 1", id="ssp-rate-d"),
+    pytest.param(lambda: aggregation_eta(0), "need T >= 1", id="eta"),
+    pytest.param(lambda: union_family_lower_check(2, 2, 0), "need g >= 1",
+                 id="union-lower-g"),
+])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

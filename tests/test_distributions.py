@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from gridest.distributions import (
     box_projection,
     code_rate,
     distribution_from_dict,
+    distribution_to_dict,
     dump_distribution,
     event_probability,
     exhaustive_event_probabilities,
@@ -893,6 +895,18 @@ class TestJsonFormat:
         assert isinstance(loaded, MixtureDistribution)
         assert np.allclose(loaded.table().probs, mix.table().probs, atol=1e-12)
 
+    def test_product_round_trip(self, tmp_path):
+        d = ProductDomain.of_sizes(3, 2, 4)
+        rng = np.random.default_rng(6)
+        product = ProductDistribution(d, [rng.dirichlet(np.ones(n)) for n in d.sizes])
+        path = tmp_path / "product.json"
+        dump_distribution(product, path)
+        assert json.loads(path.read_text())["kind"] == "product"
+        loaded = load_distribution(path)
+        assert isinstance(loaded, ProductDistribution) and loaded.domain == d
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(loaded.marginals, product.marginals, strict=True))
+
     def test_joint_round_trip(self, tmp_path):
         d = ProductDomain.of_sizes(2, 2)
         joint = JointTable(d, [0.5, 0.0, 0.0, 0.5])
@@ -988,3 +1002,50 @@ class TestJsonFormat:
         fields = [data[k] for k in ("axes", "weights", "components", "sizes", "table")
                   if k in data]
         assert all(type(x) in (int, float) for x in _leaves(fields))
+
+
+D22 = ProductDomain.of_sizes(2, 2)
+HALF = [0.5, 0.5]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: ProductDistribution(D22, [HALF]), ValueError,
+                 "marginal count != domain width", id="product-width"),
+    pytest.param(lambda: ProductDistribution(D22, [HALF, [1.0]]), ValueError,
+                 "marginal 1 length != axis size", id="product-axis"),
+    pytest.param(lambda: MixtureDistribution(HALF, [ProductDistribution(D22, [HALF] * 2)]),
+                 ValueError, "weight count != component count", id="mixture-weights"),
+    pytest.param(lambda: MixtureDistribution(HALF, [
+        ProductDistribution(D22, [HALF] * 2),
+        ProductDistribution(ProductDomain.of_sizes(2, 1), [HALF, [1.0]])]),
+        ValueError, "components live on different domains", id="mixture-domains"),
+    pytest.param(lambda: JointTable(D22, [1.0]), ValueError,
+                 "table size != number of domain points", id="joint-size"),
+    pytest.param(lambda: mixture_modulus(0, 2, 0.5), ValueError,
+                 "need k >= 1 and d >= 1", id="mixture-modulus-k"),
+    pytest.param(lambda: mixture_modulus(2, 0, 0.5), ValueError,
+                 "need k >= 1 and d >= 1", id="mixture-modulus-d"),
+    pytest.param(lambda: tc_modulus(-0.1, 0.5), ValueError,
+                 "total-correlation bound must be nonnegative", id="tc-modulus"),
+    pytest.param(lambda: mixture_tightness_instance(1, 2, 0.5), ValueError,
+                 "need k >= 2 and d >= 2", id="tightness-k"),
+    pytest.param(lambda: mixture_tightness_instance(2, 1, 0.5), ValueError,
+                 "need k >= 2 and d >= 2", id="tightness-d"),
+    pytest.param(lambda: mixture_tightness_instance(2, 2, 0.0), ValueError,
+                 "alpha must lie in (0, 1]", id="tightness-alpha"),
+    pytest.param(lambda: gilbert_varshamov_code(0, 1), ValueError,
+                 "need d >= 1 and min_distance >= 1", id="code-d"),
+    pytest.param(lambda: gilbert_varshamov_code(3, 0), ValueError,
+                 "need d >= 1 and min_distance >= 1", id="code-distance"),
+    pytest.param(lambda: biased_cube_family(2, 0.1, np.ones((3, 3))), ValueError,
+                 "code must be an (M, d) sign matrix", id="cube-code-shape"),
+    pytest.param(lambda: biased_cube_family(2, 0.1, [[1, 0]]), ValueError,
+                 "code entries must be +-1", id="cube-code-signs"),
+    pytest.param(lambda: sample(SimpleNamespace(domain=D22), 1, 0), TypeError,
+                 "cannot sample from SimpleNamespace", id="sample-type"),
+    pytest.param(lambda: distribution_to_dict(SimpleNamespace(domain=D22)), TypeError,
+                 "cannot serialize SimpleNamespace", id="serialize-type"),
+])
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

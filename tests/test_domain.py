@@ -1,6 +1,7 @@
 """Domains, grids, axis-parallel lines, and traces."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -415,3 +416,18 @@ class TestTrace:
         keys, want = d.full_grid().pack_traces(members), row_keys(members)
         assert keys.dtype == want.dtype
         assert [k.tobytes() for k in keys] == [k.tobytes() for k in want]
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: AxisLine(0, (1, 2)), "fixed coordinate given for the free axis",
+                 id="line-free-axis"),
+    pytest.param(lambda: AxisLine(0, (None, None)),
+                 "missing fixed coordinate on a non-free axis", id="line-missing"),
+    pytest.param(lambda: Grid(ProductDomain.of_sizes(2, 2), [[0]]),
+                 "grid axis count != domain width", id="grid-axes"),
+    pytest.param(lambda: ProductDomain.of_sizes(2, 2).validate_points([0, 1, 1]),
+                 "point width 3 != domain width 2", id="point-width"),
+])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

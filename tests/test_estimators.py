@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -702,6 +703,27 @@ class TestOneCellWeightCore:
         fam, s = small_interval_family(), np.array([[0, 0], [2, 2], [1, 1]])
         est = build_product_grid_estimator(s, fam, identity_plan(split=(2, 1)))
         assert not est.is_structured and est.cell_weights() is None
+
+    def test_weights_take_the_domain_shape_at_any_width(self):
+        d = ProductDomain.of_sizes(2, 3, 2)
+        rng = np.random.default_rng(8)
+        s = rng.integers(0, d.sizes, size=(30, 3))
+        dist = JointTable(d, rng.dirichlet(np.ones(d.n_points)))
+        counts = d.cell_counts(s)
+        family = AxisBoxes(d)
+        grid_est = ProductGridEstimator.from_counts(
+            d.full_grid(), counts, family, identity_plan(split=(1, 30)))
+        for est, weights in [
+            (EmpiricalMeanEstimator(s, d), counts / 30),
+            (ExactEstimator(dist), dist.probs.reshape(d.sizes)),
+            (grid_est, counts / 30),
+        ]:
+            assert np.array_equal(est.cell_weights(), weights)
+            # weights of the right shape, and still no maximizer for boxes
+            with pytest.raises(ValueError, match="^method inapplicable: family has no"):
+                sup_deviation(est, family, dist, "assignment")
+        product = EmpiricalProductEstimator(s, d)
+        assert product.cell_weights().shape == d.sizes
 
 
 def _empirical_mean_of(dist, m, rng):
@@ -1672,3 +1694,26 @@ class TestDeviationReport:
             "estimator", "family", "distribution", "trials", "seed",
             "deviations", "mean", "q50", "q90", "q99",
         ]
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: identity_plan(g=0), "need lvc >= 1 and width >= 1", id="lvc"),
+    pytest.param(lambda: identity_plan(d=0), "need lvc >= 1 and width >= 1", id="width"),
+    pytest.param(lambda: identity_plan(split=(0, 5)), "split sizes must be positive",
+                 id="split-m0"),
+    pytest.param(lambda: identity_plan(split=(5, 0)), "split sizes must be positive",
+                 id="split-m1"),
+    pytest.param(lambda: phase2_size(0.1, 0.1, 0), "need at least one trace class",
+                 id="phase2-classes"),
+    pytest.param(lambda: ProductGridEstimator.from_counts(
+        ProductDomain.of_sizes(2, 2).full_grid(), np.zeros((2, 2), dtype=np.int64),
+        PermutationGraphs(2), identity_plan()),
+        "insufficient sample: empty phase 2", id="empty-phase2"),
+    # identity_plan() plans a phase 1 of 1322 points
+    pytest.param(lambda: build_product_grid_estimator(
+        np.zeros((1322, 2), dtype=np.int64), PermutationGraphs(2), identity_plan()),
+        "insufficient sample: phase 1 alone needs 1322 points", id="phase1-only"),
+])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -260,13 +260,21 @@ def _never_run(*args, **kwargs):
 _PARAMS = [(name, key) for name, entry in SCENARIOS.items() for key in entry.defaults]
 
 
+#: Params with a least value other than their sign's: a sample size, the
+#: linear VC dimension and the most mixture components are >= 1, and a
+#: mixture's largest axis size >= 2.
+_POSITIVE = {"m": 1, "m_list": 1, "g": 1, "k_max": 1, "size_max": 2}
+
+
 def _least(key, default):
     """The smallest value a param takes (None: any): 2 for a domain side, 1 for
-    a population count, else 0 where the default is >= 0."""
+    a population count, ``_POSITIVE``'s, else 0 where the default is >= 0."""
     if key in experiments._DOMAIN_SIDES:
         return 2
     if key in experiments._POPULATION_COUNTS:
         return 1
+    if key in _POSITIVE:
+        return _POSITIVE[key]
     first = default[0] if isinstance(default, list) else default
     return 0 if first >= 0 else None
 
@@ -647,6 +655,7 @@ class TestCli:
         ({"trials": True}, "'trials' must be null or an integer"),
         ({"seed": "5"}, "'seed' must be an integer"),
         ({"seed": 1.5}, "'seed' must be an integer"),
+        ({"seed": -1}, "'seed' must be an integer >= 0, got -1"),
         ({"scenario": ["modulus-tc"]}, "'scenario' must be a string"),
         ({"out": 3}, "'out' must be null or a string"),
     ])
@@ -686,6 +695,12 @@ class TestCli:
         ("run", "fano-omega-d", {"fano_instances": 0}),
         ("run", "symdiff-vc", {"vc_families": 0}),
         ("run", "symdiff-vc", {"lvc_families": 0}),
+        ("run", "perm-empirical-failure", {"m": 0}),
+        ("run", "deviation-scaling", {"m_list": [0, 256]}),
+        ("run", "grid-hitting", {"g": 0}),
+        ("calibrate", "grid-hitting", {"g": 0}),
+        ("run", "modulus-mixture", {"k_max": 0}),
+        ("run", "modulus-mixture", {"size_max": 1}),
     ])
     def test_bad_param_exits_2(self, tmp_path, capsys, command, scenario, params):
         config = tmp_path / "config.json"
@@ -701,6 +716,18 @@ class TestCli:
         assert cli_main(["run", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert "error: deviation-scaling param 'n' must be an integer >= 2, got 1" in err
+
+    @pytest.mark.parametrize("command", ["run", "calibrate"])
+    def test_no_scenario_exits_2(self, command, capsys):
+        assert cli_main([command, "--seed", "3"]) == 2
+        assert "error: no scenario given" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "calibrate"])
+    def test_negative_seed_flag_exits_2(self, command, capsys):
+        # refused by the config check, before numpy's SeedSequence sees it
+        assert cli_main([command, "grid-hitting", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "error: config field 'seed' must be an integer >= 0, got -1" in err
 
     def test_single_m_deviation_scaling_exits_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"

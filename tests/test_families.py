@@ -329,7 +329,8 @@ class TestTextFormat:
         ("domain\n", "line 1: expected 'domain d n_1 ... n_d'"),
         ("domain 2 2 x\n1001\n", "line 1: expected 'domain d n_1 ... n_d'"),
         ("domain 2 2 2\n", "no members"),
-    ], ids=["no-sizes", "bad-size", "no-members"])
+        ("# one size short\ndomain 2 4\n1001\n", "line 2: expected 2 axis sizes"),
+    ], ids=["no-sizes", "bad-size", "no-members", "size-count"])
     def test_truncated_file_rejected(self, tmp_path, text, match):
         path = tmp_path / "family.txt"
         path.write_text(text)
@@ -397,3 +398,17 @@ class TestTextFormat:
         except ValueError:
             return
         assert fam.members.shape[1] == fam.domain.n_points
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: PermutationGraphs(0), "n must be positive", id="permutations-n"),
+    pytest.param(lambda: UnionsOfPermutations(0, 1), "need n >= 1 and g >= 0",
+                 id="unions-n"),
+    pytest.param(lambda: UnionsOfPermutations(2, -1), "need n >= 1 and g >= 0",
+                 id="unions-g"),
+    pytest.param(lambda: IntervalsOnAxis(ProductDomain.of_sizes(2, 2), 2),
+                 "axis out of range", id="intervals-axis"),
+])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridest.info import (
+    as_pmf,
     bernoulli_bias_kl,
     binary_entropy,
     binary_entropy_bits,
@@ -228,3 +230,17 @@ class TestKlAdditivity:
         assert kl_additivity_check(theta, theta_p, nu) == pytest.approx(
             full, abs=1e-10
         )
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: as_pmf([[0.5, 0.5]]), "pmf must be one-dimensional", id="pmf-2d"),
+    pytest.param(lambda: as_pmf([1.5, -0.5]), "pmf has negative entries",
+                 id="pmf-negative"),
+    pytest.param(lambda: hellinger_sq_biased_product(0.5, 1), "nu must lie in [0, 1/2)",
+                 id="hellinger-nu"),
+    pytest.param(lambda: hellinger_sq_biased_product(0.1, 0), "k must be positive",
+                 id="hellinger-k"),
+])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

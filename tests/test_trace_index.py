@@ -1,13 +1,14 @@
 """The seam between families and estimators: ``SetFamily.trace_index`` and
 ``SetFamily.max_abs_sum``.
 
-Every family answers ``trace_index(grid)``: ``ExplicitTraceIndex`` over its
-enumerated members unless it knows its trace structure on the grid (the
-permutation graphs on their full grid).  The estimators and ``count_traces``
-ask it instead of testing the family's type.  The index answers sums: the
-product-grid estimator's queries have one path, ``sums(members, weights)``,
-through whichever index answers, and read nothing else off it but
-``class_count``.
+Every family answers ``trace_index(grid)`` by one rule: on a full grid of
+its own domain its kept ``_full_index``, built on first use
+(``ExplicitTraceIndex`` over its enumerated members, or the permutation
+graphs' own index), and on any other grid a fresh ``ExplicitTraceIndex``.
+The estimators and ``count_traces`` ask it instead of testing the family's
+type.  The index answers sums: the product-grid estimator's queries have one
+path, ``sums(members, weights)``, through whichever index answers, and read
+nothing else off it but ``class_count``.
 ``sup_deviation(method="assignment")`` asks the family's ``max_abs_sum``,
 which only a family with an exact maximizer has.  The syntax-tree checks
 below keep it that way: no library module but ``families.py`` tests for
@@ -251,7 +252,7 @@ class AnyGridGraphs(PermutationGraphs):
     """Permutation graphs whose structured index is offered on every grid."""
 
     def trace_index(self, grid):
-        return self._index
+        return self._full_index
 
 
 def full_and_partial_builds(n, m1, seed):
@@ -357,14 +358,21 @@ class TestPermutationIndexChecks:
 class TestOneIndexPerFamily:
     def test_the_family_keeps_its_index(self):
         family = PermutationGraphs(4)
+        # trial functions carry the family to worker processes, before and
+        # after its index exists
+        before = pickle.loads(pickle.dumps(family))
+        assert "_full_index" not in vars(family) and "_full_index" not in vars(before)
         index = family.trace_index(family.domain.full_grid())
+        assert "_full_index" in vars(family)
         assert family.trace_index(family.domain.full_grid()) is index
         # the class count is computed when read
         assert "class_count" not in vars(index)
         assert index.class_count == 24 and "class_count" in vars(index)
-        # trial functions carry the family to worker processes
-        again = pickle.loads(pickle.dumps(family))
-        assert again.trace_index(again.domain.full_grid()).class_count == 24
+        for again in (before, pickle.loads(pickle.dumps(family))):
+            kept = again.trace_index(again.domain.full_grid())
+            assert isinstance(kept, PermutationGraphIndex) and kept is not index
+            assert kept.class_count == 24
+            assert again.trace_index(again.domain.full_grid()) is kept
 
     def test_each_solve_reads_the_solver_attribute(self, monkeypatch):
         family = PermutationGraphs(3)
@@ -390,6 +398,15 @@ EXPLICIT = {
         np.random.default_rng(3).random((40, 12)) < 0.4),
 }
 
+#: Every built-in family without an index of its own, explicit or not.
+KEEPERS = {
+    **EXPLICIT,
+    "boxes": lambda: AxisBoxes(ProductDomain.of_sizes(3, 4)),
+    "intervals": lambda: IntervalsOnAxis(ProductDomain.of_sizes(3, 4), 1),
+    "unions": lambda: UnionsOfPermutations(3, 2),
+    "power-set": lambda: PowerSetFamily(ProductDomain.of_sizes(2, 3)),
+}
+
 
 def same_index(got, want) -> bool:
     """Two explicit indexes with the same keys and rows, bit for bit."""
@@ -399,23 +416,26 @@ def same_index(got, want) -> bool:
 
 
 class TestKeptExplicitIndex:
-    """An explicit family keeps its index on the full grid, as
-    ``PermutationGraphs`` keeps its own; every other grid gets a fresh one."""
+    """Every family but the permutation graphs keeps an explicit index on its
+    full grid, built on first use, as ``PermutationGraphs`` keeps its own;
+    every other grid gets a fresh one."""
 
-    @pytest.mark.parametrize("name", sorted(EXPLICIT))
+    @pytest.mark.parametrize("name", sorted(KEEPERS))
     def test_every_full_grid_gets_the_kept_index(self, name):
-        family = EXPLICIT[name]()
+        family = KEEPERS[name]()
         d = family.domain
+        assert "_full_index" not in vars(family)
         index = family.trace_index(d.full_grid())
+        assert isinstance(index, ExplicitTraceIndex)
         all_values = Grid(d, [np.arange(n) for n in d.sizes])
         assert all_values is not d.full_grid() and all_values.is_full
         assert family.trace_index(all_values) is index
         assert family.trace_index(d.full_grid()) is index
         assert same_index(index, ExplicitTraceIndex(family, all_values))
 
-    @pytest.mark.parametrize("name", sorted(EXPLICIT))
+    @pytest.mark.parametrize("name", sorted(KEEPERS))
     def test_a_partial_grid_gets_a_fresh_index(self, name):
-        family = EXPLICIT[name]()
+        family = KEEPERS[name]()
         d = family.domain
         kept = family.trace_index(d.full_grid())
         partial = Grid(d, [np.arange(n - 1 if i == 0 else n) for i, n in enumerate(d.sizes)])
@@ -425,15 +445,20 @@ class TestKeptExplicitIndex:
         assert same_index(second, first)
         assert family.trace_index(d.full_grid()) is kept
 
-    def test_a_grid_of_another_domain_is_still_refused(self):
-        family = EXPLICIT["permutation-graphs"]()
-        with pytest.raises(ValueError, match="^grid and family live on different domains$"):
-            family.trace_index(ProductDomain.of_sizes(5, 5).full_grid())
+    @pytest.mark.parametrize("name", sorted(KEEPERS))
+    def test_a_grid_of_another_domain_is_still_refused(self, name):
+        family = KEEPERS[name]()
+        other = ProductDomain.of_sizes(*(n + 1 for n in family.domain.sizes))
+        for _ in range(2):
+            with pytest.raises(ValueError,
+                               match="^grid and family live on different domains$"):
+                family.trace_index(other.full_grid())
+        assert "_full_index" not in vars(family)
 
-    @pytest.mark.parametrize("name", sorted(EXPLICIT))
+    @pytest.mark.parametrize("name", sorted(KEEPERS))
     def test_sums_equal_a_fresh_index(self, name):
         rng = np.random.default_rng(7)
-        family = EXPLICIT[name]()
+        family = KEEPERS[name]()
         members = family.members_matrix()
         index = family.trace_index(family.domain.full_grid())
         for _ in range(3):
@@ -506,12 +531,18 @@ class TestKeptExplicitIndex:
             with pytest.raises(ValueError, match="^trace not represented$"):
                 index.sums(frozen, weights)
 
-    def test_the_family_pickles_with_its_kept_index(self):
-        family = EXPLICIT["axis-boxes"]()
+    @pytest.mark.parametrize("name", sorted(KEEPERS))
+    def test_the_family_pickles_with_its_kept_index(self, name):
+        family = KEEPERS[name]()
+        before = pickle.loads(pickle.dumps(family))
+        assert "_full_index" not in vars(before)
         index = family.trace_index(family.domain.full_grid())
-        again = pickle.loads(pickle.dumps(family))
-        kept = again.trace_index(again.domain.full_grid())
-        assert kept is not index and same_index(kept, index)
+        after = pickle.loads(pickle.dumps(family))
+        assert "_full_index" in vars(after)
+        for again in (before, after):
+            kept = again.trace_index(again.domain.full_grid())
+            assert kept is not index and same_index(kept, index)
+            assert again.trace_index(again.domain.full_grid()) is kept
 
 
 def product_pair(n, seed, truth, m):
