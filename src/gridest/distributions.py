@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import (CapExceededError, MAX_CELLS, ProductDomain, code_bits, event_row,
-                     row_sums)
+from .domain import (CapExceededError, MAX_CELLS, ProductDomain, check_sizes, code_bits,
+                     event_row, row_sums)
 from .info import as_pmf, binary_entropy, kl_divergence
 
 
@@ -46,13 +46,7 @@ class ProductDistribution:
         return tuple(_choice_cdf(p) for p in self.marginals)
 
     def point_prob(self, points: np.ndarray) -> np.ndarray:
-        return self._checked_point_prob(self.domain.validate_points(points))
-
-    def _checked_point_prob(self, points: np.ndarray) -> np.ndarray:
-        out = np.ones(len(points))
-        for i, p in enumerate(self.marginals):
-            out *= p[points[:, i]]
-        return out
+        return self.table().point_prob(points)
 
     def table(self) -> "JointTable":
         """The joint table, computed on the first call and kept."""
@@ -94,11 +88,7 @@ class MixtureDistribution:
         return _choice_cdf(self.weights)
 
     def point_prob(self, points: np.ndarray) -> np.ndarray:
-        points = self.domain.validate_points(points)
-        out = np.zeros(len(points))
-        for w, comp in zip(self.weights, self.components):
-            out += w * comp._checked_point_prob(points)
-        return out
+        return self.table().point_prob(points)
 
     def table(self) -> "JointTable":
         """The joint table, computed on the first call and kept."""
@@ -469,13 +459,13 @@ def distribution_from_dict(data: dict) -> Distribution:
         return MixtureDistribution(weights, [_product(c) for c in components])
     if kind == "joint":
         sizes = _list_field(data, "sizes")
-        if not sizes or not all(
-            isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in sizes
-        ):
+        try:
+            check_sizes(sizes)
+        except ValueError:
             raise ValueError(
                 "joint distribution: field 'sizes' must be a non-empty list of "
                 "positive integers"
-            )
+            ) from None
         table = _load_vector(_field(data, "table"), "table")
         # checked here, so the error names the table and its sizes
         if table.size != math.prod(sizes):

@@ -80,6 +80,22 @@ def event_row(event, domain: "ProductDomain") -> np.ndarray:
     return member_rows(np.reshape(bits, (1, -1)), domain)
 
 
+def check_sizes(sizes: Sequence[int]) -> tuple[int, ...]:
+    """Axis sizes as Python ints: at least one, each an integer (not a bool)
+    >= 1; ``ValueError`` naming the first bad axis."""
+    checked = []
+    for i, n in enumerate(sizes):
+        if isinstance(n, (bool, np.bool_)) or not hasattr(type(n), "__index__"):
+            raise ValueError(f"axis {i} size must be an integer, got {n!r}")
+        n = operator.index(n)
+        if n < 1:
+            raise ValueError(f"axis {i} size must be at least 1, got {n}")
+        checked.append(n)
+    if not checked:
+        raise ValueError("domain width must be at least 1")
+    return tuple(checked)
+
+
 class ProductDomain:
     """A product of finite index ranges ``[n_1] x ... x [n_d]``, one per axis.
 
@@ -89,21 +105,8 @@ class ProductDomain:
     """
 
     def __init__(self, sizes: Sequence[int]):
-        checked = []
-        for i, n in enumerate(sizes):
-            try:
-                n = operator.index(n)
-            except TypeError:
-                raise ValueError(
-                    f"axis {i} size must be an integer, got {n!r}"
-                ) from None
-            if n < 1:
-                raise ValueError(f"axis {i} size must be at least 1, got {n}")
-            checked.append(n)
-        if not checked:
-            raise ValueError("domain width must be at least 1")
-        self.sizes = tuple(checked)
-        self.width = len(checked)
+        self.sizes = check_sizes(sizes)
+        self.width = len(self.sizes)
         self.n_points = math.prod(self.sizes)
         # row-major strides for flat indexing
         strides = [1] * self.width

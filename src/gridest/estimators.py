@@ -158,7 +158,7 @@ class EmpiricalMeanEstimator(_CellWeightEstimator):
     """The empirical mean: the sample's point counts over its size."""
 
     def __init__(self, sample: np.ndarray, domain: ProductDomain):
-        sample = domain.validate_points(np.asarray(sample, dtype=np.int64))
+        sample = domain.validate_points(sample)
         if sample.shape[0] == 0:
             raise ValueError("empty sample")
         super().__init__(domain, domain.cell_counts(sample).ravel(), sample.shape[0])
@@ -174,7 +174,7 @@ class EmpiricalProductEstimator(_CellWeightEstimator):
     """
 
     def __init__(self, sample: np.ndarray, domain: ProductDomain):
-        sample = domain.validate_points(np.asarray(sample, dtype=np.int64))
+        sample = domain.validate_points(sample)
         self._fit(domain.axis_counts(sample), domain)
 
     @classmethod
@@ -204,7 +204,6 @@ class ExactEstimator(_CellWeightEstimator):
     """The true distribution viewed as an estimator (zero-deviation reference)."""
 
     def __init__(self, dist: Distribution):
-        self.dist = dist
         super().__init__(dist.domain, dist.table().probs)
 
 
@@ -295,7 +294,7 @@ def build_product_grid_estimator(
     ``ProductGridEstimator.from_counts``.
     """
     domain = family.domain
-    sample = domain.validate_points(np.asarray(sample, dtype=np.int64))
+    sample = domain.validate_points(sample)
     if plan.split is not None:
         m0, m1 = plan.split
         if sample.shape[0] < m0 + m1:

@@ -195,14 +195,6 @@ def _trial_empirical(
     return sup_deviation(est, family, dist, method="assignment")
 
 
-def _empirical_trial_fn(draw, build, dist: Distribution) -> functools.partial:
-    """``_trial_empirical`` with a run's fixed inputs bound; ``m`` is left open."""
-    return functools.partial(
-        _trial_empirical, draw=draw, build=build, dist=dist,
-        family=PermutationGraphs(dist.domain.sizes[0]),
-    )
-
-
 def _trial_grid_hitting(
     seed_seq, family: SetFamily, dist: Distribution, m0: int, level: float
 ) -> float:
@@ -235,12 +227,16 @@ def _run_perm_empirical_failure(params, trials, seed, memo):
         params["target_freq"],
         params["slack"],
     )
-    fn = _empirical_trial_fn(sample, EmpiricalMeanEstimator, uniform_product(n))
-    devs = run_trials(functools.partial(fn, m=m), trials, np.random.SeedSequence(seed))
+    family = PermutationGraphs(n)
+    fn = functools.partial(
+        _trial_empirical, draw=sample, build=EmpiricalMeanEstimator,
+        dist=uniform_product(n), m=m, family=family,
+    )
+    devs = run_trials(fn, trials, np.random.SeedSequence(seed))
     freq = float(np.mean(devs >= threshold))
     passed = freq >= target - slack
     report = DeviationReport.from_deviations(
-        "empirical-mean", f"permutation-graphs(n={n})", f"uniform-product({n}x{n})",
+        "empirical-mean", family.describe(), f"uniform-product({n}x{n})",
         seed, devs,
     )
     assertion = (
@@ -256,14 +252,17 @@ def _run_perm_product_success(params, trials, seed, memo):
     )
     slack = params["slack"]
     m = product_case_size(eps, delta, g=1, d=2, constant=constant)
-    fn = _empirical_trial_fn(
-        marginal_counts, EmpiricalProductEstimator.from_counts, uniform_product(n)
+    family = PermutationGraphs(n)
+    fn = functools.partial(
+        _trial_empirical, draw=marginal_counts,
+        build=EmpiricalProductEstimator.from_counts, dist=uniform_product(n), m=m,
+        family=family,
     )
-    devs = run_trials(functools.partial(fn, m=m), trials, np.random.SeedSequence(seed))
+    devs = run_trials(fn, trials, np.random.SeedSequence(seed))
     fail_freq = float(np.mean(devs > eps))
     passed = fail_freq <= delta + slack
     report = DeviationReport.from_deviations(
-        "empirical-product", f"permutation-graphs(n={n})", f"uniform-product({n}x{n})",
+        "empirical-product", family.describe(), f"uniform-product({n}x{n})",
         seed, devs,
     )
     assertion = (
@@ -279,8 +278,10 @@ def _run_deviation_scaling(params, trials, seed, memo):
     lo, hi, ratio_bound = params["slope_lo"], params["slope_hi"], params["ratio_bound"]
     if len(set(m_list)) < 2:
         raise ValueError("m_list needs at least two distinct m to fit a slope")
-    fn = _empirical_trial_fn(
-        marginal_counts, EmpiricalProductEstimator.from_counts, ramp_product(n)
+    fn = functools.partial(
+        _trial_empirical, draw=marginal_counts,
+        build=EmpiricalProductEstimator.from_counts, dist=ramp_product(n),
+        family=PermutationGraphs(n),
     )
     per_m_seeds = np.random.SeedSequence(seed).spawn(len(m_list))
     rows = []
@@ -600,10 +601,9 @@ def _run_pge_end_to_end(params, trials, seed, memo):
     master = np.random.SeedSequence(seed)
     trial_seed, cross_seed = master.spawn(2)
     dist.table()  # kept by the mixture, so trials and worker processes reuse it
+    family = PermutationGraphs(n)
     devs = run_trials(
-        functools.partial(
-            _trial_pge, family=PermutationGraphs(n), plan=plan, dist=dist
-        ),
+        functools.partial(_trial_pge, family=family, plan=plan, dist=dist),
         trials,
         trial_seed,
     )
@@ -619,7 +619,7 @@ def _run_pge_end_to_end(params, trials, seed, memo):
 
     passed = main_ok and cross_ok
     report = DeviationReport.from_deviations(
-        "product-grid", f"permutation-graphs(n={n})", dist.describe(), seed, devs
+        "product-grid", family.describe(), dist.describe(), seed, devs
     )
     assertion = (
         f"freq(sup-dev <= {eps}) = {success_freq:.4f} must be >= "
@@ -676,12 +676,17 @@ def _pge_cross_check(n: int, eps: float, delta: float, seed_seq) -> float:
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """One scenario: ``defaults`` holds the params a config may set, and
+    ``fixed`` the thresholds, tolerances and slacks its claim is judged by,
+    which no config sets; the runner and the report see both."""
+
     name: str
     claim: str
     check_id: str
     defaults: dict
     default_trials: int
     runner: object
+    fixed: dict = field(default_factory=dict)
 
 
 SCENARIOS: dict[str, CatalogEntry] = {
@@ -693,10 +698,10 @@ SCENARIOS: dict[str, CatalogEntry] = {
             "sup-deviation over permutation graphs reaches 3/4 with probability "
             ">= 3/4",
             "A1",
-            {"n": 100, "m": 5, "dev_threshold": 0.75, "target_freq": 0.75,
-             "slack": 0.05},
+            {"n": 100, "m": 5},
             2000,
             _run_perm_empirical_failure,
+            {"dev_threshold": 0.75, "target_freq": 0.75, "slack": 0.05},
         ),
         CatalogEntry(
             "perm-product-success",
@@ -704,9 +709,10 @@ SCENARIOS: dict[str, CatalogEntry] = {
             "permutation graphs with m = C (1 + ln(1/delta))/eps^2 samples under "
             "a product distribution",
             "A2",
-            {"n": 100, "eps": 0.1, "delta": 0.1, "constant": 1.0, "slack": 0.05},
+            {"n": 100, "eps": 0.1, "delta": 0.1, "constant": 1.0},
             200,
             _run_perm_product_success,
+            {"slack": 0.05},
         ),
         CatalogEntry(
             "deviation-scaling",
@@ -714,10 +720,10 @@ SCENARIOS: dict[str, CatalogEntry] = {
             "permutation graphs decays like m^(-1/2) under a skewed product "
             "distribution",
             "A2",
-            {"n": 100, "m_list": [256, 512, 1024, 2048, 4096, 8192, 16384],
-             "slope_lo": -0.65, "slope_hi": -0.35, "ratio_bound": 0.65},
+            {"n": 100, "m_list": [256, 512, 1024, 2048, 4096, 8192, 16384]},
             200,
             _run_deviation_scaling,
+            {"slope_lo": -0.65, "slope_hi": -0.35, "ratio_bound": 0.65},
         ),
         CatalogEntry(
             "modulus-mixture",
@@ -725,19 +731,21 @@ SCENARIOS: dict[str, CatalogEntry] = {
             "P_box(E) >= a^d/(k-1+a)^(d-1), and the diagonal construction "
             "attains a^d/(k-1)^(d-1)",
             "A5",
-            {"instances": 50, "k_max": 3, "size_max": 4, "tol": 1e-12,
-             "alpha_grid": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]},
+            {"instances": 50, "k_max": 3, "size_max": 4},
             1,
             _run_modulus_mixture,
+            {"tol": 1e-12,
+             "alpha_grid": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]},
         ),
         CatalogEntry(
             "modulus-tc",
             "total correlation <= C implies P_box(E) >= exp(-(H(a)+C)/a) at "
             "a = P(E), and at C=0 the modulus behaves like a/e for small a",
             "A6",
-            {"instances": 50, "tol": 1e-10, "asym_alpha": 1e-4, "asym_tol": 0.01},
+            {"instances": 50},
             1,
             _run_modulus_tc,
+            {"tol": 1e-10, "asym_alpha": 1e-4, "asym_tol": 0.01},
         ),
         CatalogEntry(
             "ssp-audit",
@@ -745,10 +753,10 @@ SCENARIOS: dict[str, CatalogEntry] = {
             "binomle(n_i, g)^(prod of other sides), with g the linear VC "
             "dimension; union families nearly attain it",
             "A4",
-            {"perm_n_max": 5, "random_families": 100, "union_lower_min": 2.25,
-             "report_rows": 10},
+            {"random_families": 100, "report_rows": 10},
             1,
             _run_ssp_audit,
+            {"perm_n_max": 5, "union_lower_min": 2.25},
         ),
         CatalogEntry(
             "symdiff-vc",
@@ -766,9 +774,10 @@ SCENARIOS: dict[str, CatalogEntry] = {
             "pairwise 4-eps separated in total variation, so uniform estimation "
             "over the cube needs Omega(d/eps) samples",
             "A9",
-            {"d": 8, "eps": 0.01, "tol": 1e-10, "fano_instances": 20},
+            {"d": 8, "eps": 0.01, "fano_instances": 20},
             1,
             _run_fano_omega_d,
+            {"tol": 1e-10},
         ),
         CatalogEntry(
             "grid-hitting",
@@ -776,9 +785,10 @@ SCENARIOS: dict[str, CatalogEntry] = {
             "difference of probability >= eps/2, except with frequency <= delta",
             "A10",
             {"n": 20, "eps": 0.3, "delta": 0.2, "g": 3, "c0": 0.25,
-             "base_perms": 40, "slack": 0.05},
+             "base_perms": 40},
             500,
             _run_grid_hitting,
+            {"slack": 0.05},
         ),
         CatalogEntry(
             "pge-end-to-end",
@@ -786,10 +796,10 @@ SCENARIOS: dict[str, CatalogEntry] = {
             "with probability >= 1 - delta over permutation graphs under a "
             "2-component mixture of products",
             "A11",
-            {"n": 30, "eps": 0.2, "delta": 0.1, "c0": 0.25, "slack": 0.05,
-             "cross_n": 6, "cross_tol": 1e-12},
+            {"n": 30, "eps": 0.2, "delta": 0.1, "c0": 0.25, "cross_n": 6},
             200,
             _run_pge_end_to_end,
+            {"slack": 0.05, "cross_tol": 1e-12},
         ),
     ]
 }
@@ -828,33 +838,32 @@ _POPULATION_COUNTS = ("base_perms", "instances", "random_families",
 #: The smallest value each of those params takes; also of the sample sizes
 #: (each item of ``m_list``), the linear VC dimension ``g``, the most mixture
 #: components ``k_max``, and ``size_max``, the top of the axis sizes drawn.
+#: Every other param is at least 0.
 _LEAST = {**dict.fromkeys(_DOMAIN_SIDES, 2), "size_max": 2,
           **dict.fromkeys(_POPULATION_COUNTS + ("m", "m_list", "g", "k_max"), 1)}
 
 
-def _follows(value, default, least=None) -> bool:
-    """Whether a param has its default's type and is at least ``least``, or
-    0 where the default is >= 0 (nan passes); each item, for a list."""
+def _follows(value, default, least) -> bool:
+    """Whether a param has its default's type and is at least ``least``
+    (nan passes); each item, for a list."""
     if isinstance(default, list):
         return (isinstance(value, list) and len(value) > 0
                 and all(_follows(v, default[0], least) for v in value))
     kind = numbers.Integral if isinstance(default, int) else numbers.Real
-    least = least if least is not None or default < 0 else 0
-    return _is_a(value, kind) and not (least is not None and value < least)
+    return _is_a(value, kind) and not value < least
 
 
-def _wanted(default, least=None) -> str:
+def _wanted(default, least) -> str:
     if isinstance(default, list):
         return f"a non-empty list, each item {_wanted(default[0], least)}"
     kind = "an integer" if isinstance(default, int) else "a real number"
-    least = least if least is not None or default < 0 else 0
-    return kind if least is None else f"{kind} >= {least}"
+    return f"{kind} >= {least}"
 
 
 def check_config(config: ExperimentConfig) -> CatalogEntry:
     """The entry of a valid config: checks its fields, names, params (against
-    their catalog defaults and ``_LEAST``) and the single-pass rule;
-    ``ValueError`` if bad."""
+    their catalog defaults and ``_LEAST``; a fixed value is refused) and the
+    single-pass rule; ``ValueError`` if bad."""
     for name, ok, want in _CONFIG_FIELDS:
         value = getattr(config, name)
         if not ok(value):
@@ -862,13 +871,20 @@ def check_config(config: ExperimentConfig) -> CatalogEntry:
     entry = SCENARIOS.get(config.scenario)
     if entry is None:
         raise ValueError(f"unknown scenario {config.scenario!r}")
+    for name in config.params:
+        if name in entry.fixed:
+            raise ValueError(
+                f"{entry.name} param {name!r} = {entry.fixed[name]!r} is fixed by "
+                f"the claim and cannot be set"
+            )
     unknown = set(config.params) - set(entry.defaults)
     if unknown:
         raise ValueError(f"unknown parameters for {entry.name}: {sorted(unknown)}")
     for name, value in config.params.items():
-        if not _follows(value, entry.defaults[name], _LEAST.get(name)):
-            want = _wanted(entry.defaults[name], _LEAST.get(name))
-            raise ValueError(f"{entry.name} param {name!r} must be {want}, got {value!r}")
+        default, least = entry.defaults[name], _LEAST.get(name, 0)
+        if not _follows(value, default, least):
+            raise ValueError(f"{entry.name} param {name!r} must be "
+                             f"{_wanted(default, least)}, got {value!r}")
     if entry.default_trials == 1 and config.trials not in (None, 1):
         raise ValueError(
             f"{entry.name} is single-pass: trials must be 1, got {config.trials}"
@@ -882,7 +898,7 @@ def run_scenario(config: ExperimentConfig, memo: dict | None = None) -> Scenario
     Runs sharing a ``memo`` dict reuse work keyed by all of its inputs.
     """
     entry = check_config(config)
-    params = {**entry.defaults, **config.params}
+    params = {**entry.defaults, **entry.fixed, **config.params}
     trials = config.trials if config.trials is not None else entry.default_trials
     start = time.perf_counter()
     passed, assertion, slack, metrics, curves, report = entry.runner(

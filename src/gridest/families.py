@@ -27,6 +27,7 @@ from .domain import (
     Grid,
     NotEnumerableError,
     ProductDomain,
+    check_sizes,
     code_bits,
     member_rows,
     row_keys,
@@ -542,6 +543,10 @@ def load_family(path) -> ExplicitFamily:
                 d, *sizes = map(int, parts[1:])
                 if len(sizes) != d:
                     raise ValueError(f"line {lineno}: expected {d} axis sizes")
+                try:
+                    check_sizes(sizes)
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from None
                 # members are checked against the header's point count before
                 # any domain is built, so an error names the file's line
                 n_points = math.prod(sizes)

@@ -492,12 +492,29 @@ class TestEventProbability:
             dist.point_prob([[1, 1], point])
 
     @pytest.mark.parametrize("kind", ["product", "mixture", "joint"])
-    def test_point_prob_reads_each_point_of_the_table(self, kind):
-        dist = {"product": ramp_product(3), "mixture": two_component_mixture(3),
-                "joint": two_component_mixture(3).table()}[kind]
+    @pytest.mark.parametrize("sizes", [(3, 3), (2, 3, 4)])
+    def test_point_prob_reads_each_point_of_the_table(self, kind, sizes):
+        domain = ProductDomain.of_sizes(*sizes)
+        rng = np.random.default_rng(len(sizes))
+        mixture = MixtureDistribution([0.3, 0.7], [
+            ProductDistribution(domain, [rng.dirichlet(np.ones(n)) for n in sizes])
+            for _ in range(2)
+        ])
+        dist = {"product": mixture.components[0], "mixture": mixture,
+                "joint": mixture.table()}[kind]
         points = dist.domain.all_points()
-        assert np.allclose(dist.point_prob(points), dist.table().probs,
-                           rtol=0, atol=1e-15)
+        assert np.array_equal(dist.point_prob(points), dist.table().probs)
+
+    @pytest.mark.parametrize("kind", ["product", "mixture"])
+    def test_point_prob_past_the_cell_cap_raises(self, kind):
+        # 1025 x 1024 points, over MAX_CELLS: read through the table, as
+        # every other table read is
+        sizes = (1025, 1024)
+        product = ProductDistribution(ProductDomain.of_sizes(*sizes),
+                                      [np.full(n, 1.0 / n) for n in sizes])
+        dist = product if kind == "product" else MixtureDistribution([1.0], [product])
+        with pytest.raises(CapExceededError, match="too large to tabulate"):
+            dist.point_prob([[0, 0]])
 
     @pytest.mark.parametrize("kind", ["product", "mixture", "joint"])
     def test_point_prob_names_the_bad_point_by_its_index(self, kind):
@@ -952,6 +969,9 @@ class TestJsonFormat:
         ({"kind": "mixture", "weights": [1.0], "components": 5},
          "field 'components' must be a list"),
         ({"kind": "joint", "sizes": 5, "table": [1.0]}, "field 'sizes' must be"),
+        *(({"kind": "joint", "sizes": sizes, "table": [1.0]},
+           "^joint distribution: field 'sizes' must be a non-empty list of "
+           "positive integers$") for sizes in ([], [True], [2, 0], [1.0])),
         ({"kind": "product", "axes": [{"a": 1}]}, "axis 0: must be a list"),
         ({"kind": "joint", "sizes": [1], "table": {"a": 1}}, "table: must be a list"),
         ({"kind": "product", "axes": [["0.5", "0.5"]]}, "axis 0: must be a list"),

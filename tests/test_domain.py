@@ -40,6 +40,12 @@ class TestProductDomain:
         with pytest.raises(ValueError, match="axis 1 size must be an integer"):
             ProductDomain.of_sizes(3, np.float64(2.0))
 
+    @pytest.mark.parametrize("sizes", [(True, 2), (2, np.True_)])
+    def test_bool_size_rejected_not_read_as_one(self, sizes):
+        axis = sizes.index(True)
+        with pytest.raises(ValueError, match=f"axis {axis} size must be an integer"):
+            ProductDomain.of_sizes(*sizes)
+
     def test_zero_axes_rejected(self):
         with pytest.raises(ValueError):
             ProductDomain([])

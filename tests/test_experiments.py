@@ -359,6 +359,60 @@ class TestValidation:
             assert re.fullmatch(r"A\d+", entry.check_id)
 
 
+#: Every (scenario, fixed value) pair of the catalog.
+_FIXED = [(name, key) for name, entry in SCENARIOS.items() for key in entry.fixed]
+
+
+def _run_config(tmp_path, scenario, params) -> int:
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"scenario": scenario, "params": params}))
+    return cli_main(["run", "--config", str(config)])
+
+
+class TestFixedParams:
+    """A claim's thresholds, tolerances and slacks: no config sets them, and
+    every run reads them and lists them in its report."""
+
+    def test_no_name_is_both_settable_and_fixed(self):
+        assert all(not set(e.defaults) & set(e.fixed) for e in SCENARIOS.values())
+
+    @pytest.mark.parametrize("name, key", _FIXED)
+    def test_a_fixed_value_is_refused(self, tmp_path, capsys, name, key):
+        value = SCENARIOS[name].fixed[key]
+        message = (f"{name} param {key!r} = {value!r} is fixed by the claim and "
+                   f"cannot be set")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_config(ExperimentConfig(name, params={key: value}))
+        assert _run_config(tmp_path, name, {key: value}) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_a_config_cannot_buy_a_pass(self, tmp_path, capsys):
+        # m = 400 >> sqrt(20)/2: the empirical mean is accurate, the claim fails
+        params = {"n": 20, "m": 400}
+        assert _run_config(tmp_path, "perm-empirical-failure", params) == 1
+        assert "[FAIL]" in capsys.readouterr().out
+        assert _run_config(tmp_path, "perm-empirical-failure",
+                           {**params, "target_freq": 0.0}) == 2
+        assert _run_config(tmp_path, "deviation-scaling",
+                           {"slope_lo": -100, "slope_hi": 100}) == 2
+        err = capsys.readouterr().err
+        assert "param 'target_freq' = 0.75 is fixed" in err
+        assert "param 'slope_lo' = -0.65 is fixed" in err
+
+    @pytest.mark.parametrize("name", [name for name, e in SCENARIOS.items() if e.fixed])
+    def test_the_runner_and_the_report_see_every_fixed_value(self, name, monkeypatch):
+        seen = []
+
+        def runner(params, trials, seed, memo):
+            seen.append(params)
+            return True, "", 0.0, {}, {}, None
+
+        entry = SCENARIOS[name]
+        monkeypatch.setitem(SCENARIOS, name, dataclasses.replace(entry, runner=runner))
+        result = run_scenario(ExperimentConfig(name, trials=1))
+        assert seen == [result.params] == [{**entry.defaults, **entry.fixed}]
+
+
 class TestGridHittingCaps:
     """The caps are checked before the family is built or a member drawn."""
 
@@ -551,7 +605,7 @@ class TestCalibration:
         # an impossible accuracy target at tiny sample sizes
         outcome = calibrate_constants(
             "perm-product-success", grid=(1e-9,), trials=5, seed=1,
-            params={"n": 10, "slack": 0.0, "eps": 0.001, "delta": 0.01},
+            params={"n": 10, "eps": 0.001, "delta": 0.01},
         )
         assert outcome["unbounded"] is True
         assert outcome["grid_maximum"] == 1e-9
@@ -676,7 +730,7 @@ class TestCli:
     @pytest.mark.parametrize("command, scenario, params", [
         ("run", "deviation-scaling", {"n": "x"}),
         ("run", "deviation-scaling", {"m_list": []}),
-        ("run", "pge-end-to-end", {"slack": "a"}),
+        ("run", "pge-end-to-end", {"eps": "a"}),
         ("run", "pge-end-to-end", {"delta": "x"}),
         ("calibrate", "grid-hitting", {"n": "x"}),
         ("run", "modulus-mixture", {"instances": -1}),

@@ -330,7 +330,11 @@ class TestTextFormat:
         ("domain 2 2 x\n1001\n", "line 1: expected 'domain d n_1 ... n_d'"),
         ("domain 2 2 2\n", "no members"),
         ("# one size short\ndomain 2 4\n1001\n", "line 2: expected 2 axis sizes"),
-    ], ids=["no-sizes", "bad-size", "no-members", "size-count"])
+        # checked at the header, not after the members are read against it
+        ("domain 0\n1\n", "line 1: domain width must be at least 1"),
+        ("domain 2 3 0\n", "line 1: axis 1 size must be at least 1, got 0"),
+    ], ids=["no-sizes", "bad-size", "no-members", "size-count", "no-axes",
+            "empty-axis"])
     def test_truncated_file_rejected(self, tmp_path, text, match):
         path = tmp_path / "family.txt"
         path.write_text(text)
