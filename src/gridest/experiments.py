@@ -1,10 +1,11 @@
 """Seeded, configuration-driven scenarios with machine-readable reports.
 
-Every scenario validates one mathematical claim with an explicit Monte Carlo
-slack, runs deterministically given its master seed (independently of the
-worker count), and emits a JSON result plus CSV curves.  Trials derive their
-seeds from the master seed by ``SeedSequence.spawn``, so parallel and serial
-execution produce byte-identical numbers.
+Every scenario validates one mathematical claim by the checks its catalog
+entry declares (each a metric against a bound computed from the params, Monte
+Carlo slacks included), runs deterministically given its master seed
+(independently of the worker count), and emits a JSON result plus CSV curves.
+Trials derive their seeds from the master seed by ``SeedSequence.spawn``, so
+parallel and serial execution produce byte-identical numbers.
 
 The worker count is read from the ``GRIDEST_WORKERS`` environment variable;
 it affects speed only, never results.
@@ -17,6 +18,7 @@ import math
 import numbers
 import os
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -128,6 +130,11 @@ class ExperimentConfig:
 
 @dataclass
 class ScenarioResult:
+    """One run's report.  ``checks`` holds one row per check of its catalog
+    entry (metric, op, value, bound, signed margin and pass); ``passed`` and
+    ``assertion`` are derived from them, and each threshold, tolerance and
+    slack is listed in ``params``."""
+
     scenario: str
     claim: str
     check_id: str
@@ -136,7 +143,7 @@ class ScenarioResult:
     seed: int
     passed: bool
     assertion: str
-    slack: float
+    checks: list
     metrics: dict
     curves: dict = field(default_factory=dict)
     report: DeviationReport | None = None
@@ -222,60 +229,40 @@ def _trial_pge(
 
 def _run_perm_empirical_failure(params, trials, seed, memo):
     n, m = params["n"], params["m"]
-    threshold, target, slack = (
-        params["dev_threshold"],
-        params["target_freq"],
-        params["slack"],
-    )
-    family = PermutationGraphs(n)
+    family, dist = PermutationGraphs(n), uniform_product(n)
     fn = functools.partial(
         _trial_empirical, draw=sample, build=EmpiricalMeanEstimator,
-        dist=uniform_product(n), m=m, family=family,
+        dist=dist, m=m, family=family,
     )
     devs = run_trials(fn, trials, np.random.SeedSequence(seed))
-    freq = float(np.mean(devs >= threshold))
-    passed = freq >= target - slack
+    freq = float(np.mean(devs >= params["dev_threshold"]))
     report = DeviationReport.from_deviations(
-        "empirical-mean", family.describe(), f"uniform-product({n}x{n})",
-        seed, devs,
+        "empirical-mean", family.describe(), dist.describe(), seed, devs,
     )
-    assertion = (
-        f"freq(sup-dev >= {threshold}) = {freq:.4f} must be "
-        f">= {target} - {slack} = {target - slack}"
-    )
-    return passed, assertion, slack, {"freq": freq, "m": m}, {}, report
+    return {"freq": freq, "m": m}, {}, report
 
 
 def _run_perm_product_success(params, trials, seed, memo):
     n, eps, delta, constant = (
         params["n"], params["eps"], params["delta"], params["constant"],
     )
-    slack = params["slack"]
     m = product_case_size(eps, delta, g=1, d=2, constant=constant)
-    family = PermutationGraphs(n)
+    family, dist = PermutationGraphs(n), uniform_product(n)
     fn = functools.partial(
         _trial_empirical, draw=marginal_counts,
-        build=EmpiricalProductEstimator.from_counts, dist=uniform_product(n), m=m,
-        family=family,
+        build=EmpiricalProductEstimator.from_counts, dist=dist, m=m, family=family,
     )
     devs = run_trials(fn, trials, np.random.SeedSequence(seed))
     fail_freq = float(np.mean(devs > eps))
-    passed = fail_freq <= delta + slack
     report = DeviationReport.from_deviations(
-        "empirical-product", family.describe(), f"uniform-product({n}x{n})",
-        seed, devs,
+        "empirical-product", family.describe(), dist.describe(), seed, devs,
     )
-    assertion = (
-        f"freq(sup-dev > {eps}) = {fail_freq:.4f} must be <= {delta} + {slack}"
-    )
-    metrics = {"fail_freq": fail_freq, "m": m, "constant": constant}
-    return passed, assertion, slack, metrics, {}, report
+    return {"fail_freq": fail_freq, "m": m, "constant": constant}, {}, report
 
 
 def _run_deviation_scaling(params, trials, seed, memo):
     n = params["n"]
     m_list = list(params["m_list"])
-    lo, hi, ratio_bound = params["slope_lo"], params["slope_hi"], params["ratio_bound"]
     if len(set(m_list)) < 2:
         raise ValueError("m_list needs at least two distinct m to fit a slope")
     fn = functools.partial(
@@ -295,20 +282,12 @@ def _run_deviation_scaling(params, trials, seed, memo):
         # a point mass (n = 1) is estimated exactly: no log-log slope exists
         raise ValueError(f"mean sup-deviation is 0 at n={n}: no slope to fit")
     slope = float(np.polyfit(np.log(m_list), np.log(means), 1)[0])
-    ratio_ok = True
-    ratio = None
+    ratio = None  # not measured unless both sizes ran
     if 1024 in m_list and 4096 in m_list:
         ratio = means[m_list.index(4096)] / means[m_list.index(1024)]
-        ratio_ok = ratio <= ratio_bound
-    passed = (lo <= slope <= hi) and ratio_ok
-    assertion = (
-        f"log-log slope {slope:.3f} must lie in [{lo}, {hi}]"
-        + (f"; mean ratio m=4096/m=1024 = {ratio:.3f} must be <= {ratio_bound}"
-           if ratio is not None else "")
-    )
     curves = {"scaling": {"columns": ["m", "mean_dev", "q90_dev"], "rows": rows}}
     metrics = {"slope": slope, "ratio_4096_1024": ratio, "means": means}
-    return passed, assertion, 0.15, metrics, curves, None
+    return metrics, curves, None
 
 
 def _run_modulus_mixture(params, trials, seed, memo):
@@ -349,17 +328,12 @@ def _run_modulus_mixture(params, trials, seed, memo):
             abs(p - alpha),
             abs(p_box - alpha**d / (k - 1) ** (d - 1)),
         )
-    passed = violations == 0 and tight_gap <= tol
-    assertion = (
-        f"{violations} modulus violations over {instances} mixtures (tol {tol}); "
-        f"tightness gap {tight_gap:.2e} must be <= {tol}"
-    )
     metrics = {
         "violations": violations,
         "min_slack": min_slack,
         "tightness_gap": tight_gap,
     }
-    return passed, assertion, 0.0, metrics, {}, None
+    return metrics, {}, None
 
 
 def _run_modulus_tc(params, trials, seed, memo):
@@ -381,15 +355,8 @@ def _run_modulus_tc(params, trials, seed, memo):
         violations += int(np.sum(slack < -tol))
     alpha = params["asym_alpha"]
     asym_gap = abs(tc_modulus(0.0, alpha) * math.e / alpha - 1.0)
-    asym_ok = asym_gap <= params["asym_tol"]
-    passed = violations == 0 and asym_ok
-    assertion = (
-        f"{violations} modulus violations over {instances} joints (tol {tol}); "
-        f"|beta(a) e/a - 1| = {asym_gap:.2e} at a={alpha} must be <= "
-        f"{params['asym_tol']}"
-    )
     metrics = {"violations": violations, "min_slack": min_slack, "asym_gap": asym_gap}
-    return passed, assertion, 0.0, metrics, {}, None
+    return metrics, {}, None
 
 
 def _run_ssp_audit(params, trials, seed, memo):
@@ -426,12 +393,6 @@ def _run_ssp_audit(params, trials, seed, memo):
         audit(fam, build_grid(pts, domain), lvc)
 
     exact, bound = union_family_lower_check(4, 2, 2)
-    lower_ok = exact >= max(bound, params["union_lower_min"])
-    passed = violations == 0 and lower_ok
-    assertion = (
-        f"{violations} grid trace-count bound violations; "
-        f"union family exact count {exact} must be >= {max(bound, params['union_lower_min'])}"
-    )
     rows = dimension_report_rows(entries[: params["report_rows"]])
     curves = {
         "dimension_report": {
@@ -441,7 +402,7 @@ def _run_ssp_audit(params, trials, seed, memo):
         }
     }
     metrics = {"violations": violations, "union_exact": exact, "union_bound": bound}
-    return passed, assertion, 0.0, metrics, curves, None
+    return metrics, curves, None
 
 
 def _run_symdiff_vc(params, trials, seed, memo):
@@ -463,9 +424,7 @@ def _run_symdiff_vc(params, trials, seed, memo):
         diff = linear_vc_dimension(symdiff_family(fam)).dimension
         if diff > 20 * base:
             violations += 1
-    passed = violations == 0
-    assertion = f"{violations} symmetric-difference dimension bound violations"
-    return passed, assertion, 0.0, {"violations": violations}, {}, None
+    return {"violations": violations}, {}, None
 
 
 def _check_fano_tables(d: int, words: int, qualifier: str = "") -> None:
@@ -480,7 +439,7 @@ def _check_fano_tables(d: int, words: int, qualifier: str = "") -> None:
 
 
 def _run_fano_omega_d(params, trials, seed, memo):
-    d, eps, tol = params["d"], params["eps"], params["tol"]
+    d, eps = params["d"], params["eps"]
     nu = 4.0 * math.sqrt(eps / d) if d > 0 else math.inf
     if nu >= 0.25:
         raise ValueError("d too small: the bias must stay below 1/4")
@@ -491,16 +450,13 @@ def _run_fano_omega_d(params, trials, seed, memo):
     _check_fano_tables(d, -(-2**d // ball), "at least ")
     code = gilbert_varshamov_code(d, min_dist)
     _check_fano_tables(d, len(code))
-    dists = code[:, None, :] != code[None, :, :]
-    pair_dist = dists.sum(axis=2)
-    off_diag = ~np.eye(len(code), dtype=bool)
-    distance_ok = bool(np.all(pair_dist[off_diag] >= min_dist))
+    pair_dist = (code[:, None, :] != code[None, :, :]).sum(axis=2)
+    code_distance = int(pair_dist[~np.eye(len(code), dtype=bool)].min())
 
     family = biased_cube_family(d, nu, code=code)
     tables = np.array([f.table().probs for f in family])  # each validated once
     min_tv = float(min((0.5 * np.abs(tables[i] - tables[i + 1:]).sum(axis=1)).min()
                        for i in range(len(tables) - 1)))
-    tv_ok = min_tv >= 4 * eps
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     fano_gap = 0.0
@@ -519,22 +475,15 @@ def _run_fano_omega_d(params, trials, seed, memo):
             [kl_divergence(rows[v], mean) for v in range(m_hyp)]
         )
         fano_gap = max(fano_gap, abs(h_cond - rhs))
-    fano_ok = fano_gap <= tol
-
-    passed = distance_ok and tv_ok and fano_ok
-    assertion = (
-        f"code distance >= {min_dist}: {distance_ok}; "
-        f"min pairwise TV {min_tv:.4f} must be >= {4 * eps}; "
-        f"Fano identity gap {fano_gap:.2e} must be <= {tol}"
-    )
     metrics = {
         "nu": nu,
         "code_size": int(len(code)),
         "code_rate": code_rate(code),
+        "code_distance": code_distance,
         "min_tv": min_tv,
         "fano_gap": fano_gap,
     }
-    return passed, assertion, 0.0, metrics, {}, None
+    return metrics, {}, None
 
 
 def _hitting_family(n: int, base_perms: int, rng: np.random.Generator):
@@ -554,7 +503,6 @@ def _run_grid_hitting(params, trials, seed, memo):
     n, eps, delta, g, c0 = (
         params["n"], params["eps"], params["delta"], params["g"], params["c0"],
     )
-    slack = params["slack"]
     master = np.random.SeedSequence(seed)
     family_seed, trial_seed = master.spawn(2)
     dist = two_component_mixture(n)
@@ -572,24 +520,17 @@ def _run_grid_hitting(params, trials, seed, memo):
         _trial_grid_hitting, family=family, dist=dist, m0=m0, level=eps / 2
     )
     counts = run_trials(fn, trials, trial_seed)
-    fail_freq = float(np.mean(counts > 0))
-    passed = fail_freq <= delta + slack
-    assertion = (
-        f"freq(any pair with P(F xor F') >= {eps / 2} missed by the grid) = "
-        f"{fail_freq:.4f} must be <= {delta} + {slack}"
-    )
     metrics = {
         "m0": m0,
-        "fail_freq": fail_freq,
+        "fail_freq": float(np.mean(counts > 0)),
         "members": family.member_count(),
         "c0": c0,
     }
-    return passed, assertion, slack, metrics, {}, None
+    return metrics, {}, None
 
 
 def _run_pge_end_to_end(params, trials, seed, memo):
     n, eps, delta, c0 = params["n"], params["eps"], params["delta"], params["c0"]
-    slack = params["slack"]
     dist = two_component_mixture(n)
     plan = SamplingPlan(
         epsilon=eps, delta=delta, lvc=1, width=2,
@@ -607,35 +548,24 @@ def _run_pge_end_to_end(params, trials, seed, memo):
         trials,
         trial_seed,
     )
-    success_freq = float(np.mean(devs <= eps))
-    main_ok = success_freq >= 1.0 - delta - slack
 
     # independent of c0: a calibration computes it once for all its constants
     cross_key = ("pge-cross-check", params["cross_n"], eps, delta, seed)
     if cross_key not in memo:
         memo[cross_key] = _pge_cross_check(params["cross_n"], eps, delta, cross_seed)
-    cross_gap = memo[cross_key]
-    cross_ok = cross_gap <= params["cross_tol"]
-
-    passed = main_ok and cross_ok
     report = DeviationReport.from_deviations(
         "product-grid", family.describe(), dist.describe(), seed, devs
-    )
-    assertion = (
-        f"freq(sup-dev <= {eps}) = {success_freq:.4f} must be >= "
-        f"{1.0 - delta - slack:.2f}; assignment/enumeration gap "
-        f"{cross_gap:.2e} at n={params['cross_n']} must be <= {params['cross_tol']}"
     )
     metrics = {
         "m0": m0,
         "m1": m1,
-        "success_freq": success_freq,
+        "success_freq": float(np.mean(devs <= eps)),
         "mean_dev": float(devs.mean()),
         "max_dev": float(devs.max()),
-        "cross_gap": cross_gap,
+        "cross_gap": memo[cross_key],
         "c0": c0,
     }
-    return passed, assertion, slack, metrics, {}, report
+    return metrics, {}, report
 
 
 def _pge_cross_check(n: int, eps: float, delta: float, seed_seq) -> float:
@@ -675,10 +605,39 @@ def _pge_cross_check(n: int, eps: float, delta: float, seed_seq) -> float:
 
 
 @dataclass(frozen=True)
+class Check:
+    """One comparison of a verdict: the runner's metric ``metric`` must be
+    ``op`` (``"<="`` or ``">="``) ``bound(params, metrics)``."""
+
+    metric: str
+    op: str
+    bound: Callable[[dict, dict], float]
+
+    def judge(self, value, params: dict, metrics: dict) -> dict:
+        """The check's report row.  The signed margin is positive when the
+        check holds; a ``None`` value is not measured, so it neither holds nor
+        fails (``margin`` and ``pass`` are ``None`` too)."""
+        bound = self.bound(params, metrics)
+        row = {"metric": self.metric, "op": self.op, "value": value,
+               "bound": bound, "margin": None, "pass": None}
+        if value is not None:
+            at_least = self.op == ">="
+            row["margin"] = value - bound if at_least else bound - value
+            row["pass"] = bool(value >= bound if at_least else value <= bound)
+        return row
+
+
+_NO_VIOLATIONS = Check("violations", "<=", lambda p, m: 0)
+_FAIL_FREQ = Check("fail_freq", "<=", lambda p, m: p["delta"] + p["slack"])
+
+
+@dataclass(frozen=True)
 class CatalogEntry:
     """One scenario: ``defaults`` holds the params a config may set, and
     ``fixed`` the thresholds, tolerances and slacks its claim is judged by,
-    which no config sets; the runner and the report see both."""
+    which no config sets; the runner and the report see both.  The runner
+    returns ``(metrics, curves, report)``, and the verdict is its ``checks``,
+    each judged on those metrics by ``run_scenario``."""
 
     name: str
     claim: str
@@ -686,6 +645,7 @@ class CatalogEntry:
     defaults: dict
     default_trials: int
     runner: object
+    checks: tuple[Check, ...]
     fixed: dict = field(default_factory=dict)
 
 
@@ -701,6 +661,7 @@ SCENARIOS: dict[str, CatalogEntry] = {
             {"n": 100, "m": 5},
             2000,
             _run_perm_empirical_failure,
+            (Check("freq", ">=", lambda p, m: p["target_freq"] - p["slack"]),),
             {"dev_threshold": 0.75, "target_freq": 0.75, "slack": 0.05},
         ),
         CatalogEntry(
@@ -712,6 +673,7 @@ SCENARIOS: dict[str, CatalogEntry] = {
             {"n": 100, "eps": 0.1, "delta": 0.1, "constant": 1.0},
             200,
             _run_perm_product_success,
+            (_FAIL_FREQ,),
             {"slack": 0.05},
         ),
         CatalogEntry(
@@ -723,6 +685,9 @@ SCENARIOS: dict[str, CatalogEntry] = {
             {"n": 100, "m_list": [256, 512, 1024, 2048, 4096, 8192, 16384]},
             200,
             _run_deviation_scaling,
+            (Check("slope", ">=", lambda p, m: p["slope_lo"]),
+             Check("slope", "<=", lambda p, m: p["slope_hi"]),
+             Check("ratio_4096_1024", "<=", lambda p, m: p["ratio_bound"])),
             {"slope_lo": -0.65, "slope_hi": -0.35, "ratio_bound": 0.65},
         ),
         CatalogEntry(
@@ -734,6 +699,7 @@ SCENARIOS: dict[str, CatalogEntry] = {
             {"instances": 50, "k_max": 3, "size_max": 4},
             1,
             _run_modulus_mixture,
+            (_NO_VIOLATIONS, Check("tightness_gap", "<=", lambda p, m: p["tol"])),
             {"tol": 1e-12,
              "alpha_grid": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]},
         ),
@@ -745,6 +711,7 @@ SCENARIOS: dict[str, CatalogEntry] = {
             {"instances": 50},
             1,
             _run_modulus_tc,
+            (_NO_VIOLATIONS, Check("asym_gap", "<=", lambda p, m: p["asym_tol"])),
             {"tol": 1e-10, "asym_alpha": 1e-4, "asym_tol": 0.01},
         ),
         CatalogEntry(
@@ -756,6 +723,9 @@ SCENARIOS: dict[str, CatalogEntry] = {
             {"random_families": 100, "report_rows": 10},
             1,
             _run_ssp_audit,
+            (_NO_VIOLATIONS,
+             Check("union_exact", ">=",
+                   lambda p, m: max(m["union_bound"], p["union_lower_min"]))),
             {"perm_n_max": 5, "union_lower_min": 2.25},
         ),
         CatalogEntry(
@@ -767,6 +737,7 @@ SCENARIOS: dict[str, CatalogEntry] = {
             {"vc_families": 100, "lvc_families": 100},
             1,
             _run_symdiff_vc,
+            (_NO_VIOLATIONS,),
         ),
         CatalogEntry(
             "fano-omega-d",
@@ -777,6 +748,9 @@ SCENARIOS: dict[str, CatalogEntry] = {
             {"d": 8, "eps": 0.01, "fano_instances": 20},
             1,
             _run_fano_omega_d,
+            (Check("code_distance", ">=", lambda p, m: max(1, p["d"] // 4)),
+             Check("min_tv", ">=", lambda p, m: 4 * p["eps"]),
+             Check("fano_gap", "<=", lambda p, m: p["tol"])),
             {"tol": 1e-10},
         ),
         CatalogEntry(
@@ -788,6 +762,7 @@ SCENARIOS: dict[str, CatalogEntry] = {
              "base_perms": 40},
             500,
             _run_grid_hitting,
+            (_FAIL_FREQ,),
             {"slack": 0.05},
         ),
         CatalogEntry(
@@ -799,6 +774,9 @@ SCENARIOS: dict[str, CatalogEntry] = {
             {"n": 30, "eps": 0.2, "delta": 0.1, "c0": 0.25, "cross_n": 6},
             200,
             _run_pge_end_to_end,
+            (Check("success_freq", ">=",
+                   lambda p, m: 1.0 - p["delta"] - p["slack"]),
+             Check("cross_gap", "<=", lambda p, m: p["cross_tol"])),
             {"slack": 0.05, "cross_tol": 1e-12},
         ),
     ]
@@ -901,10 +879,16 @@ def run_scenario(config: ExperimentConfig, memo: dict | None = None) -> Scenario
     params = {**entry.defaults, **entry.fixed, **config.params}
     trials = config.trials if config.trials is not None else entry.default_trials
     start = time.perf_counter()
-    passed, assertion, slack, metrics, curves, report = entry.runner(
+    metrics, curves, report = entry.runner(
         params, trials, config.seed, {} if memo is None else memo
     )
     wall_ms = (time.perf_counter() - start) * 1000.0
+    checks = []
+    for check in entry.checks:
+        if check.metric not in metrics:
+            raise LookupError(f"{entry.name} returned no metric {check.metric!r} "
+                              f"for its check")
+        checks.append(check.judge(metrics[check.metric], params, metrics))
     return ScenarioResult(
         scenario=entry.name,
         claim=entry.claim,
@@ -912,9 +896,12 @@ def run_scenario(config: ExperimentConfig, memo: dict | None = None) -> Scenario
         params=_jsonable(params),
         trials=trials,
         seed=config.seed,
-        passed=bool(passed),
-        assertion=assertion,
-        slack=float(slack),
+        passed=all(c["pass"] for c in checks if c["value"] is not None),
+        assertion="; ".join(
+            f"{c['metric']} = {'not measured' if c['value'] is None else c['value']}"
+            f" must be {c['op']} {c['bound']}" for c in checks
+        ),
+        checks=_jsonable(checks),
         metrics=_jsonable(metrics),
         curves=curves,
         report=report,

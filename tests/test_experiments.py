@@ -405,12 +405,106 @@ class TestFixedParams:
 
         def runner(params, trials, seed, memo):
             seen.append(params)
-            return True, "", 0.0, {}, {}, None
+            return _on_bound(entry, params), {}, None
 
         entry = SCENARIOS[name]
         monkeypatch.setitem(SCENARIOS, name, dataclasses.replace(entry, runner=runner))
         result = run_scenario(ExperimentConfig(name, trials=1))
         assert seen == [result.params] == [{**entry.defaults, **entry.fixed}]
+
+
+def _on_bound(entry, params, metrics=None) -> dict:
+    """Metrics that put each check of ``entry`` exactly on its bound; a
+    metric of two checks sits on the first one's."""
+    metrics = {"union_bound": 0.0, **(metrics or {})}  # A4's bound reads it
+    for check in entry.checks:
+        metrics.setdefault(check.metric, check.bound(params, metrics))
+    return metrics
+
+
+#: Every (scenario, check index) pair of the catalog.
+_CHECKS = [(name, i) for name, entry in SCENARIOS.items()
+           for i in range(len(entry.checks))]
+
+
+class TestChecks:
+    """``run_scenario`` judges each check of the entry on the runner's
+    metrics, and derives ``passed``, ``assertion`` and ``checks`` from them."""
+
+    @staticmethod
+    def _run(monkeypatch, name, value_of):
+        entry = SCENARIOS[name]
+
+        def runner(params, trials, seed, memo):
+            return value_of(entry, params), {}, None
+
+        monkeypatch.setitem(SCENARIOS, name, dataclasses.replace(entry, runner=runner))
+        return run_scenario(ExperimentConfig(name, trials=1))
+
+    @pytest.mark.parametrize("name, index", _CHECKS)
+    def test_a_metric_on_its_bound_passes_and_one_step_past_fails(
+            self, monkeypatch, name, index):
+        check = SCENARIOS[name].checks[index]
+
+        def at(step):
+            def value_of(entry, params):
+                bound = check.bound(params, _on_bound(entry, params))
+                beyond = -math.inf if check.op == ">=" else math.inf
+                value = math.nextafter(bound, beyond) if step else bound
+                return _on_bound(entry, params, {check.metric: value})
+            return value_of
+
+        on = self._run(monkeypatch, name, at(False))
+        assert on.passed and on.checks[index]["margin"] == 0
+        past = self._run(monkeypatch, name, at(True))
+        row = past.checks[index]
+        assert not past.passed and row["pass"] is False and row["margin"] < 0
+        assert [c["pass"] for c in past.checks].count(False) == 1
+        shown = f"{check.metric} = {row['value']} must be {check.op} {row['bound']}"
+        assert shown in past.assertion.split("; ")
+
+    @pytest.mark.parametrize("name", list(SCENARIOS))
+    def test_a_missing_metric_names_the_scenario_and_the_metric(
+            self, monkeypatch, name):
+        check = SCENARIOS[name].checks[-1]
+
+        def value_of(entry, params):
+            metrics = _on_bound(entry, params)
+            del metrics[check.metric]
+            return metrics
+
+        with pytest.raises(LookupError, match=re.escape(
+                f"{name} returned no metric {check.metric!r} for its check")):
+            self._run(monkeypatch, name, value_of)
+
+    def test_a_report_row_per_check(self):
+        result = run_scenario(tiny("modulus-tc", trials=1, params={"instances": 2}))
+        assert [(c["metric"], c["op"], c["bound"]) for c in result.checks] == [
+            ("violations", "<=", 0), ("asym_gap", "<=", 0.01)]
+        for row in result.checks:
+            assert row["value"] == result.metrics[row["metric"]]
+            assert row["margin"] == row["bound"] - row["value"]
+        assert result.passed is all(c["pass"] for c in result.checks)
+
+    @pytest.mark.parametrize("slope, passed", [(-0.5, True), (-0.3, False)])
+    def test_an_unmeasured_ratio_is_shown_and_not_judged(
+            self, monkeypatch, slope, passed):
+        result = self._run(monkeypatch, "deviation-scaling", lambda e, p: {
+            "slope": slope, "ratio_4096_1024": None, "means": []})
+        assert result.passed is passed
+        assert result.checks[2] == {"metric": "ratio_4096_1024", "op": "<=",
+                                    "value": None, "bound": 0.65, "margin": None,
+                                    "pass": None}
+        assert result.assertion.endswith(
+            "; ratio_4096_1024 = not measured must be <= 0.65")
+
+    def test_deviation_scaling_without_1024_and_4096_is_judged_on_the_slope(self):
+        result = run_scenario(tiny("deviation-scaling", trials=4,
+                                   params={"m_list": [256, 512]}))
+        slope = result.metrics["slope"]
+        assert result.metrics["ratio_4096_1024"] is None
+        assert result.checks[2]["value"] is None and result.checks[2]["pass"] is None
+        assert result.passed and -0.65 <= slope <= -0.35
 
 
 class TestGridHittingCaps:
@@ -446,6 +540,8 @@ class TestFanoSeparation:
                   for f in biased_cube_family(d, result.metrics["nu"], code)]
         want = min(tv_distance(p, q) for p, q in itertools.combinations(tables, 2))
         assert result.metrics["min_tv"] == want
+        assert result.metrics["code_distance"] == min(
+            int(np.sum(a != b)) for a, b in itertools.combinations(code, 2))
 
     def test_the_only_closest_pair_is_the_last_one(self, monkeypatch):
         # Hamming distances 8, 6 and 2: the minimum is at rows (1, 2) alone
@@ -455,6 +551,7 @@ class TestFanoSeparation:
         p, q = (f.table().probs for f in biased_cube_family(8, result.metrics["nu"],
                                                             code[1:]))
         assert result.metrics["min_tv"] == tv_distance(p, q)
+        assert result.metrics["code_distance"] == 2 and result.passed
 
 
 class TestFanoTableCap:
@@ -562,7 +659,7 @@ class TestReports:
     def test_empty_sweep_writes_header_only(self, tmp_path):
         result = ScenarioResult(
             scenario="x", claim="c", check_id="A0", params={}, trials=0, seed=0,
-            passed=True, assertion="", slack=0.0, metrics={},
+            passed=True, assertion="", checks=[], metrics={},
             curves={"scaling": {"columns": ["m", "mean_dev", "q90_dev"],
                                 "rows": []}},
         )
