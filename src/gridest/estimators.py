@@ -20,7 +20,7 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -517,6 +517,3 @@ class DeviationReport:
             deviations=[float(v) for v in deviations], mean=float(deviations.mean()),
             q50=q50, q90=q90, q99=q99,
         )
-
-    def to_dict(self) -> dict:
-        return asdict(self)

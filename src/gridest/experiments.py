@@ -186,6 +186,17 @@ def two_component_mixture(n: int) -> MixtureDistribution:
     return MixtureDistribution([0.5, 0.5], [comp1, comp2])
 
 
+def _mixture_plan(n: int, eps: float, delta: float, lvc: int, c0: float = 1.0):
+    """``two_component_mixture(n)`` and its sampling plan, whose modulus of
+    box-continuity is that of k-mixtures of products on d axes.  Tabulated
+    before any family is built: the cell cap comes before any member row, and
+    trials and worker processes reuse the kept table."""
+    dist = two_component_mixture(n)
+    dist.table()
+    d = dist.domain.width
+    return dist, SamplingPlan(eps, delta, lvc, d, Modulus(dist.k, d), c0)
+
+
 # -- trial functions (module level for pickling) ------------------------------------
 
 
@@ -246,8 +257,8 @@ def _run_perm_product_success(params, trials, seed, memo):
     n, eps, delta, constant = (
         params["n"], params["eps"], params["delta"], params["constant"],
     )
-    m = product_case_size(eps, delta, g=1, d=2, constant=constant)
     family, dist = PermutationGraphs(n), uniform_product(n)
+    m = product_case_size(eps, delta, g=1, d=dist.domain.width, constant=constant)
     fn = functools.partial(
         _trial_empirical, draw=marginal_counts,
         build=EmpiricalProductEstimator.from_counts, dist=dist, m=m, family=family,
@@ -367,7 +378,7 @@ def _run_ssp_audit(params, trials, seed, memo):
     def audit(family, grid, lvc):
         nonlocal violations
         traces = count_traces(family, grid)
-        bound, _ = grid_ssp_bound_maxside(grid.sizes, max(lvc, 1))
+        bound, _ = grid_ssp_bound_maxside(grid.sizes, lvc)
         if traces > bound:
             violations += 1
         return traces
@@ -438,12 +449,17 @@ def _check_fano_tables(d: int, words: int, qualifier: str = "") -> None:
         )
 
 
+def _fano_min_distance(d: int) -> int:
+    """The least Hamming distance between words of the ``fano-omega-d`` code."""
+    return max(1, d // 4)
+
+
 def _run_fano_omega_d(params, trials, seed, memo):
     d, eps = params["d"], params["eps"]
     nu = 4.0 * math.sqrt(eps / d) if d > 0 else math.inf
     if nu >= 0.25:
         raise ValueError("d too small: the bias must stay below 1/4")
-    min_dist = max(1, d // 4)
+    min_dist = _fano_min_distance(d)
     # a greedy code is maximal: the balls of radius min_dist - 1 around its
     # words cover all 2^d sign vectors, so it keeps at least 2^d / ball words
     ball = sum(math.comb(d, i) for i in range(min_dist))
@@ -503,18 +519,10 @@ def _run_grid_hitting(params, trials, seed, memo):
     n, eps, delta, g, c0 = (
         params["n"], params["eps"], params["delta"], params["g"], params["c0"],
     )
-    master = np.random.SeedSequence(seed)
-    family_seed, trial_seed = master.spawn(2)
-    dist = two_component_mixture(n)
-    # kept by the mixture, so trials and worker processes reuse it; tabulated
-    # before the family so the cell cap is checked before any member row
-    dist.table()
+    family_seed, trial_seed = np.random.SeedSequence(seed).spawn(2)
+    dist, plan = _mixture_plan(n, eps, delta, lvc=g, c0=c0)
     rng = np.random.default_rng(family_seed)
     family = _hitting_family(n, params["base_perms"], rng)
-    plan = SamplingPlan(
-        epsilon=eps, delta=delta, lvc=g, width=2,
-        modulus=Modulus(2, 2), c0=c0,
-    )
     m0 = phase1_size(plan)
     fn = functools.partial(
         _trial_grid_hitting, family=family, dist=dist, m0=m0, level=eps / 2
@@ -531,18 +539,12 @@ def _run_grid_hitting(params, trials, seed, memo):
 
 def _run_pge_end_to_end(params, trials, seed, memo):
     n, eps, delta, c0 = params["n"], params["eps"], params["delta"], params["c0"]
-    dist = two_component_mixture(n)
-    plan = SamplingPlan(
-        epsilon=eps, delta=delta, lvc=1, width=2,
-        modulus=Modulus(2, 2), c0=c0,
-    )
-    m0 = phase1_size(plan)
-    m1 = phase2_size(eps, delta, math.factorial(n))
-    plan = replace(plan, split=(m0, m1))
-    master = np.random.SeedSequence(seed)
-    trial_seed, cross_seed = master.spawn(2)
-    dist.table()  # kept by the mixture, so trials and worker processes reuse it
+    dist, plan = _mixture_plan(n, eps, delta, lvc=1, c0=c0)
     family = PermutationGraphs(n)
+    m0 = phase1_size(plan)
+    m1 = phase2_size(eps, delta, family.member_count())
+    plan = replace(plan, split=(m0, m1))
+    trial_seed, cross_seed = np.random.SeedSequence(seed).spawn(2)
     devs = run_trials(
         functools.partial(_trial_pge, family=family, plan=plan, dist=dist),
         trials,
@@ -573,15 +575,12 @@ def _pge_cross_check(n: int, eps: float, delta: float, seed_seq) -> float:
 
     Point-based on purpose: both builds must agree on one point sample.
     """
-    dist = two_component_mixture(n)
+    dist, plan = _mixture_plan(n, eps, delta, lvc=1)
     family = PermutationGraphs(n)
     explicit_family = family.materialize()
     members = explicit_family.members_matrix()
-    m1 = phase2_size(eps, delta, math.factorial(n))
-    plan = SamplingPlan(
-        epsilon=eps, delta=delta, lvc=1, width=2,
-        modulus=Modulus.identity(), split=(60 * n, m1),
-    )
+    m1 = phase2_size(eps, delta, family.member_count())
+    plan = replace(plan, split=(60 * n, m1))
     worst = 0.0
     checked = 0
     for child in seed_seq.spawn(8):
@@ -637,7 +636,8 @@ class CatalogEntry:
     ``fixed`` the thresholds, tolerances and slacks its claim is judged by,
     which no config sets; the runner and the report see both.  The runner
     returns ``(metrics, curves, report)``, and the verdict is its ``checks``,
-    each judged on those metrics by ``run_scenario``."""
+    each judged on those metrics by ``run_scenario``.  ``knob`` names the
+    default ``calibrate_constants`` searches, which its params may not set."""
 
     name: str
     claim: str
@@ -647,6 +647,7 @@ class CatalogEntry:
     runner: object
     checks: tuple[Check, ...]
     fixed: dict = field(default_factory=dict)
+    knob: str | None = None
 
 
 SCENARIOS: dict[str, CatalogEntry] = {
@@ -674,7 +675,7 @@ SCENARIOS: dict[str, CatalogEntry] = {
             200,
             _run_perm_product_success,
             (_FAIL_FREQ,),
-            {"slack": 0.05},
+            {"slack": 0.05}, knob="constant",
         ),
         CatalogEntry(
             "deviation-scaling",
@@ -748,7 +749,7 @@ SCENARIOS: dict[str, CatalogEntry] = {
             {"d": 8, "eps": 0.01, "fano_instances": 20},
             1,
             _run_fano_omega_d,
-            (Check("code_distance", ">=", lambda p, m: max(1, p["d"] // 4)),
+            (Check("code_distance", ">=", lambda p, m: _fano_min_distance(p["d"])),
              Check("min_tv", ">=", lambda p, m: 4 * p["eps"]),
              Check("fano_gap", "<=", lambda p, m: p["tol"])),
             {"tol": 1e-10},
@@ -763,7 +764,7 @@ SCENARIOS: dict[str, CatalogEntry] = {
             500,
             _run_grid_hitting,
             (_FAIL_FREQ,),
-            {"slack": 0.05},
+            {"slack": 0.05}, knob="c0",
         ),
         CatalogEntry(
             "pge-end-to-end",
@@ -777,17 +778,13 @@ SCENARIOS: dict[str, CatalogEntry] = {
             (Check("success_freq", ">=",
                    lambda p, m: 1.0 - p["delta"] - p["slack"]),
              Check("cross_gap", "<=", lambda p, m: p["cross_tol"])),
-            {"slack": 0.05, "cross_tol": 1e-12},
+            {"slack": 0.05, "cross_tol": 1e-12}, knob="c0",
         ),
     ]
 }
 
 #: Map scenario -> name of its calibratable constant.
-CALIBRATABLE = {
-    "perm-product-success": "constant",
-    "grid-hitting": "c0",
-    "pge-end-to-end": "c0",
-}
+CALIBRATABLE = {e.name: e.knob for e in SCENARIOS.values() if e.knob}
 
 
 def _is_a(value, kind) -> bool:
@@ -921,12 +918,15 @@ def calibrate_constants(
     Every value of the strictly increasing grid is run (monotonicity is
     verified, not assumed); when none passes the result is flagged unbounded.
     """
-    if scenario not in CALIBRATABLE:
+    knob = CALIBRATABLE.get(scenario)
+    if knob is None:
         raise ValueError(f"scenario {scenario!r} does not support calibration")
+    if knob in (params or {}):
+        raise ValueError(f"{scenario} param {knob!r} is the calibrated constant "
+                         f"and cannot be set")
     if not (len(grid) and all(a < b for a, b in zip(grid, grid[1:]))):
         raise ValueError(f"calibration grid must be non-empty and strictly "
                          f"increasing, got {list(grid)}")
-    knob = CALIBRATABLE[scenario]
     passes = []
     memo: dict = {}
     for value in grid:

@@ -48,6 +48,16 @@ def uniform_product(n):
     return ProductDistribution(d, [u, u])
 
 
+@pytest.mark.parametrize("make, label", [
+    (lambda: uniform_product(3), "product(3x3)"),
+    (lambda: two_component_mixture(4), "mixture(k=2, 4x4)"),
+    (lambda: uniform_product(2).table(), "joint(2x2)"),
+], ids=["product", "mixture", "joint"])
+def test_report_label(make, label):
+    """The label a report prints for the distribution."""
+    assert make().describe() == label
+
+
 class TestConstruction:
     def test_marginal_must_normalize(self):
         d = ProductDomain.of_sizes(2)
@@ -976,6 +986,8 @@ class TestJsonFormat:
         ({"kind": "joint", "sizes": [1], "table": {"a": 1}}, "table: must be a list"),
         ({"kind": "product", "axes": [["0.5", "0.5"]]}, "axis 0: must be a list"),
         ({"kind": "product", "axes": [[True, False]]}, "axis 0: must be a list"),
+        ({"kind": "product", "axes": [[-0.5, 1.5]]},
+         "^axis 0: negative probabilities$"),
         ({"kind": "product", "axes": []}, "field 'axes' must not be empty"),
         ({"kind": "mixture", "weights": [1.0], "components": [[]]},
          "field 'components' must be a non-empty list of non-empty axis lists"),

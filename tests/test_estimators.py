@@ -1,5 +1,6 @@
 """Estimators, sample-size planners, deviations, and the grid-hitting check."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -1690,7 +1691,7 @@ class TestDeviationReport:
         report = DeviationReport.from_deviations(
             "e", "f", "d", 0, np.array([0.25])
         )
-        assert list(report.to_dict()) == [
+        assert list(dataclasses.asdict(report)) == [
             "estimator", "family", "distribution", "trials", "seed",
             "deviations", "mean", "q50", "q90", "q99",
         ]

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -27,6 +28,7 @@ from gridest.distributions import (
 from gridest.domain import CapExceededError
 from gridest.estimators import EmpiricalMeanEstimator, SamplingPlan, sup_deviation
 from gridest.experiments import (
+    CALIBRATABLE,
     SCENARIOS,
     ExperimentConfig,
     ScenarioResult,
@@ -357,6 +359,17 @@ class TestValidation:
         for entry in SCENARIOS.values():
             assert entry.claim
             assert re.fullmatch(r"A\d+", entry.check_id)
+
+    def test_each_knob_is_a_settable_default(self):
+        for entry in SCENARIOS.values():
+            if entry.knob is not None:
+                assert entry.knob in entry.defaults and entry.knob not in entry.fixed
+
+    def test_calibratable_lists_the_knobs_in_catalog_order(self):
+        assert list(CALIBRATABLE.items()) == [
+            ("perm-product-success", "constant"), ("grid-hitting", "c0"),
+            ("pge-end-to-end", "c0"),
+        ]
 
 
 #: Every (scenario, fixed value) pair of the catalog.
@@ -707,6 +720,19 @@ class TestCalibration:
         assert outcome["unbounded"] is True
         assert outcome["grid_maximum"] == 1e-9
 
+    @pytest.mark.parametrize("name", list(CALIBRATABLE))
+    def test_a_set_knob_is_refused(self, tmp_path, capsys, monkeypatch, name):
+        # refused before any run, by the function and by the CLI (exit 2)
+        monkeypatch.setattr(experiments, "run_scenario", _never_run)
+        knob = CALIBRATABLE[name]
+        message = f"{name} param {knob!r} is the calibrated constant and cannot be set"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            calibrate_constants(name, params={knob: 2.0})
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scenario": name, "params": {knob: 2.0}}))
+        assert cli_main(["calibrate", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_product_success_calibrates_at_tight_target(self):
         outcome = calibrate_constants(
             "perm-product-success", grid=(0.25, 0.5, 1.0, 2.0, 4.0), trials=25,
@@ -777,6 +803,14 @@ class TestCli:
         out = capsys.readouterr().out
         for name in SCENARIOS:
             assert name in out
+        assert [line for line in out.splitlines() if "calibratable" in line] == [
+            "perm-product-success  (check A2) [calibratable: constant]",
+            "grid-hitting  (check A10) [calibratable: c0]",
+            "pge-end-to-end  (check A11) [calibratable: c0]",
+        ]
+        # the whole listing, byte for byte
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "5e4dfa91697593f94fd48778b772f6191a670df2410af8b8356cdb4cc1a727d7")
 
     def test_calibrate_writes_the_json_it_prints(self, tmp_path, capsys):
         out = tmp_path / "calibration.json"

@@ -251,6 +251,21 @@ class TestMaterialize:
         assert got.tobytes() == rows.tobytes()
 
 
+@pytest.mark.parametrize("make, label", [
+    (lambda: PermutationGraphs(4), "permutation-graphs(n=4)"),
+    (lambda: UnionsOfPermutations(3, 2), "unions-of-permutations(n=3, g=2)"),
+    (lambda: IntervalsOnAxis(ProductDomain.of_sizes(3, 4), axis=1),
+     "intervals(axis=1, 3x4)"),
+    (lambda: AxisBoxes(ProductDomain.of_sizes(3, 4)), "axis-boxes(3x4)"),
+    (lambda: PowerSetFamily(ProductDomain.of_sizes(2, 2)), "power-set(2x2)"),
+    (lambda: ExplicitFamily(ProductDomain.of_sizes(3), [[1, 0, 1], [0, 1, 0]]),
+     "explicit(2 members, 3)"),
+], ids=["perm", "unions", "intervals", "boxes", "power-set", "explicit"])
+def test_report_label(make, label):
+    """The label a report and a dimension-report row print for the family."""
+    assert make().describe() == label
+
+
 class TestSymdiff:
     def test_single_empty_member(self):
         d = ProductDomain.of_sizes(2)
