@@ -222,8 +222,8 @@ class ProductGridEstimator(_CellWeightEstimator):
     counts over each query's class's representative, divided here by m1.
     """
 
-    def __init__(self, grid: Grid, cell_counts: np.ndarray, trace_index):
-        super().__init__(grid.domain, cell_counts.ravel(), int(cell_counts.sum()))
+    def __init__(self, grid: Grid, cell_counts: np.ndarray, trace_index, m1: int):
+        super().__init__(grid.domain, cell_counts.ravel(), m1)
         self.grid = grid
         self.trace_index = trace_index
         self.class_count = trace_index.class_count
@@ -243,7 +243,7 @@ class ProductGridEstimator(_CellWeightEstimator):
         if (
             cell_counts.shape != domain.sizes
             or cell_counts.dtype.kind not in "iu"
-            or np.any(cell_counts < 0)
+            or cell_counts.min() < 0
         ):
             raise ValueError(
                 f"need nonnegative integer cell counts of shape {domain.sizes}"
@@ -255,7 +255,7 @@ class ProductGridEstimator(_CellWeightEstimator):
         if m1 < 1:
             raise ValueError("insufficient sample: empty phase 2")
 
-        estimator = cls(grid, cell_counts, family.trace_index(grid))
+        estimator = cls(grid, cell_counts, family.trace_index(grid), m1)
         if plan.split is None:
             need = phase2_size(plan.epsilon, plan.delta, estimator.class_count)
             if m1 < need:

@@ -205,6 +205,11 @@ def _mixture_plan(n: int, eps: float, delta: float, lvc: int, c0: float = 1.0):
 # cell counts for its phase 2, and points for the empirical mean (cheaper than
 # counts at m << n^2).
 
+#: ``PCG64.jumped()``'s stride: a trial's phase 2 draws from its seed's PCG64
+#: advanced by it, the jumped state at a fifth of ``jumped()``'s cost.  Not a
+#: power of two, since PCG64 states 2^k steps apart share their low bits.
+PHASE2_STRIDE = 0x9E3779B97F4A7C15F39CC0605CEDC835
+
 
 def _trial_empirical(
     seed_seq, draw, build, dist: Distribution, m: int, family: PermutationGraphs,
@@ -221,18 +226,29 @@ def _trial_grid_hitting(
 
 
 def _trial_pge(
-    seed_seq, family: PermutationGraphs, plan: SamplingPlan, dist: Distribution
+    seed_seq, family: PermutationGraphs, plan: SamplingPlan, dist: Distribution,
+    full_devs: dict,
 ) -> float:
+    """The trial's sup-deviation, or 1.0 (a failure) where the phase-1 grid
+    misses part of the domain.
+
+    Phase 1 draws from ``default_rng(seed_seq)``, phase 2 from the seed's
+    PCG64 advanced by ``PHASE2_STRIDE``, so phase 2 does not depend on m0.
+    On a full grid the deviation depends on phase 2 alone; ``full_devs``
+    keeps it by the seed's ``spawn_key`` for runs that differ only in m0.
+    """
     m0, m1 = plan.split
-    rng = np.random.default_rng(seed_seq)
-    phase1 = marginal_counts(dist, m0, rng)
-    phase2 = sample_counts(dist, m1, rng)
-    grid = grid_from_counts(phase1, dist.domain)
+    grid = grid_from_counts(marginal_counts(dist, m0, seed_seq), dist.domain)
     if not grid.is_full:
-        # phase-1 grid missed part of the domain; count the trial as a failure
         return 1.0
-    est = ProductGridEstimator.from_counts(grid, phase2, family, plan)
-    return sup_deviation(est, family, dist, method="assignment")
+    key = seed_seq.spawn_key
+    if key not in full_devs:
+        rng = np.random.Generator(np.random.PCG64(seed_seq).advance(PHASE2_STRIDE))
+        est = ProductGridEstimator.from_counts(
+            grid, sample_counts(dist, m1, rng), family, plan
+        )
+        full_devs[key] = sup_deviation(est, family, dist, method="assignment")
+    return full_devs[key]
 
 
 # -- scenario runners ----------------------------------------------------------------
@@ -545,13 +561,14 @@ def _run_pge_end_to_end(params, trials, seed, memo):
     m1 = phase2_size(eps, delta, family.member_count())
     plan = replace(plan, split=(m0, m1))
     trial_seed, cross_seed = np.random.SeedSequence(seed).spawn(2)
+    # independent of c0: a calibration computes each once for all its constants
+    full_devs = memo.setdefault(("pge-full-grid", n, eps, delta, m1, seed), {})
     devs = run_trials(
-        functools.partial(_trial_pge, family=family, plan=plan, dist=dist),
+        functools.partial(_trial_pge, family=family, plan=plan, dist=dist,
+                          full_devs=full_devs),
         trials,
         trial_seed,
     )
-
-    # independent of c0: a calibration computes it once for all its constants
     cross_key = ("pge-cross-check", params["cross_n"], eps, delta, seed)
     if cross_key not in memo:
         memo[cross_key] = _pge_cross_check(params["cross_n"], eps, delta, cross_seed)
@@ -871,6 +888,10 @@ def run_scenario(config: ExperimentConfig, memo: dict | None = None) -> Scenario
     """Execute one catalog scenario; deterministic given the config seed.
 
     Runs sharing a ``memo`` dict reuse work keyed by all of its inputs.
+    ``pge-end-to-end`` keeps there its cross-check and each trial's full-grid
+    deviation, whose phase 2 draws from the trial seed's jumped PCG64 stream,
+    apart from the phase-1 draw that ``c0`` sizes; so a reused number is the
+    one a standalone run computes.
     """
     entry = check_config(config)
     params = {**entry.defaults, **entry.fixed, **config.params}
@@ -917,6 +938,10 @@ def calibrate_constants(
 
     Every value of the strictly increasing grid is run (monotonicity is
     verified, not assumed); when none passes the result is flagged unbounded.
+    The runs share one fresh memo: for ``pge-end-to-end`` each constant
+    redraws only phase 1, and the cross-check and every trial index's
+    full-grid deviation (phase 2, build and solve) are computed once per call
+    (in worker processes, once per run).
     """
     knob = CALIBRATABLE.get(scenario)
     if knob is None:

@@ -23,12 +23,15 @@ from gridest.distributions import (
     Modulus,
     biased_cube_family,
     gilbert_varshamov_code,
+    marginal_counts,
     sample,
+    sample_counts,
 )
-from gridest.domain import CapExceededError
+from gridest.domain import CapExceededError, grid_from_counts
 from gridest.estimators import EmpiricalMeanEstimator, SamplingPlan, sup_deviation
 from gridest.experiments import (
     CALIBRATABLE,
+    PHASE2_STRIDE,
     SCENARIOS,
     ExperimentConfig,
     ScenarioResult,
@@ -179,26 +182,53 @@ class TestCountTrials:
         return SamplingPlan(epsilon=0.2, delta=0.1, lvc=1, width=2,
                             modulus=Modulus(2, 2), split=(m0, m1))
 
-    def test_partial_phase1_grid_counts_as_failure(self):
-        # one phase-1 point cannot cover [30]^2: the trial is a failure, 1.0
+    def test_partial_phase1_grid_counts_as_failure(self, monkeypatch):
+        # one phase-1 point cannot cover [30]^2: the trial is a failure, 1.0,
+        # and draws no phase 2
+        monkeypatch.setattr(experiments, "sample_counts", _never_run)
         dist = two_component_mixture(30)
         seed = np.random.SeedSequence(5)
         family = PermutationGraphs(30)
-        assert _trial_pge(seed, family, self._plan(1, 100), dist) == 1.0
+        assert _trial_pge(seed, family, self._plan(1, 100), dist, {}) == 1.0
 
-    def test_partial_phase1_grid_counts_as_failure_where_enumerable(self):
+    def test_partial_phase1_grid_counts_as_failure_where_enumerable(self, monkeypatch):
         # 4! graphs are within the caps: the miss is read off the grid, not
         # off an enumeration error
+        monkeypatch.setattr(experiments, "sample_counts", _never_run)
         dist = two_component_mixture(4)
         value = _trial_pge(np.random.SeedSequence(5), PermutationGraphs(4),
-                           self._plan(1, 100), dist)
+                           self._plan(1, 100), dist, {})
         assert value == 1.0
 
     def test_full_phase1_grid_gives_a_deviation(self):
         dist = two_component_mixture(4)
         value = _trial_pge(np.random.SeedSequence(5), PermutationGraphs(4),
-                           self._plan(2000, 500), dist)
+                           self._plan(2000, 500), dist, {})
         assert 0.0 <= value < 1.0
+
+    def test_phase2_draws_from_the_jumped_stream(self, monkeypatch):
+        # the stride gives jumped()'s state, and trial k's phase-2 counts are
+        # the multinomial of its seed's PCG64 jumped once
+        for entropy in (0, 5, 2024):
+            seed = np.random.SeedSequence(entropy)
+            assert (np.random.PCG64(seed).advance(PHASE2_STRIDE).state
+                    == np.random.PCG64(seed).jumped().state)
+        drawn = []
+
+        def recorded(dist, m, rng):
+            drawn.append(sample_counts(dist, m, rng))
+            return drawn[-1]
+
+        monkeypatch.setattr(experiments, "sample_counts", recorded)
+        result = run_scenario(tiny("pge-end-to-end", trials=4, seed=7,
+                                   params={"n": 5, "cross_n": 3}))
+        dist = two_component_mixture(5)
+        children = np.random.SeedSequence(7).spawn(2)[0].spawn(4)
+        want = [sample_counts(dist, result.metrics["m1"],
+                              np.random.Generator(np.random.PCG64(child).jumped()))
+                for child in children]
+        assert len(drawn) == 4
+        assert all(np.array_equal(a, b) for a, b in zip(drawn, want))
 
 
 class TestPartialGridPins:
@@ -759,6 +789,69 @@ class TestCalibration:
         single = run_scenario(tiny("pge-end-to-end", trials=2, seed=4,
                                 params={"n": 5, "cross_n": 3, "c0": 0.5}))
         assert len(calls) == 3 and single.passed == first["passes"][1]
+
+    def test_full_grid_deviations_solve_once_per_calibration(self, monkeypatch):
+        # c0 moves only phase 1: each trial index with a full grid at some
+        # constant is solved once, and each constant's run is a standalone one
+        n, trials, seed = 5, 8, 4
+        grid = (1e-5, 3e-5, 1e-4, 1e-3, 0.25)
+        params = {"n": n, "cross_n": 3}
+        solves = []
+        solve = experiments.sup_deviation
+
+        def counted(est, family, dist, method):
+            if family.domain.sizes == (n, n):
+                solves.append(est)
+            return solve(est, family, dist, method=method)
+
+        runs = []
+        standalone = experiments.run_scenario
+
+        def recorded(config, memo=None):
+            runs.append(standalone(config, memo))
+            return runs[-1]
+
+        monkeypatch.setattr(experiments, "sup_deviation", counted)
+        monkeypatch.setattr(experiments, "run_scenario", recorded)
+        calibrate_constants("pge-end-to-end", grid=grid, trials=trials, seed=seed,
+                            params=params)
+        dist = two_component_mixture(n)
+        children = np.random.SeedSequence(seed).spawn(2)[0].spawn(trials)
+        full_at = [
+            {k for k, child in enumerate(children)
+             if grid_from_counts(marginal_counts(dist, run.metrics["m0"], child),
+                                 dist.domain).is_full}
+            for run in runs
+        ]
+        assert any(len(full) < trials for full in full_at)
+        assert len(solves) == len(set().union(*full_at)) < sum(map(len, full_at))
+        for c0, run in zip(grid, runs):
+            alone = standalone(tiny("pge-end-to-end", trials=trials, seed=seed,
+                                    params={**params, "c0": c0}))
+            assert run.metrics == alone.metrics
+            assert run.report.deviations == alone.report.deviations
+
+    def test_workers_give_the_serial_calibration_and_report(self, monkeypatch):
+        # worker processes fill only their own copies of the kept deviations;
+        # a memo filled serially is read by them, and every number agrees
+        kwargs = dict(grid=(1e-4, 1e-3, 0.25), trials=6, seed=4,
+                      params={"n": 5, "cross_n": 3})
+        outcomes, reports = [], []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("GRIDEST_WORKERS", workers)
+            outcomes.append(calibrate_constants("pge-end-to-end", **kwargs))
+            memo = {}
+            monkeypatch.setenv("GRIDEST_WORKERS", "1")
+            run_scenario(tiny("pge-end-to-end", trials=6, seed=4,
+                              params={**kwargs["params"], "c0": 1e-3}), memo)
+            monkeypatch.setenv("GRIDEST_WORKERS", workers)
+            config = tiny("pge-end-to-end", trials=6, seed=4, params={
+                **kwargs["params"], "c0": outcomes[-1]["smallest_passing"]})
+            reports.append(run_scenario(config, memo).to_dict())
+            reports[-1].pop("wall_ms")
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0]["smallest_passing"] is not None
+        assert reports[0] == reports[1]
 
 
 class TestCli:

@@ -10,6 +10,9 @@ with::
 
     python tests/test_report_pins.py --write
 
+which prints each digest that moved, old -> new, and how many scenarios
+kept all of theirs.
+
 The pin file records the Python, numpy and scipy versions it was written
 under; a mismatch prints them next to the running ones.
 """
@@ -83,17 +86,44 @@ def test_report_matches_its_pin(name, pins, tmp_path):
     )
 
 
+def pin_moves(old: dict, new: dict) -> list[str]:
+    """One ``scenario file: old -> new`` line per digest that differs (``none``
+    where a side has no digest), then the count of scenarios with none."""
+    lines, kept = [], 0
+    for name in sorted(set(old) | set(new)):
+        before, after = old.get(name, {}), new.get(name, {})
+        moved = [f"{name} {key}: {before.get(key, 'none')} -> {after.get(key, 'none')}"
+                 for key in sorted(set(before) | set(after))
+                 if before.get(key) != after.get(key)]
+        lines += moved
+        kept += not moved
+    return lines + [f"{kept} scenarios unchanged"]
+
+
+def test_pin_moves_names_each_moved_digest():
+    old = {"a": {"json": "1"}, "b": {"json": "2", "b.x.csv": "3"}, "c": {"json": "4"}}
+    new = {"a": {"json": "1"}, "b": {"json": "5"}, "d": {"json": "6"}}
+    assert pin_moves(old, new) == [
+        "b b.x.csv: 3 -> none", "b json: 2 -> 5",
+        "c json: 4 -> none", "d json: none -> 6", "1 scenarios unchanged",
+    ]
+
+
 def write_pins(out_dir: Path) -> None:
     reports = {}
     for name in sorted(SCENARIOS):
         scenario_dir = out_dir / name
         scenario_dir.mkdir()
         reports[name] = digests(name, scenario_dir)
+    old = {}
+    if PINS.exists():
+        old = json.loads(PINS.read_text(encoding="utf-8"))["reports"]
     PINS.write_text(
         json.dumps({"versions": versions(), "seed": SEED, "reports": reports},
                    indent=2) + "\n",
         encoding="utf-8",
     )
+    print("\n".join(pin_moves(old, reports)))
 
 
 if __name__ == "__main__":
