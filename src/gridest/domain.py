@@ -52,6 +52,20 @@ def row_keys(bits: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(packed).view(f"V{packed.shape[1]}").ravel()
 
 
+def sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of an array, flattened and sorted, in a new array.
+
+    A plain ``np.unique`` gives the same, but it first asks
+    ``np.ma.is_masked``, which imports ``numpy.ma`` on first use.  Works on
+    ``row_keys`` keys too.
+    """
+    values = np.sort(values, axis=None)
+    first = np.empty(values.size, dtype=bool)
+    first[:1] = True
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
+
+
 def row_sums(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """``rows @ weights`` for a bool matrix, in blocks of rows: each block
     bounds the float64 copy NumPy makes of a bool matrix before a product."""
@@ -230,7 +244,7 @@ class Grid:
         clean = []
         for i, vals in enumerate(axes):
             # a new array: the grid never aliases the caller's values
-            vals = np.unique(np.asarray(vals, dtype=np.int64))
+            vals = sorted_distinct(np.asarray(vals, dtype=np.int64))
             if vals.size and (vals[0] < 0 or vals[-1] >= domain.sizes[i]):
                 raise ValueError(f"grid axis {i} values outside alphabet")
             vals.flags.writeable = False

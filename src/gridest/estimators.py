@@ -464,16 +464,27 @@ def check_grid_hitting(
     are indices into the family's member matrix, i < j, in sorted order.
 
     The grid misses ``F xor F'`` exactly when the two members have the same
-    trace, so only pairs inside one trace class are weighed.
+    trace, so only pairs inside one trace class are weighed.  The classes
+    come from one stable argsort of the members' ``pack_traces`` keys: equal
+    neighbours in sorted order share a trace, and when no two keys are equal
+    (on a full grid, always) the list is ``[]`` at once.  Each run of equal
+    keys is one class, its members in ascending index order, as the stable
+    sort leaves them.
     """
     members = family.members_matrix()
-    _, labels, sizes = np.unique(
-        grid.pack_traces(members), return_inverse=True, return_counts=True
-    )
+    keys = grid.pack_traces(members)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    same = sorted_keys[1:] == sorted_keys[:-1]
+    if not same.any():
+        return []
+    # runs of True in ``same`` start and end where it flips; the run from
+    # i to j (inclusive) joins sorted positions i .. j + 1
+    flips = np.flatnonzero(np.diff(same, prepend=False, append=False))
     probs = dist.table().probs
     pairs = []
-    for label in np.flatnonzero(sizes > 1):
-        group = np.flatnonzero(labels == label)
+    for start, stop in zip(flips[0::2].tolist(), flips[1::2].tolist()):
+        group = order[start : stop + 1]
         m = members[group].astype(float)
         weighted = m * probs
         single = weighted.sum(axis=1)

@@ -32,6 +32,7 @@ from .domain import (
     member_rows,
     row_keys,
     row_sums,
+    sorted_distinct,
 )
 
 
@@ -506,7 +507,9 @@ def symdiff_family(family: SetFamily) -> ExplicitFamily:
     # packing commutes with xor: xored member keys are the differences' keys
     keys = row_keys(members)
     packed = keys.view(np.uint8).reshape(m, -1)
-    xors = np.unique((packed[:, None, :] ^ packed[None, :, :]).view(keys.dtype))
+    xors = sorted_distinct(
+        (packed[:, None, :] ^ packed[None, :, :]).view(keys.dtype)
+    )
     rows = np.unpackbits(xors.view(np.uint8).reshape(xors.size, -1), axis=1, count=n)
     return ExplicitFamily(family.domain, rows)
 

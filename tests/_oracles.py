@@ -53,6 +53,28 @@ def brute_trace(event, grid) -> bytes:
     return np.packbits(np.array([bits[c] for c in cells], dtype=bool)).tobytes()
 
 
+def grid_hitting_pairs(family, grid, dist, eps) -> list[tuple[int, int]]:
+    """``check_grid_hitting`` by trace labels: ``np.unique`` of the members'
+    ``pack_traces`` keys with inverse and counts, then, for each label held
+    by two or more members, a scan of every label for its members, whose
+    pairs are weighed with the same float operations as the library's."""
+    members = family.members_matrix()
+    _, labels, sizes = np.unique(
+        grid.pack_traces(members), return_inverse=True, return_counts=True
+    )
+    probs = dist.table().probs
+    pairs = []
+    for label in np.flatnonzero(sizes > 1):
+        group = np.flatnonzero(labels == label)
+        m = members[group].astype(float)
+        weighted = m * probs
+        single = weighted.sum(axis=1)
+        sym_prob = single[:, None] + single[None, :] - 2.0 * (weighted @ m.T)
+        ii, jj = np.nonzero(np.triu(sym_prob >= eps, k=1))
+        pairs.extend(zip(group[ii].tolist(), group[jj].tolist()))
+    return sorted(pairs)
+
+
 def bit_matrix_event_probabilities(dist) -> np.ndarray:
     """P(E) for every event E, as the 2^n x n matrix of event bitmasks (bit j
     of row e set iff point j is in event e) times the point probabilities."""

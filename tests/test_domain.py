@@ -238,6 +238,7 @@ class TestGridAxes:
         assert g.axes[0].tolist() == sorted(set(rows))
         assert g.axes[1].tolist() == sorted(set(cols))
         assert all(axis.dtype == np.int64 for axis in g.axes)
+        assert not any(axis.flags.writeable for axis in g.axes)
 
     @pytest.mark.parametrize("axis", [[0, 4], [-1, 0], [4, 0], [0, 0, 4], [-1]])
     def test_out_of_range_values_raise(self, axis):

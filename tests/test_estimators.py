@@ -56,7 +56,7 @@ from gridest.families import (
 )
 
 from _oracles import (assignment_certificate, brute_mean, brute_trace,
-                      representative_rows, warm_dual_sides)
+                      grid_hitting_pairs, representative_rows, warm_dual_sides)
 
 
 def uniform_product(n):
@@ -1617,6 +1617,9 @@ class TestZeroCellGrid:
     def test_hitting_weighs_every_pair(self):
         pairs = check_grid_hitting(self.family, self.grid, uniform_product(3), 0.3)
         assert len(pairs) == 509
+        assert pairs == grid_hitting_pairs(
+            self.family, self.grid, uniform_product(3), 0.3
+        )
 
     def test_from_counts_has_one_class(self):
         counts = np.full((3, 3), 2)
@@ -1647,6 +1650,7 @@ def _brute_force_missed_pairs(members, probs, grid_mask, eps, tol=1e-12):
 class TestGridHittingBruteForce:
     @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(2, 16),
            st.integers(1, 6), st.floats(0.0, 0.6))
+    @example(seed=1, n=3, k=4, m0=2, eps=0.0)
     @settings(max_examples=80, deadline=None)
     def test_matches_brute_force_pair_loop(self, seed, n, k, m0, eps):
         rng = np.random.default_rng(seed)
@@ -1666,6 +1670,28 @@ class TestGridHittingBruteForce:
             fam.members_matrix(), probs, on_grid, eps
         )
         assert sure <= set(got) <= maybe
+        assert got == grid_hitting_pairs(fam, grid, dist, eps)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.2, 0.5])
+    @pytest.mark.parametrize("points", [
+        pytest.param([[0, 0]], id="one-cell"),
+        pytest.param([[0, 0], [1, 1]], id="four-cells"),
+        pytest.param([[0, 0], [1, 1], [2, 2]], id="full"),
+    ])
+    def test_classes_of_three_or_more_match_the_label_reference(self, points, eps):
+        d = ProductDomain.of_sizes(3, 3)
+        grid = build_grid(np.array(points), d)
+        rng = np.random.default_rng(5)
+        fam = ExplicitFamily(d, rng.random((40, d.n_points)) < 0.5)
+        dist = JointTable(d, rng.dirichlet(np.ones(d.n_points)))
+        sizes = np.unique(grid.pack_traces(fam.members_matrix()),
+                          return_counts=True)[1]
+        got = check_grid_hitting(fam, grid, dist, eps)
+        assert got == grid_hitting_pairs(fam, grid, dist, eps)
+        if grid.is_full:
+            assert sizes.max() == 1 and got == []
+        else:
+            assert sizes.max() >= 3 and got
 
 
 class TestDeviationReport:

@@ -270,6 +270,23 @@ def test_import_does_not_load_scipy_optimize():
     assert out.strip() == "False True"
 
 
+def test_grid_hitting_does_not_load_numpy_ma():
+    # a plain np.unique imports numpy.ma on first use; grids are built without it
+    src = os.path.dirname(os.path.dirname(gridest.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "GRIDEST_WORKERS": "1"}
+    code = (
+        "import sys; from gridest.experiments import ExperimentConfig, "
+        "calibrate_constants, run_scenario; "
+        "calibrate_constants('grid-hitting', trials=2, seed=2024); "
+        "run_scenario(ExperimentConfig(scenario='grid-hitting', trials=3, "
+        "seed=2024)); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "False"
+
+
 def test_serial_trials_do_not_load_multiprocessing():
     src = os.path.dirname(os.path.dirname(gridest.__file__))
     env = {**os.environ, "PYTHONPATH": src, "GRIDEST_WORKERS": "1"}
