@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -119,6 +120,11 @@ class JointTable:
         """The read-only ``_choice_cdf`` of the table, computed on first use."""
         return _choice_cdf(self.probs)
 
+    @functools.cached_property
+    def alias(self) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only ``_alias_table`` of the table, computed on first use."""
+        return _alias_table(self.probs)
+
     def point_prob(self, points: np.ndarray) -> np.ndarray:
         return self.probs[self.domain.flat_index(self.domain.validate_points(points))]
 
@@ -153,6 +159,90 @@ def _draw(rng: np.random.Generator, cdf: np.ndarray, size: int) -> np.ndarray:
     return cdf.searchsorted(rng.random(size), side="right")
 
 
+def _alias_table(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walker's alias table of a pmf: a threshold and an alias cell per cell.
+
+    Cell ``i``'s column holds ``i`` itself up to ``threshold[i]`` and
+    ``alias[i]`` above it, so cell ``i`` is drawn with probability
+    ``(threshold[i] + sum(1 - threshold[j] for j with alias[j] == i)) / K``,
+    which is ``p[i]``.  A zero-probability cell has threshold 0 and is the
+    alias of no cell, so it is never drawn.
+
+    Built as Vose's pairing, without its loop: the under-full cells (``K p <
+    1``) in index order lay their deficits end to end on a line, and the
+    over-full cells (``K p > 1``) in index order their excesses.  An
+    under-full cell's alias is the over-full cell whose excess holds the start
+    of its deficit.  An over-full cell whose excess ends inside an under-full
+    cell's deficit gives that cell all of it, so its own column falls short by
+    the rest of that deficit, which the next over-full cell fills.
+    """
+    k = p.size
+    scaled = p * k
+    threshold = np.ones(k)
+    alias = np.arange(k)
+    small, large = np.flatnonzero(scaled < 1.0), np.flatnonzero(scaled > 1.0)
+    # only rounding leaves one kind without the other: every cell is then full
+    if small.size and large.size:
+        deficit_end = np.cumsum(1.0 - scaled[small])
+        deficit_start = np.concatenate(([0.0], deficit_end[:-1]))
+        excess_end = np.cumsum(scaled[large] - 1.0)
+        threshold[small] = scaled[small]
+        # rounding may put a start past the last excess, which then takes it
+        owner = excess_end.searchsorted(deficit_start, side="right")
+        alias[small] = large[np.minimum(owner, large.size - 1)]
+        # the last over-full cell is full, as is one whose excess ends where a
+        # deficit starts or past the last deficit
+        ends = excess_end[:-1]
+        inside = np.minimum(deficit_end.searchsorted(ends, side="right"), small.size - 1)
+        short = np.flatnonzero((deficit_start[inside] < ends) & (ends < deficit_end[inside]))
+        threshold[large[short]] = 1.0 - (deficit_end[inside[short]] - ends[short])
+        alias[large[short]] = large[short + 1]
+    threshold.flags.writeable = False
+    alias.flags.writeable = False
+    return threshold, alias
+
+
+#: ``sample_counts`` draws through the alias table while ``m`` is at most
+#: this many times the cell count, and one multinomial above it.  The alias
+#: draw costs about the same per point at any table size (it works in
+#: ``_ALIAS_CHUNK`` blocks), the multinomial about one binomial per cell.
+#: Measured on 400 to 10,000 cells, the two cost the same at 12 to 16 points
+#: per cell, and at 6 the alias draw takes at most 0.74 of the multinomial's
+#: time (``CHANGES.md``).
+ALIAS_POINTS_PER_CELL = 6
+
+#: Points per block of an alias draw: 64 KiB per float array, so a block's
+#: temporaries stay in cache at any ``m``.
+_ALIAS_CHUNK = 8192
+
+
+def _alias_counts(rng, table: tuple[np.ndarray, np.ndarray], m: int) -> np.ndarray:
+    """Cell counts of ``m`` cells drawn through an ``_alias_table``.
+
+    Each cell takes one uniform ``u``: ``u K`` picks the column by its integer
+    part and compares its fraction with the column's threshold.  ``u < 1``
+    keeps the column below ``K``: ``u K`` rounds to a double below ``K``.
+    """
+    threshold, alias = table
+    k = threshold.size
+    cells = np.empty(m, dtype=np.intp)
+    for start in range(0, m, _ALIAS_CHUNK):
+        x = rng.random(min(_ALIAS_CHUNK, m - start))
+        x *= k
+        column = x.astype(np.intp)
+        x -= column
+        cells[start:start + x.size] = np.where(
+            x < threshold[column], column, alias[column])
+    return np.bincount(cells, minlength=k)
+
+
+def _check_m(m) -> int:
+    """The sample size of a draw: an integer (not a bool) >= 1."""
+    if isinstance(m, (bool, np.bool_)) or not hasattr(type(m), "__index__") or m < 1:
+        raise ValueError(f"m must be an integer >= 1, got {m!r}")
+    return operator.index(m)
+
+
 def sample(dist: Distribution, m: int, seed) -> np.ndarray:
     """Draw ``m`` i.i.d. points as an ``(m, d)`` index array.
 
@@ -161,8 +251,7 @@ def sample(dist: Distribution, m: int, seed) -> np.ndarray:
     draw goes through a CDF the distribution keeps (``_draw``), so the
     points are those of ``Generator.choice`` with the same probabilities.
     """
-    if m < 1:
-        raise ValueError("need m >= 1")
+    m = _check_m(m)
     rng = np.random.default_rng(seed)
     out = np.empty((m, dist.domain.width), dtype=np.int64)
     if isinstance(dist, ProductDistribution):
@@ -190,16 +279,28 @@ def sample(dist: Distribution, m: int, seed) -> np.ndarray:
 def sample_counts(dist: Distribution, m: int, seed) -> np.ndarray:
     """Cell counts of ``m`` i.i.d. points, as an integer array of the domain's shape.
 
-    One multinomial draw over the joint table: the law of the counts of
-    ``sample(dist, m, ...)`` without drawing the points.  ``seed`` may also be
-    a ``numpy.random.Generator``; it is then used as is, so consecutive calls
-    on one generator draw the counts of consecutive, independent subsamples.
-    Needs a tabulable domain (at most ``MAX_CELLS`` points).
+    The counts have the law of the counts of ``sample(dist, m, ...)``, the
+    multinomial over the joint table, drawn one of two ways:
+
+    - while ``m <= ALIAS_POINTS_PER_CELL * K`` on ``K`` cells, ``m`` cells are
+      drawn through the table's kept alias table (``JointTable.alias``, one
+      uniform per cell) and counted, at a cost that grows with ``m``;
+    - above it, one ``Generator.multinomial`` over the table, at a cost that
+      grows with ``K``.
+
+    ``seed`` may also be a ``numpy.random.Generator``; it is then used as is,
+    so consecutive calls on one generator draw the counts of consecutive,
+    independent subsamples.  Needs a tabulable domain (at most ``MAX_CELLS``
+    points).
     """
-    if m < 1:
-        raise ValueError("need m >= 1")
+    m = _check_m(m)
     rng = np.random.default_rng(seed)
-    return rng.multinomial(m, dist.table().probs).reshape(dist.domain.sizes)
+    table = dist.table()
+    if m <= ALIAS_POINTS_PER_CELL * table.probs.size:
+        counts = _alias_counts(rng, table.alias, m)
+    else:
+        counts = rng.multinomial(m, table.probs)
+    return counts.reshape(dist.domain.sizes)
 
 
 def marginal_counts(dist: Distribution, m: int, seed) -> tuple[np.ndarray, ...]:
@@ -214,8 +315,7 @@ def marginal_counts(dist: Distribution, m: int, seed) -> tuple[np.ndarray, ...]:
     axis sums of ``sample_counts``.  ``seed`` may be a
     ``numpy.random.Generator``, used as is.
     """
-    if m < 1:
-        raise ValueError("need m >= 1")
+    m = _check_m(m)
     rng = np.random.default_rng(seed)
     if isinstance(dist, ProductDistribution):
         return tuple(rng.multinomial(m, p) for p in dist.marginals)

@@ -497,6 +497,28 @@ def check_grid_hitting(
 # -- deviation reports -------------------------------------------------------------
 
 
+def quantiles(values, qs) -> list[float]:
+    """The quantiles ``qs`` of ``values`` by linear interpolation, from one sort.
+
+    Bit-equal to ``np.quantile``'s default method, which imports
+    ``numpy.ma`` on first use.  As numpy's ``_lerp`` does, a weight
+    ``t >= 0.5`` interpolates down from the upper value.
+    """
+    ordered = np.sort(np.asarray(values, dtype=float))
+    last = ordered.size - 1
+    out = []
+    for q in qs:
+        virtual = last * float(q)
+        if virtual >= last:
+            out.append(float(ordered[-1]))
+            continue
+        below = math.floor(virtual)
+        a, b = ordered[below], ordered[below + 1]
+        t = virtual - below
+        out.append(float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t))
+    return out
+
+
 @dataclass
 class DeviationReport:
     """Per-trial sup-deviation statistics with reproducibility metadata; the
@@ -521,7 +543,7 @@ class DeviationReport:
         deviations = np.asarray(deviations, dtype=float)
         if not np.all((deviations >= 0) & (deviations <= 1)):
             raise ValueError("deviations must lie in [0, 1]")
-        q50, q90, q99 = (float(q) for q in np.quantile(deviations, [0.5, 0.9, 0.99]))
+        q50, q90, q99 = quantiles(deviations, [0.5, 0.9, 0.99])
         return cls(
             estimator=estimator, family=family, distribution=distribution,
             trials=int(deviations.size), seed=int(seed),

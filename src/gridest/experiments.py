@@ -71,6 +71,7 @@ from .estimators import (
     phase1_size,
     phase2_size,
     product_case_size,
+    quantiles,
     sup_deviation,
 )
 from .families import (
@@ -303,7 +304,7 @@ def _run_deviation_scaling(params, trials, seed, memo):
     for m, sub in zip(m_list, per_m_seeds):
         devs = run_trials(functools.partial(fn, m=m), trials, sub)
         means.append(float(devs.mean()))
-        q90 = float(np.quantile(devs, 0.9))
+        [q90] = quantiles(devs, [0.9])
         rows.append({"m": m, "mean_dev": means[-1], "q90_dev": q90})
     if min(means) == 0.0:
         # a point mass (n = 1) is estimated exactly: no log-log slope exists

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridest.distributions import (
+    ALIAS_POINTS_PER_CELL,
     JointTable,
     MixtureDistribution,
     Modulus,
@@ -33,11 +34,12 @@ from gridest.distributions import (
     sample_counts,
     tc_modulus,
     total_correlation,
+    _alias_counts,
 )
 from gridest.domain import CapExceededError, ProductDomain, code_bits
-from gridest.estimators import EmpiricalProductEstimator
-from gridest.experiments import ramp_product, two_component_mixture
-from gridest.families import perm_graph_bits
+from gridest.estimators import EmpiricalProductEstimator, phase2_size
+from gridest.experiments import SCENARIOS, ramp_product, two_component_mixture
+from gridest.families import PermutationGraphs, perm_graph_bits
 
 from _oracles import bit_matrix_event_probabilities, choice_sample
 
@@ -174,6 +176,79 @@ class TestSampling:
             sample(uniform_product(2), 0, seed=0)
 
 
+def _implied_probs(table: JointTable) -> np.ndarray:
+    """Each cell's probability under the table's alias draw: its own column's
+    threshold plus what the columns that alias it give it, over K."""
+    threshold, alias = table.alias
+    k = threshold.size
+    return (threshold + np.bincount(alias, weights=1 - threshold, minlength=k)) / k
+
+
+def _side(dist, m) -> str:
+    """Which way ``sample_counts`` draws ``m`` points from ``dist``."""
+    return "alias" if m <= ALIAS_POINTS_PER_CELL * dist.domain.n_points else "multinomial"
+
+
+ALIAS_CASES = [
+    pytest.param(lambda: ramp_product(7).table(), id="product"),
+    pytest.param(lambda: two_component_mixture(6).table(), id="mixture"),
+    pytest.param(lambda: JointTable(ProductDomain.of_sizes(3, 4),
+                                    [0.0, 0.3, 0.0, 0.05, 0.0, 0.0,
+                                     0.25, 0.1, 0.0, 0.2, 0.1, 0.0]), id="joint-zeros"),
+    pytest.param(lambda: JointTable(ProductDomain.of_sizes(2, 2), [0.5, 0.0, 0.0, 0.5]),
+                 id="joint-dyadic"),
+    pytest.param(lambda: JointTable(ProductDomain.of_sizes(5), [0, 0, 1, 0, 0]),
+                 id="point-mass"),
+    pytest.param(lambda: JointTable(ProductDomain.of_sizes(7), np.full(7, 1 / 7)),
+                 id="uniform"),
+]
+
+
+class TestAliasTable:
+    @pytest.mark.parametrize("make", ALIAS_CASES)
+    def test_implied_probabilities_are_the_table(self, make):
+        table = make()
+        threshold, alias = table.alias
+        assert threshold.shape == alias.shape == table.probs.shape
+        assert np.all((threshold >= 0) & (threshold <= 1))
+        assert np.max(np.abs(_implied_probs(table) - table.probs)) <= 1e-12
+
+    @pytest.mark.parametrize("make", ALIAS_CASES)
+    def test_zero_cells_are_never_drawn(self, make):
+        # threshold 0 and the alias of no column: neither way can reach them
+        table = make()
+        threshold, alias = table.alias
+        zero = table.probs == 0
+        assert np.all(threshold[zero] == 0)
+        assert not np.any(zero[alias[threshold < 1]])
+
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(1e-9, 1.0)), min_size=1,
+                    max_size=60).filter(lambda p: sum(p) > 0))
+    @settings(max_examples=300, deadline=None)
+    def test_implied_probabilities_on_any_pmf(self, raw):
+        table = JointTable(ProductDomain.of_sizes(len(raw)), np.divide(raw, sum(raw)))
+        threshold, alias = table.alias
+        assert np.max(np.abs(_implied_probs(table) - table.probs)) <= 1e-12
+        assert not np.any(table.probs[alias[threshold < 1]] == 0)
+
+    def test_kept_and_read_only(self):
+        table = two_component_mixture(3).table()
+        assert table.alias is table.alias
+        assert not any(a.flags.writeable for a in table.alias)
+
+    def test_the_largest_uniform_below_one_stays_in_the_table(self):
+        # u K with u the largest double below 1 rounds below K for any K
+        class Top:
+            @staticmethod
+            def random(size):
+                return np.full(size, np.nextafter(1.0, 0.0))
+
+        for k in (1, 2, 3, 4, 7, 900, 1 << 10, (1 << 20) - 1):
+            table = JointTable(ProductDomain.of_sizes(k), np.full(k, 1.0 / k))
+            counts = _alias_counts(Top, table.alias, 5)
+            assert counts.shape == (k,) and counts[k - 1] == 5
+
+
 class TestSampleCounts:
     def test_shape_total_and_determinism(self):
         dist = two_component_mixture(3)
@@ -191,34 +266,78 @@ class TestSampleCounts:
         assert np.array_equal(first, sample_counts(dist, 40, again))
         assert np.array_equal(second, sample_counts(dist, 60, again))
 
-    def test_zero_probability_cells_stay_empty(self):
+    @pytest.mark.parametrize("m", [ALIAS_POINTS_PER_CELL * 4, 100],
+                             ids=["alias", "multinomial"])
+    def test_zero_probability_cells_stay_empty(self, m, request):
         d = ProductDomain.of_sizes(2, 2)
         joint = JointTable(d, [0.5, 0.0, 0.0, 0.5])
-        counts = sample_counts(joint, 100, seed=1)
-        assert counts[0, 1] == counts[1, 0] == 0
+        assert _side(joint, m) == request.node.callspec.id
+        counts = sample_counts(joint, m, seed=1)
+        assert counts.sum() == m and counts[0, 1] == counts[1, 0] == 0
+
+    def test_the_rule_picks_the_draw(self):
+        # up to ALIAS_POINTS_PER_CELL points per cell the counts are the alias
+        # draw's, one more point and they are the multinomial's
+        dist = two_component_mixture(3)
+        table = dist.table()
+        at = ALIAS_POINTS_PER_CELL * table.probs.size
+        got = sample_counts(dist, at, seed=3)
+        want = _alias_counts(np.random.default_rng(3), table.alias, at)
+        assert np.array_equal(got.ravel(), want)
+        got = sample_counts(dist, at + 1, seed=3)
+        want = np.random.default_rng(3).multinomial(at + 1, table.probs)
+        assert np.array_equal(got.ravel(), want)
+
+    def test_a_draw_of_many_blocks_continues_one_stream(self):
+        # past one block the alias draw reads the generator's next uniforms
+        ramp = np.arange(1600.0)
+        dist = JointTable(ProductDomain.of_sizes(40, 40), ramp / ramp.sum())
+        m = ALIAS_POINTS_PER_CELL * 1600
+        threshold, alias = dist.alias
+        x = np.random.default_rng(6).random(m) * 1600
+        column = x.astype(np.intp)
+        cells = np.where(x - column < threshold[column], column, alias[column])
+        want = np.bincount(cells, minlength=1600).reshape(40, 40)
+        assert np.array_equal(sample_counts(dist, m, seed=6), want)
+
+    def test_a11_default_phase2_takes_the_alias_side(self):
+        # m1 = 3918 points on the 900 cells of [30]^2; at eps = 0.05, m1 =
+        # 62678 takes the multinomial
+        params = SCENARIOS["pge-end-to-end"].defaults
+        n, eps, delta = params["n"], params["eps"], params["delta"]
+        dist = two_component_mixture(n)
+        m1 = phase2_size(eps, delta, PermutationGraphs(n).member_count())
+        assert (m1, dist.domain.n_points) == (3918, 900)
+        assert _side(dist, m1) == "alias"
+        assert _side(dist, phase2_size(0.05, delta, PermutationGraphs(n).member_count())) \
+            == "multinomial"
 
     def test_m_must_be_positive(self):
         with pytest.raises(ValueError):
             sample_counts(uniform_product(2), 0, seed=0)
 
-    def test_first_moments_match_m_times_p(self):
+    @pytest.mark.parametrize("m", [30, 60], ids=["alias", "multinomial"])
+    def test_first_moments_match_m_times_p(self, m, request):
         # E[counts] = m p exactly; the mean of R draws sits within 5 sigma
         dist = two_component_mixture(3)
+        assert _side(dist, m) == request.node.callspec.id
         p = dist.table().reshaped()
-        m, draws = 30, 4000
+        draws = 4000
         rng = np.random.default_rng(11)
         mean = np.mean([sample_counts(dist, m, rng) for _ in range(draws)], axis=0)
         sigma = np.sqrt(m * p * (1 - p) / draws)
         assert np.all(np.abs(mean - m * p) <= 5 * sigma)
 
-    def test_agrees_in_distribution_with_point_sampling(self):
+    @pytest.mark.parametrize("m", [8, 60], ids=["alias", "multinomial"])
+    def test_agrees_in_distribution_with_point_sampling(self, m, request):
         # chi-square homogeneity between the count draw and counted points:
         # on the pooled cell totals, and on the number of occupied cells per
         # draw (a statistic of the joint law, not only of the means)
         from scipy.stats import chi2_contingency
 
         dist = two_component_mixture(3)
-        m, draws = 8, 3000
+        assert _side(dist, m) == request.node.callspec.id
+        draws = 3000
         master = np.random.SeedSequence(2024)
         via_counts = [sample_counts(dist, m, s) for s in master.spawn(draws)]
         via_points = [
@@ -1075,6 +1194,10 @@ HALF = [0.5, 0.5]
                  "code entries must be +-1", id="cube-code-signs"),
     pytest.param(lambda: sample(SimpleNamespace(domain=D22), 1, 0), TypeError,
                  "cannot sample from SimpleNamespace", id="sample-type"),
+    *(pytest.param(lambda draw=draw, m=m: draw(uniform_product(2), m, 0), ValueError,
+                   f"m must be an integer >= 1, got {m!r}", id=f"{draw.__name__}-m-{m!r}")
+      for draw in (sample, sample_counts, marginal_counts)
+      for m in (0, -3, 2.5, True, np.bool_(True), "4", None)),
     pytest.param(lambda: distribution_to_dict(SimpleNamespace(domain=D22)), TypeError,
                  "cannot serialize SimpleNamespace", id="serialize-type"),
 ])

@@ -45,6 +45,7 @@ from gridest.estimators import (
     phase1_size,
     phase2_size,
     product_case_size,
+    quantiles,
     sup_deviation,
 )
 from gridest.experiments import ramp_product, two_component_mixture
@@ -1692,6 +1693,39 @@ class TestGridHittingBruteForce:
             assert sizes.max() == 1 and got == []
         else:
             assert sizes.max() >= 3 and got
+
+
+QUANTILE_QS = [0, 0.5, 0.9, 0.99, 1]
+_quantile_rng = np.random.default_rng(40)
+
+
+class TestQuantiles:
+    @pytest.mark.parametrize("values", [
+        pytest.param(_quantile_rng.random(101), id="random-101"),
+        pytest.param(_quantile_rng.random(200) ** 6, id="skewed-200"),
+        pytest.param(_quantile_rng.integers(0, 4, 57) / 3, id="tied"),
+        pytest.param(np.full(9, 0.3), id="all-equal"),
+        pytest.param(np.array([0.7]), id="length-1"),
+        pytest.param(np.array([0.9, 0.1]), id="length-2"),
+    ])
+    def test_bit_equal_to_np_quantile(self, values):
+        got = np.array(quantiles(values, QUANTILE_QS))
+        assert got.tobytes() == np.quantile(values, QUANTILE_QS).tobytes()
+
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_equal_on_any_sample(self, values, qs):
+        got = np.array(quantiles(values, qs))
+        assert got.tobytes() == np.quantile(values, qs).tobytes()
+
+    def test_upper_weights_interpolate_down_from_the_upper_value(self):
+        # numpy's _lerp takes b - (b - a)(1 - t) for t >= 0.5; on these
+        # weights a + (b - a) t differs from it in the last bit
+        qs = np.linspace(0.5, 1, 51)
+        assert any(0.1 + 0.6 * q != 0.7 - 0.6 * (1 - q) for q in qs)
+        got = np.array(quantiles([0.1, 0.7], qs))
+        assert got.tobytes() == np.quantile([0.1, 0.7], qs).tobytes()
 
 
 class TestDeviationReport:

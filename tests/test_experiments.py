@@ -208,7 +208,7 @@ class TestCountTrials:
 
     def test_phase2_draws_from_the_jumped_stream(self, monkeypatch):
         # the stride gives jumped()'s state, and trial k's phase-2 counts are
-        # the multinomial of its seed's PCG64 jumped once
+        # drawn from its seed's PCG64 jumped once
         for entropy in (0, 5, 2024):
             seed = np.random.SeedSequence(entropy)
             assert (np.random.PCG64(seed).advance(PHASE2_STRIDE).state
@@ -279,6 +279,25 @@ def test_grid_hitting_does_not_load_numpy_ma():
         "calibrate_constants, run_scenario; "
         "calibrate_constants('grid-hitting', trials=2, seed=2024); "
         "run_scenario(ExperimentConfig(scenario='grid-hitting', trials=3, "
+        "seed=2024)); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "False"
+
+
+def test_deviation_runs_do_not_load_numpy_ma():
+    # np.quantile imports numpy.ma on first use; reports take quantiles without it
+    src = os.path.dirname(os.path.dirname(gridest.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "GRIDEST_WORKERS": "1"}
+    code = (
+        "import sys; from gridest.experiments import ExperimentConfig, "
+        "calibrate_constants, run_scenario; "
+        "run_scenario(ExperimentConfig(scenario='deviation-scaling', trials=3, "
+        "seed=2024, params={'n': 10})); "
+        "calibrate_constants('pge-end-to-end', trials=2, seed=2024); "
+        "run_scenario(ExperimentConfig(scenario='pge-end-to-end', trials=3, "
         "seed=2024)); "
         "print('numpy.ma' in sys.modules)"
     )
