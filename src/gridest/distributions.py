@@ -41,11 +41,6 @@ class ProductDistribution:
         self.marginals = tuple(cleaned)
         self._table: JointTable | None = None
 
-    @functools.cached_property
-    def marginal_cdfs(self) -> tuple[np.ndarray, ...]:
-        """One read-only ``_choice_cdf`` per marginal, computed on first use."""
-        return tuple(_choice_cdf(p) for p in self.marginals)
-
     def point_prob(self, points: np.ndarray) -> np.ndarray:
         return self.table().point_prob(points)
 
@@ -83,17 +78,13 @@ class MixtureDistribution:
     def k(self) -> int:
         return len(self.components)
 
-    @functools.cached_property
-    def weight_cdf(self) -> np.ndarray:
-        """The read-only ``_choice_cdf`` of the weights, computed on first use."""
-        return _choice_cdf(self.weights)
-
     def point_prob(self, points: np.ndarray) -> np.ndarray:
         return self.table().point_prob(points)
 
     def table(self) -> "JointTable":
         """The joint table, computed on the first call and kept."""
         if self._table is None:
+            self.domain.check_tabulable()
             probs = np.zeros(self.domain.n_points)
             for w, comp in zip(self.weights, self.components):
                 probs += w * comp.table().probs
@@ -114,11 +105,6 @@ class JointTable:
         probs.flags.writeable = False
         self.domain = domain
         self.probs = probs
-
-    @functools.cached_property
-    def cdf(self) -> np.ndarray:
-        """The read-only ``_choice_cdf`` of the table, computed on first use."""
-        return _choice_cdf(self.probs)
 
     @functools.cached_property
     def alias(self) -> tuple[np.ndarray, np.ndarray]:
@@ -142,21 +128,6 @@ Distribution = ProductDistribution | MixtureDistribution | JointTable
 
 
 # -- sampling -----------------------------------------------------------------
-
-
-def _choice_cdf(p: np.ndarray) -> np.ndarray:
-    """The read-only CDF that ``Generator.choice(p.size, p=p)`` draws through:
-    ``p.cumsum()`` over its last entry, computed as numpy computes it."""
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    cdf.flags.writeable = False
-    return cdf
-
-
-def _draw(rng: np.random.Generator, cdf: np.ndarray, size: int) -> np.ndarray:
-    """``size`` indices drawn through a ``_choice_cdf``: the same uniforms and
-    the same indices as ``rng.choice(cdf.size, size=size, p=p)``, bit for bit."""
-    return cdf.searchsorted(rng.random(size), side="right")
 
 
 def _alias_table(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -216,8 +187,8 @@ ALIAS_POINTS_PER_CELL = 6
 _ALIAS_CHUNK = 8192
 
 
-def _alias_counts(rng, table: tuple[np.ndarray, np.ndarray], m: int) -> np.ndarray:
-    """Cell counts of ``m`` cells drawn through an ``_alias_table``.
+def _alias_cells(rng, table: tuple[np.ndarray, np.ndarray], m: int) -> np.ndarray:
+    """Flat indices of ``m`` cells drawn through an ``_alias_table``.
 
     Each cell takes one uniform ``u``: ``u K`` picks the column by its integer
     part and compares its fraction with the column's threshold.  ``u < 1``
@@ -233,7 +204,7 @@ def _alias_counts(rng, table: tuple[np.ndarray, np.ndarray], m: int) -> np.ndarr
         x -= column
         cells[start:start + x.size] = np.where(
             x < threshold[column], column, alias[column])
-    return np.bincount(cells, minlength=k)
+    return cells
 
 
 def _check_m(m) -> int:
@@ -246,58 +217,35 @@ def _check_m(m) -> int:
 def sample(dist: Distribution, m: int, seed) -> np.ndarray:
     """Draw ``m`` i.i.d. points as an ``(m, d)`` index array.
 
-    Deterministic given ``seed`` (an int or a ``numpy.random.SeedSequence``).
-    Mixtures draw the component index first, then the coordinates.  Every
-    draw goes through a CDF the distribution keeps (``_draw``), so the
-    points are those of ``Generator.choice`` with the same probabilities.
+    Every kind of distribution draws the same way: ``m`` cells through its
+    joint table's kept alias table (``JointTable.alias``), one uniform per
+    point, unravelled into points.  ``seed`` is an int, a ``SeedSequence`` or
+    a ``Generator``, used as is.  Needs a tabulable domain (at most
+    ``MAX_CELLS`` points).
     """
     m = _check_m(m)
-    rng = np.random.default_rng(seed)
-    out = np.empty((m, dist.domain.width), dtype=np.int64)
-    if isinstance(dist, ProductDistribution):
-        for i, cdf in enumerate(dist.marginal_cdfs):
-            out[:, i] = _draw(rng, cdf, m)
-        return out
-    if isinstance(dist, MixtureDistribution):
-        comps = _draw(rng, dist.weight_cdf, m)
-        for t, comp in enumerate(dist.components):
-            mask = comps == t
-            count = int(mask.sum())
-            if count == 0:
-                continue
-            for i, cdf in enumerate(comp.marginal_cdfs):
-                out[mask, i] = _draw(rng, cdf, count)
-        return out
-    if isinstance(dist, JointTable):
-        flat = _draw(rng, dist.cdf, m)
-        return np.stack(
-            np.unravel_index(flat, dist.domain.sizes), axis=1
-        ).astype(np.int64)
-    raise TypeError(f"cannot sample from {type(dist).__name__}")
+    if not isinstance(dist, Distribution):
+        raise TypeError(f"cannot sample from {type(dist).__name__}")
+    cells = _alias_cells(np.random.default_rng(seed), dist.table().alias, m)
+    return np.stack(np.unravel_index(cells, dist.domain.sizes), axis=1, dtype=np.int64)
 
 
 def sample_counts(dist: Distribution, m: int, seed) -> np.ndarray:
     """Cell counts of ``m`` i.i.d. points, as an integer array of the domain's shape.
 
-    The counts have the law of the counts of ``sample(dist, m, ...)``, the
-    multinomial over the joint table, drawn one of two ways:
-
-    - while ``m <= ALIAS_POINTS_PER_CELL * K`` on ``K`` cells, ``m`` cells are
-      drawn through the table's kept alias table (``JointTable.alias``, one
-      uniform per cell) and counted, at a cost that grows with ``m``;
-    - above it, one ``Generator.multinomial`` over the table, at a cost that
-      grows with ``K``.
-
-    ``seed`` may also be a ``numpy.random.Generator``; it is then used as is,
-    so consecutive calls on one generator draw the counts of consecutive,
-    independent subsamples.  Needs a tabulable domain (at most ``MAX_CELLS``
-    points).
+    Up to ``ALIAS_POINTS_PER_CELL`` points per cell they count the cells that
+    ``sample`` draws: the cell counts of ``sample(dist, m, seed)``, bit for
+    bit, at a cost that grows with ``m``.  Above that they are one
+    ``Generator.multinomial`` over the table, at a cost that grows with the
+    cell count.  ``seed`` may be a ``Generator``, used as is, so consecutive
+    calls on one generator count consecutive, independent subsamples.  Needs
+    a tabulable domain (at most ``MAX_CELLS`` points).
     """
     m = _check_m(m)
     rng = np.random.default_rng(seed)
     table = dist.table()
     if m <= ALIAS_POINTS_PER_CELL * table.probs.size:
-        counts = _alias_counts(rng, table.alias, m)
+        counts = np.bincount(_alias_cells(rng, table.alias, m), minlength=table.probs.size)
     else:
         counts = rng.multinomial(m, table.probs)
     return counts.reshape(dist.domain.sizes)

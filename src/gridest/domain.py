@@ -294,6 +294,21 @@ def build_grid(sample: np.ndarray, domain: ProductDomain) -> Grid:
     return grid_from_counts(domain.axis_counts(domain.validate_points(sample)), domain)
 
 
+def check_cell_counts(
+    cell_counts, domain: ProductDomain, empty: str = "empty sample"
+) -> tuple[np.ndarray, int]:
+    """A sample's cell counts, checked: a nonnegative integer array of the
+    domain's shape, summing to m >= 1 (else ``ValueError``, with the message
+    ``empty`` if m is 0).  Returns the array and m."""
+    counts = np.asarray(cell_counts)
+    if counts.shape != domain.sizes or counts.dtype.kind not in "iu" or counts.min() < 0:
+        raise ValueError(f"need nonnegative integer cell counts of shape {domain.sizes}")
+    m = int(counts.sum())
+    if m < 1:
+        raise ValueError(empty)
+    return counts, m
+
+
 def check_marginal_counts(
     marginal_counts, domain: ProductDomain
 ) -> tuple[list, int, bool]:

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import (Grid, ProductDomain, check_marginal_counts, event_row,
-                     grid_from_counts, member_rows, row_sums)
+from .domain import (Grid, ProductDomain, check_cell_counts, check_marginal_counts,
+                     event_row, grid_from_counts, member_rows, row_sums)
 from .distributions import Distribution, Modulus, ProductDistribution
 from .families import ExplicitTraceIndex, SetFamily
 
@@ -154,40 +154,47 @@ class _CellWeightEstimator:
         return weights if self.total is None else weights / self.total
 
 
-class EmpiricalMeanEstimator(_CellWeightEstimator):
-    """The empirical mean: the sample's point counts over its size."""
+class _CountEstimator(_CellWeightEstimator):
+    """An estimator that reads a sample only through its counts.
+
+    ``from_counts`` is the one build core (the subclass's ``_fit``); the point
+    constructor counts the sample and builds through it.
+    """
+
+    @classmethod
+    def from_counts(cls, counts, domain: ProductDomain):
+        """The build core: the sample's counts, in the subclass's form."""
+        estimator = cls.__new__(cls)
+        estimator._fit(counts, domain)
+        return estimator
+
+
+class EmpiricalMeanEstimator(_CountEstimator):
+    """The empirical mean: the sample's cell counts over its size.
+
+    Its counts are nonnegative integers of the domain's shape, summing to
+    m >= 1.
+    """
 
     def __init__(self, sample: np.ndarray, domain: ProductDomain):
-        sample = domain.validate_points(sample)
-        if sample.shape[0] == 0:
-            raise ValueError("empty sample")
-        super().__init__(domain, domain.cell_counts(sample).ravel(), sample.shape[0])
+        self._fit(domain.cell_counts(domain.validate_points(sample)), domain)
+
+    def _fit(self, cell_counts, domain: ProductDomain) -> None:
+        counts, m = check_cell_counts(cell_counts, domain)
+        super().__init__(domain, counts.ravel(), m)
 
 
-class EmpiricalProductEstimator(_CellWeightEstimator):
+class EmpiricalProductEstimator(_CountEstimator):
     """The empirical product of marginals as an estimator.
 
-    It reads a sample only through its per-axis value counts.  ``from_counts``
-    is the one build core; the point constructor counts each axis of the
-    sample and builds through it.  ``marginals`` holds the read-only
+    Its counts are one nonnegative integer vector per axis, of the axis's
+    length, all sharing one total m >= 1.  ``marginals`` holds the read-only
     empirical marginals, the checked counts over their total.
     """
 
     def __init__(self, sample: np.ndarray, domain: ProductDomain):
         sample = domain.validate_points(sample)
         self._fit(domain.axis_counts(sample), domain)
-
-    @classmethod
-    def from_counts(
-        cls, marginal_counts, domain: ProductDomain
-    ) -> "EmpiricalProductEstimator":
-        """The build core: one nonnegative integer count vector per axis.
-
-        Every vector has its axis's length, and all share one total m >= 1.
-        """
-        estimator = cls.__new__(cls)
-        estimator._fit(marginal_counts, domain)
-        return estimator
 
     def _fit(self, marginal_counts, domain: ProductDomain) -> None:
         counts, m, _ = check_marginal_counts(marginal_counts, domain)
@@ -238,22 +245,11 @@ class ProductGridEstimator(_CellWeightEstimator):
         default split the builder refuses a phase 2 too small for the
         realized class count.
         """
-        domain = family.domain
-        cell_counts = np.asarray(cell_counts)
-        if (
-            cell_counts.shape != domain.sizes
-            or cell_counts.dtype.kind not in "iu"
-            or cell_counts.min() < 0
-        ):
-            raise ValueError(
-                f"need nonnegative integer cell counts of shape {domain.sizes}"
-            )
-        m1 = int(cell_counts.sum())
-        # a plan's split sizes are positive
+        cell_counts, m1 = check_cell_counts(
+            cell_counts, family.domain, empty="insufficient sample: empty phase 2"
+        )
         if plan.split is not None and m1 != plan.split[1]:
             raise ValueError(f"phase-2 counts sum to {m1}, plan splits {plan.split}")
-        if m1 < 1:
-            raise ValueError("insufficient sample: empty phase 2")
 
         estimator = cls(grid, cell_counts, family.trace_index(grid), m1)
         if plan.split is None:

@@ -201,10 +201,10 @@ def _mixture_plan(n: int, eps: float, delta: float, lvc: int, c0: float = 1.0):
 # -- trial functions (module level for pickling) ------------------------------------
 
 
-# Trials draw only what their estimator reads: marginal counts for the
-# empirical product, marginal counts for the product grid's phase-1 grid and
-# cell counts for its phase 2, and points for the empirical mean (cheaper than
-# counts at m << n^2).
+# Trials draw only what their estimator reads, and never points: cell counts
+# for the empirical mean and the product grid's phase 2, marginal counts for
+# the empirical product and the phase-1 grid.  At A1's m, the cell counts are
+# those of the points ``sample`` draws from the same seed.
 
 #: ``PCG64.jumped()``'s stride: a trial's phase 2 draws from its seed's PCG64
 #: advanced by it, the jumped state at a fifth of ``jumped()``'s cost.  Not a
@@ -259,7 +259,7 @@ def _run_perm_empirical_failure(params, trials, seed, memo):
     n, m = params["n"], params["m"]
     family, dist = PermutationGraphs(n), uniform_product(n)
     fn = functools.partial(
-        _trial_empirical, draw=sample, build=EmpiricalMeanEstimator,
+        _trial_empirical, draw=sample_counts, build=EmpiricalMeanEstimator.from_counts,
         dist=dist, m=m, family=family,
     )
     devs = run_trials(fn, trials, np.random.SeedSequence(seed))

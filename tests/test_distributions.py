@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridest import distributions as distributions_module
 from gridest.distributions import (
     ALIAS_POINTS_PER_CELL,
     JointTable,
@@ -34,14 +35,14 @@ from gridest.distributions import (
     sample_counts,
     tc_modulus,
     total_correlation,
-    _alias_counts,
+    _alias_cells,
 )
 from gridest.domain import CapExceededError, ProductDomain, code_bits
 from gridest.estimators import EmpiricalProductEstimator, phase2_size
 from gridest.experiments import SCENARIOS, ramp_product, two_component_mixture
 from gridest.families import PermutationGraphs, perm_graph_bits
 
-from _oracles import bit_matrix_event_probabilities, choice_sample
+from _oracles import bit_matrix_event_probabilities
 
 
 def uniform_product(n):
@@ -125,6 +126,18 @@ class TestTables:
         assert dist.table() is table
         want = np.multiply.outer(*dist.marginals).ravel()
         assert np.array_equal(table.probs, want)
+
+    @pytest.mark.parametrize("kind", ["product", "mixture"])
+    def test_cap_is_checked_before_the_table_is_allocated(self, kind):
+        # 10^10 points: a table would need 74.5 GiB
+        sizes = (100_000, 100_000)
+        product = ProductDistribution(ProductDomain.of_sizes(*sizes),
+                                      [np.full(n, 1.0 / n) for n in sizes])
+        dist = product if kind == "product" else MixtureDistribution([1.0], [product])
+        for call in (dist.table, lambda: dist.point_prob([[0, 0]]),
+                     lambda: sample(dist, 1, 0), lambda: sample_counts(dist, 1, 0)):
+            with pytest.raises(CapExceededError, match="too large to tabulate"):
+                call()
 
     def test_product_table_cap_raised_on_the_first_call(self):
         d = ProductDomain.of_sizes(1025, 1025)
@@ -245,8 +258,7 @@ class TestAliasTable:
 
         for k in (1, 2, 3, 4, 7, 900, 1 << 10, (1 << 20) - 1):
             table = JointTable(ProductDomain.of_sizes(k), np.full(k, 1.0 / k))
-            counts = _alias_counts(Top, table.alias, 5)
-            assert counts.shape == (k,) and counts[k - 1] == 5
+            assert _alias_cells(Top, table.alias, 5).tolist() == [k - 1] * 5
 
 
 class TestSampleCounts:
@@ -282,7 +294,8 @@ class TestSampleCounts:
         table = dist.table()
         at = ALIAS_POINTS_PER_CELL * table.probs.size
         got = sample_counts(dist, at, seed=3)
-        want = _alias_counts(np.random.default_rng(3), table.alias, at)
+        want = np.bincount(_alias_cells(np.random.default_rng(3), table.alias, at),
+                           minlength=table.probs.size)
         assert np.array_equal(got.ravel(), want)
         got = sample_counts(dist, at + 1, seed=3)
         want = np.random.default_rng(3).multinomial(at + 1, table.probs)
@@ -893,44 +906,43 @@ SAMPLED = {
 }
 
 
-def _kept_cdfs(dist):
-    """Every CDF a distribution keeps for ``sample``, with the pmf it is of."""
-    if isinstance(dist, ProductDistribution):
-        return list(zip(dist.marginal_cdfs, dist.marginals))
-    if isinstance(dist, MixtureDistribution):
-        return [(dist.weight_cdf, dist.weights)] + [
-            pair for comp in dist.components for pair in _kept_cdfs(comp)]
-    return [(dist.cdf, dist.probs)]
+def _assert_counts_are_point_counts(dist, m, seed):
+    """``sample_counts`` gives the cell counts of ``sample``'s points, bit for
+    bit, and leaves its generator in the same state."""
+    points_rng, counts_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    points = sample(dist, m, points_rng)
+    assert points.dtype == np.int64 and points.shape == (m, dist.domain.width)
+    want = dist.domain.cell_counts(points)
+    got = sample_counts(dist, m, counts_rng)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert points_rng.bit_generator.state == counts_rng.bit_generator.state
 
 
-class TestSampleAgainstChoice:
-    """``sample`` draws through CDFs the distributions keep; numpy's
-    ``Generator.choice(p=...)`` draw (``_oracles.choice_sample``) is its
-    oracle, bit for bit: the same points and the same generator state."""
+class TestOneSampler:
+    """``sample`` draws every kind of distribution through its joint table's
+    kept alias table; ``sample_counts`` counts the same cells up to
+    ``ALIAS_POINTS_PER_CELL`` points per cell."""
 
-    @pytest.mark.parametrize("m", [1, 5, 874])
+    @pytest.mark.parametrize("per_cell", [None, 1, ALIAS_POINTS_PER_CELL],
+                             ids=["m-5", "m-cells", "m-crossover"])
     @pytest.mark.parametrize("name", sorted(SAMPLED))
-    def test_same_points_and_generator_state(self, name, m):
+    def test_counts_are_the_points_counts(self, name, per_cell):
         dist = SAMPLED[name]()
-        for seed in range(20):
-            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            got, want = sample(dist, m, got_rng), choice_sample(dist, m, want_rng)
-            assert got.dtype == want.dtype == np.int64
-            assert got.tobytes() == want.tobytes()
-            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        m = 5 if per_cell is None else per_cell * dist.domain.n_points
+        for seed in range(10):
+            _assert_counts_are_point_counts(dist, m, seed)
             # an int seed builds the generator anew; a seed sequence too
+            want = sample(dist, m, np.random.default_rng(seed))
             assert sample(dist, m, seed).tobytes() == want.tobytes()
             sequence = np.random.SeedSequence([seed, m])
             assert (sample(dist, m, sequence).tobytes()
-                    == choice_sample(dist, m, sequence).tobytes())
+                    == sample(dist, m, np.random.default_rng(sequence)).tobytes())
 
-    @given(_small_distributions(), st.integers(1, 60), st.integers(0, 2**32 - 1))
+    @given(_small_distributions(), st.data(), st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
-    def test_any_small_distribution(self, dist, m, seed):
-        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert (sample(dist, m, got_rng).tobytes()
-                == choice_sample(dist, m, want_rng).tobytes())
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    def test_any_small_distribution(self, dist, data, seed):
+        m = data.draw(st.integers(1, ALIAS_POINTS_PER_CELL * dist.domain.n_points))
+        _assert_counts_are_point_counts(dist, m, seed)
 
     def test_a_zero_weight_component_draws_no_points(self):
         dist = _point_mass_mixture()
@@ -940,19 +952,27 @@ class TestSampleAgainstChoice:
             assert set(np.unique(points).tolist()) == {0, 2}
 
     @pytest.mark.parametrize("name", sorted(SAMPLED))
-    def test_kept_cdfs_are_read_only_and_built_once(self, name):
+    def test_the_kept_alias_table_is_read_only_and_built_once(self, name, monkeypatch):
+        built = []
+
+        def spy(p):
+            built.append(p.size)
+            return alias_table(p)
+
+        alias_table = distributions_module._alias_table
+        monkeypatch.setattr(distributions_module, "_alias_table", spy)
         dist = SAMPLED[name]()
-        cdfs = _kept_cdfs(dist)
-        assert cdfs
-        for cdf, p in cdfs:
-            assert not cdf.flags.writeable
-            want = p.cumsum()
-            want /= want[-1]
-            assert cdf.tobytes() == want.tobytes()
+        table = dist.table()
+        for draw in (sample, sample_counts, sample, sample_counts):
+            draw(dist, 5, 0)
+        assert built == [dist.domain.n_points]
+        assert dist.table() is table
+        kept = table.alias
+        assert table.alias is kept
+        for array in kept:
+            assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
-                cdf[0] = 0.0
-        sample(dist, 5, 0)
-        assert all(a is b for (a, _), (b, _) in zip(cdfs, _kept_cdfs(dist)))
+                array[0] = 0
 
 
 class TestExhaustiveEvents:

@@ -185,6 +185,20 @@ class TestEmpiricalMean:
         dev = sup_deviation(est, PermutationGraphs(n), dist, method="assignment")
         assert dev == pytest.approx(1 - 1 / n, abs=1e-12)
 
+    def test_point_adapter_and_count_core_are_bit_identical(self):
+        rng = np.random.default_rng(5)
+        d = ProductDomain.of_sizes(4, 6)
+        rows = rng.random((30, d.n_points)) < 0.5
+        for m in (1, 7, 500):
+            s = np.stack([rng.integers(0, 4, m), rng.integers(0, 6, m)], axis=1)
+            counts = np.zeros(d.sizes, dtype=np.int64)
+            np.add.at(counts, tuple(s.T), 1)
+            adapter = EmpiricalMeanEstimator(s, d)
+            core = EmpiricalMeanEstimator.from_counts(counts, d)
+            assert adapter.total == core.total == m
+            assert np.array_equal(adapter.cell_weights(), core.cell_weights())
+            assert np.array_equal(adapter.estimate_many(rows), core.estimate_many(rows))
+
     def test_estimator_rejects_an_empty_sample(self):
         d = ProductDomain.of_sizes(2, 2)
         with pytest.raises(ValueError, match="empty sample"):
@@ -470,15 +484,20 @@ class TestCountCore:
                 d.full_grid(), counts, PermutationGraphs(2), identity_plan(split=(4, 3))
             )
 
-    def test_counts_must_be_integer_and_domain_shaped(self):
-        d = ProductDomain.of_sizes(2, 2)
-        plan = identity_plan(split=(4, 2))
-        for bad in (np.ones((2, 2)), np.ones((4,), dtype=int),
-                    np.array([[3, 0], [0, -1]])):
-            with pytest.raises(ValueError, match="integer cell counts"):
-                ProductGridEstimator.from_counts(
-                    d.full_grid(), bad, PermutationGraphs(2), plan
-                )
+    @pytest.mark.parametrize("build", [
+        lambda counts, d: ProductGridEstimator.from_counts(
+            d.full_grid(), counts, PermutationGraphs(2), identity_plan(split=(4, 2))),
+        EmpiricalMeanEstimator.from_counts,
+    ], ids=["product-grid", "empirical-mean"])
+    @pytest.mark.parametrize("bad, match", [
+        (np.ones((2, 2)), "integer cell counts"),
+        (np.ones((4,), dtype=int), "integer cell counts"),
+        (np.array([[3, 0], [0, -1]]), "integer cell counts"),
+        (np.zeros((2, 2), dtype=np.int64), "empty"),
+    ], ids=["float", "flat", "negative", "empty"])
+    def test_counts_must_be_integer_and_domain_shaped(self, build, bad, match):
+        with pytest.raises(ValueError, match=match):
+            build(bad, ProductDomain.of_sizes(2, 2))
 
     def test_partial_grid_on_a_large_permutation_family_is_not_enumerable(self):
         n = 30

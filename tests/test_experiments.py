@@ -122,12 +122,15 @@ class TestDeterminism:
         parallel = run_scenario(config)
         assert serial.report.deviations == parallel.report.deviations
 
-    def test_empirical_failure_trials_keep_their_point_stream(self):
-        # the per-trial reference: points drawn from uniform_product(n), the
-        # empirical mean, assignment against the distribution itself
+    def test_empirical_failure_trials_keep_their_point_stream(self, monkeypatch):
+        # the trials draw cell counts, not points; the per-trial reference:
+        # points drawn from uniform_product(n), the empirical mean on them,
+        # assignment against the distribution itself
         n, m, trials, seed = 100, 5, 30, 2024
+        monkeypatch.setattr(experiments, "sample", _never_run)
         got = run_scenario(tiny("perm-empirical-failure", trials=trials, seed=seed,
                                 params={"n": n, "m": m})).report.deviations
+        monkeypatch.undo()
         dist = uniform_product(n)
         want = [
             sup_deviation(EmpiricalMeanEstimator(sample(dist, m, child), dist.domain),
